@@ -167,6 +167,10 @@ class RegressionBasis:
             count += dim * (dim + 1) // 2
         return count
 
+    def min_paths(self, dim):
+        """Fewest paths for a stable fit: more than 10 per basis feature."""
+        return 10 * self.feature_count(dim) + 1
+
     def features(self, states):
         x = np.asarray(states, dtype=float)
         if x.ndim != 2:
@@ -367,11 +371,10 @@ def solve_adjoint_lsmc(problem, driver, trajectories, policy=None, basis=None,
     bundle = trajectories.bundle
     x = trajectories.states
     paths, _, n = x.shape
-    nb = basis.feature_count(n)
-    if nb * 10 >= paths:
+    if paths < basis.min_paths(n):
         raise ValueError(
-            f"basis has {nb} features for {paths} paths; need feature count "
-            f"< paths / 10 for a stable regression")
+            f"basis has {basis.feature_count(n)} features for {paths} paths; "
+            f"need feature count < paths / 10 for a stable regression")
     times = grid.times
     dt = grid.dt
     eps = np.finfo(float).eps

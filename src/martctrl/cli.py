@@ -17,33 +17,33 @@ import hashlib
 import json
 import sys
 import time
+from functools import partial
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
+from . import __version__
 from ._parallel import get_threads, set_threads
-from .adjoint import RegressionRankError, solve_adjoint_explicit
-from .dynamics import (BlowUpError, OpenLoopPolicy, SpikeSpec,
-                       finite_diff_check, integrate_forward,
+from .adjoint import RegressionBasis, RegressionRankError
+from .dynamics import (BlowUpError, SpikeSpec, finite_diff_check,
                        integrate_variational, sample_controls)
 from .martingale import PathGrid, sample_increments, verify_isometry
-from .pmp import (Assertion, CandidatePair, Example1Config, Example2Config,
-                  ScenarioReport, build_example1_problem,
-                  build_example2_problem, gateaux_check, necessary_check,
+from .pmp import (Assertion, Example1Config, Example2Config, ScenarioReport,
+                  build_example1_problem, build_example2_problem,
+                  example1_candidate, gateaux_check, necessary_check,
                   rate_experiments, run_example1, run_example2,
                   sufficient_check)
-
-TOOL_VERSION = "0.1.0"
 
 EXIT_OK = 0
 EXIT_ASSERTION = 1
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 
-SCENARIOS = ("example1", "example2", "rates", "gateaux", "pmp-check",
-             "sufficiency", "isometry", "derivative-check")
-
-PACKAGED_PROBLEMS = ("example1", "example1-tanh", "example2")
+# Packaged problem name -> its config at the default horizon.
+PACKAGED_PROBLEMS = {"example1": Example1Config(),
+                     "example1-tanh": Example1Config(drift_gain=0.25),
+                     "example2": Example2Config()}
 
 
 class ConfigError(Exception):
@@ -135,252 +135,199 @@ def _parse_enum(text, choices):
     return value
 
 
-def _take(raw, key, where, errors, conv, default=None, required=False):
-    """Pop ``key`` from the raw section and convert it, collecting errors."""
-    if key not in raw:
-        if required:
-            errors.append(f"[{where}] missing required key '{key}'")
-        return default
-    text = raw.pop(key).strip()
-    try:
-        return conv(text)
-    except ValueError as exc:
-        errors.append(f"[{where}] {key}: {exc} (got {text!r})")
-        return default
+# ---------------------------------------------------------------------------
+# Option schema.  Every section is a tuple of (key, parser, default) entries.
+# example1 and example2 take their defaults from the fields of
+# Example1Config and Example2Config; the other scenarios state theirs here.
+# A key whose text does not parse is reported and keeps its default, so the
+# cross-field checks always see a complete section.  A check takes the
+# parsed [run], [space] and scenario sections and yields error messages.
+# ---------------------------------------------------------------------------
+
+_INT0 = partial(_parse_int, minimum=0)
+_INT1 = partial(_parse_int, minimum=1)
+_INT2 = partial(_parse_int, minimum=2)
+_POSITIVE = partial(_parse_float, positive=True)
+_NONNEGATIVE = partial(_parse_float, nonnegative=True)
+
+# [run] keys that are also fields of Example1Config and Example2Config.
+_RUN_FIELDS = ("seed", "steps", "paths", "horizon")
+
+
+class Schema(NamedTuple):
+    """What one scenario accepts in [run], [space] and its own section."""
+
+    run: tuple
+    space: dict        # operator sizes of the packaged problem
+    options: tuple
+    checks: tuple = ()
+
+
+def _run_entries(seed, steps, paths, horizon=1.0):
+    return (("seed", _INT0, seed), ("steps", _INT1, steps),
+            ("paths", _INT2, paths), ("horizon", _POSITIVE, horizon),
+            ("threads", _INT1, None), ("dump_trajectories", _INT0, 0),
+            ("output_dir", str, None))
+
+
+def _field_defaults(cls):
+    return {f.name: f.default for f in dataclasses.fields(cls)}
+
+
+def _space(defaults):
+    return {key: defaults[key] for key in ("state_dim", "control_dim")}
+
+
+def _packaged(defaults, options, checks=()):
+    """Schema of a packaged scenario whose defaults are its config fields."""
+    return Schema(
+        run=_run_entries(*(defaults[key] for key in _RUN_FIELDS)),
+        space=_space(defaults),
+        options=tuple((key, parse, defaults[key]) for key, parse in options),
+        checks=checks)
+
+
+_EX1 = _field_defaults(Example1Config)
+_EX2 = _field_defaults(Example2Config)
+_SPACE1 = _space(_EX1)
+# One value per control (or state) dimension of the packaged problem.
+_CONTROL1 = partial(_parse_floats, length=_EX1["control_dim"])
+_CONTROL2 = partial(_parse_floats, length=_EX2["control_dim"])
+_STATE2 = partial(_parse_floats, length=_EX2["state_dim"])
+
+
+def _window_errors(run, t0, eps_values, label="spike"):
+    """Messages for the spike windows (t0, eps) that miss the run grid."""
+    grid = PathGrid(horizon=run["horizon"], steps=run["steps"])
+    for eps in eps_values:
+        try:
+            SpikeSpec(t0=t0, eps=eps, v=np.zeros(1)).window(grid)
+        except ValueError as exc:
+            yield (f"{label} window (t0={t0}, eps={eps}) is not "
+                   f"grid-aligned: {exc}")
+
+
+def _one_policy(run, space, opts):
+    if opts["schedule"] is not None and opts["feedback"] is not None:
+        yield "specify either schedule or feedback, not both (ambiguous policy)"
+
+
+def _duality_window(run, space, opts):
+    if opts["run_duality"]:
+        yield from _window_errors(run, opts["duality_t0"],
+                                  (opts["duality_eps"],), "duality spike")
+
+
+def _regression_paths(run, space, opts):
+    basis = RegressionBasis(opts["basis_degree"])
+    n = space["state_dim"]
+    if run["paths"] < basis.min_paths(n):
+        yield (f"basis_degree = {basis.degree} needs [run] paths >= "
+               f"{basis.min_paths(n)}: the regression adjoint fits "
+               f"{basis.feature_count(n)} basis features and needs more than "
+               f"10 paths per feature (got paths = {run['paths']})")
+
+
+def _ladder(run, space, opts):
+    ladder = opts["eps_ladder"]
+    if len(set(ladder)) != len(ladder):
+        yield "eps_ladder entries must be distinct"
+    yield from _window_errors(run, opts["t0"], ladder)
+
+
+def _eps_list(run, space, opts):
+    yield from _window_errors(run, opts["t0"], opts["eps_list"])
+
+
+def _parse_ladder(text):
+    """At least two positive numbers (a rate needs two points), largest first."""
+    values = _parse_floats(text, positive=True)
+    if len(values) < 2:
+        raise ValueError("must list at least 2 numbers")
+    return tuple(sorted(values, reverse=True))
+
+
+SCHEMAS = {
+    "example1": _packaged(_EX1, (
+        ("spike_count", _INT1),
+        ("control_box_radius", _POSITIVE),
+        ("probe_points_per_dim", _INT2),
+        ("sample_times", _INT1),
+        ("sample_paths", _INT1),
+        ("convexity_pairs", _INT1),
+        ("alpha0", _POSITIVE),
+        ("alpha_slope", _NONNEGATIVE),
+        ("schedule", _CONTROL1),
+        ("feedback", partial(_parse_enum, choices=("stationary", "zero"))),
+    ), checks=(_one_policy,)),
+    "example2": _packaged(_EX2, (
+        ("basis_degree", partial(_parse_int, choices={0, 1, 2})),
+        ("sweeps", _INT0),
+        ("run_duality", _parse_bool),
+        ("duality_t0", _NONNEGATIVE),
+        ("duality_eps", _POSITIVE),
+        ("duality_v", _CONTROL2),
+        ("gamma", _STATE2),
+        ("schedule", _CONTROL2),
+        ("feedback", partial(_parse_enum, choices=("zero",))),
+    ), checks=(_duality_window, _regression_paths, _one_policy)),
+    "rates": Schema(_run_entries(2718, 400, 4000), _SPACE1, (
+        ("t0", _NONNEGATIVE, 0.25),
+        ("v", _CONTROL1, (0.65, 0.45)),
+        ("eps_ladder", _parse_ladder, (0.2, 0.1, 0.05, 0.025)),
+        ("drift_gain", _NONNEGATIVE, 0.0),
+        ("inject_fault", _parse_bool, False),
+    ), checks=(_ladder,)),
+    "gateaux": Schema(_run_entries(31415, 400, 20000), _SPACE1, (
+        ("t0", _NONNEGATIVE, 0.3),
+        ("v", _CONTROL1, (0.65, 0.45)),
+        ("eps_list", partial(_parse_floats, positive=True), (0.05, 0.025)),
+        ("bias_fraction", _POSITIVE, 0.1),
+        ("drift_gain", _NONNEGATIVE, 0.0),
+        ("inject_fault", _parse_bool, False),
+    ), checks=(_eps_list,)),
+    "pmp-check": Schema(_run_entries(12022, 400, 2000), _SPACE1, (
+        ("sample_times", _INT1, 20),
+        ("sample_paths", _INT1, 100),
+        ("points_per_dim", _INT2, 11),
+        ("schedule", _CONTROL1, None),
+    )),
+    "sufficiency": Schema(_run_entries(12022, 200, 2000), _SPACE1, (
+        ("pairs", _INT1, 1000),
+        ("sample_times", _INT1, 8),
+        ("inject_fault", _parse_bool, False),
+    )),
+    "isometry": Schema(_run_entries(7071, 400, 20000), _SPACE1, ()),
+    "derivative-check": Schema(_run_entries(99, 100, 2), _SPACE1, (
+        ("problem", partial(_parse_enum, choices=(*PACKAGED_PROBLEMS, "all")),
+         "all"),
+        ("probes", _INT1, 25),
+        ("rel_step", _POSITIVE, 1e-5),
+        ("tol", _POSITIVE, 1e-4),
+        ("inject_fault", _parse_bool, False),
+    )),
+}
+
+SCENARIOS = tuple(SCHEMAS)
+
+
+def _parse_section(raw, where, entries, errors):
+    """Pop and convert the schema's keys from ``raw``, collecting errors."""
+    values = {}
+    for key, parse, default in entries:
+        values[key] = default
+        if key in raw:
+            text = raw.pop(key).strip()
+            try:
+                values[key] = parse(text)
+            except ValueError as exc:
+                errors.append(f"[{where}] {key}: {exc} (got {text!r})")
+    return values
 
 
 def _reject_leftovers(raw, where, errors):
     for key in raw:
         errors.append(f"[{where}] unknown key '{key}'")
-
-
-_RUN_DEFAULTS = {
-    "example1": dict(seed=12022, steps=400, paths=20000, horizon=1.0),
-    "example2": dict(seed=30303, steps=100, paths=4000, horizon=1.0),
-    "rates": dict(seed=2718, steps=400, paths=4000, horizon=1.0),
-    "gateaux": dict(seed=31415, steps=400, paths=20000, horizon=1.0),
-    "pmp-check": dict(seed=12022, steps=400, paths=2000, horizon=1.0),
-    "sufficiency": dict(seed=12022, steps=200, paths=2000, horizon=1.0),
-    "isometry": dict(seed=7071, steps=400, paths=20000, horizon=1.0),
-    "derivative-check": dict(seed=99, steps=100, paths=2, horizon=1.0),
-}
-
-# The packaged scenarios fix their operator sizes; [space] may restate them
-# but cannot change them.
-_SPACE_BY_SCENARIO = {"example2": (2, 2)}
-_DEFAULT_SPACE = (4, 2)
-
-
-def _parse_run_section(raw, scenario, errors):
-    defaults = _RUN_DEFAULTS[scenario]
-    run = {}
-    run["seed"] = _take(raw, "seed", "run", errors,
-                        lambda s: _parse_int(s, minimum=0),
-                        default=defaults["seed"])
-    run["steps"] = _take(raw, "steps", "run", errors,
-                         lambda s: _parse_int(s, minimum=1),
-                         default=defaults["steps"])
-    run["paths"] = _take(raw, "paths", "run", errors,
-                         lambda s: _parse_int(s, minimum=2),
-                         default=defaults["paths"])
-    run["horizon"] = _take(raw, "horizon", "run", errors,
-                           lambda s: _parse_float(s, positive=True),
-                           default=defaults["horizon"])
-    run["threads"] = _take(raw, "threads", "run", errors,
-                           lambda s: _parse_int(s, minimum=1), default=None)
-    run["dump_trajectories"] = _take(raw, "dump_trajectories", "run", errors,
-                                     lambda s: _parse_int(s, minimum=0),
-                                     default=0)
-    run["output_dir"] = raw.pop("output_dir", None)
-    _reject_leftovers(raw, "run", errors)
-    return run
-
-
-def _parse_space_section(raw, scenario, errors):
-    want_n, want_m = _SPACE_BY_SCENARIO.get(scenario, _DEFAULT_SPACE)
-    n = _take(raw, "state_dim", "space", errors,
-              lambda s: _parse_int(s, minimum=1), default=want_n)
-    m = _take(raw, "control_dim", "space", errors,
-              lambda s: _parse_int(s, minimum=1), default=want_m)
-    if n is not None and n != want_n:
-        errors.append(f"[space] state_dim must be {want_n} for scenario "
-                      f"{scenario} (the packaged operators have that size)")
-    if m is not None and m != want_m:
-        errors.append(f"[space] control_dim must be {want_m} for scenario "
-                      f"{scenario} (the packaged operators have that size)")
-    _reject_leftovers(raw, "space", errors)
-    return {"state_dim": want_n, "control_dim": want_m}
-
-
-def _check_spike_window(run, t0, eps, where, errors, label="spike"):
-    """Validate a spike window against the run grid, collecting errors."""
-    if t0 is None or eps is None:
-        return
-    try:
-        grid = PathGrid(horizon=run["horizon"], steps=run["steps"])
-        spec = SpikeSpec(t0=t0, eps=eps, v=np.zeros(1))
-        spec.window(grid)
-    except ValueError as exc:
-        errors.append(f"[{where}] {label} window (t0={t0}, eps={eps}) "
-                      f"is not grid-aligned: {exc}")
-
-
-def _parse_options(scenario, raw, run, space, errors):
-    m = space["control_dim"]
-    n = space["state_dim"]
-    where = scenario
-    opts = {}
-
-    if scenario == "example1":
-        opts["spike_count"] = _take(raw, "spike_count", where, errors,
-                                    lambda s: _parse_int(s, minimum=1),
-                                    default=20)
-        opts["control_box_radius"] = _take(
-            raw, "control_box_radius", where, errors,
-            lambda s: _parse_float(s, positive=True), default=2.0)
-        opts["probe_points_per_dim"] = _take(
-            raw, "probe_points_per_dim", where, errors,
-            lambda s: _parse_int(s, minimum=2), default=11)
-        opts["sample_times"] = _take(raw, "sample_times", where, errors,
-                                     lambda s: _parse_int(s, minimum=1),
-                                     default=20)
-        opts["sample_paths"] = _take(raw, "sample_paths", where, errors,
-                                     lambda s: _parse_int(s, minimum=1),
-                                     default=100)
-        opts["convexity_pairs"] = _take(raw, "convexity_pairs", where, errors,
-                                        lambda s: _parse_int(s, minimum=1),
-                                        default=1000)
-        opts["alpha0"] = _take(raw, "alpha0", where, errors,
-                               lambda s: _parse_float(s, positive=True),
-                               default=1.0)
-        opts["alpha_slope"] = _take(raw, "alpha_slope", where, errors,
-                                    lambda s: _parse_float(s,
-                                                           nonnegative=True),
-                                    default=0.5)
-        opts["schedule"] = _take(raw, "schedule", where, errors,
-                                 lambda s: _parse_floats(s, length=m))
-        opts["feedback"] = _take(raw, "feedback", where, errors,
-                                 lambda s: _parse_enum(s, ("stationary",
-                                                           "zero")))
-    elif scenario == "example2":
-        opts["basis_degree"] = _take(raw, "basis_degree", where, errors,
-                                     lambda s: _parse_int(s,
-                                                          choices={0, 1, 2}),
-                                     default=2)
-        opts["sweeps"] = _take(raw, "sweeps", where, errors,
-                               lambda s: _parse_int(s, minimum=0), default=3)
-        opts["run_duality"] = _take(raw, "run_duality", where, errors,
-                                    _parse_bool, default=True)
-        opts["duality_t0"] = _take(raw, "duality_t0", where, errors,
-                                   lambda s: _parse_float(s,
-                                                          nonnegative=True),
-                                   default=0.25)
-        opts["duality_eps"] = _take(raw, "duality_eps", where, errors,
-                                    lambda s: _parse_float(s, positive=True),
-                                    default=0.1)
-        opts["duality_v"] = _take(raw, "duality_v", where, errors,
-                                  lambda s: _parse_floats(s, length=m),
-                                  default=(0.5, -0.25))
-        opts["gamma"] = _take(raw, "gamma", where, errors,
-                              lambda s: _parse_floats(s, length=n),
-                              default=(0.2, 0.0))
-        opts["schedule"] = _take(raw, "schedule", where, errors,
-                                 lambda s: _parse_floats(s, length=m))
-        opts["feedback"] = _take(raw, "feedback", where, errors,
-                                 lambda s: _parse_enum(s, ("zero",)))
-        if opts["run_duality"]:
-            _check_spike_window(run, opts["duality_t0"], opts["duality_eps"],
-                                where, errors, label="duality spike")
-    elif scenario == "rates":
-        opts["t0"] = _take(raw, "t0", where, errors,
-                           lambda s: _parse_float(s, nonnegative=True),
-                           default=0.25)
-        opts["v"] = _take(raw, "v", where, errors,
-                          lambda s: _parse_floats(s, length=m),
-                          default=(0.65, 0.45))
-        opts["eps_ladder"] = _take(raw, "eps_ladder", where, errors,
-                                   lambda s: _parse_floats(s, positive=True),
-                                   default=(0.2, 0.1, 0.05, 0.025))
-        opts["drift_gain"] = _take(raw, "drift_gain", where, errors,
-                                   lambda s: _parse_float(s, nonnegative=True),
-                                   default=0.0)
-        opts["inject_fault"] = _take(raw, "inject_fault", where, errors,
-                                     _parse_bool, default=False)
-        ladder = opts["eps_ladder"]
-        if ladder is not None:
-            ordered = tuple(sorted(ladder, reverse=True))
-            if len(set(ladder)) != len(ladder):
-                errors.append(f"[{where}] eps_ladder entries must be "
-                              f"distinct")
-            opts["eps_ladder"] = ordered
-            for eps in ordered:
-                _check_spike_window(run, opts["t0"], eps, where, errors)
-    elif scenario == "gateaux":
-        opts["t0"] = _take(raw, "t0", where, errors,
-                           lambda s: _parse_float(s, nonnegative=True),
-                           default=0.3)
-        opts["v"] = _take(raw, "v", where, errors,
-                          lambda s: _parse_floats(s, length=m),
-                          default=(0.65, 0.45))
-        opts["eps_list"] = _take(raw, "eps_list", where, errors,
-                                 lambda s: _parse_floats(s, positive=True),
-                                 default=(0.05, 0.025))
-        opts["bias_fraction"] = _take(raw, "bias_fraction", where, errors,
-                                      lambda s: _parse_float(s,
-                                                             positive=True),
-                                      default=0.1)
-        opts["drift_gain"] = _take(raw, "drift_gain", where, errors,
-                                   lambda s: _parse_float(s, nonnegative=True),
-                                   default=0.0)
-        opts["inject_fault"] = _take(raw, "inject_fault", where, errors,
-                                     _parse_bool, default=False)
-        if opts["eps_list"] is not None:
-            for eps in opts["eps_list"]:
-                _check_spike_window(run, opts["t0"], eps, where, errors)
-    elif scenario == "pmp-check":
-        opts["sample_times"] = _take(raw, "sample_times", where, errors,
-                                     lambda s: _parse_int(s, minimum=1),
-                                     default=20)
-        opts["sample_paths"] = _take(raw, "sample_paths", where, errors,
-                                     lambda s: _parse_int(s, minimum=1),
-                                     default=100)
-        opts["points_per_dim"] = _take(raw, "points_per_dim", where, errors,
-                                       lambda s: _parse_int(s, minimum=2),
-                                       default=11)
-        opts["schedule"] = _take(raw, "schedule", where, errors,
-                                 lambda s: _parse_floats(s, length=m))
-    elif scenario == "sufficiency":
-        opts["pairs"] = _take(raw, "pairs", where, errors,
-                              lambda s: _parse_int(s, minimum=1),
-                              default=1000)
-        opts["sample_times"] = _take(raw, "sample_times", where, errors,
-                                     lambda s: _parse_int(s, minimum=1),
-                                     default=8)
-        opts["inject_fault"] = _take(raw, "inject_fault", where, errors,
-                                     _parse_bool, default=False)
-    elif scenario == "isometry":
-        pass
-    elif scenario == "derivative-check":
-        opts["problem"] = _take(raw, "problem", where, errors,
-                                lambda s: _parse_enum(
-                                    s, PACKAGED_PROBLEMS + ("all",)),
-                                default="all")
-        opts["probes"] = _take(raw, "probes", where, errors,
-                               lambda s: _parse_int(s, minimum=1), default=25)
-        opts["rel_step"] = _take(raw, "rel_step", where, errors,
-                                 lambda s: _parse_float(s, positive=True),
-                                 default=1e-5)
-        opts["tol"] = _take(raw, "tol", where, errors,
-                            lambda s: _parse_float(s, positive=True),
-                            default=1e-4)
-        opts["inject_fault"] = _take(raw, "inject_fault", where, errors,
-                                     _parse_bool, default=False)
-
-    if opts.get("schedule") is not None and opts.get("feedback") is not None:
-        errors.append(f"[{where}] specify either schedule or feedback, "
-                      f"not both (ambiguous policy)")
-    _reject_leftovers(raw, where, errors)
-    return opts
 
 
 def parse_config(path):
@@ -407,11 +354,27 @@ def parse_config(path):
             [f"[run] scenario must be one of {', '.join(SCENARIOS)} "
              f"(got {scenario!r})"])
 
-    run = _parse_run_section(run_raw, scenario, errors)
+    schema = SCHEMAS[scenario]
+    run = _parse_section(run_raw, "run", schema.run, errors)
+    _reject_leftovers(run_raw, "run", errors)
+
+    space = dict(schema.space)
     space_raw = sections.pop("space", {})
-    space = _parse_space_section(space_raw, scenario, errors)
+    stated = _parse_section(space_raw, "space",
+                            [(key, _INT1, want) for key, want in space.items()],
+                            errors)
+    for key, want in space.items():
+        if stated[key] != want:
+            errors.append(f"[space] {key} must be {want} for scenario "
+                          f"{scenario} (the packaged operators have that size)")
+    _reject_leftovers(space_raw, "space", errors)
+
     opts_raw = sections.pop(scenario, {})
-    options = _parse_options(scenario, opts_raw, run, space, errors)
+    options = _parse_section(opts_raw, scenario, schema.options, errors)
+    for check in schema.checks:
+        errors.extend(f"[{scenario}] {message}"
+                      for message in check(run, space, options))
+    _reject_leftovers(opts_raw, scenario, errors)
     for name in sections:
         errors.append(f"unknown section [{name}]")
     if errors:
@@ -454,22 +417,13 @@ def _trajectory_table(trajectories, count):
     return header, rows
 
 
-def _example1_cfg(config):
-    opts = config.options
-    return Example1Config(
-        steps=config.run["steps"], paths=config.run["paths"],
-        seed=config.run["seed"], horizon=config.run["horizon"],
-        spike_count=opts["spike_count"],
-        control_box_radius=opts["control_box_radius"],
-        probe_points_per_dim=opts["probe_points_per_dim"],
-        sample_times=opts["sample_times"], sample_paths=opts["sample_paths"],
-        convexity_pairs=opts["convexity_pairs"], alpha0=opts["alpha0"],
-        alpha_slope=opts["alpha_slope"], schedule=opts["schedule"],
-        feedback=opts["feedback"])
+def _run_fields(config):
+    return {key: config.run[key] for key in _RUN_FIELDS}
 
 
 def _run_example1(config):
-    result = run_example1(_example1_cfg(config), threads=get_threads())
+    cfg = Example1Config(**_run_fields(config), **config.options)
+    result = run_example1(cfg, threads=get_threads())
     tables = dict(result.report.tables)
     summary = tables.pop("hamiltonian_margins", None)
     if summary is not None:
@@ -482,15 +436,7 @@ def _run_example1(config):
 
 
 def _run_example2(config):
-    opts = config.options
-    cfg = Example2Config(
-        steps=config.run["steps"], paths=config.run["paths"],
-        seed=config.run["seed"], horizon=config.run["horizon"],
-        basis_degree=opts["basis_degree"], sweeps=opts["sweeps"],
-        run_duality=opts["run_duality"], duality_t0=opts["duality_t0"],
-        duality_eps=opts["duality_eps"], duality_v=opts["duality_v"],
-        gamma=opts["gamma"], schedule=opts["schedule"],
-        feedback=opts["feedback"])
+    cfg = Example2Config(**_run_fields(config), **config.options)
     result = run_example2(cfg, threads=get_threads())
     tables = dict(result.report.tables)
     dump = config.run["dump_trajectories"]
@@ -500,37 +446,11 @@ def _run_example2(config):
     return result.report, tables
 
 
-def _stationary_candidate(config, drift_gain, with_adjoint=True):
-    """Scenario-1 problem driven by the stationary open-loop control."""
-    cfg = Example1Config(
-        steps=config.run["steps"], paths=config.run["paths"],
-        seed=config.run["seed"], horizon=config.run["horizon"],
-        drift_gain=drift_gain)
-    problem, driver, grid, u_star = build_example1_problem(cfg)
-    bundle = sample_increments(driver, grid, cfg.paths, cfg.seed,
-                               threads=get_threads())
-    schedule = config.options.get("schedule")
-    if schedule is not None:
-        policy = OpenLoopPolicy.constant(np.asarray(schedule, dtype=float),
-                                         grid.steps)
-    else:
-        policy = OpenLoopPolicy.constant(u_star, grid.steps)
-    trajectories = integrate_forward(problem, policy, bundle,
-                                     np.asarray(cfg.x0, dtype=float))
-    adjoint = None
-    if with_adjoint:
-        adjoint = solve_adjoint_explicit(
-            problem, driver, grid,
-            probe_scale=max(1.0, float(np.max(np.abs(cfg.x0)))))
-    candidate = CandidatePair(policy=policy, trajectories=trajectories,
-                              adjoint=adjoint)
-    return problem, driver, grid, u_star, candidate
-
-
 def _run_rates(config):
     opts = config.options
-    problem, driver, grid, u_star, candidate = _stationary_candidate(
-        config, opts["drift_gain"], with_adjoint=False)
+    cfg = Example1Config(**_run_fields(config), drift_gain=opts["drift_gain"])
+    problem, _, _, _, candidate = example1_candidate(
+        cfg, threads=get_threads(), with_adjoint=False)
     v = np.asarray(opts["v"], dtype=float)
     p_paths = None
     if opts["inject_fault"]:
@@ -570,8 +490,9 @@ def _run_rates(config):
 
 def _run_gateaux(config):
     opts = config.options
-    problem, driver, grid, u_star, candidate = _stationary_candidate(
-        config, opts["drift_gain"], with_adjoint=False)
+    cfg = Example1Config(**_run_fields(config), drift_gain=opts["drift_gain"])
+    problem, _, _, _, candidate = example1_candidate(
+        cfg, threads=get_threads(), with_adjoint=False)
     v = np.asarray(opts["v"], dtype=float)
     eps_list = tuple(sorted(opts["eps_list"], reverse=True))
     spec = SpikeSpec(t0=opts["t0"], eps=eps_list[0], v=v)
@@ -610,8 +531,9 @@ def _run_gateaux(config):
 
 def _run_pmp_check(config):
     opts = config.options
-    problem, driver, grid, u_star, candidate = _stationary_candidate(
-        config, 0.0, with_adjoint=True)
+    cfg = Example1Config(**_run_fields(config), schedule=opts["schedule"])
+    problem, driver, _, _, candidate = example1_candidate(
+        cfg, threads=get_threads())
     margin_report = necessary_check(
         problem, driver, candidate, sample_times=opts["sample_times"],
         sample_paths=opts["sample_paths"],
@@ -647,8 +569,8 @@ def _concave_running_cost_fault(problem):
 
 def _run_sufficiency(config):
     opts = config.options
-    problem, driver, grid, u_star, candidate = _stationary_candidate(
-        config, 0.0, with_adjoint=True)
+    problem, driver, _, _, candidate = example1_candidate(
+        Example1Config(**_run_fields(config)), threads=get_threads())
     if opts["inject_fault"]:
         problem = _concave_running_cost_fault(problem)
     report = sufficient_check(problem, driver, candidate,
@@ -700,10 +622,7 @@ def _run_sufficiency(config):
 
 
 def _run_isometry(config):
-    cfg = Example1Config(steps=config.run["steps"],
-                         paths=config.run["paths"],
-                         seed=config.run["seed"],
-                         horizon=config.run["horizon"])
+    cfg = Example1Config(**_run_fields(config))
     _, driver, grid, _ = build_example1_problem(cfg)
     bundle = sample_increments(driver, grid, cfg.paths, cfg.seed,
                                threads=get_threads())
@@ -737,26 +656,15 @@ def _run_isometry(config):
 
 
 def _packaged_problem(name, horizon):
-    if name == "example1":
-        cfg = Example1Config(horizon=horizon)
-        problem, _, _, u_star = build_example1_problem(cfg)
-        x0 = np.asarray(cfg.x0, dtype=float)
-    elif name == "example1-tanh":
-        cfg = Example1Config(horizon=horizon, drift_gain=0.25)
-        problem, _, _, u_star = build_example1_problem(cfg)
-        x0 = np.asarray(cfg.x0, dtype=float)
-    elif name == "example2":
-        cfg = Example2Config(horizon=horizon)
-        problem, _, _ = build_example2_problem(cfg)
-        x0 = np.asarray(cfg.x0, dtype=float)
-    else:
-        raise ValueError(f"unknown packaged problem {name!r}")
-    return problem, x0
+    cfg = dataclasses.replace(PACKAGED_PROBLEMS[name], horizon=horizon)
+    build = build_example2_problem if isinstance(cfg, Example2Config) \
+        else build_example1_problem
+    return build(cfg)[0], np.asarray(cfg.x0, dtype=float)
 
 
 def _run_derivative_check(config):
     opts = config.options
-    names = PACKAGED_PROBLEMS if opts["problem"] == "all" \
+    names = tuple(PACKAGED_PROBLEMS) if opts["problem"] == "all" \
         else (opts["problem"],)
     horizon = config.run["horizon"]
     rng = np.random.default_rng(
@@ -875,7 +783,7 @@ def _emit(config, report, tables, out_dir, wall_seconds, status):
         f"scenario = {config.scenario}",
         f"config_path = {config.source}",
         f"config_sha256 = {config.config_hash()}",
-        f"tool_version = {TOOL_VERSION}",
+        f"tool_version = {__version__}",
         f"seed = {config.run['seed']}",
         f"steps = {config.run['steps']}",
         f"paths = {config.run['paths']}",

@@ -533,6 +533,37 @@ def named_feedback(name, u_star, control_dim):
     raise ValueError(f"unknown feedback policy name {name!r}")
 
 
+def example1_candidate(cfg, threads=None, with_adjoint=True):
+    """Scenario-1 problem and the candidate pair that ``cfg`` selects.
+
+    The candidate follows ``cfg.schedule`` (constant open loop), else the
+    named ``cfg.feedback``, else the stationary control u*.  Its adjoint is
+    the explicit solution, skipped when ``with_adjoint`` is false (the
+    nonlinear drift variant has none).  Returns (problem, driver, grid,
+    u_star, candidate).
+    """
+    problem, driver, grid, u_star = build_example1_problem(cfg)
+    bundle = sample_increments(driver, grid, cfg.paths, cfg.seed,
+                               threads=threads)
+    if cfg.schedule is not None:
+        policy = OpenLoopPolicy.constant(np.asarray(cfg.schedule, dtype=float),
+                                         grid.steps)
+    elif cfg.feedback is not None:
+        policy = named_feedback(cfg.feedback, u_star, cfg.control_dim)
+    else:
+        policy = OpenLoopPolicy.constant(u_star, grid.steps)
+    x0 = np.asarray(cfg.x0, dtype=float)
+    trajectories = integrate_forward(problem, policy, bundle, x0)
+    adjoint = None
+    if with_adjoint:
+        adjoint = solve_adjoint_explicit(
+            problem, driver, grid,
+            probe_scale=max(1.0, float(np.max(np.abs(x0)))))
+    candidate = CandidatePair(policy=policy, trajectories=trajectories,
+                              adjoint=adjoint)
+    return problem, driver, grid, u_star, candidate
+
+
 @dataclass(frozen=True)
 class SpikeOutcome:
     spec: SpikeSpec
@@ -600,7 +631,7 @@ class Example1Result:
     spikes: list
     margin_report: MarginReport
     sufficiency: SufficiencyReport
-    core_seconds: float
+    core_seconds: float          # wall time of setup, forward run and cost
 
 
 def run_example1(cfg=None, threads=None):
@@ -612,30 +643,14 @@ def run_example1(cfg=None, threads=None):
             "candidate and requires drift_gain = 0; exercise the nonlinear "
             "drift variant through the difference-quotient or rate "
             "experiments instead")
-    problem, driver, grid, u_star = build_example1_problem(cfg)
-    x0 = np.asarray(cfg.x0, dtype=float)
-
     tic = time.perf_counter()
-    bundle = sample_increments(driver, grid, cfg.paths, cfg.seed,
-                               threads=threads)
-    if cfg.schedule is not None:
-        policy = OpenLoopPolicy.constant(np.asarray(cfg.schedule, dtype=float),
-                                         grid.steps)
-    elif cfg.feedback is not None:
-        policy = named_feedback(cfg.feedback, u_star, cfg.control_dim)
-    else:
-        policy = OpenLoopPolicy.constant(u_star, grid.steps)
-    trajectories = integrate_forward(problem, policy, bundle, x0)
+    problem, driver, grid, u_star, candidate = example1_candidate(
+        cfg, threads=threads)
+    trajectories = candidate.trajectories
     cost = evaluate_cost(problem, trajectories)
     core_seconds = time.perf_counter() - tic
 
     analytic = example1_analytic_cost(cfg)
-
-    adjoint = solve_adjoint_explicit(problem, driver, grid,
-                                     probe_scale=max(1.0,
-                                                     float(np.max(np.abs(x0)))))
-    candidate = CandidatePair(policy=policy, trajectories=trajectories,
-                              adjoint=adjoint)
 
     spikes = []
     specs, far_threshold = default_spike_family(
@@ -695,7 +710,6 @@ def run_example1(cfg=None, threads=None):
             "mc_stderr": cost.stderr,
             "analytic": analytic,
             "paths": cfg.paths,
-            "core_seconds": round(core_seconds, 3),
         },
         "stationary_control": {
             "u_star": np.array2string(u_star, precision=10),
@@ -734,8 +748,9 @@ def run_example1(cfg=None, threads=None):
                 "hamiltonian_margins": (margin_header, margin_rows)})
     return Example1Result(
         report=report, problem=problem, driver=driver, grid=grid,
-        bundle=bundle, policy=policy, trajectories=trajectories,
-        adjoint=adjoint, candidate=candidate, cost=cost,
+        bundle=trajectories.bundle, policy=candidate.policy,
+        trajectories=trajectories, adjoint=candidate.adjoint,
+        candidate=candidate, cost=cost,
         analytic_cost=analytic, u_star=u_star, spikes=spikes,
         margin_report=margin_report, sufficiency=sufficiency,
         core_seconds=core_seconds)

@@ -1,10 +1,13 @@
 """Config parsing and end-to-end coverage for the command line runner."""
 
 import csv
+import tempfile
 import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from martctrl.cli import (ConfigError, EXIT_ASSERTION, EXIT_CONFIG,
                           EXIT_NUMERICAL, EXIT_OK, SCENARIOS, main,
@@ -226,6 +229,71 @@ def test_unknown_option_key_rejected(tmp_path):
         parse_config(path)
 
 
+@pytest.mark.parametrize("text, fragments", [
+    ("""\
+        [run]
+        scenario = example2
+        paths = 20
+        """, ("[example2] basis_degree = 2 needs [run] paths >= 61",
+              "got paths = 20")),
+    ("""\
+        [run]
+        scenario = rates
+
+        [rates]
+        eps_ladder = 0.2
+        """, ("[rates] eps_ladder: must list at least 2 numbers "
+              "(got '0.2')",)),
+], ids=["example2-paths-floor", "rates-single-eps"])
+def test_preflight_rejects_configs_the_run_would_crash_on(tmp_path, capsys,
+                                                          text, fragments):
+    path = write_config(tmp_path, text)
+    with pytest.raises(ConfigError) as exc:
+        parse_config(path)
+    for fragment in fragments:
+        assert any(fragment in err for err in exc.value.errors), fragment
+    out = tmp_path / "out"
+    assert main([str(path), "--output-dir", str(out)]) == EXIT_CONFIG
+    assert "invalid configuration" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _ini_value(value):
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, tuple):
+        return ", ".join(str(v) for v in value)
+    return str(value)
+
+
+@pytest.mark.parametrize("scenario", SCENARIOS)
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_defaults_written_out_change_nothing(scenario, data):
+    with tempfile.TemporaryDirectory() as tmp:
+        minimal = Path(tmp) / "minimal.ini"
+        minimal.write_text(f"[run]\nscenario = {scenario}\n")
+        base = parse_config(minimal)
+        sections = {"run": base.run, "space": base.space,
+                    scenario: base.options}
+        keys = sorted((name, key) for name, values in sections.items()
+                      for key, value in values.items() if value is not None)
+        chosen = data.draw(st.sets(st.sampled_from(keys)))
+        lines = ["[run]", f"scenario = {scenario}"]
+        for name, values in sections.items():
+            if name != "run":
+                lines.append(f"[{name}]")
+            lines += [f"{key} = {_ini_value(value)}"
+                      for key, value in values.items()
+                      if (name, key) in chosen]
+        written = Path(tmp) / "written.ini"
+        written.write_text("\n".join(lines) + "\n")
+        cfg = parse_config(written)
+    assert cfg.options == base.options
+    assert cfg.resolved() == base.resolved()
+    assert cfg.config_hash() == base.config_hash()
+
+
 def test_config_hash_ignores_execution_only_keys(tmp_path):
     base = parse_config(write_config(tmp_path, """\
         [run]
@@ -379,8 +447,8 @@ def test_run_example1_small_end_to_end(tmp_path):
     assert len(g_rows) == 6
 
 
-def test_reruns_and_threads_are_byte_identical(tmp_path):
-    text = """\
+RERUN_CONFIGS = {
+    "pmp-check": ("""\
         [run]
         scenario = pmp-check
         steps = 40
@@ -390,15 +458,35 @@ def test_reruns_and_threads_are_byte_identical(tmp_path):
         sample_times = 3
         sample_paths = 10
         points_per_dim = 5
-        """
+        """, ("margins.csv", "probes.csv", "report.txt")),
+    "example1": ("""\
+        [run]
+        scenario = example1
+        steps = 40
+        paths = 400
+
+        [example1]
+        spike_count = 4
+        sample_times = 3
+        sample_paths = 10
+        probe_points_per_dim = 5
+        convexity_pairs = 50
+        """, ("margins.csv", "margins_summary.csv", "probes.csv",
+              "spike_gaps.csv", "report.txt")),
+}
+
+
+@pytest.mark.parametrize("scenario", sorted(RERUN_CONFIGS, reverse=True))
+def test_reruns_and_threads_are_byte_identical(tmp_path, scenario):
+    text, names = RERUN_CONFIGS[scenario]
     cfg = parse_config(write_config(tmp_path, text))
     outs = [tmp_path / f"out{i}" for i in range(3)]
     assert run(cfg, output_dir=outs[0], threads=1, verbosity=0) == EXIT_OK
     assert run(cfg, output_dir=outs[1], threads=1, verbosity=0) == EXIT_OK
     assert run(cfg, output_dir=outs[2], threads=2, verbosity=0) == EXIT_OK
-    for name in ("margins.csv", "probes.csv", "report.txt"):
+    for name in names:
         blobs = [(d / name).read_bytes() for d in outs]
-        assert blobs[0] == blobs[1] == blobs[2]
+        assert blobs[0] == blobs[1] == blobs[2], name
 
 
 def test_seed_override_reflected_in_manifest(tmp_path):
