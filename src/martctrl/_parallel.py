@@ -1,47 +1,16 @@
-"""Fixed-order block parallelism.
+"""Fixed-order block iteration.
 
-Work is partitioned into blocks of a fixed size that does not depend on the
-thread count, and block results are always combined in block order, so
-numeric output is bit-identical whether one or many worker threads run.
+Work is partitioned into blocks of a fixed size and block results are
+returned in block order.  Every stage runs serially: threads were measured
+not to pay, because the per-path sampling loop holds the interpreter lock.
 """
 
 from __future__ import annotations
 
-import threading
-from concurrent.futures import ThreadPoolExecutor
-
 BLOCK_SIZE = 4096
 
-_lock = threading.Lock()
-_threads = 1
 
-
-def set_threads(n):
-    global _threads
-    n = int(n)
-    if n < 1:
-        raise ValueError(f"thread count must be >= 1, got {n}")
-    with _lock:
-        _threads = n
-
-
-def get_threads():
-    with _lock:
-        return _threads
-
-
-def map_blocks(fn, n_items, block_size=BLOCK_SIZE, threads=None):
-    """Apply ``fn(start, stop)`` over fixed-size index blocks, in order.
-
-    Returns the list of block results ordered by block index regardless of
-    the executing thread count.
-    """
-    if n_items <= 0:
-        return []
-    bounds = [(s, min(s + block_size, n_items))
-              for s in range(0, n_items, block_size)]
-    n_workers = get_threads() if threads is None else max(1, int(threads))
-    if n_workers <= 1 or len(bounds) <= 1:
-        return [fn(a, b) for a, b in bounds]
-    with ThreadPoolExecutor(max_workers=min(n_workers, len(bounds))) as ex:
-        return list(ex.map(lambda ab: fn(*ab), bounds))
+def map_blocks(fn, n_items):
+    """Apply ``fn(start, stop)`` over ``BLOCK_SIZE`` index blocks, in order."""
+    return [fn(start, min(start + BLOCK_SIZE, n_items))
+            for start in range(0, n_items, BLOCK_SIZE)]

@@ -55,7 +55,14 @@ DEFAULT_CONDITION_LIMIT = 1e12
 # Relative singular-value cutoff for the per-step feature regression.
 # Directions below the cutoff carry under cutoff^2 of the design energy and
 # are statistically unidentifiable at desk-scale path counts.
-DEFAULT_FEATURE_RCOND = 1e-3
+FEATURE_RCOND = 1e-3
+# Picard iterations for the implicit Y-hat_k of each backward step.
+PICARD_ITERS = 2
+# Random probes, their seed and the relative tolerance with which the
+# explicit solver confirms its preconditions.
+EXPLICIT_PROBES = 16
+EXPLICIT_PROBE_SEED = 2024
+EXPLICIT_TOL = 1e-9
 # Warn when the unexplained martingale energy exceeds this multiple of the
 # energy explained by Z dM.
 N_RESIDUAL_WARN_RATIO = 0.5
@@ -224,11 +231,9 @@ class AdjointSolution:
     trajectories: object = field(default=None, repr=False)
     _problem: object = field(default=None, repr=False)
     _driver: object = field(default=None, repr=False)
-    _policy: object = field(default=None, repr=False)
     _fits: list = field(default=None, repr=False)
     _c_pinv: np.ndarray = field(default=None, repr=False)
     _qhalf: np.ndarray = field(default=None, repr=False)
-    picard_iters: int = 2
 
     @property
     def steps(self):
@@ -247,6 +252,34 @@ class AdjointSolution:
         phi = self.basis.features(np.asarray(states, dtype=float))
         return (phi[:, 1:] - fit.mu) / fit.scale
 
+    def _z_fitted(self, k, xc):
+        fit = self._fits[k]
+        w = (fit.w_mean + xc @ fit.w_coef).reshape(
+            xc.shape[0], self.state_dim, self.state_dim)
+        return w @ self._c_pinv[k]
+
+    def _step(self, k, states, xc):
+        """Backward-induction (Y_k, Z_k) at ``states`` from fit k.
+
+        Y_k is the projection E-hat[Y_{k+1} | X_k] plus the
+        Hamiltonian-gradient correction, with a Picard pass for the implicit
+        Y-hat_k.  The solver and :meth:`y_eval` both use this, so they agree
+        bit for bit.  ``xc`` holds the centered features of ``states``.
+        """
+        fit = self._fits[k]
+        t = self.grid.times[k]
+        yhat0 = fit.y_mean + xc @ fit.y_coef
+        z = self._z_fitted(k, xc)
+        zq = z @ self._qhalf[k]
+        u = self.trajectories.policy.controls_at(k, t, states)
+        y = yhat0
+        for _ in range(PICARD_ITERS):
+            grad = grad_x_hamiltonian(
+                self._problem, self._driver,
+                HamiltonianArgs(t=t, x=states, u=u, y=y, zq=zq))
+            y = yhat0 + grad * self.grid.dt
+        return y, z
+
     def z_at(self, k, states=None):
         """Z at grid index k, shape matching the requested states.
 
@@ -262,17 +295,12 @@ class AdjointSolution:
             return np.zeros((count, self.state_dim, self.state_dim))
         if states is None:
             states = self.trajectories.states[:, k, :]
-        fit = self._fits[k]
-        xc = self._centered_features(k, states)
-        w = (fit.w_mean + xc @ fit.w_coef).reshape(
-            xc.shape[0], self.state_dim, self.state_dim)
-        return w @ self._c_pinv[k]
+        return self._z_fitted(k, self._centered_features(k, states))
 
     def y_eval(self, k, states):
         """Evaluate the fitted Y_k at arbitrary states (regression method).
 
-        Reproduces the backward-induction formula: projection coefficients
-        plus the Hamiltonian-gradient correction with the same Picard pass.
+        On the solution's own states at step k this returns ``Y[:, k]``.
         """
         states = np.asarray(states, dtype=float)
         if self.method == "explicit":
@@ -280,22 +308,7 @@ class AdjointSolution:
                                    (states.shape[0], self.state_dim))
         if k >= self.steps:
             return np.asarray(self._problem.h_x(states), dtype=float)
-        t = self.grid.times[k]
-        fit = self._fits[k]
-        xc = self._centered_features(k, states)
-        yhat0 = fit.y_mean + xc @ fit.y_coef
-        z = (fit.w_mean + xc @ fit.w_coef).reshape(
-            states.shape[0], self.state_dim,
-            self.state_dim) @ self._c_pinv[k]
-        zq = z @ self._qhalf[k]
-        u = self._policy.controls_at(k, t, states)
-        y = yhat0
-        for _ in range(self.picard_iters):
-            grad = grad_x_hamiltonian(
-                self._problem, self._driver,
-                HamiltonianArgs(t=t, x=states, u=u, y=y, zq=zq))
-            y = yhat0 + grad * self.grid.dt
-        return y
+        return self._step(k, states, self._centered_features(k, states))[0]
 
     @property
     def n_residual_ratio(self):
@@ -314,8 +327,7 @@ class AdjointSolution:
         return resid / explained
 
 
-def solve_adjoint_explicit(problem, driver, grid, probe_points=16,
-                           probe_seed=2024, probe_scale=1.0, tol=1e-9):
+def solve_adjoint_explicit(problem, driver, grid, probe_scale=1.0):
     """Closed-form adjoint when probing confirms it applies.
 
     Preconditions, each checked by random probing: the terminal-cost
@@ -324,23 +336,24 @@ def solve_adjoint_explicit(problem, driver, grid, probe_points=16,
     N = 0 solve the backward equation exactly.
     """
     n = problem.space.state_dim
-    rng = np.random.default_rng(np.random.SeedSequence(probe_seed))
-    states = probe_scale * rng.standard_normal((probe_points, n))
+    rng = np.random.default_rng(np.random.SeedSequence(EXPLICIT_PROBE_SEED))
+    states = probe_scale * rng.standard_normal((EXPLICIT_PROBES, n))
     hx = np.asarray(problem.h_x(states), dtype=float)
     dev = float(np.max(np.abs(hx - hx[0])))
     scale = 1.0 + float(np.max(np.abs(hx)))
-    if dev > tol * scale:
+    if dev > EXPLICIT_TOL * scale:
         raise ValueError(
             f"terminal cost gradient varies with the state (max deviation "
             f"{dev:.3e}); the explicit adjoint solution does not apply")
     y0 = hx[0].copy()
-    controls = sample_controls(problem.control_set, probe_points, rng)
+    controls = sample_controls(problem.control_set, EXPLICIT_PROBES, rng)
     zq0 = np.zeros((n, n))
     for t in np.linspace(0.0, grid.horizon, 5):
         grad = grad_x_hamiltonian(
             problem, driver,
             HamiltonianArgs(t=float(t), x=states, u=controls, y=y0, zq=zq0))
-        if float(np.max(np.abs(grad))) > tol * (1.0 + float(np.max(np.abs(y0)))):
+        if float(np.max(np.abs(grad))) \
+                > EXPLICIT_TOL * (1.0 + float(np.max(np.abs(y0)))):
             raise ValueError(
                 "the Hamiltonian state-gradient does not vanish at Z = 0; "
                 "the explicit adjoint solution does not apply")
@@ -352,20 +365,19 @@ def solve_adjoint_explicit(problem, driver, grid, probe_points=16,
                            _problem=problem, _driver=driver)
 
 
-def solve_adjoint_lsmc(problem, driver, trajectories, policy=None, basis=None,
+def solve_adjoint_lsmc(problem, driver, trajectories, basis=None,
                        cond_limit=DEFAULT_CONDITION_LIMIT,
-                       feature_rcond=DEFAULT_FEATURE_RCOND,
-                       warn_ratio=N_RESIDUAL_WARN_RATIO, picard_iters=2):
+                       warn_ratio=N_RESIDUAL_WARN_RATIO):
     """Least-squares Monte Carlo backward induction for the adjoint pair.
 
     Per-step conditional expectations are least-squares fits of an
     intercept plus centered, unit-variance basis features, restricted to
-    singular directions above ``feature_rcond`` relative to the largest
+    singular directions above ``FEATURE_RCOND`` relative to the largest
     (see the module docstring for why the early steps make this
     necessary).  A design whose retained directions are still conditioned
-    worse than ``cond_limit`` raises :class:`RegressionRankError`.
+    worse than ``cond_limit`` raises :class:`RegressionRankError`.  The
+    controls are those of ``trajectories.policy``, which produced the states.
     """
-    pol = policy if policy is not None else trajectories.policy
     basis = basis if basis is not None else RegressionBasis(2)
     grid = trajectories.grid
     bundle = trajectories.bundle
@@ -375,11 +387,9 @@ def solve_adjoint_lsmc(problem, driver, trajectories, policy=None, basis=None,
         raise ValueError(
             f"basis has {basis.feature_count(n)} features for {paths} paths; "
             f"need feature count < paths / 10 for a stable regression")
-    times = grid.times
-    dt = grid.dt
     eps = np.finfo(float).eps
 
-    qhalf = np.stack([psd_sqrt(driver.cov_rate(t)) for t in times[:-1]])
+    qhalf = np.stack([psd_sqrt(driver.cov_rate(t)) for t in grid.times[:-1]])
     c_steps = step_covariances(driver, grid)
     c_pinv = np.stack([np.linalg.pinv(c_steps[k], rcond=1e-12,
                                       hermitian=True)
@@ -391,6 +401,11 @@ def solve_adjoint_lsmc(problem, driver, trajectories, policy=None, basis=None,
     fits = [None] * grid.steps
     n_energy = np.zeros(grid.steps)
     explained = np.zeros(grid.steps)
+    solution = AdjointSolution(
+        grid=grid, Y=y, method="lsmc", n_residual_energy=n_energy,
+        explained_energy=explained, n_is_zero=False, basis=basis,
+        trajectories=trajectories, _problem=problem, _driver=driver,
+        _fits=fits, _c_pinv=c_pinv, _qhalf=qhalf)
 
     for k in range(grid.steps - 1, -1, -1):
         phi = basis.features(x[:, k, :])
@@ -406,7 +421,7 @@ def solve_adjoint_lsmc(problem, driver, trajectories, policy=None, basis=None,
             if s_svd.size and s_svd[0] > 0.0:
                 # never solve along directions indistinguishable from roundoff
                 machine = max(xc.shape) * eps * s_svd[0]
-                keep = s_svd > max(feature_rcond * s_svd[0], machine)
+                keep = s_svd > max(FEATURE_RCOND * s_svd[0], machine)
                 if np.any(keep):
                     u_k = u_svd[:, keep]
                     s_k = s_svd[keep]
@@ -431,32 +446,15 @@ def solve_adjoint_lsmc(problem, driver, trajectories, policy=None, basis=None,
         dm = bundle.increments[:, k, :]
         target = (centered[:, :, None] * dm[:, None, :]).reshape(paths, n * n)
         w_mean, w_coef = fit(target)
-        w = (w_mean + xc @ w_coef).reshape(paths, n, n)
-        z = w @ c_pinv[k]
-        zq = z @ qhalf[k]
-
-        uk = pol.controls_at(k, times[k], x[:, k, :])
-        yk = yhat0
-        for _ in range(picard_iters):
-            grad = grad_x_hamiltonian(
-                problem, driver,
-                HamiltonianArgs(t=times[k], x=x[:, k, :], u=uk, y=yk, zq=zq))
-            yk = yhat0 + grad * dt
-        y[:, k, :] = yk
+        fits[k] = _StepFit(mu=mu, scale=scale, y_mean=y_mean, y_coef=y_coef,
+                           w_mean=w_mean, w_coef=w_coef)
+        y[:, k, :], z = solution._step(k, x[:, k, :], xc)
 
         zdm = apply_operator(z, dm)
         resid = centered - zdm
         n_energy[k] = float(np.mean(np.einsum("pi,pi->p", resid, resid)))
         explained[k] = float(np.mean(np.einsum("pi,pi->p", zdm, zdm)))
-        fits[k] = _StepFit(mu=mu, scale=scale, y_mean=y_mean, y_coef=y_coef,
-                           w_mean=w_mean, w_coef=w_coef)
 
-    solution = AdjointSolution(
-        grid=grid, Y=y, method="lsmc", n_residual_energy=n_energy,
-        explained_energy=explained, n_is_zero=False, basis=basis,
-        trajectories=trajectories, _problem=problem, _driver=driver,
-        _policy=pol, _fits=fits, _c_pinv=c_pinv, _qhalf=qhalf,
-        picard_iters=picard_iters)
     ratio = solution.n_residual_ratio
     if np.isfinite(ratio) and ratio > warn_ratio:
         warnings.warn(

@@ -4,7 +4,9 @@ Configs are flat ``key = value`` sections (INI style).  Every run emits a
 manifest, a structured-text report, and CSV tables into the output
 directory; the exit status encodes the outcome (0 pass, 1 assertion
 failure, 2 config error, 3 numerical failure).  Given the same config and
-seed, the numeric outputs are byte-identical regardless of thread count.
+seed, the numeric outputs are byte-identical.  A thread count (``[run]
+threads``, ``--threads``) is accepted and recorded in the manifest, but
+every stage runs serially.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ from typing import NamedTuple
 import numpy as np
 
 from . import __version__
-from ._parallel import get_threads, set_threads
 from .adjoint import RegressionBasis, RegressionRankError
 from .dynamics import (BlowUpError, SpikeSpec, finite_diff_check,
                        integrate_variational, sample_controls)
@@ -228,15 +229,39 @@ def _regression_paths(run, space, opts):
                f"10 paths per feature (got paths = {run['paths']})")
 
 
-def _ladder(run, space, opts):
-    ladder = opts["eps_ladder"]
-    if len(set(ladder)) != len(ladder):
-        yield "eps_ladder entries must be distinct"
-    yield from _window_errors(run, opts["t0"], ladder)
+def _distinct_spikes(key):
+    """Check: the spike widths under ``key`` are distinct and grid-aligned."""
+    def check(run, space, opts):
+        values = opts[key]
+        if len(set(values)) != len(values):
+            yield f"{key} entries must be distinct"
+        yield from _window_errors(run, opts["t0"], values)
+    return check
 
 
-def _eps_list(run, space, opts):
-    yield from _window_errors(run, opts["t0"], opts["eps_list"])
+def _build(cfg):
+    """The problem of an Example1Config or an Example2Config."""
+    build = build_example2_problem if isinstance(cfg, Example2Config) \
+        else build_example1_problem
+    return build(cfg)[0]
+
+
+def _schedule_in_box(packaged_config):
+    """Check: a constant ``schedule`` lies in the packaged control set.
+
+    ``packaged_config(opts)`` gives the config whose problem declares the
+    set; the run would otherwise drive the candidate outside it.
+    """
+    def check(run, space, opts):
+        if opts["schedule"] is None:
+            return
+        box = _build(packaged_config(opts)).control_set
+        if not box.contains(opts["schedule"]):
+            bounds = " x ".join(f"[{lo:g}, {hi:g}]"
+                                for lo, hi in zip(box.lower, box.upper))
+            yield (f"schedule {', '.join(f'{v:g}' for v in opts['schedule'])}"
+                   f" lies outside the control box {bounds}")
+    return check
 
 
 def _parse_ladder(text):
@@ -259,7 +284,9 @@ SCHEMAS = {
         ("alpha_slope", _NONNEGATIVE),
         ("schedule", _CONTROL1),
         ("feedback", partial(_parse_enum, choices=("stationary", "zero"))),
-    ), checks=(_one_policy,)),
+    ), checks=(_one_policy, _schedule_in_box(
+        lambda opts: Example1Config(
+            control_box_radius=opts["control_box_radius"])))),
     "example2": _packaged(_EX2, (
         ("basis_degree", partial(_parse_int, choices={0, 1, 2})),
         ("sweeps", _INT0),
@@ -270,14 +297,15 @@ SCHEMAS = {
         ("gamma", _STATE2),
         ("schedule", _CONTROL2),
         ("feedback", partial(_parse_enum, choices=("zero",))),
-    ), checks=(_duality_window, _regression_paths, _one_policy)),
+    ), checks=(_duality_window, _regression_paths, _one_policy,
+               _schedule_in_box(lambda opts: Example2Config()))),
     "rates": Schema(_run_entries(2718, 400, 4000), _SPACE1, (
         ("t0", _NONNEGATIVE, 0.25),
         ("v", _CONTROL1, (0.65, 0.45)),
         ("eps_ladder", _parse_ladder, (0.2, 0.1, 0.05, 0.025)),
         ("drift_gain", _NONNEGATIVE, 0.0),
         ("inject_fault", _parse_bool, False),
-    ), checks=(_ladder,)),
+    ), checks=(_distinct_spikes("eps_ladder"),)),
     "gateaux": Schema(_run_entries(31415, 400, 20000), _SPACE1, (
         ("t0", _NONNEGATIVE, 0.3),
         ("v", _CONTROL1, (0.65, 0.45)),
@@ -285,13 +313,13 @@ SCHEMAS = {
         ("bias_fraction", _POSITIVE, 0.1),
         ("drift_gain", _NONNEGATIVE, 0.0),
         ("inject_fault", _parse_bool, False),
-    ), checks=(_eps_list,)),
+    ), checks=(_distinct_spikes("eps_list"),)),
     "pmp-check": Schema(_run_entries(12022, 400, 2000), _SPACE1, (
         ("sample_times", _INT1, 20),
         ("sample_paths", _INT1, 100),
         ("points_per_dim", _INT2, 11),
         ("schedule", _CONTROL1, None),
-    )),
+    ), checks=(_schedule_in_box(lambda opts: Example1Config()),)),
     "sufficiency": Schema(_run_entries(12022, 200, 2000), _SPACE1, (
         ("pairs", _INT1, 1000),
         ("sample_times", _INT1, 8),
@@ -423,7 +451,7 @@ def _run_fields(config):
 
 def _run_example1(config):
     cfg = Example1Config(**_run_fields(config), **config.options)
-    result = run_example1(cfg, threads=get_threads())
+    result = run_example1(cfg)
     tables = dict(result.report.tables)
     summary = tables.pop("hamiltonian_margins", None)
     if summary is not None:
@@ -437,7 +465,7 @@ def _run_example1(config):
 
 def _run_example2(config):
     cfg = Example2Config(**_run_fields(config), **config.options)
-    result = run_example2(cfg, threads=get_threads())
+    result = run_example2(cfg)
     tables = dict(result.report.tables)
     dump = config.run["dump_trajectories"]
     if dump > 0:
@@ -449,8 +477,7 @@ def _run_example2(config):
 def _run_rates(config):
     opts = config.options
     cfg = Example1Config(**_run_fields(config), drift_gain=opts["drift_gain"])
-    problem, _, _, _, candidate = example1_candidate(
-        cfg, threads=get_threads(), with_adjoint=False)
+    problem, _, _, _, candidate = example1_candidate(cfg, with_adjoint=False)
     v = np.asarray(opts["v"], dtype=float)
     p_paths = None
     if opts["inject_fault"]:
@@ -491,8 +518,7 @@ def _run_rates(config):
 def _run_gateaux(config):
     opts = config.options
     cfg = Example1Config(**_run_fields(config), drift_gain=opts["drift_gain"])
-    problem, _, _, _, candidate = example1_candidate(
-        cfg, threads=get_threads(), with_adjoint=False)
+    problem, _, _, _, candidate = example1_candidate(cfg, with_adjoint=False)
     v = np.asarray(opts["v"], dtype=float)
     eps_list = tuple(sorted(opts["eps_list"], reverse=True))
     spec = SpikeSpec(t0=opts["t0"], eps=eps_list[0], v=v)
@@ -532,8 +558,7 @@ def _run_gateaux(config):
 def _run_pmp_check(config):
     opts = config.options
     cfg = Example1Config(**_run_fields(config), schedule=opts["schedule"])
-    problem, driver, _, _, candidate = example1_candidate(
-        cfg, threads=get_threads())
+    problem, driver, _, _, candidate = example1_candidate(cfg)
     margin_report = necessary_check(
         problem, driver, candidate, sample_times=opts["sample_times"],
         sample_paths=opts["sample_paths"],
@@ -570,7 +595,7 @@ def _concave_running_cost_fault(problem):
 def _run_sufficiency(config):
     opts = config.options
     problem, driver, _, _, candidate = example1_candidate(
-        Example1Config(**_run_fields(config)), threads=get_threads())
+        Example1Config(**_run_fields(config)))
     if opts["inject_fault"]:
         problem = _concave_running_cost_fault(problem)
     report = sufficient_check(problem, driver, candidate,
@@ -624,8 +649,7 @@ def _run_sufficiency(config):
 def _run_isometry(config):
     cfg = Example1Config(**_run_fields(config))
     _, driver, grid, _ = build_example1_problem(cfg)
-    bundle = sample_increments(driver, grid, cfg.paths, cfg.seed,
-                               threads=get_threads())
+    bundle = sample_increments(driver, grid, cfg.paths, cfg.seed)
     phi = np.eye(driver.state_dim)
     report = verify_isometry(phi, driver, bundle)
     beta_sq = float(np.sum(np.asarray(cfg.beta) ** 2))
@@ -657,9 +681,7 @@ def _run_isometry(config):
 
 def _packaged_problem(name, horizon):
     cfg = dataclasses.replace(PACKAGED_PROBLEMS[name], horizon=horizon)
-    build = build_example2_problem if isinstance(cfg, Example2Config) \
-        else build_example1_problem
-    return build(cfg)[0], np.asarray(cfg.x0, dtype=float)
+    return _build(cfg), np.asarray(cfg.x0, dtype=float)
 
 
 def _run_derivative_check(config):
@@ -790,7 +812,7 @@ def _emit(config, report, tables, out_dir, wall_seconds, status):
         f"horizon = {_fmt_value(config.run['horizon'])}",
         f"state_dim = {config.space['state_dim']}",
         f"control_dim = {config.space['control_dim']}",
-        f"threads = {get_threads()}",
+        f"threads = {config.run['threads']}",
         f"status = {status}",
         f"wall_seconds = {wall_seconds:.3f}",
         f"outputs = {', '.join(outputs)}",
@@ -805,12 +827,13 @@ def run(config, output_dir=None, seed=None, threads=None, verbosity=1,
     """Execute a validated config; emit artifacts; return the exit code."""
     stream = stream if stream is not None else sys.stdout
     t_start = time.perf_counter()
-    if seed is not None:
-        config = dataclasses.replace(config,
-                                     run={**config.run, "seed": int(seed)})
-    effective_threads = threads if threads is not None \
-        else config.run.get("threads")
-    set_threads(effective_threads if effective_threads else 1)
+    if threads is None:
+        threads = config.run.get("threads") or 1
+    if threads < 1:
+        raise ValueError(f"thread count must be >= 1, got {threads}")
+    seed = config.run["seed"] if seed is None else int(seed)
+    config = dataclasses.replace(
+        config, run={**config.run, "seed": seed, "threads": threads})
     out_dir = Path(output_dir) if output_dir is not None \
         else Path(config.run.get("output_dir") or f"{config.scenario}-out")
 
@@ -856,7 +879,8 @@ def main(argv=None):
     parser.add_argument("--seed", type=int, default=None,
                         help="override the seed in the config")
     parser.add_argument("--threads", type=int, default=None,
-                        help="worker threads for path-parallel stages")
+                        help="thread count, accepted and recorded; every "
+                             "stage runs serially")
     parser.add_argument("--verbosity", type=int, default=1,
                         choices=(0, 1, 2))
     args = parser.parse_args(argv)

@@ -453,9 +453,9 @@ class CostReport:
         return self.per_path.shape[0]
 
 
-def evaluate_cost(problem, trajectories, policy=None):
+def evaluate_cost(problem, trajectories):
     """Left-Riemann running cost plus terminal cost, averaged over paths."""
-    pol = policy if policy is not None else trajectories.policy
+    pol = trajectories.policy
     grid = trajectories.grid
     times = grid.times
     dt = grid.dt

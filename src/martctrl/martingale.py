@@ -285,11 +285,11 @@ class NoiseBundle:
         return cls(increments=inc, seed=seed, grid=grid, driver=driver)
 
 
-def sample_increments(driver, grid, paths, seed, threads=None):
+def sample_increments(driver, grid, paths, seed):
     """Draw a NoiseBundle of exact Gaussian increments.
 
     Path p uses the dedicated substream SeedSequence(seed, spawn_key=(p,)),
-    so the draw is reproducible and independent of thread scheduling.
+    so the draw is reproducible and a larger ``paths`` extends a smaller one.
     """
     if paths < 1:
         raise ValueError(f"paths must be >= 1, got {paths}")
@@ -312,7 +312,7 @@ def sample_increments(driver, grid, paths, seed, threads=None):
             out[p - start] = (scales * xi).T @ betas
         return out
 
-    blocks = _parallel.map_blocks(block, paths, threads=threads)
+    blocks = _parallel.map_blocks(block, paths)
     increments = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
     return NoiseBundle(increments=increments, seed=seed, grid=grid,
                        driver=driver)

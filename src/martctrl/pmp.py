@@ -190,8 +190,7 @@ def _state_box(trajectories, widen=0.5):
 
 
 def sufficient_check(problem, driver, candidate, pairs=1000, seed=77,
-                     sample_times=8, tol=1e-10, margin_report=None,
-                     margin_kwargs=None):
+                     sample_times=8, tol=1e-10, margin_report=None):
     """Midpoint-convexity and minimum-condition package.
 
     Aborts as inapplicable when the declared control set is not convex.
@@ -258,8 +257,7 @@ def sufficient_check(problem, driver, candidate, pairs=1000, seed=77,
     joint_passed = joint_violation <= tol
 
     if margin_report is None:
-        kwargs = margin_kwargs or {}
-        margin_report = necessary_check(problem, driver, candidate, **kwargs)
+        margin_report = necessary_check(problem, driver, candidate)
 
     return SufficiencyReport(
         applicable=True, set_convex=True,
@@ -294,9 +292,8 @@ class GateauxReport:
         return all(e.agree for e in self.entries)
 
 
-def gateaux_check(problem, candidate, spec, bundle=None,
-                  eps_list=(0.05, 0.025), bias_fraction=0.1, p_paths=None,
-                  zeta=None):
+def gateaux_check(problem, candidate, spec, eps_list=(0.05, 0.025),
+                  bias_fraction=0.1, p_paths=None, zeta=None):
     """Spike difference quotient of the cost vs E[<h_x(X_T), p(T)> + zeta(T)].
 
     All runs share the candidate's noise bundle (common random numbers);
@@ -305,12 +302,8 @@ def gateaux_check(problem, candidate, spec, bundle=None,
     are injectable for fault-detection self-tests.
     """
     traj = candidate.trajectories
-    if bundle is None:
-        bundle = traj.bundle
-    if bundle.identity() != traj.bundle.identity():
-        raise ValueError("gateaux check requires the candidate's own bundle")
     if p_paths is None:
-        p_paths = integrate_variational(problem, traj, bundle, spec)
+        p_paths = integrate_variational(problem, traj, traj.bundle, spec)
     if zeta is None:
         zeta = integrate_zeta(problem, traj, p_paths, spec)
     grid = traj.grid
@@ -533,7 +526,7 @@ def named_feedback(name, u_star, control_dim):
     raise ValueError(f"unknown feedback policy name {name!r}")
 
 
-def example1_candidate(cfg, threads=None, with_adjoint=True):
+def example1_candidate(cfg, with_adjoint=True):
     """Scenario-1 problem and the candidate pair that ``cfg`` selects.
 
     The candidate follows ``cfg.schedule`` (constant open loop), else the
@@ -543,8 +536,7 @@ def example1_candidate(cfg, threads=None, with_adjoint=True):
     u_star, candidate).
     """
     problem, driver, grid, u_star = build_example1_problem(cfg)
-    bundle = sample_increments(driver, grid, cfg.paths, cfg.seed,
-                               threads=threads)
+    bundle = sample_increments(driver, grid, cfg.paths, cfg.seed)
     if cfg.schedule is not None:
         policy = OpenLoopPolicy.constant(np.asarray(cfg.schedule, dtype=float),
                                          grid.steps)
@@ -634,7 +626,7 @@ class Example1Result:
     core_seconds: float          # wall time of setup, forward run and cost
 
 
-def run_example1(cfg=None, threads=None):
+def run_example1(cfg=None):
     """Run packaged scenario 1 end to end and assemble its report."""
     cfg = cfg if cfg is not None else Example1Config()
     if cfg.drift_gain != 0.0:
@@ -644,8 +636,7 @@ def run_example1(cfg=None, threads=None):
             "drift variant through the difference-quotient or rate "
             "experiments instead")
     tic = time.perf_counter()
-    problem, driver, grid, u_star, candidate = example1_candidate(
-        cfg, threads=threads)
+    problem, driver, grid, u_star, candidate = example1_candidate(cfg)
     trajectories = candidate.trajectories
     cost = evaluate_cost(problem, trajectories)
     core_seconds = time.perf_counter() - tic
@@ -676,23 +667,31 @@ def run_example1(cfg=None, threads=None):
 
     assertions = []
     delta = abs(cost.mean - analytic)
+    detail = (f"|{cost.mean:.6f} - {analytic:.6f}| = {delta:.2e} "
+              f"vs 3*SE = {3.0 * cost.stderr:.2e}")
+    # agreement within 3 SE says nothing once 3 SE dwarfs the target scale
+    scale = max(1.0, abs(analytic))
+    informative = 3.0 * cost.stderr <= 0.5 * scale
+    if not informative:
+        detail = (f"inconclusive: 3*SE exceeds half of max(1, |analytic|) = "
+                  f"{scale:.2e}; {detail}")
     assertions.append(Assertion(
         name="cost_matches_analytic",
-        passed=delta <= 3.0 * cost.stderr,
-        detail=f"|{cost.mean:.6f} - {analytic:.6f}| = {delta:.2e} "
-               f"vs 3*SE = {3.0 * cost.stderr:.2e}"))
+        passed=informative and delta <= 3.0 * cost.stderr, detail=detail))
     worst_gap = min((s.gap + 3.0 * s.se for s in spikes), default=0.0)
     assertions.append(Assertion(
         name="spike_costs_dominate",
         passed=all(s.gap >= -3.0 * s.se for s in spikes),
         detail=f"min (gap + 3*SE) = {worst_gap:.3e} over {len(spikes)} spikes"))
     far_specs = [s for s in spikes if s.far]
-    frac = float(np.mean([s.gap > s.se for s in far_specs])) if far_specs \
-        else 1.0
-    assertions.append(Assertion(
-        name="spike_gaps_positive",
-        passed=frac >= 0.9,
-        detail=f"{frac:.2%} of {len(far_specs)} displaced spikes exceed 1 SE"))
+    if far_specs:
+        frac = float(np.mean([s.gap > s.se for s in far_specs]))
+        detail = f"{frac:.2%} of {len(far_specs)} displaced spikes exceed 1 SE"
+    else:
+        frac = 0.0
+        detail = f"no displaced spikes among {len(spikes)} spikes"
+    assertions.append(Assertion(name="spike_gaps_positive", passed=frac >= 0.9,
+                                detail=detail))
     assertions.append(Assertion(
         name="necessary_margins",
         passed=margin_report.passed,
@@ -912,7 +911,7 @@ def _improvement_policy(adjoint, c_op, r_inv, grid):
     return FeedbackPolicy(fn=fn)
 
 
-def run_example2(cfg=None, threads=None):
+def run_example2(cfg=None):
     """Run packaged scenario 2: regression adjoint plus stationarity sweeps.
 
     The policy-improvement sweeps (u <- -R^{-1} C^T E-hat[Y|X]) are a tooling
@@ -928,8 +927,7 @@ def run_example2(cfg=None, threads=None):
     x0 = np.asarray(cfg.x0, dtype=float)
     basis = RegressionBasis(degree=cfg.basis_degree)
 
-    bundle = sample_increments(driver, grid, cfg.paths, cfg.seed,
-                               threads=threads)
+    bundle = sample_increments(driver, grid, cfg.paths, cfg.seed)
     if cfg.schedule is not None:
         policy = OpenLoopPolicy.constant(np.asarray(cfg.schedule, dtype=float),
                                          grid.steps)
@@ -942,7 +940,7 @@ def run_example2(cfg=None, threads=None):
     for s in range(cfg.sweeps + 1):
         trajectories = integrate_forward(problem, policy, bundle, x0)
         adjoint = solve_adjoint_lsmc(problem, driver, trajectories,
-                                     policy=policy, basis=basis)
+                                     basis=basis)
         cost = evaluate_cost(problem, trajectories)
         residual, per_step = stationarity_residual(problem, trajectories,
                                                    adjoint)

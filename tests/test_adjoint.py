@@ -178,7 +178,7 @@ def test_lsmc_reproduces_constant_adjoint_exactly():
     # sees a constant target and must return it with zero feature weight
     cfg, problem, driver, grid, _, bundle, pol, traj = example1_setup(
         steps=25, paths=300)
-    adj = solve_adjoint_lsmc(problem, driver, traj, policy=pol)
+    adj = solve_adjoint_lsmc(problem, driver, traj)
     c = np.asarray(EXAMPLE1_C)
     assert adj.method == "lsmc"
     assert np.max(np.abs(adj.Y - c)) < 1e-10
@@ -205,7 +205,7 @@ def test_lsmc_matches_scalar_closed_form():
     bundle = sample_increments(driver, grid, cfg.paths, cfg.seed)
     pol = OpenLoopPolicy.constant(np.zeros(1), grid.steps)
     traj = integrate_forward(problem, pol, bundle, np.asarray(cfg.x0))
-    adj = solve_adjoint_lsmc(problem, driver, traj, policy=pol)
+    adj = solve_adjoint_lsmc(problem, driver, traj)
     times = grid.times
     y_num = y_den = z_num = z_den = 0.0
     for k in range(grid.steps + 1):
@@ -225,10 +225,10 @@ def test_lsmc_matches_scalar_closed_form():
 
 def test_lsmc_y_eval_reproduces_training_values():
     _, problem, driver, grid, bundle, pol, traj = example2_setup()
-    adj = solve_adjoint_lsmc(problem, driver, traj, policy=pol)
+    adj = solve_adjoint_lsmc(problem, driver, traj)
     for k in (0, 1, grid.steps // 2, grid.steps - 1):
         on_cloud = adj.y_eval(k, traj.states[:, k, :])
-        assert np.allclose(on_cloud, adj.Y[:, k, :], atol=1e-10)
+        assert np.array_equal(on_cloud, adj.Y[:, k, :])
     terminal = adj.y_eval(grid.steps, traj.states[:, -1, :])
     assert np.allclose(terminal, problem.h_x(traj.states[:, -1, :]))
 
@@ -237,7 +237,7 @@ def test_lsmc_condition_limit_raises():
     _, problem, driver, grid, bundle, pol, traj = example2_setup(
         steps=20, paths=400)
     with pytest.raises(RegressionRankError) as exc:
-        solve_adjoint_lsmc(problem, driver, traj, policy=pol, cond_limit=2.0)
+        solve_adjoint_lsmc(problem, driver, traj, cond_limit=2.0)
     assert exc.value.step >= 0
     assert exc.value.cond > 2.0
     assert "condition number" in str(exc.value)
@@ -247,7 +247,7 @@ def test_lsmc_enforces_feature_count_invariant():
     _, problem, driver, grid, bundle, pol, traj = example2_setup(
         steps=10, paths=50)
     with pytest.raises(ValueError, match="paths"):
-        solve_adjoint_lsmc(problem, driver, traj, policy=pol)
+        solve_adjoint_lsmc(problem, driver, traj)
 
 
 def test_lsmc_residual_warning():
@@ -255,7 +255,7 @@ def test_lsmc_residual_warning():
         steps=20, paths=400)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        solve_adjoint_lsmc(problem, driver, traj, policy=pol, warn_ratio=1e-12)
+        solve_adjoint_lsmc(problem, driver, traj, warn_ratio=1e-12)
     assert any("unexplained martingale residual" in str(w.message)
                for w in caught)
 

@@ -1,6 +1,7 @@
 """Config parsing and end-to-end coverage for the command line runner."""
 
 import csv
+import re
 import tempfile
 import textwrap
 from pathlib import Path
@@ -10,8 +11,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from martctrl.cli import (ConfigError, EXIT_ASSERTION, EXIT_CONFIG,
-                          EXIT_NUMERICAL, EXIT_OK, SCENARIOS, main,
-                          parse_config, run)
+                          EXIT_NUMERICAL, EXIT_OK, SCENARIOS, SCHEMAS,
+                          main, parse_config, run)
 
 
 def write_config(tmp_path, text, name="run.ini"):
@@ -244,7 +245,42 @@ def test_unknown_option_key_rejected(tmp_path):
         eps_ladder = 0.2
         """, ("[rates] eps_ladder: must list at least 2 numbers "
               "(got '0.2')",)),
-], ids=["example2-paths-floor", "rates-single-eps"])
+    ("""\
+        [run]
+        scenario = gateaux
+        steps = 80
+
+        [gateaux]
+        eps_list = 0.05, 0.05
+        """, ("[gateaux] eps_list entries must be distinct",)),
+    ("""\
+        [run]
+        scenario = pmp-check
+
+        [pmp-check]
+        schedule = 9.0, 9.0
+        """, ("[pmp-check] schedule 9, 9 lies outside the control box "
+              "[-2.35, 1.65] x [-2.05, 1.95]",)),
+    ("""\
+        [run]
+        scenario = example1
+
+        [example1]
+        control_box_radius = 0.5
+        schedule = 0.5, 0.0
+        """, ("[example1] schedule 0.5, 0 lies outside the control box "
+              "[-0.85, 0.15] x [-0.55, 0.45]",)),
+    ("""\
+        [run]
+        scenario = example2
+
+        [example2]
+        schedule = 6.0, 0.0
+        """, ("[example2] schedule 6, 0 lies outside the control box "
+              "[-5, 5] x [-5, 5]",)),
+], ids=["example2-paths-floor", "rates-single-eps", "gateaux-duplicate-eps",
+        "pmp-check-schedule-outside-box", "example1-schedule-outside-box",
+        "example2-schedule-outside-box"])
 def test_preflight_rejects_configs_the_run_would_crash_on(tmp_path, capsys,
                                                           text, fragments):
     path = write_config(tmp_path, text)
@@ -256,6 +292,15 @@ def test_preflight_rejects_configs_the_run_would_crash_on(tmp_path, capsys,
     assert main([str(path), "--output-dir", str(out)]) == EXIT_CONFIG
     assert "invalid configuration" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_readme_lists_every_run_key():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(
+        encoding="utf-8")
+    table = readme.split("### `[run]` keys", 1)[1].split("###", 1)[0]
+    listed = re.findall(r"^\| `(\w+)` \|", table, flags=re.MULTILINE)
+    keys = {key for schema in SCHEMAS.values() for key, _, _ in schema.run}
+    assert sorted(listed) == sorted({"scenario"} | keys)
 
 
 def _ini_value(value):

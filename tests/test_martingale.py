@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from martctrl._parallel import BLOCK_SIZE
 from martctrl.martingale import (IsometryReport, MartingaleDriver, NoiseBundle,
                                  PathGrid, ScalarIntensity,
                                  sample_increments, step_covariances,
@@ -134,15 +135,16 @@ def test_sampled_increments_match_moments():
     assert np.all(np.abs(sample_cov - target) <= 4.0 * se_cov + 1e-12)
 
 
-def test_sampling_is_thread_invariant_and_extensible():
+def test_sampling_is_extensible():
     d = example_driver()
     grid = PathGrid(horizon=1.0, steps=20)
-    one = sample_increments(d, grid, paths=64, seed=5, threads=1)
-    three = sample_increments(d, grid, paths=64, seed=5, threads=3)
-    assert np.array_equal(one.increments, three.increments)
-    # per-path substreams: a longer run extends a shorter one bit for bit
-    longer = sample_increments(d, grid, paths=128, seed=5)
-    assert np.array_equal(longer.increments[:64], one.increments)
+    one = sample_increments(d, grid, paths=64, seed=5)
+    # per-path substreams: a longer run extends a shorter one bit for bit,
+    # also across the boundary of the first BLOCK_SIZE block
+    for paths in (128, BLOCK_SIZE + 1):
+        longer = sample_increments(d, grid, paths=paths, seed=5)
+        assert longer.increments.shape == (paths, 20, 4)
+        assert np.array_equal(longer.increments[:64], one.increments)
     different = sample_increments(d, grid, paths=64, seed=6)
     assert not np.array_equal(different.increments, one.increments)
 

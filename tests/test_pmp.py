@@ -213,7 +213,7 @@ def test_candidate_pair_rejects_mismatched_bundles():
     bundle2 = sample_increments(driver2, grid2, 300, seed=3)
     pol2 = OpenLoopPolicy.constant(np.zeros(2), grid2.steps)
     traj2 = integrate_forward(problem2, pol2, bundle2, np.asarray(cfg2.x0))
-    adj2 = solve_adjoint_lsmc(problem2, driver2, traj2, policy=pol2)
+    adj2 = solve_adjoint_lsmc(problem2, driver2, traj2)
     other2 = integrate_forward(problem2, pol2,
                                sample_increments(driver2, grid2, 300, seed=5),
                                np.asarray(cfg2.x0))
@@ -236,6 +236,24 @@ def test_run_example1_small_scale_report():
     assert result.margin_report.min_margin >= -1e-8
     assert result.core_seconds > 0.0
     assert "spike_gaps" in report.tables
+
+
+@pytest.mark.parametrize("overrides, name, start", [
+    # the cost SE is ~1e24 against an analytic cost of -5.6
+    ({"horizon": 50.0, "alpha_slope": 10.0}, "cost_matches_analytic",
+     "inconclusive"),
+    # the first two spikes of the family sit at u* itself
+    ({"spike_count": 2}, "spike_gaps_positive", "no displaced spikes"),
+], ids=["huge-cost-se", "no-displaced-spikes"])
+def test_run_example1_fails_vacuous_verdicts(overrides, name, start):
+    small = dict(steps=40, paths=200, spike_count=3, sample_times=2,
+                 sample_paths=10, probe_points_per_dim=3, convexity_pairs=20)
+    with np.errstate(over="ignore", invalid="ignore"):
+        result = run_example1(Example1Config(**{**small, **overrides}))
+    verdict = {a.name: a for a in result.report.assertions}[name]
+    assert not verdict.passed
+    assert verdict.detail.startswith(start), verdict.detail
+    assert not result.report.passed
 
 
 def test_run_example1_zero_feedback_fails_optimality():
