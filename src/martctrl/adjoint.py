@@ -48,7 +48,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dynamics import sample_controls
-from .hilbert import apply_operator, batch_hs_inner, psd_sqrt
+from .hilbert import apply_operator, batch_hs_inner
 from .martingale import step_covariances
 
 DEFAULT_CONDITION_LIMIT = 1e12
@@ -118,7 +118,7 @@ def _normalize_args(args):
 def hamiltonian(problem, driver, args):
     """Evaluate H; returns a scalar for single-point args, else shape (P,)."""
     t, x, u, y, zq, squeeze = _normalize_args(args)
-    qhalf = psd_sqrt(driver.cov_rate(t))
+    qhalf = driver.cov_rate_sqrt(t)
     g = np.asarray(problem.G(t, x), dtype=float)
     gq = g @ qhalf
     value = np.asarray(problem.ell(t, x, u), dtype=float) \
@@ -136,7 +136,7 @@ def grad_x_hamiltonian(problem, driver, args):
     """
     t, x, u, y, zq, squeeze = _normalize_args(args)
     n = x.shape[1]
-    qhalf = psd_sqrt(driver.cov_rate(t))
+    qhalf = driver.cov_rate_sqrt(t)
     fx = np.asarray(problem.F_x(t, x, u), dtype=float)
     if fx.ndim == 2:
         fxty = y @ fx
@@ -233,7 +233,6 @@ class AdjointSolution:
     _driver: object = field(default=None, repr=False)
     _fits: list = field(default=None, repr=False)
     _c_pinv: np.ndarray = field(default=None, repr=False)
-    _qhalf: np.ndarray = field(default=None, repr=False)
 
     @property
     def steps(self):
@@ -258,20 +257,20 @@ class AdjointSolution:
             xc.shape[0], self.state_dim, self.state_dim)
         return w @ self._c_pinv[k]
 
-    def _step(self, k, states, xc):
+    def _step(self, k, states, xc, u):
         """Backward-induction (Y_k, Z_k) at ``states`` from fit k.
 
         Y_k is the projection E-hat[Y_{k+1} | X_k] plus the
         Hamiltonian-gradient correction, with a Picard pass for the implicit
         Y-hat_k.  The solver and :meth:`y_eval` both use this, so they agree
-        bit for bit.  ``xc`` holds the centered features of ``states``.
+        bit for bit.  ``xc`` holds the centered features of ``states`` and
+        ``u`` the policy's controls there.
         """
         fit = self._fits[k]
         t = self.grid.times[k]
         yhat0 = fit.y_mean + xc @ fit.y_coef
         z = self._z_fitted(k, xc)
-        zq = z @ self._qhalf[k]
-        u = self.trajectories.policy.controls_at(k, t, states)
+        zq = z @ self._driver.cov_rate_sqrt(t)
         y = yhat0
         for _ in range(PICARD_ITERS):
             grad = grad_x_hamiltonian(
@@ -301,6 +300,8 @@ class AdjointSolution:
         """Evaluate the fitted Y_k at arbitrary states (regression method).
 
         On the solution's own states at step k this returns ``Y[:, k]``.
+        The controls at ``states`` come from the trajectories' policy, the
+        one place where a solution evaluates it.
         """
         states = np.asarray(states, dtype=float)
         if self.method == "explicit":
@@ -308,7 +309,10 @@ class AdjointSolution:
                                    (states.shape[0], self.state_dim))
         if k >= self.steps:
             return np.asarray(self._problem.h_x(states), dtype=float)
-        return self._step(k, states, self._centered_features(k, states))[0]
+        u = self.trajectories.policy.controls_at(k, self.grid.times[k],
+                                                 states)
+        return self._step(k, states, self._centered_features(k, states),
+                          u)[0]
 
     @property
     def n_residual_ratio(self):
@@ -376,7 +380,8 @@ def solve_adjoint_lsmc(problem, driver, trajectories, basis=None,
     (see the module docstring for why the early steps make this
     necessary).  A design whose retained directions are still conditioned
     worse than ``cond_limit`` raises :class:`RegressionRankError`.  The
-    controls are those of ``trajectories.policy``, which produced the states.
+    controls are the ones ``trajectories`` recorded when the states were
+    integrated.
     """
     basis = basis if basis is not None else RegressionBasis(2)
     grid = trajectories.grid
@@ -389,7 +394,6 @@ def solve_adjoint_lsmc(problem, driver, trajectories, basis=None,
             f"need feature count < paths / 10 for a stable regression")
     eps = np.finfo(float).eps
 
-    qhalf = np.stack([psd_sqrt(driver.cov_rate(t)) for t in grid.times[:-1]])
     c_steps = step_covariances(driver, grid)
     c_pinv = np.stack([np.linalg.pinv(c_steps[k], rcond=1e-12,
                                       hermitian=True)
@@ -405,7 +409,7 @@ def solve_adjoint_lsmc(problem, driver, trajectories, basis=None,
         grid=grid, Y=y, method="lsmc", n_residual_energy=n_energy,
         explained_energy=explained, n_is_zero=False, basis=basis,
         trajectories=trajectories, _problem=problem, _driver=driver,
-        _fits=fits, _c_pinv=c_pinv, _qhalf=qhalf)
+        _fits=fits, _c_pinv=c_pinv)
 
     for k in range(grid.steps - 1, -1, -1):
         phi = basis.features(x[:, k, :])
@@ -448,7 +452,8 @@ def solve_adjoint_lsmc(problem, driver, trajectories, basis=None,
         w_mean, w_coef = fit(target)
         fits[k] = _StepFit(mu=mu, scale=scale, y_mean=y_mean, y_coef=y_coef,
                            w_mean=w_mean, w_coef=w_coef)
-        y[:, k, :], z = solution._step(k, x[:, k, :], xc)
+        y[:, k, :], z = solution._step(k, x[:, k, :], xc,
+                                       trajectories.control_at(k))
 
         zdm = apply_operator(z, dm)
         resid = centered - zdm
@@ -503,7 +508,7 @@ def duality_check(problem, driver, optimal, adjoint, spec, p_paths):
                        p_paths.states[:, grid.steps, :])
 
     x0 = optimal.states[:, k0, :]
-    u0 = optimal.policy.controls_at(k0, times[k0], x0)
+    u0 = optimal.control_at(k0)
     v = np.broadcast_to(spec.v, u0.shape)
     delta_f = np.asarray(problem.F(times[k0], x0, v), dtype=float) \
         - np.asarray(problem.F(times[k0], x0, u0), dtype=float)
@@ -512,7 +517,7 @@ def duality_check(problem, driver, optimal, adjoint, spec, p_paths):
                        np.broadcast_to(y0, (paths, y0.shape[1])), delta_f)
     for k in range(k0, grid.steps):
         xk = optimal.states[:, k, :]
-        uk = optimal.policy.controls_at(k, times[k], xk)
+        uk = optimal.control_at(k)
         grad = np.asarray(problem.ell_x(times[k], xk, uk), dtype=float)
         rhs_pp -= np.einsum("pi,pi->p", grad,
                             p_paths.states[:, k, :]) * dt

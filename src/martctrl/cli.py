@@ -246,21 +246,21 @@ def _build(cfg):
     return build(cfg)[0]
 
 
-def _schedule_in_box(packaged_config):
-    """Check: a constant ``schedule`` lies in the packaged control set.
+def _in_control_box(packaged_config, *keys):
+    """Check: the controls under ``keys`` lie in the packaged control set.
 
     ``packaged_config(opts)`` gives the config whose problem declares the
-    set; the run would otherwise drive the candidate outside it.
+    set; a schedule or spike value outside it would drive the run outside
+    the controls its checks assume.  Keys set to None are skipped.
     """
     def check(run, space, opts):
-        if opts["schedule"] is None:
-            return
         box = _build(packaged_config(opts)).control_set
-        if not box.contains(opts["schedule"]):
-            bounds = " x ".join(f"[{lo:g}, {hi:g}]"
-                                for lo, hi in zip(box.lower, box.upper))
-            yield (f"schedule {', '.join(f'{v:g}' for v in opts['schedule'])}"
-                   f" lies outside the control box {bounds}")
+        bounds = " x ".join(f"[{lo:g}, {hi:g}]"
+                            for lo, hi in zip(box.lower, box.upper))
+        for key in keys:
+            if opts[key] is not None and not box.contains(opts[key]):
+                yield (f"{key} {', '.join(f'{v:g}' for v in opts[key])}"
+                       f" lies outside the control box {bounds}")
     return check
 
 
@@ -284,12 +284,13 @@ SCHEMAS = {
         ("alpha_slope", _NONNEGATIVE),
         ("schedule", _CONTROL1),
         ("feedback", partial(_parse_enum, choices=("stationary", "zero"))),
-    ), checks=(_one_policy, _schedule_in_box(
+    ), checks=(_one_policy, _in_control_box(
         lambda opts: Example1Config(
-            control_box_radius=opts["control_box_radius"])))),
+            control_box_radius=opts["control_box_radius"]), "schedule"))),
     "example2": _packaged(_EX2, (
         ("basis_degree", partial(_parse_int, choices={0, 1, 2})),
-        ("sweeps", _INT0),
+        # sweep 0 alone leaves stationarity_residual_decreases unpassable
+        ("sweeps", _INT1),
         ("run_duality", _parse_bool),
         ("duality_t0", _NONNEGATIVE),
         ("duality_eps", _POSITIVE),
@@ -298,14 +299,16 @@ SCHEMAS = {
         ("schedule", _CONTROL2),
         ("feedback", partial(_parse_enum, choices=("zero",))),
     ), checks=(_duality_window, _regression_paths, _one_policy,
-               _schedule_in_box(lambda opts: Example2Config()))),
+               _in_control_box(lambda opts: Example2Config(), "schedule",
+                               "duality_v"))),
     "rates": Schema(_run_entries(2718, 400, 4000), _SPACE1, (
         ("t0", _NONNEGATIVE, 0.25),
         ("v", _CONTROL1, (0.65, 0.45)),
         ("eps_ladder", _parse_ladder, (0.2, 0.1, 0.05, 0.025)),
         ("drift_gain", _NONNEGATIVE, 0.0),
         ("inject_fault", _parse_bool, False),
-    ), checks=(_distinct_spikes("eps_ladder"),)),
+    ), checks=(_distinct_spikes("eps_ladder"),
+               _in_control_box(lambda opts: Example1Config(), "v"))),
     "gateaux": Schema(_run_entries(31415, 400, 20000), _SPACE1, (
         ("t0", _NONNEGATIVE, 0.3),
         ("v", _CONTROL1, (0.65, 0.45)),
@@ -313,13 +316,14 @@ SCHEMAS = {
         ("bias_fraction", _POSITIVE, 0.1),
         ("drift_gain", _NONNEGATIVE, 0.0),
         ("inject_fault", _parse_bool, False),
-    ), checks=(_distinct_spikes("eps_list"),)),
+    ), checks=(_distinct_spikes("eps_list"),
+               _in_control_box(lambda opts: Example1Config(), "v"))),
     "pmp-check": Schema(_run_entries(12022, 400, 2000), _SPACE1, (
         ("sample_times", _INT1, 20),
         ("sample_paths", _INT1, 100),
         ("points_per_dim", _INT2, 11),
         ("schedule", _CONTROL1, None),
-    ), checks=(_schedule_in_box(lambda opts: Example1Config()),)),
+    ), checks=(_in_control_box(lambda opts: Example1Config(), "schedule"),)),
     "sufficiency": Schema(_run_entries(12022, 200, 2000), _SPACE1, (
         ("pairs", _INT1, 1000),
         ("sample_times", _INT1, 8),

@@ -220,7 +220,11 @@ class OpenLoopPolicy(ControlPolicy):
 
 @dataclass(frozen=True)
 class FeedbackPolicy(ControlPolicy):
-    """State feedback u = fn(t, X) with X batched over paths."""
+    """State feedback u = fn(t, X) with X batched over paths.
+
+    Trajectories keep the arrays ``fn`` returns, so it must not write into
+    an array it has returned before.
+    """
 
     fn: Callable
 
@@ -283,12 +287,22 @@ def apply_spike(policy, spec, grid):
 
 @dataclass
 class TrajectoryBundle:
-    """States on the full grid for every path of one noise bundle."""
+    """States on the full grid for every path of one noise bundle.
+
+    ``recorded[k]`` is the (paths, control_dim) control the integrator
+    applied at step k, kept so that costs, adjoints and residuals read it
+    instead of evaluating the policy again.  Open-loop and spike rows are
+    the broadcast views the policy returns and cost no memory; feedback
+    rows cost paths * control_dim doubles per step.  Entries that are None
+    (or a ``recorded`` of None) fall back to evaluating the policy at the
+    stored states, which gives the same values.
+    """
 
     states: np.ndarray
     policy: ControlPolicy
     bundle: NoiseBundle = field(repr=False)
     spike: SpikeSpec | None = None
+    recorded: list | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         s = np.asarray(self.states, dtype=float)
@@ -305,17 +319,21 @@ class TrajectoryBundle:
     def grid(self):
         return self.bundle.grid
 
+    def control_at(self, k):
+        """Control applied at step k, shape (paths, control_dim)."""
+        if self.recorded is not None and self.recorded[k] is not None:
+            return self.recorded[k]
+        return self.policy.controls_at(k, self.grid.times[k],
+                                       self.states[:, k, :])
+
     def controls(self):
         """Realized controls per step, shape (paths, steps, control_dim)."""
-        grid = self.grid
-        times = grid.times
-        first = self.policy.controls_at(0, times[0], self.states[:, 0, :])
-        out = np.empty((self.paths, grid.steps, first.shape[1]))
-        out[:, 0, :] = first
-        for k in range(1, grid.steps):
-            out[:, k, :] = self.policy.controls_at(k, times[k],
-                                                   self.states[:, k, :])
-        return out
+        return np.stack([self.control_at(k) for k in range(self.grid.steps)],
+                        axis=1)
+
+    def drop_controls(self):
+        """Release the recorded controls; later reads evaluate the policy."""
+        self.recorded = None
 
 
 def _check_same_bundle(a, b, what):
@@ -326,7 +344,8 @@ def _check_same_bundle(a, b, what):
                          f"(got identities {a.identity()} vs {b.identity()})")
 
 
-def _integrate(problem, policy, bundle, states, start):
+def _integrate(problem, policy, bundle, states, start, recorded):
+    """Euler steps from ``start`` on; the controls go into ``recorded``."""
     grid = bundle.grid
     times = grid.times
     dt = grid.dt
@@ -334,6 +353,7 @@ def _integrate(problem, policy, bundle, states, start):
     for k in range(start, grid.steps):
         t = times[k]
         u = policy.controls_at(k, t, x)
+        recorded[k] = u
         drift = problem.F(t, x, u)
         diffusion = apply_operator(problem.G(t, x), bundle.increments[:, k, :])
         x = x + drift * dt + diffusion
@@ -341,7 +361,6 @@ def _integrate(problem, policy, bundle, states, start):
             bad = np.argwhere(~np.isfinite(x).all(axis=1))[0, 0]
             raise BlowUpError(path=bad, step=k + 1, time=times[k + 1])
         states[:, k + 1, :] = x
-    return states
 
 
 def integrate_forward(problem, policy, bundle, x0):
@@ -360,24 +379,31 @@ def integrate_forward(problem, policy, bundle, x0):
         raise ValueError(f"x0 must have shape ({n},) or ({bundle.paths}, {n})")
     states = np.empty((bundle.paths, bundle.steps + 1, n))
     states[:, 0, :] = x0
-    _integrate(problem, policy, bundle, states, start=0)
-    return TrajectoryBundle(states=states, policy=policy, bundle=bundle)
+    trajectories = TrajectoryBundle(states=states, policy=policy,
+                                    bundle=bundle)
+    trajectories.recorded = [None] * bundle.steps
+    _integrate(problem, policy, bundle, states, 0, trajectories.recorded)
+    return trajectories
 
 
 def integrate_spiked(problem, base, spec):
     """Re-run a base trajectory under a spiked policy, reusing the prefix.
 
     The spiked policy agrees with the base policy before the window, so the
-    result is bit-identical to a full re-integration from t = 0.
+    result is bit-identical to a full re-integration from t = 0; the
+    recorded controls of that prefix are the base trajectory's own.
     """
     grid = base.grid
     k0, _ = spec.window(grid)
     policy = apply_spike(base.policy, spec, grid)
     states = np.empty_like(base.states)
     states[:, :k0 + 1, :] = base.states[:, :k0 + 1, :]
-    _integrate(problem, policy, base.bundle, states, start=k0)
-    return TrajectoryBundle(states=states, policy=policy, bundle=base.bundle,
-                            spike=spec)
+    trajectories = TrajectoryBundle(states=states, policy=policy,
+                                    bundle=base.bundle, spike=spec)
+    trajectories.recorded = (base.recorded[:k0] if base.recorded is not None
+                             else [None] * k0) + [None] * (grid.steps - k0)
+    _integrate(problem, policy, base.bundle, states, k0, trajectories.recorded)
+    return trajectories
 
 
 def integrate_variational(problem, optimal, bundle, spec):
@@ -385,7 +411,8 @@ def integrate_variational(problem, optimal, bundle, spec):
 
     p(t0) = F(t0, X(t0), v) - F(t0, X(t0), u(t0)), then
     p_{k+1} = p_k + F_x(t_k, X_k, u_k) p_k dt + (G_x(t_k, X_k)[p_k]) dM_k.
-    Stored as zeros before the window start.
+    Stored as zeros before the window start.  The result carries the
+    optimal trajectory's policy and recorded controls.
     """
     _check_same_bundle(optimal.bundle, bundle, "variational run")
     grid = bundle.grid
@@ -395,7 +422,7 @@ def integrate_variational(problem, optimal, bundle, spec):
     x_at = optimal.states
     t0 = times[k0]
     x0 = x_at[:, k0, :]
-    u0 = optimal.policy.controls_at(k0, t0, x0)
+    u0 = optimal.control_at(k0)
     v = np.broadcast_to(spec.v, u0.shape)
     p = problem.F(t0, x0, v) - problem.F(t0, x0, u0)
     out = np.zeros_like(optimal.states)
@@ -403,14 +430,16 @@ def integrate_variational(problem, optimal, bundle, spec):
     for k in range(k0, grid.steps):
         t = times[k]
         xk = x_at[:, k, :]
-        uk = optimal.policy.controls_at(k, t, xk)
+        uk = optimal.control_at(k)
         fx = problem.F_x(t, xk, uk)
         gx = problem.G_x(t, xk, p)
         p = p + apply_operator(fx, p) * dt \
             + apply_operator(gx, bundle.increments[:, k, :])
         out[:, k + 1, :] = p
-    return TrajectoryBundle(states=out, policy=optimal.policy, bundle=bundle,
-                            spike=spec)
+    p_paths = TrajectoryBundle(states=out, policy=optimal.policy,
+                               bundle=bundle, spike=spec)
+    p_paths.recorded = optimal.recorded
+    return p_paths
 
 
 def integrate_zeta(problem, optimal, p_paths, spec):
@@ -426,14 +455,14 @@ def integrate_zeta(problem, optimal, p_paths, spec):
     dt = grid.dt
     k0, _ = spec.window(grid)
     x0 = optimal.states[:, k0, :]
-    u0 = optimal.policy.controls_at(k0, times[k0], x0)
+    u0 = optimal.control_at(k0)
     v = np.broadcast_to(spec.v, u0.shape)
     z = problem.ell(times[k0], x0, v) - problem.ell(times[k0], x0, u0)
     out = np.zeros((optimal.paths, grid.steps + 1))
     out[:, k0] = z
     for k in range(k0, grid.steps):
         xk = optimal.states[:, k, :]
-        uk = optimal.policy.controls_at(k, times[k], xk)
+        uk = optimal.control_at(k)
         grad = problem.ell_x(times[k], xk, uk)
         z = z + np.einsum("pi,pi->p", grad, p_paths.states[:, k, :]) * dt
         out[:, k + 1] = z
@@ -455,14 +484,13 @@ class CostReport:
 
 def evaluate_cost(problem, trajectories):
     """Left-Riemann running cost plus terminal cost, averaged over paths."""
-    pol = trajectories.policy
     grid = trajectories.grid
     times = grid.times
     dt = grid.dt
     run = np.zeros(trajectories.paths)
     for k in range(grid.steps):
         xk = trajectories.states[:, k, :]
-        uk = pol.controls_at(k, times[k], xk)
+        uk = trajectories.control_at(k)
         run += problem.ell(times[k], xk, uk) * dt
     total = run + problem.h(trajectories.states[:, -1, :])
     se = float(np.std(total, ddof=1) / np.sqrt(total.shape[0])) \

@@ -28,7 +28,7 @@ from typing import Callable
 import numpy as np
 
 from . import _parallel
-from .hilbert import as_vector
+from .hilbert import as_vector, psd_sqrt
 
 _HEADER_STRUCT = struct.Struct("<qqqq")
 
@@ -135,6 +135,9 @@ class MartingaleDriver:
     state_dim: int
     horizon: float
     components: tuple = ()
+    # Q(t)^(1/2) by time, filled by cov_rate_sqrt
+    _sqrt_memo: dict = field(default_factory=dict, init=False, repr=False,
+                             compare=False)
 
     def __post_init__(self):
         if self.state_dim < 1:
@@ -176,6 +179,22 @@ class MartingaleDriver:
             a = float(intensity.values(np.asarray(t)))
             q += a * np.outer(beta, beta)
         return q
+
+    def cov_rate_sqrt(self, t):
+        """PSD square root Q(t)^(1/2), computed once per time and kept.
+
+        The Hamiltonian, its state gradient, the optimality checks and the
+        regression adjoint all ask for the root at the same grid times, so
+        each distinct time costs one eigendecomposition per driver.  The
+        returned array is read-only.
+        """
+        t = self._check_time(t)
+        root = self._sqrt_memo.get(t)
+        if root is None:
+            root = psd_sqrt(self.cov_rate(t))
+            root.flags.writeable = False
+            self._sqrt_memo[t] = root
+        return root
 
     def dominating_operator(self):
         """Constant PSD operator dominating every Q(t) in the PSD order."""

@@ -34,7 +34,7 @@ from .dynamics import (BoxSet, ControlProblem, ControlPolicy, FeedbackPolicy,
                        OpenLoopPolicy, SpikeSpec, TrajectoryBundle,
                        evaluate_cost, integrate_forward, integrate_spiked,
                        integrate_variational, integrate_zeta, sample_controls)
-from .hilbert import SpaceConfig, psd_sqrt
+from .hilbert import SpaceConfig
 from .martingale import (MartingaleDriver, PathGrid, ScalarIntensity,
                          sample_increments)
 
@@ -130,9 +130,7 @@ def necessary_check(problem, driver, candidate, probes=None, sample_times=20,
         y = candidate.adjoint.y_at(k)
         ys = np.broadcast_to(y, (traj.paths, y.shape[1]))[p_idx] \
             if y.shape[0] == 1 else y[p_idx]
-        z = candidate.adjoint.z_at(k, states=xs)
-        qhalf = psd_sqrt(driver.cov_rate(t))
-        zq = z @ qhalf
+        zq = candidate.adjoint.z_at(k, states=xs) @ driver.cov_rate_sqrt(t)
         u_star = candidate.policy.controls_at(k, t, xs)
         h_star = hamiltonian(problem, driver,
                              HamiltonianArgs(t=t, x=xs, u=u_star, y=ys, zq=zq))
@@ -234,8 +232,7 @@ def sufficient_check(problem, driver, candidate, pairs=1000, seed=77,
         y = candidate.adjoint.y_at(k)
         ys = np.broadcast_to(y, (traj.paths, y.shape[1]))[p_sel] \
             if y.shape[0] == 1 else y[p_sel]
-        zq = candidate.adjoint.z_at(k, states=xs) \
-            @ psd_sqrt(driver.cov_rate(t))
+        zq = candidate.adjoint.z_at(k, states=xs) @ driver.cov_rate_sqrt(t)
         x1 = draw_states(per_time)
         x2 = draw_states(per_time)
         v1 = sample_controls(problem.control_set, per_time, rng)
@@ -861,7 +858,7 @@ def stationarity_residual(problem, trajectories, adjoint):
     per_step = np.empty(grid.steps)
     for k in range(grid.steps):
         xk = trajectories.states[:, k, :]
-        uk = trajectories.policy.controls_at(k, times[k], xk)
+        uk = trajectories.control_at(k)
         y = adjoint.y_at(k)
         yk = np.broadcast_to(y, (xk.shape[0], y.shape[1])) \
             if y.shape[0] == 1 else y
@@ -944,6 +941,9 @@ def run_example2(cfg=None):
         cost = evaluate_cost(problem, trajectories)
         residual, per_step = stationarity_residual(problem, trajectories,
                                                    adjoint)
+        # nothing reads this record again: later sweeps call the policy
+        # at their own states
+        trajectories.drop_controls()
         sweeps.append(SweepRecord(policy=policy, trajectories=trajectories,
                                   adjoint=adjoint, cost=cost,
                                   residual=residual,

@@ -278,9 +278,46 @@ def test_unknown_option_key_rejected(tmp_path):
         schedule = 6.0, 0.0
         """, ("[example2] schedule 6, 0 lies outside the control box "
               "[-5, 5] x [-5, 5]",)),
+    ("""\
+        [run]
+        scenario = gateaux
+        steps = 80
+        paths = 300
+
+        [gateaux]
+        v = 9.0, 9.0
+        """, ("[gateaux] v 9, 9 lies outside the control box "
+              "[-2.35, 1.65] x [-2.05, 1.95]",)),
+    ("""\
+        [run]
+        scenario = rates
+
+        [rates]
+        v = 0.0, -2.5
+        """, ("[rates] v 0, -2.5 lies outside the control box "
+              "[-2.35, 1.65] x [-2.05, 1.95]",)),
+    ("""\
+        [run]
+        scenario = example2
+
+        [example2]
+        duality_v = 9.0, 9.0
+        """, ("[example2] duality_v 9, 9 lies outside the control box "
+              "[-5, 5] x [-5, 5]",)),
+    ("""\
+        [run]
+        scenario = example2
+        steps = 20
+        paths = 300
+
+        [example2]
+        sweeps = 0
+        """, ("[example2] sweeps: must be an integer >= 1 (got '0')",)),
 ], ids=["example2-paths-floor", "rates-single-eps", "gateaux-duplicate-eps",
         "pmp-check-schedule-outside-box", "example1-schedule-outside-box",
-        "example2-schedule-outside-box"])
+        "example2-schedule-outside-box", "gateaux-v-outside-box",
+        "rates-v-outside-box", "example2-duality-v-outside-box",
+        "example2-zero-sweeps"])
 def test_preflight_rejects_configs_the_run_would_crash_on(tmp_path, capsys,
                                                           text, fragments):
     path = write_config(tmp_path, text)
@@ -292,6 +329,15 @@ def test_preflight_rejects_configs_the_run_would_crash_on(tmp_path, capsys,
     assert main([str(path), "--output-dir", str(out)]) == EXIT_CONFIG
     assert "invalid configuration" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_benchmark_workloads_pass_validation():
+    # a preflight check that rejects a workload would fail every benchmark run
+    root = Path(__file__).resolve().parents[1]
+    workloads = sorted((root / "perfbench" / "workloads").glob("*.ini"))
+    assert workloads
+    for path in workloads:
+        assert parse_config(path).scenario in SCENARIOS, path.name
 
 
 def test_readme_lists_every_run_key():
@@ -451,7 +497,7 @@ def test_run_example2_blowup_exit_three(tmp_path):
         [example2]
         gamma = 1.0e8, 0.0
         run_duality = false
-        sweeps = 0
+        sweeps = 1
         """))
     out = tmp_path / "out"
     with np.errstate(over="ignore", invalid="ignore"):

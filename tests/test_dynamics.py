@@ -12,7 +12,7 @@ from martctrl.dynamics import (BallSet, BlowUpError, BoxSet, ControlProblem,
 from martctrl.hilbert import SpaceConfig
 from martctrl.martingale import (MartingaleDriver, PathGrid, ScalarIntensity,
                                  sample_increments)
-from martctrl.pmp import Example1Config, build_example1_problem
+from martctrl.pmp import Example1Config, build_example1_problem, named_feedback
 
 
 def make_driver(dim=2, horizon=1.0):
@@ -150,6 +150,54 @@ def test_forward_euler_exact_for_affine_dynamics():
     assert np.allclose(traj.states[:, -1, :], expected, atol=1e-12)
     # realized controls reproduce the schedule
     assert np.allclose(traj.controls(), u, atol=0.0)
+
+
+def assert_records_fresh_evaluation(traj):
+    """Every recorded control equals the policy evaluated at the stored state."""
+    times = traj.grid.times
+    assert len(traj.recorded) == traj.grid.steps
+    for k in range(traj.grid.steps):
+        assert traj.recorded[k] is not None, k
+        fresh = traj.policy.controls_at(k, times[k], traj.states[:, k, :])
+        assert np.array_equal(traj.control_at(k), fresh), k
+    assert np.array_equal(traj.controls(),
+                          np.stack(traj.recorded, axis=1))
+
+
+def test_recorded_controls_equal_fresh_policy_evaluation():
+    cfg = Example1Config(steps=20, paths=64, seed=5)
+    problem, driver, grid, u_star = build_example1_problem(cfg)
+    bundle = sample_increments(driver, grid, cfg.paths, cfg.seed)
+    x0 = np.asarray(cfg.x0)
+
+    open_loop = integrate_forward(
+        problem, OpenLoopPolicy.constant(u_star, grid.steps), bundle, x0)
+    assert_records_fresh_evaluation(open_loop)
+    # open-loop rows are broadcast views of the schedule: no memory per path
+    assert all(row.strides[0] == 0 for row in open_loop.recorded)
+
+    feedback = integrate_forward(
+        problem, named_feedback("stationary", u_star, 2), bundle, x0)
+    assert_records_fresh_evaluation(feedback)
+
+    spec = SpikeSpec(t0=0.25, eps=0.1, v=np.array([0.5, -0.5]))
+    k0, k1 = spec.window(grid)
+    spiked = integrate_spiked(problem, feedback, spec)
+    assert_records_fresh_evaluation(spiked)
+    assert all(spiked.recorded[k] is feedback.recorded[k] for k in range(k0))
+    for k in range(k0, k1):
+        assert np.array_equal(spiked.recorded[k],
+                              np.broadcast_to(spec.v, (cfg.paths, 2)))
+
+    # the variational run reads, and carries, the optimal run's record
+    p = integrate_variational(problem, feedback, bundle, spec)
+    assert p.recorded is feedback.recorded
+
+    # without a record the same values come from the policy again
+    expected = feedback.controls()
+    feedback.drop_controls()
+    assert feedback.recorded is None
+    assert np.array_equal(feedback.controls(), expected)
 
 
 def test_forward_x0_shapes():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from martctrl._parallel import BLOCK_SIZE
+from martctrl.hilbert import psd_sqrt
 from martctrl.martingale import (IsometryReport, MartingaleDriver, NoiseBundle,
                                  PathGrid, ScalarIntensity,
                                  sample_increments, step_covariances,
@@ -83,6 +84,20 @@ def test_cov_rate_and_dominating_operator():
         assert np.min(np.linalg.eigvalsh(gap)) >= -1e-12
     with pytest.raises(ValueError, match="outside horizon"):
         d.cov_rate(2.0)
+
+
+def test_cov_rate_sqrt_is_computed_once_per_time():
+    d = example_driver()
+    for t in (0.0, 0.3, 1.0):
+        root = d.cov_rate_sqrt(t)
+        assert np.array_equal(root, psd_sqrt(d.cov_rate(t)))
+        assert d.cov_rate_sqrt(t) is root
+        assert not root.flags.writeable
+    # a rebuilt driver keeps its own memo
+    other = example_driver()
+    assert other.cov_rate_sqrt(0.3) is not d.cov_rate_sqrt(0.3)
+    with pytest.raises(ValueError, match="outside horizon"):
+        d.cov_rate_sqrt(2.0)
 
 
 def test_step_integrals_exact_for_linear_intensity():

@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
+from martctrl import adjoint, hilbert, martingale, pmp
 from martctrl.adjoint import solve_adjoint_explicit, solve_adjoint_lsmc
-from martctrl.dynamics import (FiniteSet, OpenLoopPolicy, SpikeSpec,
-                               integrate_forward)
+from martctrl.dynamics import (FeedbackPolicy, FiniteSet, OpenLoopPolicy,
+                               SpikeSpec, integrate_forward)
 from martctrl.martingale import sample_increments
 from martctrl.pmp import (EXAMPLE1_C, EXAMPLE1_F_TILDE, CandidatePair,
                           Example1Config, Example2Config, build_example1_problem,
@@ -293,6 +294,52 @@ def test_run_example2_small_scale_report():
     assert residuals[-1] < residuals[0]
     assert result.duality is not None
     assert result.duality.within(3.0)
+
+
+def test_example2_sweep_records_fresh_policy_controls():
+    cfg = Example2Config(steps=20, paths=300, seed=8, sweeps=1,
+                         run_duality=False)
+    result = run_example2(cfg)
+    sweep = result.sweeps[1]
+    assert isinstance(sweep.policy, FeedbackPolicy)
+    # finished sweeps release their record
+    assert sweep.trajectories.recorded is None
+    again = integrate_forward(result.problem, sweep.policy, result.bundle,
+                              np.asarray(cfg.x0))
+    assert np.array_equal(again.states, sweep.trajectories.states)
+    times = result.grid.times
+    for k in range(result.grid.steps):
+        fresh = sweep.policy.controls_at(k, times[k], again.states[:, k, :])
+        assert np.array_equal(again.recorded[k], fresh), k
+
+
+def test_run_example2_evaluates_each_policy_once_per_step(monkeypatch):
+    steps, sweeps = 20, 3
+    calls = []
+    controls_at = FeedbackPolicy.controls_at
+
+    def counted_controls_at(self, k, t, states):
+        calls.append(k)
+        return controls_at(self, k, t, states)
+
+    roots = []
+
+    def counted_sqrt(c, *args, **kwargs):
+        roots.append(np.array(c))
+        return hilbert.psd_sqrt(c, *args, **kwargs)
+
+    monkeypatch.setattr(FeedbackPolicy, "controls_at", counted_controls_at)
+    for module in (martingale, adjoint, pmp):
+        if hasattr(module, "psd_sqrt"):
+            monkeypatch.setattr(module, "psd_sqrt", counted_sqrt)
+    run_example2(Example2Config(steps=steps, paths=300, sweeps=sweeps))
+    # sweep s integrates once through its policy, whose every call walks
+    # back through the s - 1 feedback policies before it (sweep 0 is open
+    # loop); cost, adjoint and residual read the recorded controls
+    assert len(calls) == steps * sweeps * (sweeps + 1) // 2
+    # one root per distinct grid time of the one driver
+    assert 0 < len(roots) <= steps
+    assert len({r.tobytes() for r in roots}) == len(roots)
 
 
 def test_stationarity_residual_near_zero_at_fitted_optimum():
