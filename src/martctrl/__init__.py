@@ -22,7 +22,7 @@ from .dynamics import (BallSet, BlowUpError, BoxSet, ControlProblem,
                        SpikeSpec, TrajectoryBundle, apply_spike,
                        evaluate_cost, finite_diff_check, integrate_forward,
                        integrate_spiked, integrate_variational,
-                       integrate_zeta)
+                       integrate_zeta, spiked_cost, stream_spiked)
 from .adjoint import (AdjointSolution, HamiltonianArgs, RegressionBasis,
                       RegressionRankError, duality_check, grad_x_hamiltonian,
                       hamiltonian, solve_adjoint_explicit,
@@ -43,7 +43,7 @@ __all__ = [
     "FeedbackPolicy", "FiniteSet", "OpenLoopPolicy", "SpikeSpec",
     "TrajectoryBundle", "apply_spike", "evaluate_cost", "finite_diff_check",
     "integrate_forward", "integrate_spiked", "integrate_variational",
-    "integrate_zeta",
+    "integrate_zeta", "spiked_cost", "stream_spiked",
     "AdjointSolution", "HamiltonianArgs", "RegressionBasis",
     "RegressionRankError", "duality_check", "grad_x_hamiltonian",
     "hamiltonian", "solve_adjoint_explicit", "solve_adjoint_lsmc",

@@ -3,7 +3,8 @@
 Configs are flat ``key = value`` sections (INI style).  Every run emits a
 manifest, a structured-text report, and CSV tables into the output
 directory; the exit status encodes the outcome (0 pass, 1 assertion
-failure, 2 config error, 3 numerical failure).  Given the same config and
+failure, 2 config error, 3 numerical failure).  Any other exception
+leaves a manifest with ``status = internal-error`` and propagates.  Given the same config and
 seed, the numeric outputs are byte-identical.  A thread count (``[run]
 threads``, ``--threads``) is accepted and recorded in the manifest, but
 every stage runs serially.
@@ -13,10 +14,10 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import csv
 import dataclasses
 import hashlib
 import json
+import re
 import sys
 import time
 from functools import partial
@@ -129,6 +130,12 @@ def _parse_floats(text, length=None, positive=False):
     return values
 
 
+def _parse_sizes(text):
+    """An operator size, or a comma list of sizes (one per checked problem)."""
+    values = tuple(_parse_int(tok, minimum=1) for tok in text.split(","))
+    return values[0] if len(values) == 1 else values
+
+
 def _parse_enum(text, choices):
     value = text.strip()
     if value not in choices:
@@ -159,7 +166,7 @@ class Schema(NamedTuple):
     """What one scenario accepts in [run], [space] and its own section."""
 
     run: tuple
-    space: dict        # operator sizes of the packaged problem
+    space: object      # operator sizes, or a function of the options to them
     options: tuple
     checks: tuple = ()
 
@@ -264,6 +271,23 @@ def _in_control_box(packaged_config, *keys):
     return check
 
 
+def _checked_problems(opts):
+    """Names of the packaged problems a derivative-check run checks."""
+    return tuple(PACKAGED_PROBLEMS) if opts["problem"] == "all" \
+        else (opts["problem"],)
+
+
+def _checked_space(opts):
+    """Operator sizes of the checked problems: one size, or one per problem
+    where they differ."""
+    space = {}
+    for key in ("state_dim", "control_dim"):
+        sizes = tuple(getattr(PACKAGED_PROBLEMS[name], key)
+                      for name in _checked_problems(opts))
+        space[key] = sizes[0] if len(set(sizes)) == 1 else sizes
+    return space
+
+
 def _parse_ladder(text):
     """At least two positive numbers (a rate needs two points), largest first."""
     values = _parse_floats(text, positive=True)
@@ -330,7 +354,7 @@ SCHEMAS = {
         ("inject_fault", _parse_bool, False),
     )),
     "isometry": Schema(_run_entries(7071, 400, 20000), _SPACE1, ()),
-    "derivative-check": Schema(_run_entries(99, 100, 2), _SPACE1, (
+    "derivative-check": Schema(_run_entries(99, 100, 2), _checked_space, (
         ("problem", partial(_parse_enum, choices=(*PACKAGED_PROBLEMS, "all")),
          "all"),
         ("probes", _INT1, 25),
@@ -390,19 +414,24 @@ def parse_config(path):
     run = _parse_section(run_raw, "run", schema.run, errors)
     _reject_leftovers(run_raw, "run", errors)
 
-    space = dict(schema.space)
+    opts_raw = sections.pop(scenario, {})
+    option_errors = []
+    options = _parse_section(opts_raw, scenario, schema.options,
+                             option_errors)
+    space = schema.space(options) if callable(schema.space) \
+        else dict(schema.space)
     space_raw = sections.pop("space", {})
-    stated = _parse_section(space_raw, "space",
-                            [(key, _INT1, want) for key, want in space.items()],
-                            errors)
+    stated = _parse_section(
+        space_raw, "space",
+        [(key, _parse_sizes, want) for key, want in space.items()], errors)
     for key, want in space.items():
         if stated[key] != want:
-            errors.append(f"[space] {key} must be {want} for scenario "
-                          f"{scenario} (the packaged operators have that size)")
+            errors.append(f"[space] {key} must be {_fmt_value(want)} for "
+                          f"scenario {scenario} (the packaged operators have "
+                          f"that size)")
     _reject_leftovers(space_raw, "space", errors)
 
-    opts_raw = sections.pop(scenario, {})
-    options = _parse_section(opts_raw, scenario, schema.options, errors)
+    errors.extend(option_errors)
     for check in schema.checks:
         errors.extend(f"[{scenario}] {message}"
                       for message in check(run, space, options))
@@ -422,12 +451,16 @@ def parse_config(path):
 
 def _margins_tables(margin_report):
     """Full per-path margins table plus the probe-index key."""
-    rows = []
-    for i, t in enumerate(margin_report.times):
-        for j, path in enumerate(margin_report.path_indices):
-            for k in range(margin_report.probes.shape[0]):
-                rows.append((float(t), int(path), int(k),
-                             float(margin_report.margins[i, j, k])))
+    margins = margin_report.margins
+    n_times, n_paths, n_probes = margins.shape
+    # one row per (time, path, probe), in the C order of ``margins``;
+    # tolist() gives Python floats and ints, the fast cells of _write_csv
+    columns = (np.repeat(margin_report.times, n_paths * n_probes),
+               np.tile(np.repeat(margin_report.path_indices, n_probes),
+                       n_times),
+               np.tile(np.arange(n_probes), n_times * n_paths),
+               margins.ravel())
+    rows = list(zip(*(column.tolist() for column in columns)))
     probe_rows = [(int(k), *[float(x) for x in v])
                   for k, v in enumerate(margin_report.probes)]
     probe_header = ["v_index"] + [f"v{j}"
@@ -690,8 +723,7 @@ def _packaged_problem(name, horizon):
 
 def _run_derivative_check(config):
     opts = config.options
-    names = tuple(PACKAGED_PROBLEMS) if opts["problem"] == "all" \
-        else (opts["problem"],)
+    names = _checked_problems(opts)
     horizon = config.run["horizon"]
     rng = np.random.default_rng(
         np.random.SeedSequence(entropy=config.run["seed"]))
@@ -786,12 +818,24 @@ def _render_report(report):
     return "\n".join(lines)
 
 
+# Cells that csv.writer (lineterminator "\n") would put in double quotes.
+_NEEDS_QUOTES = re.compile(r'[,"\n]').search
+
+
+def _csv_cell(value):
+    """A value as report.txt writes it, quoted where csv.writer would."""
+    if type(value) is float or type(value) is int:
+        return repr(value)
+    text = _fmt_value(value)
+    if _NEEDS_QUOTES(text):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def _write_csv(path, header, rows):
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt_value(cell) for cell in row])
+        fh.writelines(",".join(map(_csv_cell, row)) + "\n"
+                      for row in (header, *rows))
 
 
 def _emit(config, report, tables, out_dir, wall_seconds, status):
@@ -814,8 +858,8 @@ def _emit(config, report, tables, out_dir, wall_seconds, status):
         f"steps = {config.run['steps']}",
         f"paths = {config.run['paths']}",
         f"horizon = {_fmt_value(config.run['horizon'])}",
-        f"state_dim = {config.space['state_dim']}",
-        f"control_dim = {config.space['control_dim']}",
+        f"state_dim = {_fmt_value(config.space['state_dim'])}",
+        f"control_dim = {_fmt_value(config.space['control_dim'])}",
         f"threads = {config.run['threads']}",
         f"status = {status}",
         f"wall_seconds = {wall_seconds:.3f}",
@@ -824,6 +868,14 @@ def _emit(config, report, tables, out_dir, wall_seconds, status):
     (out_dir / "manifest.txt").write_text("\n".join(manifest) + "\n",
                                           encoding="utf-8")
     return outputs
+
+
+def _error_report(config, exc):
+    return ScenarioReport(
+        scenario=config.scenario,
+        sections={"error": {"type": type(exc).__name__, "message": str(exc)}},
+        assertions=[Assertion(name="completed", passed=False,
+                              detail=str(exc))])
 
 
 def run(config, output_dir=None, seed=None, threads=None, verbosity=1,
@@ -847,14 +899,13 @@ def run(config, output_dir=None, seed=None, threads=None, verbosity=1,
         if not report.passed:
             status = "assertion-failure"
     except (BlowUpError, RegressionRankError) as exc:
-        report = ScenarioReport(
-            scenario=config.scenario,
-            sections={"error": {"type": type(exc).__name__,
-                                "message": str(exc)}},
-            assertions=[Assertion(name="completed", passed=False,
-                                  detail=str(exc))])
-        tables = {}
+        report, tables = _error_report(config, exc), {}
         status = "numerical-failure"
+    except Exception as exc:
+        # a defect, not an outcome: leave the manifest, then fail loudly
+        _emit(config, _error_report(config, exc), {}, out_dir,
+              time.perf_counter() - t_start, "internal-error")
+        raise
 
     wall = time.perf_counter() - t_start
     outputs = _emit(config, report, tables, out_dir, wall, status)

@@ -336,6 +336,16 @@ class TrajectoryBundle:
         self.recorded = None
 
 
+class _ControlsOf(ControlPolicy):
+    """The controls of one trajectory, whatever states they are asked at."""
+
+    def __init__(self, trajectory):
+        self.trajectory = trajectory
+
+    def controls_at(self, k, t, states):
+        return self.trajectory.control_at(k)
+
+
 def _check_same_bundle(a, b, what):
     if a is b:
         return
@@ -344,23 +354,41 @@ def _check_same_bundle(a, b, what):
                          f"(got identities {a.identity()} vs {b.identity()})")
 
 
-def _integrate(problem, policy, bundle, states, start, recorded):
-    """Euler steps from ``start`` on; the controls go into ``recorded``."""
+def _euler(problem, policy, bundle, x, start, visit):
+    """Euler steps from grid step ``start`` at state ``x``; returns X_T.
+
+    ``visit(k, x_k, u_k, x_next)`` sees every step: the state at step k,
+    the control applied there and the state at step k + 1.  Raises
+    BlowUpError at the first non-finite state.
+    """
     grid = bundle.grid
     times = grid.times
     dt = grid.dt
-    x = states[:, start, :].copy()
     for k in range(start, grid.steps):
         t = times[k]
         u = policy.controls_at(k, t, x)
-        recorded[k] = u
         drift = problem.F(t, x, u)
         diffusion = apply_operator(problem.G(t, x), bundle.increments[:, k, :])
-        x = x + drift * dt + diffusion
-        if not np.all(np.isfinite(x)):
-            bad = np.argwhere(~np.isfinite(x).all(axis=1))[0, 0]
+        x_next = x + drift * dt + diffusion
+        if not np.all(np.isfinite(x_next)):
+            bad = np.argwhere(~np.isfinite(x_next).all(axis=1))[0, 0]
             raise BlowUpError(path=bad, step=k + 1, time=times[k + 1])
-        states[:, k + 1, :] = x
+        visit(k, x, u, x_next)
+        x = x_next
+    return x
+
+
+def _integrate_stored(problem, trajectories, start):
+    """Euler steps from ``start`` on, storing states and applied controls."""
+    states = trajectories.states
+    recorded = trajectories.recorded
+
+    def store(k, x, u, x_next):
+        recorded[k] = u
+        states[:, k + 1, :] = x_next
+
+    _euler(problem, trajectories.policy, trajectories.bundle,
+           states[:, start, :].copy(), start, store)
 
 
 def integrate_forward(problem, policy, bundle, x0):
@@ -382,7 +410,7 @@ def integrate_forward(problem, policy, bundle, x0):
     trajectories = TrajectoryBundle(states=states, policy=policy,
                                     bundle=bundle)
     trajectories.recorded = [None] * bundle.steps
-    _integrate(problem, policy, bundle, states, 0, trajectories.recorded)
+    _integrate_stored(problem, trajectories, 0)
     return trajectories
 
 
@@ -391,7 +419,9 @@ def integrate_spiked(problem, base, spec):
 
     The spiked policy agrees with the base policy before the window, so the
     result is bit-identical to a full re-integration from t = 0; the
-    recorded controls of that prefix are the base trajectory's own.
+    recorded controls of that prefix are the base trajectory's own.  When
+    only the cost of the spiked run is needed, ``spiked_cost`` gives it
+    without storing the states.
     """
     grid = base.grid
     k0, _ = spec.window(grid)
@@ -402,8 +432,23 @@ def integrate_spiked(problem, base, spec):
                                     bundle=base.bundle, spike=spec)
     trajectories.recorded = (base.recorded[:k0] if base.recorded is not None
                              else [None] * k0) + [None] * (grid.steps - k0)
-    _integrate(problem, policy, base.bundle, states, k0, trajectories.recorded)
+    _integrate_stored(problem, trajectories, k0)
     return trajectories
+
+
+def stream_spiked(problem, base, spec, visit):
+    """Re-run a base trajectory under a spike, keeping only the current state.
+
+    Starts at the window start k0 from the base state there, which the
+    spiked run shares with the base, so ``visit(k, x_k, u_k, x_next)`` sees,
+    for k >= k0, the states and controls that ``integrate_spiked`` would
+    store.  Returns the terminal state X_T, shape (paths, dim).
+    """
+    grid = base.grid
+    k0, _ = spec.window(grid)
+    policy = apply_spike(base.policy, spec, grid)
+    return _euler(problem, policy, base.bundle, base.states[:, k0, :].copy(),
+                  k0, visit)
 
 
 def integrate_variational(problem, optimal, bundle, spec):
@@ -411,8 +456,9 @@ def integrate_variational(problem, optimal, bundle, spec):
 
     p(t0) = F(t0, X(t0), v) - F(t0, X(t0), u(t0)), then
     p_{k+1} = p_k + F_x(t_k, X_k, u_k) p_k dt + (G_x(t_k, X_k)[p_k]) dM_k.
-    Stored as zeros before the window start.  The result carries the
-    optimal trajectory's policy and recorded controls.
+    Stored as zeros before the window start.  The result's controls are
+    the optimal trajectory's: its record, and after either run drops its
+    record, the optimal policy evaluated at X (never at p).
     """
     _check_same_bundle(optimal.bundle, bundle, "variational run")
     grid = bundle.grid
@@ -436,7 +482,7 @@ def integrate_variational(problem, optimal, bundle, spec):
         p = p + apply_operator(fx, p) * dt \
             + apply_operator(gx, bundle.increments[:, k, :])
         out[:, k + 1, :] = p
-    p_paths = TrajectoryBundle(states=out, policy=optimal.policy,
+    p_paths = TrajectoryBundle(states=out, policy=_ControlsOf(optimal),
                                bundle=bundle, spike=spec)
     p_paths.recorded = optimal.recorded
     return p_paths
@@ -471,31 +517,73 @@ def integrate_zeta(problem, optimal, p_paths, spec):
 
 @dataclass(frozen=True)
 class CostReport:
-    """Monte Carlo cost estimate with per-path values for paired comparisons."""
+    """Monte Carlo cost estimate with per-path values for paired comparisons.
+
+    ``running[k]`` is the per-path running cost over the steps before k,
+    for each step k the caller asked ``evaluate_cost`` to keep.
+    """
 
     mean: float
     stderr: float
     per_path: np.ndarray = field(repr=False)
+    running: dict = field(default_factory=dict, repr=False)
 
     @property
     def paths(self):
         return self.per_path.shape[0]
 
 
-def evaluate_cost(problem, trajectories):
-    """Left-Riemann running cost plus terminal cost, averaged over paths."""
+def _cost_report(total, running):
+    se = float(np.std(total, ddof=1) / np.sqrt(total.shape[0])) \
+        if total.shape[0] > 1 else float("inf")
+    return CostReport(mean=float(np.mean(total)), stderr=se, per_path=total,
+                      running=running)
+
+
+def evaluate_cost(problem, trajectories, running_at=()):
+    """Left-Riemann running cost plus terminal cost, averaged over paths.
+
+    The running cost over the steps before each k in ``running_at`` is kept
+    in the report's ``running``, where ``spiked_cost`` starts from it.
+    """
     grid = trajectories.grid
     times = grid.times
     dt = grid.dt
     run = np.zeros(trajectories.paths)
+    running = {}
     for k in range(grid.steps):
+        if k in running_at:
+            running[k] = run.copy()
         xk = trajectories.states[:, k, :]
         uk = trajectories.control_at(k)
         run += problem.ell(times[k], xk, uk) * dt
-    total = run + problem.h(trajectories.states[:, -1, :])
-    se = float(np.std(total, ddof=1) / np.sqrt(total.shape[0])) \
-        if total.shape[0] > 1 else float("inf")
-    return CostReport(mean=float(np.mean(total)), stderr=se, per_path=total)
+    return _cost_report(run + problem.h(trajectories.states[:, -1, :]),
+                        running)
+
+
+def spiked_cost(problem, base, base_cost, spec):
+    """Cost of a base trajectory re-run under a spike, without its states.
+
+    Bit-identical to ``evaluate_cost(problem, integrate_spiked(problem,
+    base, spec))``: the running cost starts from ``base_cost.running[k0]``,
+    the base run's cost over the shared prefix before the window start k0
+    (keep k0 when evaluating ``base_cost``), and adds the terms of the
+    steps from k0 on in the same order while ``stream_spiked`` steps.
+    """
+    k0, _ = spec.window(base.grid)
+    if k0 not in base_cost.running:
+        raise ValueError(f"base cost keeps no running cost at the spike "
+                         f"start step {k0}; evaluate it with "
+                         f"running_at containing {k0}")
+    times = base.grid.times
+    dt = base.grid.dt
+    run = base_cost.running[k0].copy()
+
+    def accumulate(k, x, u, x_next):
+        np.add(run, problem.ell(times[k], x, u) * dt, out=run)
+
+    x_end = stream_spiked(problem, base, spec, accumulate)
+    return _cost_report(run + problem.h(x_end), {})
 
 
 @dataclass(frozen=True)

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -32,8 +33,9 @@ from .adjoint import (AdjointSolution, HamiltonianArgs, RegressionBasis,
                       solve_adjoint_lsmc)
 from .dynamics import (BoxSet, ControlProblem, ControlPolicy, FeedbackPolicy,
                        OpenLoopPolicy, SpikeSpec, TrajectoryBundle,
-                       evaluate_cost, integrate_forward, integrate_spiked,
-                       integrate_variational, integrate_zeta, sample_controls)
+                       evaluate_cost, integrate_forward, integrate_variational,
+                       integrate_zeta, sample_controls, spiked_cost,
+                       stream_spiked)
 from .hilbert import SpaceConfig
 from .martingale import (MartingaleDriver, PathGrid, ScalarIntensity,
                          sample_increments)
@@ -309,12 +311,12 @@ def gateaux_check(problem, candidate, spec, eps_list=(0.05, 0.025),
     adj = float(np.mean(adj_pp))
     se_adj = float(np.std(adj_pp, ddof=1) / np.sqrt(adj_pp.shape[0]))
 
-    base_cost = evaluate_cost(problem, traj)
+    k0, _ = spec.window(grid)
+    base_cost = evaluate_cost(problem, traj, running_at=(k0,))
     entries = []
     for eps in eps_list:
         spec_eps = SpikeSpec(t0=spec.t0, eps=float(eps), v=spec.v)
-        traj_eps = integrate_spiked(problem, traj, spec_eps)
-        cost_eps = evaluate_cost(problem, traj_eps)
+        cost_eps = spiked_cost(problem, traj, base_cost, spec_eps)
         fd_pp = (cost_eps.per_path - base_cost.per_path) / float(eps)
         diff_pp = fd_pp - adj_pp
         mean_diff = float(np.mean(diff_pp))
@@ -325,7 +327,6 @@ def gateaux_check(problem, candidate, spec, eps_list=(0.05, 0.025),
             se_fd=float(np.std(fd_pp, ddof=1) / np.sqrt(fd_pp.shape[0])),
             mean_diff=mean_diff, se_diff=se_diff, tol=tol,
             agree=abs(mean_diff) <= tol))
-        del traj_eps
     return GateauxReport(adjoint_value=adj, se_adjoint=se_adj,
                          entries=entries)
 
@@ -349,6 +350,12 @@ class RateReport:
         return self.slope_ok and self.xi_decreasing and self.xi_final_ok
 
 
+def _sup_gap(base, msq, k, x, u, x_next):
+    """Raise msq to |X_eps - X|^2 at step k + 1 where that is larger."""
+    diff = x_next - base.states[:, k + 1, :]
+    np.maximum(msq, np.einsum("pi,pi->p", diff, diff), out=msq)
+
+
 def rate_experiments(problem, candidate, t0, v,
                      eps_ladder=(0.2, 0.1, 0.05, 0.025), p_paths=None):
     """Measure E sup_t |X_eps - X|^2 and E |(X_eps(T)-X(T))/eps - p(T)|^2.
@@ -358,10 +365,8 @@ def rate_experiments(problem, candidate, t0, v,
     strictly decreasing with final value < 1/4 of the initial one.
     """
     traj = candidate.trajectories
-    grid = traj.grid
     ladder = np.sort(np.asarray(eps_ladder, dtype=float))[::-1]
     spec_max = SpikeSpec(t0=float(t0), eps=float(ladder[0]), v=v)
-    k0, _ = spec_max.window(grid)
     if p_paths is None:
         p_paths = integrate_variational(problem, traj, traj.bundle, spec_max)
     p_term = p_paths.states[:, -1, :]
@@ -373,18 +378,14 @@ def rate_experiments(problem, candidate, t0, v,
     paths = traj.paths
     for i, eps in enumerate(ladder):
         spec = SpikeSpec(t0=float(t0), eps=float(eps), v=v)
-        traj_eps = integrate_spiked(problem, traj, spec)
         msq = np.zeros(paths)
-        for k in range(k0, grid.steps + 1):
-            diff = traj_eps.states[:, k, :] - traj.states[:, k, :]
-            np.maximum(msq, np.einsum("pi,pi->p", diff, diff), out=msq)
-        xi = (traj_eps.states[:, -1, :] - traj.states[:, -1, :]) / eps - p_term
+        x_end = stream_spiked(problem, traj, spec, partial(_sup_gap, traj, msq))
+        xi = (x_end - traj.states[:, -1, :]) / eps - p_term
         xi_sq = np.einsum("pi,pi->p", xi, xi)
         esup[i] = float(np.mean(msq))
         esup_se[i] = float(np.std(msq, ddof=1) / np.sqrt(paths))
         exi[i] = float(np.mean(xi_sq))
         exi_se[i] = float(np.std(xi_sq, ddof=1) / np.sqrt(paths))
-        del traj_eps
 
     slope = float(np.polyfit(np.log(ladder), np.log(esup), 1)[0])
     decreasing = bool(np.all(np.diff(exi) < 0.0))
@@ -583,7 +584,8 @@ def default_spike_family(grid, u_star, control_set, count=20, seed=0,
         radius = 1.0
     specs = []
     for i in range(count):
-        k0 = t0_opts[int(rng.integers(0, len(t0_opts)))]
+        # a one-step grid has no step 1 to start at
+        k0 = min(t0_opts[int(rng.integers(0, len(t0_opts)))], steps - 1)
         span = eps_opts[int(rng.integers(0, len(eps_opts)))]
         while k0 + span > steps:
             span = max(1, span // 2)
@@ -635,24 +637,24 @@ def run_example1(cfg=None):
     tic = time.perf_counter()
     problem, driver, grid, u_star, candidate = example1_candidate(cfg)
     trajectories = candidate.trajectories
-    cost = evaluate_cost(problem, trajectories)
+    specs, far_threshold = default_spike_family(
+        grid, u_star, problem.control_set, count=cfg.spike_count,
+        seed=cfg.seed)
+    # spikes start from the base run's running cost at their start steps
+    cost = evaluate_cost(problem, trajectories,
+                         running_at={spec.window(grid)[0] for spec in specs})
     core_seconds = time.perf_counter() - tic
 
     analytic = example1_analytic_cost(cfg)
 
     spikes = []
-    specs, far_threshold = default_spike_family(
-        grid, u_star, problem.control_set, count=cfg.spike_count,
-        seed=cfg.seed)
     for spec in specs:
-        traj_eps = integrate_spiked(problem, trajectories, spec)
-        cost_eps = evaluate_cost(problem, traj_eps)
+        cost_eps = spiked_cost(problem, trajectories, cost, spec)
         gap_pp = cost_eps.per_path - cost.per_path
         gap = float(np.mean(gap_pp))
         se = float(np.std(gap_pp, ddof=1) / np.sqrt(gap_pp.shape[0]))
         far = float(np.linalg.norm(spec.v - u_star)) >= far_threshold
         spikes.append(SpikeOutcome(spec=spec, gap=gap, se=se, far=far))
-        del traj_eps
 
     margin_report = necessary_check(
         problem, driver, candidate, sample_times=cfg.sample_times,

@@ -1,7 +1,10 @@
 """Config parsing and end-to-end coverage for the command line runner."""
 
 import csv
+import os
 import re
+import subprocess
+import sys
 import tempfile
 import textwrap
 from pathlib import Path
@@ -10,6 +13,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import martctrl
+from martctrl import cli
 from martctrl.cli import (ConfigError, EXIT_ASSERTION, EXIT_CONFIG,
                           EXIT_NUMERICAL, EXIT_OK, SCENARIOS, SCHEMAS,
                           main, parse_config, run)
@@ -564,6 +569,21 @@ RERUN_CONFIGS = {
         convexity_pairs = 50
         """, ("margins.csv", "margins_summary.csv", "probes.csv",
               "spike_gaps.csv", "report.txt")),
+    "gateaux": ("""\
+        [run]
+        scenario = gateaux
+        steps = 80
+        paths = 1000
+
+        [gateaux]
+        drift_gain = 0.25
+        """, ("gateaux.csv", "report.txt")),
+    "rates": ("""\
+        [run]
+        scenario = rates
+        steps = 80
+        paths = 600
+        """, ("rates.csv", "report.txt")),
 }
 
 
@@ -578,6 +598,79 @@ def test_reruns_and_threads_are_byte_identical(tmp_path, scenario):
     for name in names:
         blobs = [(d / name).read_bytes() for d in outs]
         assert blobs[0] == blobs[1] == blobs[2], name
+
+
+def test_one_step_example1_ends_with_a_manifest(tmp_path):
+    # the spike family once looped forever on a one-step grid
+    path = write_config(tmp_path, """\
+        [run]
+        scenario = example1
+        steps = 1
+        paths = 50
+        """)
+    out = tmp_path / "out"
+    src = str(Path(martctrl.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "martctrl", str(path), "--output-dir",
+         str(out), "--verbosity", "0"], env=env, timeout=120,
+        capture_output=True, text=True)
+    assert proc.returncode in (EXIT_OK, EXIT_ASSERTION, EXIT_NUMERICAL), \
+        proc.stderr
+    assert read_manifest(out)["scenario"] == "example1"
+
+
+@pytest.mark.parametrize("problem, state_dim, control_dim", [
+    ("example1", "4", "2"), ("example2", "2", "2"), ("all", "4, 4, 2", "2")])
+def test_derivative_check_manifest_records_checked_sizes(
+        tmp_path, problem, state_dim, control_dim):
+    text = f"""\
+        [run]
+        scenario = derivative-check
+
+        [derivative-check]
+        problem = {problem}
+        probes = 3
+        """
+    out = tmp_path / "out"
+    assert run(parse_config(write_config(tmp_path, text)), output_dir=out,
+               verbosity=0) == EXIT_OK
+    manifest = read_manifest(out)
+    assert (manifest["state_dim"], manifest["control_dim"]) \
+        == (state_dim, control_dim)
+    # [space] may restate exactly these sizes
+    stated = text + f"""
+        [space]
+        state_dim = {state_dim}
+        control_dim = {control_dim}
+        """
+    assert parse_config(write_config(tmp_path, stated, name="s.ini")).space \
+        == parse_config(write_config(tmp_path, text, name="t.ini")).space
+    with pytest.raises(ConfigError, match="state_dim must be"):
+        parse_config(write_config(tmp_path, text + """
+        [space]
+        state_dim = 3
+        """, name="bad.ini"))
+
+
+def test_unexpected_error_leaves_manifest_and_propagates(tmp_path,
+                                                         monkeypatch):
+    def broken(config):
+        raise RuntimeError("defect under test")
+
+    monkeypatch.setitem(cli._RUNNERS, "isometry", broken)
+    cfg = parse_config(write_config(tmp_path, """\
+        [run]
+        scenario = isometry
+        """))
+    out = tmp_path / "out"
+    with pytest.raises(RuntimeError, match="defect under test"):
+        run(cfg, output_dir=out, verbosity=0)
+    assert read_manifest(out)["status"] == "internal-error"
+    report = (out / "report.txt").read_text()
+    assert "type = RuntimeError" in report
+    assert "completed = FAIL" in report
 
 
 def test_seed_override_reflected_in_manifest(tmp_path):

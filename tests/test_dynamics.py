@@ -8,7 +8,8 @@ from martctrl.dynamics import (BallSet, BlowUpError, BoxSet, ControlProblem,
                                SpikeSpec, apply_spike, evaluate_cost,
                                finite_diff_check, integrate_forward,
                                integrate_spiked, integrate_variational,
-                               integrate_zeta, sample_controls)
+                               integrate_zeta, sample_controls, spiked_cost,
+                               stream_spiked)
 from martctrl.hilbert import SpaceConfig
 from martctrl.martingale import (MartingaleDriver, PathGrid, ScalarIntensity,
                                  sample_increments)
@@ -199,6 +200,17 @@ def test_recorded_controls_equal_fresh_policy_evaluation():
     assert feedback.recorded is None
     assert np.array_equal(feedback.controls(), expected)
 
+    # a first variation's controls are the optimal run's, at X and not at
+    # p, also when neither run keeps a record
+    linear = integrate_forward(
+        problem, FeedbackPolicy(fn=lambda t, x: -0.1 * x[:, :2]), bundle, x0)
+    expected = linear.controls()
+    linear.drop_controls()
+    q = integrate_variational(problem, linear, bundle, spec)
+    assert np.array_equal(q.controls(), expected)
+    q.drop_controls()
+    assert np.array_equal(q.controls(), expected)
+
 
 def test_forward_x0_shapes():
     problem = constant_g_problem()
@@ -249,6 +261,44 @@ def test_spiked_run_matches_full_reintegration():
     assert np.array_equal(spiked.states[:, :k0 + 1, :],
                           base.states[:, :k0 + 1, :])
     assert not np.array_equal(spiked.states[:, -1, :], base.states[:, -1, :])
+
+
+@pytest.mark.parametrize("feedback, drift_gain",
+                         [(False, 0.0), (True, 0.0), (False, 0.25)])
+def test_streamed_spike_is_bit_identical_to_stored_spike(feedback,
+                                                         drift_gain):
+    cfg = Example1Config(steps=40, paths=64, seed=9, drift_gain=drift_gain)
+    problem, driver, grid, u_star = build_example1_problem(cfg)
+    bundle = sample_increments(driver, grid, cfg.paths, cfg.seed)
+    policy = FeedbackPolicy(fn=lambda t, x: -0.1 * x[:, :2]) if feedback \
+        else OpenLoopPolicy.constant(u_star, grid.steps)
+    base = integrate_forward(problem, policy, bundle, np.asarray(cfg.x0))
+    specs = [SpikeSpec(t0=0.0, eps=0.05, v=u_star + 1.0),
+             SpikeSpec(t0=0.25, eps=0.1, v=np.array([0.5, -0.5])),
+             SpikeSpec(t0=0.9, eps=0.1, v=u_star - 1.0)]
+    base_cost = evaluate_cost(problem, base,
+                              running_at={s.window(grid)[0] for s in specs})
+    assert np.array_equal(base_cost.per_path,
+                          evaluate_cost(problem, base).per_path)
+    for spec in specs:
+        stored = integrate_spiked(problem, base, spec)
+        streamed = spiked_cost(problem, base, base_cost, spec)
+        expected = evaluate_cost(problem, stored)
+        assert np.array_equal(streamed.per_path, expected.per_path)
+        assert (streamed.mean, streamed.stderr) \
+            == (expected.mean, expected.stderr)
+        # the stream visits the states the stored run keeps
+        k0, _ = spec.window(grid)
+        seen = {}
+        x_end = stream_spiked(
+            problem, base, spec,
+            lambda k, x, u, x_next: seen.setdefault(k + 1, x_next))
+        assert sorted(seen) == list(range(k0 + 1, grid.steps + 1))
+        for k, x in seen.items():
+            assert np.array_equal(x, stored.states[:, k, :]), k
+        assert np.array_equal(x_end, stored.states[:, -1, :])
+    with pytest.raises(ValueError, match="running cost"):
+        spiked_cost(problem, base, evaluate_cost(problem, base), specs[1])
 
 
 def test_noop_spike_changes_nothing():

@@ -6,7 +6,8 @@ import pytest
 from martctrl import adjoint, hilbert, martingale, pmp
 from martctrl.adjoint import solve_adjoint_explicit, solve_adjoint_lsmc
 from martctrl.dynamics import (FeedbackPolicy, FiniteSet, OpenLoopPolicy,
-                               SpikeSpec, integrate_forward)
+                               SpikeSpec, integrate_forward, integrate_spiked,
+                               integrate_variational)
 from martctrl.martingale import sample_increments
 from martctrl.pmp import (EXAMPLE1_C, EXAMPLE1_F_TILDE, CandidatePair,
                           Example1Config, Example2Config, build_example1_problem,
@@ -165,6 +166,35 @@ def test_rate_experiments_pass_and_fault_detection():
     bad = rate_experiments(problem, cand, t0=0.25, v=np.array([0.65, 0.45]),
                            p_paths=wrong)
     assert not bad.passed
+
+
+def test_rate_experiments_match_stored_spiked_states():
+    cfg = Example1Config(steps=80, paths=300, seed=35, drift_gain=0.25)
+    problem, driver, grid, u_star, bundle, cand = candidate_for(
+        cfg, with_adjoint=False)
+    v = np.array([0.65, 0.45])
+    ladder = (0.2, 0.1, 0.05)
+    rep = rate_experiments(problem, cand, t0=0.25, v=v, eps_ladder=ladder)
+    # the same statistics from stored spiked states, step by step
+    traj = cand.trajectories
+    p_term = integrate_variational(problem, traj, bundle,
+                                   SpikeSpec(t0=0.25, eps=0.2, v=v)).states[:, -1]
+    for i, eps in enumerate(ladder):
+        spec = SpikeSpec(t0=0.25, eps=eps, v=v)
+        k0, _ = spec.window(grid)
+        spiked = integrate_spiked(problem, traj, spec)
+        msq = np.zeros(traj.paths)
+        for k in range(k0, grid.steps + 1):
+            diff = spiked.states[:, k, :] - traj.states[:, k, :]
+            np.maximum(msq, np.einsum("pi,pi->p", diff, diff), out=msq)
+        xi = (spiked.states[:, -1, :] - traj.states[:, -1, :]) / eps - p_term
+        xi_sq = np.einsum("pi,pi->p", xi, xi)
+        assert rep.esup[i] == float(np.mean(msq))
+        assert rep.esup_se[i] == float(np.std(msq, ddof=1)
+                                       / np.sqrt(traj.paths))
+        assert rep.exi[i] == float(np.mean(xi_sq))
+        assert rep.exi_se[i] == float(np.std(xi_sq, ddof=1)
+                                      / np.sqrt(traj.paths))
 
 
 def test_default_spike_family_layout():
