@@ -212,8 +212,8 @@ class _StepFit:
 class AdjointSolution:
     """Adjoint pair along a trajectory batch.
 
-    ``Y`` has shape (paths, steps + 1, n); the explicit solver stores a
-    single broadcastable row (1, steps + 1, n).  Z is exposed through
+    ``Y`` has shape (paths, steps + 1, n); the explicit solver stores it as
+    a read-only broadcast view of its one constant row.  Z is exposed through
     :meth:`z_at` (per-step evaluation) rather than one dense array so the
     desk-scale memory stays bounded; ``n_residual_energy[k]`` records the
     mean squared unexplained martingale increment at step k, and
@@ -243,7 +243,7 @@ class AdjointSolution:
         return self.Y.shape[2]
 
     def y_at(self, k):
-        """Y at grid index k, shape (paths, n) (or (1, n) when explicit)."""
+        """Y at grid index k, shape (paths, n), along the trajectories."""
         return self.Y[:, k, :]
 
     def _centered_features(self, k, states):
@@ -285,10 +285,7 @@ class AdjointSolution:
         For the regression solution Z_k is a fitted function of the state;
         by default it is evaluated along the solution's own trajectories.
         """
-        if self.method == "explicit":
-            count = 1 if states is None else np.asarray(states).shape[0]
-            return np.zeros((count, self.state_dim, self.state_dim))
-        if k >= self.steps:
+        if self.method == "explicit" or k >= self.steps:
             count = self.Y.shape[0] if states is None \
                 else np.asarray(states).shape[0]
             return np.zeros((count, self.state_dim, self.state_dim))
@@ -331,17 +328,20 @@ class AdjointSolution:
         return resid / explained
 
 
-def solve_adjoint_explicit(problem, driver, grid, probe_scale=1.0):
-    """Closed-form adjoint when probing confirms it applies.
+def solve_adjoint_explicit(problem, driver, trajectories):
+    """Closed-form adjoint along ``trajectories`` when probing confirms it.
 
-    Preconditions, each checked by random probing: the terminal-cost
-    gradient is state-independent, and grad_x H vanishes whenever the Z
-    argument is zero.  Then Y is the constant terminal gradient, Z = 0 and
-    N = 0 solve the backward equation exactly.
+    Preconditions, each checked by random probing at the scale
+    max(1, max|X_0|) of the initial states: the terminal-cost gradient is
+    state-independent, and grad_x H vanishes whenever the Z argument is
+    zero.  Then Y is the constant terminal gradient, Z = 0 and N = 0 solve
+    the backward equation exactly.
     """
+    grid = trajectories.grid
+    x0_scale = max(1.0, float(np.max(np.abs(trajectories.states[:, 0, :]))))
     n = problem.space.state_dim
     rng = np.random.default_rng(np.random.SeedSequence(EXPLICIT_PROBE_SEED))
-    states = probe_scale * rng.standard_normal((EXPLICIT_PROBES, n))
+    states = x0_scale * rng.standard_normal((EXPLICIT_PROBES, n))
     hx = np.asarray(problem.h_x(states), dtype=float)
     dev = float(np.max(np.abs(hx - hx[0])))
     scale = 1.0 + float(np.max(np.abs(hx)))
@@ -361,12 +361,13 @@ def solve_adjoint_explicit(problem, driver, grid, probe_scale=1.0):
             raise ValueError(
                 "the Hamiltonian state-gradient does not vanish at Z = 0; "
                 "the explicit adjoint solution does not apply")
-    y_path = np.broadcast_to(y0, (1, grid.steps + 1, n)).copy()
+    y_path = np.broadcast_to(y0, (trajectories.paths, grid.steps + 1, n))
     zeros = np.zeros(grid.steps)
     return AdjointSolution(grid=grid, Y=y_path, method="explicit",
                            n_residual_energy=zeros.copy(),
                            explained_energy=zeros.copy(), n_is_zero=True,
-                           _problem=problem, _driver=driver)
+                           trajectories=trajectories, _problem=problem,
+                           _driver=driver)
 
 
 def solve_adjoint_lsmc(problem, driver, trajectories, basis=None,
@@ -484,27 +485,25 @@ class DualityReport:
         return abs(self.difference) <= k * (self.se_lhs + self.se_rhs)
 
 
-def duality_check(problem, driver, optimal, adjoint, spec, p_paths):
+def duality_check(problem, optimal, adjoint, p_paths):
     """Monte Carlo check of the duality identity
 
     E<Y(T), p(T)> = -E int_{t0}^{T} <ell_x(t, X, u), p> dt
                     + E<Y(t0), F(t0, X(t0), v) - F(t0, X(t0), u(t0))>
 
-    along one coupled noise bundle.  Reports both sides with standard
-    errors; the caller decides the acceptance multiple.
+    along one coupled noise bundle, for the spike that ``p_paths`` follows.
+    Reports both sides with standard errors; the caller decides the
+    acceptance multiple.
     """
-    if optimal.bundle.identity() != p_paths.bundle.identity():
-        raise ValueError("duality check requires the optimal and variational "
-                         "runs to share one noise bundle")
+    optimal.bundle.require_same(p_paths.bundle, "duality check")
+    spec = p_paths.spike
     grid = optimal.grid
     times = grid.times
     dt = grid.dt
     k0, _ = spec.window(grid)
     paths = optimal.paths
 
-    y_term = adjoint.y_at(grid.steps)
-    lhs_pp = np.einsum("pi,pi->p",
-                       np.broadcast_to(y_term, (paths, y_term.shape[1])),
+    lhs_pp = np.einsum("pi,pi->p", adjoint.y_at(grid.steps),
                        p_paths.states[:, grid.steps, :])
 
     x0 = optimal.states[:, k0, :]
@@ -512,9 +511,7 @@ def duality_check(problem, driver, optimal, adjoint, spec, p_paths):
     v = np.broadcast_to(spec.v, u0.shape)
     delta_f = np.asarray(problem.F(times[k0], x0, v), dtype=float) \
         - np.asarray(problem.F(times[k0], x0, u0), dtype=float)
-    y0 = adjoint.y_at(k0)
-    rhs_pp = np.einsum("pi,pi->p",
-                       np.broadcast_to(y0, (paths, y0.shape[1])), delta_f)
+    rhs_pp = np.einsum("pi,pi->p", adjoint.y_at(k0), delta_f)
     for k in range(k0, grid.steps):
         xk = optimal.states[:, k, :]
         uk = optimal.control_at(k)

@@ -35,7 +35,7 @@ from .pmp import (Assertion, Example1Config, Example2Config, ScenarioReport,
                   build_example1_problem, build_example2_problem,
                   example1_candidate, gateaux_check, necessary_check,
                   rate_experiments, run_example1, run_example2,
-                  sufficient_check)
+                  sufficient_check, within_3se)
 
 EXIT_OK = 0
 EXIT_ASSERTION = 1
@@ -496,7 +496,8 @@ def _run_example1(config):
     tables.update(_margins_tables(result.margin_report))
     dump = config.run["dump_trajectories"]
     if dump > 0:
-        tables["trajectories"] = _trajectory_table(result.trajectories, dump)
+        tables["trajectories"] = _trajectory_table(
+            result.candidate.trajectories, dump)
     return result.report, tables
 
 
@@ -520,7 +521,6 @@ def _run_rates(config):
     if opts["inject_fault"]:
         spec_max = SpikeSpec(t0=opts["t0"], eps=max(opts["eps_ladder"]), v=v)
         p_true = integrate_variational(problem, candidate.trajectories,
-                                       candidate.trajectories.bundle,
                                        spec_max)
         p_paths = dataclasses.replace(p_true, states=2.0 * p_true.states)
     report = rate_experiments(problem, candidate, opts["t0"], v,
@@ -561,8 +561,7 @@ def _run_gateaux(config):
     spec = SpikeSpec(t0=opts["t0"], eps=eps_list[0], v=v)
     p_paths = None
     if opts["inject_fault"]:
-        p_true = integrate_variational(problem, candidate.trajectories,
-                                       candidate.trajectories.bundle, spec)
+        p_true = integrate_variational(problem, candidate.trajectories, spec)
         p_paths = dataclasses.replace(p_true, states=2.0 * p_true.states)
     report = gateaux_check(problem, candidate, spec, eps_list=eps_list,
                            bias_fraction=opts["bias_fraction"],
@@ -692,11 +691,12 @@ def _run_isometry(config):
     beta_sq = float(np.sum(np.asarray(cfg.beta) ** 2))
     t_end = cfg.horizon
     analytic = beta_sq * (t_end + t_end ** 2 / 4.0)
-    assertions = [Assertion(
-        name="isometry_within_3se", passed=report.within(3.0),
-        detail=f"MC {report.mc_estimate:.6f} vs quadrature "
-               f"{report.quadrature_value:.6f} "
-               f"(3*SE = {3.0 * report.mc_stderr:.2e})")]
+    assertions = [within_3se(
+        "isometry_within_3se", report.difference, report.mc_stderr,
+        report.quadrature_value, "quadrature",
+        f"MC {report.mc_estimate:.6f} vs quadrature "
+        f"{report.quadrature_value:.6f} "
+        f"(3*SE = {3.0 * report.mc_stderr:.2e})")]
     sections = {
         "isometry": {
             "mc_estimate": report.mc_estimate,

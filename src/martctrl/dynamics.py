@@ -346,14 +346,6 @@ class _ControlsOf(ControlPolicy):
         return self.trajectory.control_at(k)
 
 
-def _check_same_bundle(a, b, what):
-    if a is b:
-        return
-    if a.identity() != b.identity():
-        raise ValueError(f"{what} requires the same noise bundle "
-                         f"(got identities {a.identity()} vs {b.identity()})")
-
-
 def _euler(problem, policy, bundle, x, start, visit):
     """Euler steps from grid step ``start`` at state ``x``; returns X_T.
 
@@ -451,16 +443,17 @@ def stream_spiked(problem, base, spec, visit):
                   k0, visit)
 
 
-def integrate_variational(problem, optimal, bundle, spec):
+def integrate_variational(problem, optimal, spec):
     """First variation p of the state along a spike, on the frozen trajectory.
 
     p(t0) = F(t0, X(t0), v) - F(t0, X(t0), u(t0)), then
-    p_{k+1} = p_k + F_x(t_k, X_k, u_k) p_k dt + (G_x(t_k, X_k)[p_k]) dM_k.
-    Stored as zeros before the window start.  The result's controls are
-    the optimal trajectory's: its record, and after either run drops its
-    record, the optimal policy evaluated at X (never at p).
+    p_{k+1} = p_k + F_x(t_k, X_k, u_k) p_k dt + (G_x(t_k, X_k)[p_k]) dM_k,
+    driven by the optimal trajectory's own noise bundle.  Stored as zeros
+    before the window start; the result carries the bundle and ``spec``.
+    Its controls are the optimal trajectory's: its record, and after either
+    run drops its record, the optimal policy evaluated at X (never at p).
     """
-    _check_same_bundle(optimal.bundle, bundle, "variational run")
+    bundle = optimal.bundle
     grid = bundle.grid
     times = grid.times
     dt = grid.dt
@@ -488,14 +481,15 @@ def integrate_variational(problem, optimal, bundle, spec):
     return p_paths
 
 
-def integrate_zeta(problem, optimal, p_paths, spec):
-    """Scalar first variation of the running cost along the spike.
+def integrate_zeta(problem, optimal, p_paths):
+    """Scalar first variation of the running cost along p_paths' spike.
 
     zeta(t0) = ell(t0, X(t0), v) - ell(t0, X(t0), u(t0)), then
     zeta_{k+1} = zeta_k + <ell_x(t_k, X_k, u_k), p_k> dt.  Returns an array
     of shape (paths, steps + 1), zero before the window start.
     """
-    _check_same_bundle(optimal.bundle, p_paths.bundle, "zeta run")
+    optimal.bundle.require_same(p_paths.bundle, "zeta run")
+    spec = p_paths.spike
     grid = optimal.grid
     times = grid.times
     dt = grid.dt
@@ -606,96 +600,63 @@ def _rel_err(analytic, fd):
     return float(np.max(np.abs(analytic - fd))) / scale
 
 
-def _single(problem_fn, *args):
-    return np.asarray(problem_fn(*args), dtype=float)
+def _central_diff(fn, point, rel_step):
+    """Central differences of fn at a batch of one point, coordinate j last.
+
+    Entry j is (fn(z + s_j e_j) - fn(z - s_j e_j)) / (2 s_j) with the step
+    s_j = rel_step * max(1, |z_j|).
+    """
+    steps = rel_step * np.maximum(1.0, np.abs(point[0]))
+    cols = []
+    for j, step in enumerate(steps):
+        dz = np.zeros_like(point)
+        dz[0, j] = step
+        cols.append((np.asarray(fn(point + dz), dtype=float)
+                     - np.asarray(fn(point - dz), dtype=float)) / (2.0 * step))
+    return np.stack(cols, axis=-1)
 
 
 def finite_diff_check(problem, probes, rel_step=1e-5, tol=1e-4):
     """Check every analytic derivative at the probe points.
 
     ``probes`` is a sequence of (t, x, u) with 1-d x and u.  Central
-    differences use per-coordinate steps rel_step * max(1, |coord|).
-    Derivatives whose max relative error exceeds ``tol`` are flagged.
+    differences of F, G, ell and h, with steps rel_step * max(1, |coord|),
+    audit the derivatives independently: no analytic derivative enters
+    them.  Derivatives whose max relative error exceeds ``tol`` are
+    flagged; G_x is compared one direction at a time, each on its own scale.
     """
     n = problem.space.state_dim
     m = problem.space.control_dim
-    names = ("F_x", "F_u", "G_x", "ell_x", "ell_u", "h_x")
-    worst = {name: 0.0 for name in names}
+    worst = dict.fromkeys(("F_x", "F_u", "G_x", "ell_x", "ell_u", "h_x"), 0.0)
 
     count = 0
     for t, x, u in probes:
         count += 1
-        x = as_vector(x, dim=n, name="probe state")
-        u = as_vector(u, dim=m, name="probe control")
-        X = x[None, :]
-        U = u[None, :]
-        hx = rel_step * np.maximum(1.0, np.abs(x))
-        hu = rel_step * np.maximum(1.0, np.abs(u))
+        X = as_vector(x, dim=n, name="probe state")[None, :]
+        U = as_vector(u, dim=m, name="probe control")[None, :]
+        g_x = np.stack([np.asarray(problem.G_x(t, X, e[None]), dtype=float)
+                        for e in np.eye(n)], axis=-1)
+        # (name, analytic value, function of the perturbed point, the point
+        # it perturbs); batch axes of length one broadcast away
+        table = (
+            ("F_x", problem.F_x(t, X, U), lambda z: problem.F(t, z, U), X),
+            ("F_u", problem.F_u(t, X, U), lambda z: problem.F(t, X, z), U),
+            ("G_x", g_x, lambda z: problem.G(t, z), X),
+            ("ell_x", problem.ell_x(t, X, U),
+             lambda z: problem.ell(t, z, U), X),
+            ("ell_u", problem.ell_u(t, X, U),
+             lambda z: problem.ell(t, X, z), U),
+            ("h_x", problem.h_x(X), problem.h, X),
+        )
+        for name, analytic, fn, point in table:
+            an = np.asarray(analytic, dtype=float)
+            fd = _central_diff(fn, point, rel_step)
+            if name == "G_x":
+                err = max(_rel_err(an[..., j], fd[..., j]) for j in range(n))
+            else:
+                err = _rel_err(an, fd)
+            worst[name] = max(worst[name], err)
 
-        fx_an = np.asarray(problem.F_x(t, X, U), dtype=float)
-        if fx_an.ndim == 3:
-            fx_an = fx_an[0]
-        fx_fd = np.empty((n, n))
-        for j in range(n):
-            dx = np.zeros(n)
-            dx[j] = hx[j]
-            hi = _single(problem.F, t, X + dx, U)[0]
-            lo = _single(problem.F, t, X - dx, U)[0]
-            fx_fd[:, j] = (hi - lo) / (2.0 * hx[j])
-        worst["F_x"] = max(worst["F_x"], _rel_err(fx_an, fx_fd))
-
-        fu_an = np.asarray(problem.F_u(t, X, U), dtype=float)
-        if fu_an.ndim == 3:
-            fu_an = fu_an[0]
-        fu_fd = np.empty((n, m))
-        for j in range(m):
-            du = np.zeros(m)
-            du[j] = hu[j]
-            hi = _single(problem.F, t, X, U + du)[0]
-            lo = _single(problem.F, t, X, U - du)[0]
-            fu_fd[:, j] = (hi - lo) / (2.0 * hu[j])
-        worst["F_u"] = max(worst["F_u"], _rel_err(fu_an, fu_fd))
-
-        for j in range(n):
-            dx = np.zeros(n)
-            dx[j] = 1.0
-            gx_an = np.asarray(problem.G_x(t, X, dx[None, :]), dtype=float)
-            if gx_an.ndim == 3:
-                gx_an = gx_an[0]
-            hi = np.asarray(problem.G(t, X + hx[j] * dx), dtype=float)
-            lo = np.asarray(problem.G(t, X - hx[j] * dx), dtype=float)
-            if hi.ndim == 3:
-                hi, lo = hi[0], lo[0]
-            gx_fd = (hi - lo) / (2.0 * hx[j])
-            worst["G_x"] = max(worst["G_x"], _rel_err(gx_an, gx_fd))
-
-        lx_an = np.asarray(problem.ell_x(t, X, U), dtype=float)[0]
-        lx_fd = np.empty(n)
-        for j in range(n):
-            dx = np.zeros(n)
-            dx[j] = hx[j]
-            lx_fd[j] = (float(problem.ell(t, X + dx, U)[0])
-                        - float(problem.ell(t, X - dx, U)[0])) / (2.0 * hx[j])
-        worst["ell_x"] = max(worst["ell_x"], _rel_err(lx_an, lx_fd))
-
-        lu_an = np.asarray(problem.ell_u(t, X, U), dtype=float)[0]
-        lu_fd = np.empty(m)
-        for j in range(m):
-            du = np.zeros(m)
-            du[j] = hu[j]
-            lu_fd[j] = (float(problem.ell(t, X, U + du)[0])
-                        - float(problem.ell(t, X, U - du)[0])) / (2.0 * hu[j])
-        worst["ell_u"] = max(worst["ell_u"], _rel_err(lu_an, lu_fd))
-
-        hx_an = np.asarray(problem.h_x(X), dtype=float)[0]
-        hx_fd = np.empty(n)
-        for j in range(n):
-            dx = np.zeros(n)
-            dx[j] = hx[j]
-            hx_fd[j] = (float(problem.h(X + dx)[0])
-                        - float(problem.h(X - dx)[0])) / (2.0 * hx[j])
-        worst["h_x"] = max(worst["h_x"], _rel_err(hx_an, hx_fd))
-
-    flagged = tuple(name for name in names if worst[name] > tol)
+    flagged = tuple(name for name, err in worst.items() if err > tol)
     return DerivativeReport(max_rel_error=worst, flagged=flagged, tol=tol,
                             probes=count)

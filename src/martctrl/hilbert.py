@@ -8,8 +8,7 @@ positive semi-definite matrices; square roots are taken by symmetric
 eigendecomposition with eigenvalue clamping because covariance rates of
 rank-deficient drivers make Cholesky unusable.
 
-All functions are pure.  The tolerances below are module defaults and every
-operation accepts per-call overrides.
+All functions are pure.  The tolerances below are fixed module constants.
 """
 
 from __future__ import annotations
@@ -67,13 +66,13 @@ def as_operator(a, rows=None, cols=None, name="operator"):
     return m
 
 
-def check_covariance(c, sym_rtol=SYMMETRY_RTOL, eig_rtol=EIGENVALUE_RTOL,
-                     name="covariance"):
+def check_covariance(c, name="covariance"):
     """Validate a covariance operator and return its eigendecomposition.
 
-    Symmetry is required up to ``sym_rtol`` relative to the largest entry;
-    eigenvalues are required to be >= -eig_rtol * lambda_max.  Returns the
-    pair (eigenvalues, eigenvectors) with negative values clamped to zero.
+    Symmetry is required up to SYMMETRY_RTOL relative to the largest entry;
+    eigenvalues are required to be >= -EIGENVALUE_RTOL * lambda_max.
+    Returns the pair (eigenvalues, eigenvectors) with negative values
+    clamped to zero.
     """
     m = as_operator(c, name=name)
     if m.shape[0] != m.shape[1]:
@@ -81,15 +80,17 @@ def check_covariance(c, sym_rtol=SYMMETRY_RTOL, eig_rtol=EIGENVALUE_RTOL,
     scale = float(np.max(np.abs(m))) if m.size else 0.0
     if scale > 0.0:
         defect = float(np.max(np.abs(m - m.T)))
-        if defect > sym_rtol * scale:
+        if defect > SYMMETRY_RTOL * scale:
             raise ValueError(
                 f"{name} is not symmetric: max |C - C^T| = {defect:.3e} "
-                f"exceeds {sym_rtol:.1e} * max|C| = {sym_rtol * scale:.3e}")
+                f"exceeds {SYMMETRY_RTOL:.1e} * max|C| = "
+                f"{SYMMETRY_RTOL * scale:.3e}")
     w, v = np.linalg.eigh(m)
     lam_max = max(float(w[-1]), 0.0)
     # Floor keeps the all-zero / numerically-singular cases from tripping on
     # pure roundoff.
-    neg_tol = eig_rtol * max(lam_max, 64.0 * np.finfo(float).eps * scale)
+    neg_tol = EIGENVALUE_RTOL * max(lam_max,
+                                    64.0 * np.finfo(float).eps * scale)
     if float(w[0]) < -neg_tol:
         raise ValueError(
             f"{name} has negative eigenvalue {float(w[0]):.3e} below the "
@@ -97,14 +98,14 @@ def check_covariance(c, sym_rtol=SYMMETRY_RTOL, eig_rtol=EIGENVALUE_RTOL,
     return np.clip(w, 0.0, None), v
 
 
-def psd_sqrt(c, sym_rtol=SYMMETRY_RTOL, eig_rtol=EIGENVALUE_RTOL):
+def psd_sqrt(c):
     """Symmetric PSD square root via eigendecomposition with clamping.
 
     Rejects non-symmetric input and eigenvalues below the clamping band;
     the returned root S is symmetric PSD with S @ S == C up to SQRT_RTOL
     in relative Frobenius norm.
     """
-    w, v = check_covariance(c, sym_rtol=sym_rtol, eig_rtol=eig_rtol)
+    w, v = check_covariance(c)
     return (v * np.sqrt(w)) @ v.T
 
 

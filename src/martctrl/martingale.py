@@ -275,6 +275,13 @@ class NoiseBundle:
     def identity(self):
         return (int(self.seed), self.paths, self.steps, self.dim)
 
+    def require_same(self, other, what):
+        """Raise ValueError naming ``what`` unless ``other`` is this noise."""
+        if other.identity() != self.identity():
+            raise ValueError(f"{what} requires one noise bundle (got "
+                             f"identities {self.identity()} vs "
+                             f"{other.identity()})")
+
     def save(self, path):
         """Write the documented flat binary layout (header + float64 body)."""
         header = _HEADER_STRUCT.pack(self.dim, self.steps, self.paths,

@@ -31,9 +31,9 @@ import numpy as np
 from .adjoint import (AdjointSolution, HamiltonianArgs, RegressionBasis,
                       duality_check, hamiltonian, solve_adjoint_explicit,
                       solve_adjoint_lsmc)
-from .dynamics import (BoxSet, ControlProblem, ControlPolicy, FeedbackPolicy,
-                       OpenLoopPolicy, SpikeSpec, TrajectoryBundle,
-                       evaluate_cost, integrate_forward, integrate_variational,
+from .dynamics import (BoxSet, ControlProblem, FeedbackPolicy, OpenLoopPolicy,
+                       SpikeSpec, TrajectoryBundle, evaluate_cost,
+                       integrate_forward, integrate_variational,
                        integrate_zeta, sample_controls, spiked_cost,
                        stream_spiked)
 from .hilbert import SpaceConfig
@@ -43,18 +43,19 @@ from .martingale import (MartingaleDriver, PathGrid, ScalarIntensity,
 
 @dataclass
 class CandidatePair:
-    """A control policy with its trajectories and adjoint pair, all coupled."""
+    """Trajectories of a control policy and the adjoint pair along them.
 
-    policy: ControlPolicy
+    The policy is ``trajectories.policy``; ``adjoint`` may be None where
+    no adjoint applies, and otherwise was solved on the same noise bundle.
+    """
+
     trajectories: TrajectoryBundle
-    adjoint: AdjointSolution
+    adjoint: AdjointSolution | None
 
     def __post_init__(self):
-        adj_traj = getattr(self.adjoint, "trajectories", None)
-        if adj_traj is not None and adj_traj.bundle.identity() \
-                != self.trajectories.bundle.identity():
-            raise ValueError("adjoint pair was solved on a different noise "
-                             "bundle than the candidate trajectories")
+        if self.adjoint is not None:
+            self.trajectories.bundle.require_same(
+                self.adjoint.trajectories.bundle, "candidate adjoint pair")
 
 
 @dataclass(frozen=True)
@@ -62,6 +63,23 @@ class Assertion:
     name: str
     passed: bool
     detail: str = ""
+
+
+def within_3se(name, difference, stderr, target, label, detail):
+    """Assertion that |difference| <= 3 SE, never passed vacuously.
+
+    Agreement within 3 SE says nothing once 3 SE dwarfs the scale of the
+    target value: the verdict then fails, its detail starting with
+    ``inconclusive``, when 3 SE exceeds half of max(1, |target|).
+    ``label`` names the target in that detail.
+    """
+    scale = max(1.0, abs(target))
+    informative = 3.0 * stderr <= 0.5 * scale
+    if not informative:
+        detail = (f"inconclusive: 3*SE exceeds half of max(1, |{label}|) = "
+                  f"{scale:.2e}; {detail}")
+    return Assertion(name=name, detail=detail,
+                     passed=informative and abs(difference) <= 3.0 * stderr)
 
 
 @dataclass
@@ -129,11 +147,9 @@ def necessary_check(problem, driver, candidate, probes=None, sample_times=20,
     for i, k in enumerate(t_idx):
         t = times[k]
         xs = traj.states[p_idx, k, :]
-        y = candidate.adjoint.y_at(k)
-        ys = np.broadcast_to(y, (traj.paths, y.shape[1]))[p_idx] \
-            if y.shape[0] == 1 else y[p_idx]
+        ys = candidate.adjoint.y_at(k)[p_idx]
         zq = candidate.adjoint.z_at(k, states=xs) @ driver.cov_rate_sqrt(t)
-        u_star = candidate.policy.controls_at(k, t, xs)
+        u_star = traj.policy.controls_at(k, t, xs)
         h_star = hamiltonian(problem, driver,
                              HamiltonianArgs(t=t, x=xs, u=u_star, y=ys, zq=zq))
         xr = np.repeat(xs, n_v, axis=0)
@@ -231,9 +247,7 @@ def sufficient_check(problem, driver, candidate, pairs=1000, seed=77,
         t = grid.times[k]
         p_sel = rng.integers(0, traj.paths, size=per_time)
         xs = traj.states[p_sel, k, :]
-        y = candidate.adjoint.y_at(k)
-        ys = np.broadcast_to(y, (traj.paths, y.shape[1]))[p_sel] \
-            if y.shape[0] == 1 else y[p_sel]
+        ys = candidate.adjoint.y_at(k)[p_sel]
         zq = candidate.adjoint.z_at(k, states=xs) @ driver.cov_rate_sqrt(t)
         x1 = draw_states(per_time)
         x2 = draw_states(per_time)
@@ -292,19 +306,18 @@ class GateauxReport:
 
 
 def gateaux_check(problem, candidate, spec, eps_list=(0.05, 0.025),
-                  bias_fraction=0.1, p_paths=None, zeta=None):
+                  bias_fraction=0.1, p_paths=None):
     """Spike difference quotient of the cost vs E[<h_x(X_T), p(T)> + zeta(T)].
 
     All runs share the candidate's noise bundle (common random numbers);
     per eps, agreement requires |mean difference| <= 3 * SE(paired diff) +
-    bias_fraction * eps * |first-variation value|.  ``p_paths`` and ``zeta``
-    are injectable for fault-detection self-tests.
+    bias_fraction * eps * |first-variation value|.  ``p_paths`` is
+    injectable for fault-detection self-tests.
     """
     traj = candidate.trajectories
     if p_paths is None:
-        p_paths = integrate_variational(problem, traj, traj.bundle, spec)
-    if zeta is None:
-        zeta = integrate_zeta(problem, traj, p_paths, spec)
+        p_paths = integrate_variational(problem, traj, spec)
+    zeta = integrate_zeta(problem, traj, p_paths)
     grid = traj.grid
     hx = np.asarray(problem.h_x(traj.states[:, -1, :]), dtype=float)
     adj_pp = np.einsum("pi,pi->p", hx, p_paths.states[:, -1, :]) + zeta[:, -1]
@@ -368,7 +381,7 @@ def rate_experiments(problem, candidate, t0, v,
     ladder = np.sort(np.asarray(eps_ladder, dtype=float))[::-1]
     spec_max = SpikeSpec(t0=float(t0), eps=float(ladder[0]), v=v)
     if p_paths is None:
-        p_paths = integrate_variational(problem, traj, traj.bundle, spec_max)
+        p_paths = integrate_variational(problem, traj, spec_max)
     p_term = p_paths.states[:, -1, :]
 
     esup = np.empty(ladder.size)
@@ -542,15 +555,11 @@ def example1_candidate(cfg, with_adjoint=True):
         policy = named_feedback(cfg.feedback, u_star, cfg.control_dim)
     else:
         policy = OpenLoopPolicy.constant(u_star, grid.steps)
-    x0 = np.asarray(cfg.x0, dtype=float)
-    trajectories = integrate_forward(problem, policy, bundle, x0)
-    adjoint = None
-    if with_adjoint:
-        adjoint = solve_adjoint_explicit(
-            problem, driver, grid,
-            probe_scale=max(1.0, float(np.max(np.abs(x0)))))
-    candidate = CandidatePair(policy=policy, trajectories=trajectories,
-                              adjoint=adjoint)
+    trajectories = integrate_forward(problem, policy, bundle,
+                                     np.asarray(cfg.x0, dtype=float))
+    adjoint = solve_adjoint_explicit(problem, driver, trajectories) \
+        if with_adjoint else None
+    candidate = CandidatePair(trajectories=trajectories, adjoint=adjoint)
     return problem, driver, grid, u_star, candidate
 
 
@@ -607,14 +616,12 @@ def default_spike_family(grid, u_star, control_set, count=20, seed=0,
 
 @dataclass
 class Example1Result:
+    """Scenario-1 outcome; the trajectories and adjoint are the candidate's."""
+
     report: ScenarioReport
     problem: ControlProblem
     driver: MartingaleDriver
     grid: PathGrid
-    bundle: object
-    policy: ControlPolicy
-    trajectories: TrajectoryBundle
-    adjoint: AdjointSolution
     candidate: CandidatePair
     cost: object
     analytic_cost: float
@@ -664,19 +671,11 @@ def run_example1(cfg=None):
         problem, driver, candidate, pairs=cfg.convexity_pairs,
         seed=cfg.seed + 3, margin_report=margin_report)
 
-    assertions = []
     delta = abs(cost.mean - analytic)
-    detail = (f"|{cost.mean:.6f} - {analytic:.6f}| = {delta:.2e} "
-              f"vs 3*SE = {3.0 * cost.stderr:.2e}")
-    # agreement within 3 SE says nothing once 3 SE dwarfs the target scale
-    scale = max(1.0, abs(analytic))
-    informative = 3.0 * cost.stderr <= 0.5 * scale
-    if not informative:
-        detail = (f"inconclusive: 3*SE exceeds half of max(1, |analytic|) = "
-                  f"{scale:.2e}; {detail}")
-    assertions.append(Assertion(
-        name="cost_matches_analytic",
-        passed=informative and delta <= 3.0 * cost.stderr, detail=detail))
+    assertions = [within_3se(
+        "cost_matches_analytic", delta, cost.stderr, analytic, "analytic",
+        f"|{cost.mean:.6f} - {analytic:.6f}| = {delta:.2e} "
+        f"vs 3*SE = {3.0 * cost.stderr:.2e}")]
     worst_gap = min((s.gap + 3.0 * s.se for s in spikes), default=0.0)
     assertions.append(Assertion(
         name="spike_costs_dominate",
@@ -746,12 +745,9 @@ def run_example1(cfg=None):
                 "hamiltonian_margins": (margin_header, margin_rows)})
     return Example1Result(
         report=report, problem=problem, driver=driver, grid=grid,
-        bundle=trajectories.bundle, policy=candidate.policy,
-        trajectories=trajectories, adjoint=candidate.adjoint,
-        candidate=candidate, cost=cost,
-        analytic_cost=analytic, u_star=u_star, spikes=spikes,
-        margin_report=margin_report, sufficiency=sufficiency,
-        core_seconds=core_seconds)
+        candidate=candidate, cost=cost, analytic_cost=analytic,
+        u_star=u_star, spikes=spikes, margin_report=margin_report,
+        sufficiency=sufficiency, core_seconds=core_seconds)
 
 
 # ---------------------------------------------------------------------------
@@ -861,9 +857,7 @@ def stationarity_residual(problem, trajectories, adjoint):
     for k in range(grid.steps):
         xk = trajectories.states[:, k, :]
         uk = trajectories.control_at(k)
-        y = adjoint.y_at(k)
-        yk = np.broadcast_to(y, (xk.shape[0], y.shape[1])) \
-            if y.shape[0] == 1 else y
+        yk = adjoint.y_at(k)
         fu = np.asarray(problem.F_u(times[k], xk, uk), dtype=float)
         if fu.ndim == 2:
             futy = yk @ fu
@@ -879,7 +873,8 @@ def stationarity_residual(problem, trajectories, adjoint):
 
 @dataclass
 class SweepRecord:
-    policy: ControlPolicy
+    """One policy-improvement sweep; its policy is ``trajectories.policy``."""
+
     trajectories: TrajectoryBundle
     adjoint: AdjointSolution
     cost: object
@@ -889,11 +884,12 @@ class SweepRecord:
 
 @dataclass
 class Example2Result:
+    """Scenario-2 outcome; every sweep ran on the noise bundle of sweep 0."""
+
     report: ScenarioReport
     problem: ControlProblem
     driver: MartingaleDriver
     grid: PathGrid
-    bundle: object
     sweeps: list
     duality: object | None
 
@@ -946,9 +942,8 @@ def run_example2(cfg=None):
         # nothing reads this record again: later sweeps call the policy
         # at their own states
         trajectories.drop_controls()
-        sweeps.append(SweepRecord(policy=policy, trajectories=trajectories,
-                                  adjoint=adjoint, cost=cost,
-                                  residual=residual,
+        sweeps.append(SweepRecord(trajectories=trajectories, adjoint=adjoint,
+                                  cost=cost, residual=residual,
                                   residual_per_step=per_step))
         if s < cfg.sweeps:
             policy = _improvement_policy(adjoint, c_op, r_inv, grid)
@@ -958,10 +953,9 @@ def run_example2(cfg=None):
         spec = SpikeSpec(t0=cfg.duality_t0, eps=cfg.duality_eps,
                          v=np.asarray(cfg.duality_v, dtype=float))
         first = sweeps[0]
-        p_paths = integrate_variational(problem, first.trajectories, bundle,
-                                        spec)
-        duality = duality_check(problem, driver, first.trajectories,
-                                first.adjoint, spec, p_paths)
+        p_paths = integrate_variational(problem, first.trajectories, spec)
+        duality = duality_check(problem, first.trajectories, first.adjoint,
+                                p_paths)
 
     assertions = []
     cost_ok = True
@@ -1018,5 +1012,4 @@ def run_example2(cfg=None):
         tables={"sweeps": (["sweep", "cost", "cost_stderr",
                             "stationarity_residual"], sweep_rows)})
     return Example2Result(report=report, problem=problem, driver=driver,
-                          grid=grid, bundle=bundle, sweeps=sweeps,
-                          duality=duality)
+                          grid=grid, sweeps=sweeps, duality=duality)

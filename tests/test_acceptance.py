@@ -51,7 +51,7 @@ def stationary_candidate(drift_gain, seed):
     policy = OpenLoopPolicy.constant(u_star, grid.steps)
     traj = integrate_forward(problem, policy, bundle,
                              np.asarray(cfg.x0, dtype=float))
-    candidate = CandidatePair(policy=policy, trajectories=traj, adjoint=None)
+    candidate = CandidatePair(trajectories=traj, adjoint=None)
     return problem, driver, grid, u_star, candidate
 
 
@@ -183,11 +183,10 @@ def test_criterion_07_isometry_quadrature():
 def test_criterion_08_duality_both_examples(example1_full, example2_full):
     result, _ = example1_full
     spec = SpikeSpec(t0=0.3, eps=0.1, v=np.array([0.65, 0.45]))
-    p_paths = integrate_variational(result.problem, result.trajectories,
-                                    result.bundle, spec)
-    explicit = duality_check(result.problem, result.driver,
-                             result.trajectories, result.adjoint, spec,
-                             p_paths)
+    optimal = result.candidate.trajectories
+    p_paths = integrate_variational(result.problem, optimal, spec)
+    explicit = duality_check(result.problem, optimal,
+                             result.candidate.adjoint, p_paths)
     # with the constant costate the right side is exact: <c, F~ (v - u*)>
     assert explicit.rhs == pytest.approx(0.75, abs=1e-10)
     assert explicit.se_rhs == 0.0

@@ -146,13 +146,20 @@ def test_regression_basis_features():
 
 
 def test_explicit_adjoint_on_constant_gradient_problem():
-    cfg, problem, driver, grid, _, _, _, _ = example1_setup(steps=20, paths=4)
-    adj = solve_adjoint_explicit(problem, driver, grid)
+    cfg, problem, driver, grid, _, _, _, traj = example1_setup(steps=20,
+                                                               paths=4)
+    adj = solve_adjoint_explicit(problem, driver, traj)
     c = np.asarray(EXAMPLE1_C)
     assert adj.method == "explicit"
     assert adj.n_is_zero
     assert adj.n_residual_ratio == 0.0
-    assert np.allclose(adj.y_at(10), c)
+    assert adj.trajectories is traj
+    # one row per path, each exactly the terminal gradient, held as a
+    # read-only view of that one row
+    for k in (0, 10, grid.steps):
+        assert adj.y_at(k).shape == (4, 4)
+        assert np.array_equal(adj.y_at(k), np.tile(c, (4, 1)))
+    assert not adj.Y.flags.writeable
     assert np.allclose(adj.z_at(10), 0.0)
     ys = adj.y_eval(3, np.random.default_rng(0).standard_normal((7, 4)))
     assert ys.shape == (7, 4)
@@ -160,17 +167,17 @@ def test_explicit_adjoint_on_constant_gradient_problem():
 
 
 def test_explicit_adjoint_refuses_state_dependent_terminal_cost():
-    _, problem, driver, grid, _, _, _ = example2_setup(steps=10, paths=4)
+    _, problem, driver, grid, _, _, traj = example2_setup(steps=10, paths=4)
     with pytest.raises(ValueError, match="does not apply"):
-        solve_adjoint_explicit(problem, driver, grid)
+        solve_adjoint_explicit(problem, driver, traj)
 
 
 def test_explicit_adjoint_refuses_nonvanishing_gradient():
     # bounded nonlinearity in the drift makes grad_x H nonzero at Z = 0
-    cfg, problem, driver, grid, _, _, _, _ = example1_setup(
+    cfg, problem, driver, grid, _, _, _, traj = example1_setup(
         steps=10, paths=4, drift_gain=0.25)
     with pytest.raises(ValueError, match="does not apply"):
-        solve_adjoint_explicit(problem, driver, grid)
+        solve_adjoint_explicit(problem, driver, traj)
 
 
 def test_lsmc_reproduces_constant_adjoint_exactly():
@@ -264,10 +271,10 @@ def test_duality_identity_example1_frozen_value():
     # Y = c and ell_x = 0 make both sides equal <c, F_tilde (v - u*)>
     cfg, problem, driver, grid, u_star, bundle, pol, traj = example1_setup(
         steps=200, paths=8000, seed=555)
-    adj = solve_adjoint_explicit(problem, driver, grid)
+    adj = solve_adjoint_explicit(problem, driver, traj)
     spec = SpikeSpec(t0=0.3, eps=0.1, v=np.array([0.65, 0.45]))
-    p_paths = integrate_variational(problem, traj, bundle, spec)
-    rep = duality_check(problem, driver, traj, adj, spec, p_paths)
+    p_paths = integrate_variational(problem, traj, spec)
+    rep = duality_check(problem, traj, adj, p_paths)
     c = np.asarray(EXAMPLE1_C)
     f_tilde = np.asarray(EXAMPLE1_F_TILDE)
     analytic = float(c @ f_tilde @ (spec.v - u_star))
@@ -281,11 +288,11 @@ def test_duality_identity_example1_frozen_value():
 def test_duality_check_requires_shared_bundle():
     cfg, problem, driver, grid, u_star, bundle, pol, traj = example1_setup(
         steps=20, paths=16)
-    adj = solve_adjoint_explicit(problem, driver, grid)
+    adj = solve_adjoint_explicit(problem, driver, traj)
     spec = SpikeSpec(t0=0.25, eps=0.1, v=np.array([0.6, 0.4]))
     other_bundle = sample_increments(driver, grid, 16, seed=1234)
     other_traj = integrate_forward(problem, pol, other_bundle,
                                    np.asarray(cfg.x0))
-    p_other = integrate_variational(problem, other_traj, other_bundle, spec)
+    p_other = integrate_variational(problem, other_traj, spec)
     with pytest.raises(ValueError, match="noise bundle"):
-        duality_check(problem, driver, traj, adj, spec, p_other)
+        duality_check(problem, traj, adj, p_other)

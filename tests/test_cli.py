@@ -7,11 +7,13 @@ import subprocess
 import sys
 import tempfile
 import textwrap
+import warnings
+from datetime import timedelta
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
 import martctrl
 from martctrl import cli
@@ -390,6 +392,101 @@ def test_defaults_written_out_change_nothing(scenario, data):
     assert cfg.config_hash() == base.config_hash()
 
 
+_NUMBERS = (0.0, 0.125, 0.25, 0.5, 1.0, 2.0)
+# Spike start and width keys, with the fewest widths each lists.  Their
+# values are always drawn, on the run's grid and with start + width within
+# the horizon: their defaults and most random numbers miss a tiny grid.
+_SPIKE_STARTS = ("t0", "duality_t0")
+_SPIKE_WIDTHS = {"duality_eps": None, "eps_list": 1, "eps_ladder": 2}
+_ALWAYS_DRAWN = ("steps", "paths", *_SPIKE_STARTS, *_SPIKE_WIDTHS)
+
+
+def _number(positive=False, nonnegative=False):
+    values = st.sampled_from([v for v in _NUMBERS if v > 0.0 or not positive])
+    if positive or nonnegative:
+        return values
+    return st.tuples(st.sampled_from((1.0, -1.0)), values).map(
+        lambda pair: pair[0] * pair[1])
+
+
+def _joined(values):
+    return ", ".join(map(repr, values))
+
+
+def _value_text(key, parse, dt, steps):
+    """Text of one value from a small part of ``parse``'s domain."""
+    func = getattr(parse, "func", parse)
+    kw = getattr(parse, "keywords", {})
+    if key == "steps":
+        return st.integers(1, 8).map(str)
+    if key == "paths":
+        return st.integers(2, 200).map(str)
+    if key in _SPIKE_STARTS:
+        return st.integers(0, steps // 2).map(lambda k: repr(k * dt))
+    if key in _SPIKE_WIDTHS:
+        most = steps - steps // 2
+        widths = st.integers(1, most).map(lambda k: k * dt)
+        if _SPIKE_WIDTHS[key] is None:
+            return widths.map(repr)
+        return st.lists(widths, min_size=min(_SPIKE_WIDTHS[key], most),
+                        max_size=min(3, most), unique=True).map(_joined)
+    if func is cli._parse_int:
+        if "choices" in kw:
+            return st.sampled_from(sorted(kw["choices"])).map(str)
+        return st.integers(kw["minimum"], kw["minimum"] + 5).map(str)
+    if func is cli._parse_float:
+        return _number(**kw).map(repr)
+    if func is cli._parse_bool:
+        return st.sampled_from(sorted(cli._BOOL_WORDS))
+    if func is cli._parse_enum:
+        return st.sampled_from(kw["choices"])
+    if func is cli._parse_floats:
+        length = kw.get("length")
+        return st.lists(_number(positive=kw.get("positive", False)),
+                        min_size=length or 1, max_size=length or 3).map(
+            _joined)
+    raise AssertionError(f"no strategy for the parser of {key}")
+
+
+@pytest.mark.parametrize("scenario", SCENARIOS)
+@settings(max_examples=20, deadline=timedelta(seconds=30),
+          derandomize=True, database=None)
+@given(data=st.data())
+def test_every_validated_config_ends_with_a_manifest(scenario, data):
+    schema = SCHEMAS[scenario]
+    drawn = {key: default for key, _, default in schema.run}
+    lines = []
+    for section, entries in (("run", schema.run), (scenario, schema.options)):
+        lines.append(f"[{section}]")
+        if section == "run":
+            lines.append(f"scenario = {scenario}")
+        for key, parse, _ in entries:
+            if key == "output_dir":
+                continue
+            if key in _ALWAYS_DRAWN or data.draw(st.booleans()):
+                text = data.draw(_value_text(
+                    key, parse, drawn["horizon"] / drawn["steps"],
+                    drawn["steps"]))
+                lines.append(f"{key} = {text}")
+                if section == "run":
+                    drawn[key] = parse(text)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "run.ini"
+        path.write_text("\n".join(lines) + "\n")
+        try:
+            cfg = parse_config(path)
+        except ConfigError:
+            event("config error")
+            return
+        out = Path(tmp) / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            code = run(cfg, output_dir=out, verbosity=0)
+        event(f"exit {code}")
+        assert code in (EXIT_OK, EXIT_ASSERTION, EXIT_NUMERICAL)
+        assert (out / "manifest.txt").is_file()
+
+
 def test_config_hash_ignores_execution_only_keys(tmp_path):
     base = parse_config(write_config(tmp_path, """\
         [run]
@@ -441,6 +538,22 @@ def test_run_isometry_small_exit_zero(tmp_path):
     # trapezoid quadrature of the linear intensity is exact
     assert float(rows[0][1]) == pytest.approx(1.640625, abs=1e-12)
     assert "passed = true" in (out / "report.txt").read_text()
+
+
+def test_isometry_with_huge_se_is_inconclusive(tmp_path):
+    # 3*SE = 3.48 against a quadrature value of 1.64: agreement within
+    # 3 SE would say nothing
+    cfg = parse_config(write_config(tmp_path, """\
+        [run]
+        scenario = isometry
+        steps = 1
+        paths = 2
+        """))
+    out = tmp_path / "out"
+    assert run(cfg, output_dir=out, verbosity=0) == EXIT_ASSERTION
+    report = (out / "report.txt").read_text()
+    assert "isometry_within_3se = FAIL" in report
+    assert "detail = inconclusive: 3*SE exceeds half" in report
 
 
 def test_run_pmp_check_zero_schedule_exit_one(tmp_path):
@@ -584,6 +697,38 @@ RERUN_CONFIGS = {
         steps = 80
         paths = 600
         """, ("rates.csv", "report.txt")),
+    "example2": ("""\
+        [run]
+        scenario = example2
+        steps = 20
+        paths = 600
+        dump_trajectories = 2
+
+        [example2]
+        sweeps = 2
+        """, ("sweeps.csv", "trajectories.csv", "report.txt")),
+    "sufficiency": ("""\
+        [run]
+        scenario = sufficiency
+        steps = 40
+        paths = 300
+
+        [sufficiency]
+        pairs = 200
+        """, ("sufficiency.csv", "report.txt")),
+    "isometry": ("""\
+        [run]
+        scenario = isometry
+        steps = 40
+        paths = 500
+        """, ("isometry.csv", "report.txt")),
+    "derivative-check": ("""\
+        [run]
+        scenario = derivative-check
+
+        [derivative-check]
+        probes = 5
+        """, ("derivatives.csv", "report.txt")),
 }
 
 

@@ -191,7 +191,7 @@ def test_recorded_controls_equal_fresh_policy_evaluation():
                               np.broadcast_to(spec.v, (cfg.paths, 2)))
 
     # the variational run reads, and carries, the optimal run's record
-    p = integrate_variational(problem, feedback, bundle, spec)
+    p = integrate_variational(problem, feedback, spec)
     assert p.recorded is feedback.recorded
 
     # without a record the same values come from the policy again
@@ -206,7 +206,7 @@ def test_recorded_controls_equal_fresh_policy_evaluation():
         problem, FeedbackPolicy(fn=lambda t, x: -0.1 * x[:, :2]), bundle, x0)
     expected = linear.controls()
     linear.drop_controls()
-    q = integrate_variational(problem, linear, bundle, spec)
+    q = integrate_variational(problem, linear, spec)
     assert np.array_equal(q.controls(), expected)
     q.drop_controls()
     assert np.array_equal(q.controls(), expected)
@@ -324,25 +324,12 @@ def test_variational_kick_and_constant_propagation():
     traj = integrate_forward(problem, pol, bundle, np.zeros(dim))
     v = np.array([0.9, -0.3])
     spec = SpikeSpec(t0=0.5, eps=0.1, v=v)
-    p = integrate_variational(problem, traj, bundle, spec)
+    p = integrate_variational(problem, traj, spec)
     k0, _ = spec.window(grid)
     assert np.array_equal(p.states[:, :k0, :], np.zeros_like(p.states[:, :k0, :]))
     kick = v - u  # F(x, v) - F(x, u) for F = drift + u
     assert np.allclose(p.states[:, k0, :], kick, atol=1e-12)
     assert np.allclose(p.states[:, -1, :], kick, atol=1e-12)
-
-
-def test_variational_requires_same_bundle():
-    problem = constant_g_problem()
-    driver = make_driver()
-    grid = PathGrid(horizon=1.0, steps=10)
-    bundle = sample_increments(driver, grid, paths=4, seed=1)
-    other = sample_increments(driver, grid, paths=4, seed=2)
-    pol = OpenLoopPolicy.constant(np.zeros(2), grid.steps)
-    traj = integrate_forward(problem, pol, bundle, np.zeros(2))
-    spec = SpikeSpec(t0=0.5, eps=0.1, v=np.ones(2))
-    with pytest.raises(ValueError, match="noise bundle"):
-        integrate_variational(problem, traj, other, spec)
 
 
 def test_zeta_for_control_only_running_cost():
@@ -354,8 +341,8 @@ def test_zeta_for_control_only_running_cost():
     traj = integrate_forward(problem, pol, bundle, np.asarray(cfg.x0))
     v = np.array([0.4, 0.9])
     spec = SpikeSpec(t0=0.25, eps=0.1, v=v)
-    p = integrate_variational(problem, traj, bundle, spec)
-    zeta = integrate_zeta(problem, traj, p, spec)
+    p = integrate_variational(problem, traj, spec)
+    zeta = integrate_zeta(problem, traj, p)
     jump = float(v @ v - u_star @ u_star)
     k0, _ = spec.window(grid)
     assert np.allclose(zeta[:, :k0], 0.0)

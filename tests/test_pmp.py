@@ -24,9 +24,9 @@ def candidate_for(cfg, policy=None, with_adjoint=True):
     pol = policy if policy is not None \
         else OpenLoopPolicy.constant(u_star, grid.steps)
     traj = integrate_forward(problem, pol, bundle, np.asarray(cfg.x0))
-    adj = solve_adjoint_explicit(problem, driver, grid) if with_adjoint \
+    adj = solve_adjoint_explicit(problem, driver, traj) if with_adjoint \
         else None
-    cand = CandidatePair(policy=pol, trajectories=traj, adjoint=adj)
+    cand = CandidatePair(trajectories=traj, adjoint=adj)
     return problem, driver, grid, u_star, bundle, cand
 
 
@@ -140,7 +140,7 @@ def test_gateaux_check_agreement_and_fault_detection():
     # doubled first variation must be flagged
     from martctrl.dynamics import integrate_variational
     import dataclasses
-    p = integrate_variational(problem, cand.trajectories, bundle, spec)
+    p = integrate_variational(problem, cand.trajectories, spec)
     wrong = dataclasses.replace(p, states=2.0 * p.states)
     bad = gateaux_check(problem, cand, spec, eps_list=(0.05, 0.025),
                         p_paths=wrong)
@@ -161,7 +161,7 @@ def test_rate_experiments_pass_and_fault_detection():
     from martctrl.dynamics import integrate_variational
     import dataclasses
     spec = SpikeSpec(t0=0.25, eps=0.2, v=np.array([0.65, 0.45]))
-    p = integrate_variational(problem, cand.trajectories, bundle, spec)
+    p = integrate_variational(problem, cand.trajectories, spec)
     wrong = dataclasses.replace(p, states=2.0 * p.states)
     bad = rate_experiments(problem, cand, t0=0.25, v=np.array([0.65, 0.45]),
                            p_paths=wrong)
@@ -177,7 +177,7 @@ def test_rate_experiments_match_stored_spiked_states():
     rep = rate_experiments(problem, cand, t0=0.25, v=v, eps_ladder=ladder)
     # the same statistics from stored spiked states, step by step
     traj = cand.trajectories
-    p_term = integrate_variational(problem, traj, bundle,
+    p_term = integrate_variational(problem, traj,
                                    SpikeSpec(t0=0.25, eps=0.2, v=v)).states[:, -1]
     for i, eps in enumerate(ladder):
         spec = SpikeSpec(t0=0.25, eps=eps, v=v)
@@ -249,7 +249,12 @@ def test_candidate_pair_rejects_mismatched_bundles():
                                sample_increments(driver2, grid2, 300, seed=5),
                                np.asarray(cfg2.x0))
     with pytest.raises(ValueError, match="bundle"):
-        CandidatePair(policy=pol2, trajectories=other2, adjoint=adj2)
+        CandidatePair(trajectories=other2, adjoint=adj2)
+    # the explicit route is solved along trajectories too
+    adj_a = solve_adjoint_explicit(problem, driver, traj_a)
+    assert CandidatePair(trajectories=traj_a, adjoint=adj_a).adjoint is adj_a
+    with pytest.raises(ValueError, match="bundle"):
+        CandidatePair(trajectories=traj_b, adjoint=adj_a)
 
 
 def test_run_example1_small_scale_report():
@@ -331,15 +336,17 @@ def test_example2_sweep_records_fresh_policy_controls():
                          run_duality=False)
     result = run_example2(cfg)
     sweep = result.sweeps[1]
-    assert isinstance(sweep.policy, FeedbackPolicy)
+    policy = sweep.trajectories.policy
+    assert isinstance(policy, FeedbackPolicy)
     # finished sweeps release their record
     assert sweep.trajectories.recorded is None
-    again = integrate_forward(result.problem, sweep.policy, result.bundle,
+    again = integrate_forward(result.problem, policy,
+                              sweep.trajectories.bundle,
                               np.asarray(cfg.x0))
     assert np.array_equal(again.states, sweep.trajectories.states)
     times = result.grid.times
     for k in range(result.grid.steps):
-        fresh = sweep.policy.controls_at(k, times[k], again.states[:, k, :])
+        fresh = policy.controls_at(k, times[k], again.states[:, k, :])
         assert np.array_equal(again.recorded[k], fresh), k
 
 
