@@ -18,21 +18,19 @@ from .martingale import (IsometryReport, MartingaleDriver, NoiseBundle,
                          PathGrid, ScalarIntensity, sample_increments,
                          verify_isometry)
 from .dynamics import (BallSet, BlowUpError, BoxSet, ControlProblem,
-                       CostReport, FeedbackPolicy, FiniteSet, OpenLoopPolicy,
-                       SpikeSpec, TrajectoryBundle, apply_spike,
-                       evaluate_cost, finite_diff_check, integrate_forward,
-                       integrate_spiked, integrate_variational,
+                       CostReport, FeedbackPolicy, FiniteSet, FirstVariation,
+                       OpenLoopPolicy, SpikeSpec, TrajectoryBundle,
+                       apply_spike, evaluate_cost, finite_diff_check,
+                       integrate_forward, integrate_variational,
                        integrate_zeta, spiked_cost, stream_spiked)
-from .adjoint import (AdjointSolution, HamiltonianArgs, RegressionBasis,
-                      RegressionRankError, duality_check, grad_x_hamiltonian,
-                      hamiltonian, solve_adjoint_explicit,
-                      solve_adjoint_lsmc)
-from .pmp import (CandidatePair, Example1Config, Example2Config,
-                  GateauxReport, MarginReport, RateReport, ScenarioReport,
-                  SufficiencyReport, build_example1_problem,
-                  build_example2_problem, gateaux_check, necessary_check,
-                  rate_experiments, run_example1, run_example2,
-                  sufficient_check)
+from .adjoint import (AdjointSolution, RegressionBasis, RegressionRankError,
+                      duality_check, grad_x_hamiltonian, hamiltonian,
+                      solve_adjoint_explicit, solve_adjoint_lsmc)
+from .pmp import (Example1Config, Example2Config, GateauxReport,
+                  MarginReport, RateReport, ScenarioReport, SufficiencyReport,
+                  build_example1_problem, build_example2_problem,
+                  gateaux_check, necessary_check, rate_experiments,
+                  run_example1, run_example2, sufficient_check)
 
 __all__ = [
     "__version__",
@@ -40,14 +38,14 @@ __all__ = [
     "IsometryReport", "MartingaleDriver", "NoiseBundle", "PathGrid",
     "ScalarIntensity", "sample_increments", "verify_isometry",
     "BallSet", "BlowUpError", "BoxSet", "ControlProblem", "CostReport",
-    "FeedbackPolicy", "FiniteSet", "OpenLoopPolicy", "SpikeSpec",
-    "TrajectoryBundle", "apply_spike", "evaluate_cost", "finite_diff_check",
-    "integrate_forward", "integrate_spiked", "integrate_variational",
+    "FeedbackPolicy", "FiniteSet", "FirstVariation", "OpenLoopPolicy",
+    "SpikeSpec", "TrajectoryBundle", "apply_spike", "evaluate_cost",
+    "finite_diff_check", "integrate_forward", "integrate_variational",
     "integrate_zeta", "spiked_cost", "stream_spiked",
-    "AdjointSolution", "HamiltonianArgs", "RegressionBasis",
-    "RegressionRankError", "duality_check", "grad_x_hamiltonian",
-    "hamiltonian", "solve_adjoint_explicit", "solve_adjoint_lsmc",
-    "CandidatePair", "Example1Config", "Example2Config", "GateauxReport",
+    "AdjointSolution", "RegressionBasis", "RegressionRankError",
+    "duality_check", "grad_x_hamiltonian", "hamiltonian",
+    "solve_adjoint_explicit", "solve_adjoint_lsmc",
+    "Example1Config", "Example2Config", "GateauxReport",
     "MarginReport", "RateReport", "ScenarioReport", "SufficiencyReport",
     "build_example1_problem", "build_example2_problem", "gateaux_check",
     "necessary_check", "rate_experiments", "run_example1", "run_example2",

@@ -80,26 +80,16 @@ class RegressionRankError(RuntimeError):
             f"shrink the basis")
 
 
-@dataclass(frozen=True)
-class HamiltonianArgs:
-    """Point(s) at which to evaluate the Hamiltonian.
+def _normalize_args(x, u, y, zq):
+    """Batch the Hamiltonian arguments; ``squeeze`` marks a single point.
 
     ``x``, ``u``, ``y`` may be single vectors or (P, dim) batches; ``zq``
     is a single operator or a (P, n, n) batch, holding Z Q^(1/2).
     """
-
-    t: float
-    x: np.ndarray
-    u: np.ndarray
-    y: np.ndarray
-    zq: np.ndarray
-
-
-def _normalize_args(args):
-    x = np.asarray(args.x, dtype=float)
-    u = np.asarray(args.u, dtype=float)
-    y = np.asarray(args.y, dtype=float)
-    zq = np.asarray(args.zq, dtype=float)
+    x = np.asarray(x, dtype=float)
+    u = np.asarray(u, dtype=float)
+    y = np.asarray(y, dtype=float)
+    zq = np.asarray(zq, dtype=float)
     squeeze = x.ndim == 1 and u.ndim == 1 and y.ndim == 1 and zq.ndim == 2
     if x.ndim == 1:
         x = x[None, :]
@@ -111,13 +101,14 @@ def _normalize_args(args):
     if zq.ndim == 2:
         zq = np.broadcast_to(zq, (batch,) + zq.shape)
     if not (u.shape[0] == y.shape[0] == zq.shape[0] == batch):
-        raise ValueError("mismatched batch sizes in HamiltonianArgs")
-    return args.t, x, u, y, zq, squeeze
+        raise ValueError("mismatched batch sizes in the Hamiltonian "
+                         "arguments")
+    return x, u, y, zq, squeeze
 
 
-def hamiltonian(problem, driver, args):
-    """Evaluate H; returns a scalar for single-point args, else shape (P,)."""
-    t, x, u, y, zq, squeeze = _normalize_args(args)
+def hamiltonian(problem, driver, t, x, u, y, zq):
+    """Evaluate H; returns a scalar for a single point, else shape (P,)."""
+    x, u, y, zq, squeeze = _normalize_args(x, u, y, zq)
     qhalf = driver.cov_rate_sqrt(t)
     g = np.asarray(problem.G(t, x), dtype=float)
     gq = g @ qhalf
@@ -127,14 +118,14 @@ def hamiltonian(problem, driver, args):
     return float(value[0]) if squeeze else value
 
 
-def grad_x_hamiltonian(problem, driver, args):
+def grad_x_hamiltonian(problem, driver, t, x, u, y, zq):
     """State gradient of H.
 
     grad_x H = ell_x + F_x^T y + Gamma where Gamma is assembled against the
     basis directions: <Gamma, d> = <(G_x(x)[d]) Q^(1/2)(t), zq>_HS.
-    Returns a vector for single-point args, else shape (P, n).
+    Returns a vector for a single point, else shape (P, n).
     """
-    t, x, u, y, zq, squeeze = _normalize_args(args)
+    x, u, y, zq, squeeze = _normalize_args(x, u, y, zq)
     n = x.shape[1]
     qhalf = driver.cov_rate_sqrt(t)
     fx = np.asarray(problem.F_x(t, x, u), dtype=float)
@@ -210,29 +201,30 @@ class _StepFit:
 
 @dataclass
 class AdjointSolution:
-    """Adjoint pair along a trajectory batch.
+    """Adjoint pair along ``trajectories``, the candidate it was solved on.
 
     ``Y`` has shape (paths, steps + 1, n); the explicit solver stores it as
     a read-only broadcast view of its one constant row.  Z is exposed through
     :meth:`z_at` (per-step evaluation) rather than one dense array so the
     desk-scale memory stays bounded; ``n_residual_energy[k]`` records the
-    mean squared unexplained martingale increment at step k, and
-    ``n_is_zero`` marks solutions whose orthogonal part vanishes by
-    construction.
+    mean squared unexplained martingale increment at step k (zero for the
+    explicit method, whose orthogonal part vanishes by construction).
     """
 
-    grid: object
+    trajectories: object = field(repr=False)
     Y: np.ndarray
     method: str
     n_residual_energy: np.ndarray
     explained_energy: np.ndarray
-    n_is_zero: bool
     basis: RegressionBasis | None = None
-    trajectories: object = field(default=None, repr=False)
     _problem: object = field(default=None, repr=False)
     _driver: object = field(default=None, repr=False)
     _fits: list = field(default=None, repr=False)
     _c_pinv: np.ndarray = field(default=None, repr=False)
+
+    @property
+    def grid(self):
+        return self.trajectories.grid
 
     @property
     def steps(self):
@@ -273,9 +265,8 @@ class AdjointSolution:
         zq = z @ self._driver.cov_rate_sqrt(t)
         y = yhat0
         for _ in range(PICARD_ITERS):
-            grad = grad_x_hamiltonian(
-                self._problem, self._driver,
-                HamiltonianArgs(t=t, x=states, u=u, y=y, zq=zq))
+            grad = grad_x_hamiltonian(self._problem, self._driver, t,
+                                      states, u, y, zq)
             y = yhat0 + grad * self.grid.dt
         return y, z
 
@@ -353,9 +344,8 @@ def solve_adjoint_explicit(problem, driver, trajectories):
     controls = sample_controls(problem.control_set, EXPLICIT_PROBES, rng)
     zq0 = np.zeros((n, n))
     for t in np.linspace(0.0, grid.horizon, 5):
-        grad = grad_x_hamiltonian(
-            problem, driver,
-            HamiltonianArgs(t=float(t), x=states, u=controls, y=y0, zq=zq0))
+        grad = grad_x_hamiltonian(problem, driver, float(t), states,
+                                  controls, y0, zq0)
         if float(np.max(np.abs(grad))) \
                 > EXPLICIT_TOL * (1.0 + float(np.max(np.abs(y0)))):
             raise ValueError(
@@ -363,10 +353,9 @@ def solve_adjoint_explicit(problem, driver, trajectories):
                 "the explicit adjoint solution does not apply")
     y_path = np.broadcast_to(y0, (trajectories.paths, grid.steps + 1, n))
     zeros = np.zeros(grid.steps)
-    return AdjointSolution(grid=grid, Y=y_path, method="explicit",
-                           n_residual_energy=zeros.copy(),
-                           explained_energy=zeros.copy(), n_is_zero=True,
-                           trajectories=trajectories, _problem=problem,
+    return AdjointSolution(trajectories=trajectories, Y=y_path,
+                           method="explicit", n_residual_energy=zeros.copy(),
+                           explained_energy=zeros.copy(), _problem=problem,
                            _driver=driver)
 
 
@@ -407,10 +396,9 @@ def solve_adjoint_lsmc(problem, driver, trajectories, basis=None,
     n_energy = np.zeros(grid.steps)
     explained = np.zeros(grid.steps)
     solution = AdjointSolution(
-        grid=grid, Y=y, method="lsmc", n_residual_energy=n_energy,
-        explained_energy=explained, n_is_zero=False, basis=basis,
-        trajectories=trajectories, _problem=problem, _driver=driver,
-        _fits=fits, _c_pinv=c_pinv)
+        trajectories=trajectories, Y=y, method="lsmc",
+        n_residual_energy=n_energy, explained_energy=explained, basis=basis,
+        _problem=problem, _driver=driver, _fits=fits, _c_pinv=c_pinv)
 
     for k in range(grid.steps - 1, -1, -1):
         phi = basis.features(x[:, k, :])
@@ -485,18 +473,21 @@ class DualityReport:
         return abs(self.difference) <= k * (self.se_lhs + self.se_rhs)
 
 
-def duality_check(problem, optimal, adjoint, p_paths):
+def duality_check(problem, adjoint, p):
     """Monte Carlo check of the duality identity
 
     E<Y(T), p(T)> = -E int_{t0}^{T} <ell_x(t, X, u), p> dt
                     + E<Y(t0), F(t0, X(t0), v) - F(t0, X(t0), u(t0))>
 
-    along one coupled noise bundle, for the spike that ``p_paths`` follows.
-    Reports both sides with standard errors; the caller decides the
-    acceptance multiple.
+    for the spike that the first variation ``p`` follows, which must have
+    been taken along the adjoint's own trajectories.  Reports both sides
+    with standard errors; the caller decides the acceptance multiple.
     """
-    optimal.bundle.require_same(p_paths.bundle, "duality check")
-    spec = p_paths.spike
+    optimal = adjoint.trajectories
+    if p.optimal is not optimal:
+        raise ValueError("duality check needs the first variation taken "
+                         "along the adjoint's own trajectories")
+    spec = p.spike
     grid = optimal.grid
     times = grid.times
     dt = grid.dt
@@ -504,7 +495,7 @@ def duality_check(problem, optimal, adjoint, p_paths):
     paths = optimal.paths
 
     lhs_pp = np.einsum("pi,pi->p", adjoint.y_at(grid.steps),
-                       p_paths.states[:, grid.steps, :])
+                       p.states[:, grid.steps, :])
 
     x0 = optimal.states[:, k0, :]
     u0 = optimal.control_at(k0)
@@ -516,8 +507,7 @@ def duality_check(problem, optimal, adjoint, p_paths):
         xk = optimal.states[:, k, :]
         uk = optimal.control_at(k)
         grad = np.asarray(problem.ell_x(times[k], xk, uk), dtype=float)
-        rhs_pp -= np.einsum("pi,pi->p", grad,
-                            p_paths.states[:, k, :]) * dt
+        rhs_pp -= np.einsum("pi,pi->p", grad, p.states[:, k, :]) * dt
 
     lhs = float(np.mean(lhs_pp))
     rhs = float(np.mean(rhs_pp))

@@ -27,7 +27,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import __version__
-from .adjoint import RegressionBasis, RegressionRankError
+from .adjoint import (RegressionBasis, RegressionRankError,
+                      solve_adjoint_explicit)
 from .dynamics import (BlowUpError, SpikeSpec, finite_diff_check,
                        integrate_variational, sample_controls)
 from .martingale import PathGrid, sample_increments, verify_isometry
@@ -445,8 +446,8 @@ def parse_config(path):
 
 
 # ---------------------------------------------------------------------------
-# Scenario runners.  Each returns (ScenarioReport, tables) where tables maps
-# file stem -> (header, rows).
+# Scenario runners.  Each returns its ScenarioReport, whose tables map file
+# stem -> (header, rows).
 # ---------------------------------------------------------------------------
 
 def _margins_tables(margin_report):
@@ -489,42 +490,46 @@ def _run_fields(config):
 def _run_example1(config):
     cfg = Example1Config(**_run_fields(config), **config.options)
     result = run_example1(cfg)
-    tables = dict(result.report.tables)
-    summary = tables.pop("hamiltonian_margins", None)
-    if summary is not None:
-        tables["margins_summary"] = summary
+    tables = result.report.tables
     tables.update(_margins_tables(result.margin_report))
     dump = config.run["dump_trajectories"]
     if dump > 0:
         tables["trajectories"] = _trajectory_table(
-            result.candidate.trajectories, dump)
-    return result.report, tables
+            result.adjoint.trajectories, dump)
+    return result.report
 
 
 def _run_example2(config):
     cfg = Example2Config(**_run_fields(config), **config.options)
     result = run_example2(cfg)
-    tables = dict(result.report.tables)
     dump = config.run["dump_trajectories"]
     if dump > 0:
-        tables["trajectories"] = _trajectory_table(
-            result.sweeps[-1].trajectories, dump)
-    return result.report, tables
+        result.report.tables["trajectories"] = _trajectory_table(
+            result.sweeps[-1].adjoint.trajectories, dump)
+    return result.report
+
+
+def _first_variation(config, eps):
+    """Problem and first variation of a rates or gateaux run.
+
+    p follows the spike (t0, eps, v) of the options along the stationary
+    scenario-1 candidate; ``inject_fault`` doubles it.
+    """
+    opts = config.options
+    cfg = Example1Config(**_run_fields(config), drift_gain=opts["drift_gain"])
+    problem, _, _, _, trajectories = example1_candidate(cfg)
+    spec = SpikeSpec(t0=opts["t0"], eps=eps,
+                     v=np.asarray(opts["v"], dtype=float))
+    p = integrate_variational(problem, trajectories, spec)
+    if opts["inject_fault"]:
+        p = dataclasses.replace(p, states=2.0 * p.states)
+    return problem, p
 
 
 def _run_rates(config):
     opts = config.options
-    cfg = Example1Config(**_run_fields(config), drift_gain=opts["drift_gain"])
-    problem, _, _, _, candidate = example1_candidate(cfg, with_adjoint=False)
-    v = np.asarray(opts["v"], dtype=float)
-    p_paths = None
-    if opts["inject_fault"]:
-        spec_max = SpikeSpec(t0=opts["t0"], eps=max(opts["eps_ladder"]), v=v)
-        p_true = integrate_variational(problem, candidate.trajectories,
-                                       spec_max)
-        p_paths = dataclasses.replace(p_true, states=2.0 * p_true.states)
-    report = rate_experiments(problem, candidate, opts["t0"], v,
-                              eps_ladder=opts["eps_ladder"], p_paths=p_paths)
+    problem, p = _first_variation(config, max(opts["eps_ladder"]))
+    report = rate_experiments(problem, p, eps_ladder=opts["eps_ladder"])
     assertions = [
         Assertion(name="sup_gap_slope", passed=report.slope_ok,
                   detail=f"log-log slope {report.slope:.3f} (need >= 1.5)"),
@@ -547,25 +552,16 @@ def _run_rates(config):
              float(report.exi_se[i])) for i in range(report.eps.size)]
     tables = {"rates": (["eps", "e_sup_sq", "e_sup_sq_se", "e_xi_sq",
                          "e_xi_sq_se"], rows)}
-    scen = ScenarioReport(scenario="rates", sections=sections,
+    return ScenarioReport(scenario="rates", sections=sections,
                           assertions=assertions, tables=tables)
-    return scen, tables
 
 
 def _run_gateaux(config):
     opts = config.options
-    cfg = Example1Config(**_run_fields(config), drift_gain=opts["drift_gain"])
-    problem, _, _, _, candidate = example1_candidate(cfg, with_adjoint=False)
-    v = np.asarray(opts["v"], dtype=float)
     eps_list = tuple(sorted(opts["eps_list"], reverse=True))
-    spec = SpikeSpec(t0=opts["t0"], eps=eps_list[0], v=v)
-    p_paths = None
-    if opts["inject_fault"]:
-        p_true = integrate_variational(problem, candidate.trajectories, spec)
-        p_paths = dataclasses.replace(p_true, states=2.0 * p_true.states)
-    report = gateaux_check(problem, candidate, spec, eps_list=eps_list,
-                           bias_fraction=opts["bias_fraction"],
-                           p_paths=p_paths)
+    problem, p = _first_variation(config, eps_list[0])
+    report = gateaux_check(problem, p, eps_list=eps_list,
+                           bias_fraction=opts["bias_fraction"])
     assertions = [Assertion(
         name=f"quotient_matches_eps_{entry.eps:g}", passed=entry.agree,
         detail=f"fd {entry.fd_quotient:.6f} vs adjoint "
@@ -586,17 +582,17 @@ def _run_gateaux(config):
              int(e.agree)) for e in report.entries]
     tables = {"gateaux": (["eps", "fd_quotient", "fd_se", "mean_diff",
                            "diff_se", "tol", "agree"], rows)}
-    scen = ScenarioReport(scenario="gateaux", sections=sections,
+    return ScenarioReport(scenario="gateaux", sections=sections,
                           assertions=assertions, tables=tables)
-    return scen, tables
 
 
 def _run_pmp_check(config):
     opts = config.options
     cfg = Example1Config(**_run_fields(config), schedule=opts["schedule"])
-    problem, driver, _, _, candidate = example1_candidate(cfg)
+    problem, driver, _, _, trajectories = example1_candidate(cfg)
+    adjoint = solve_adjoint_explicit(problem, driver, trajectories)
     margin_report = necessary_check(
-        problem, driver, candidate, sample_times=opts["sample_times"],
+        problem, driver, adjoint, sample_times=opts["sample_times"],
         sample_paths=opts["sample_paths"],
         points_per_dim=opts["points_per_dim"])
     assertions = [Assertion(
@@ -613,10 +609,9 @@ def _run_pmp_check(config):
             "disc_allowance": margin_report.disc_allowance,
         },
     }
-    tables = _margins_tables(margin_report)
-    scen = ScenarioReport(scenario="pmp-check", sections=sections,
-                          assertions=assertions, tables=tables)
-    return scen, tables
+    return ScenarioReport(scenario="pmp-check", sections=sections,
+                          assertions=assertions,
+                          tables=_margins_tables(margin_report))
 
 
 def _concave_running_cost_fault(problem):
@@ -630,11 +625,12 @@ def _concave_running_cost_fault(problem):
 
 def _run_sufficiency(config):
     opts = config.options
-    problem, driver, _, _, candidate = example1_candidate(
+    problem, driver, _, _, trajectories = example1_candidate(
         Example1Config(**_run_fields(config)))
+    adjoint = solve_adjoint_explicit(problem, driver, trajectories)
     if opts["inject_fault"]:
         problem = _concave_running_cost_fault(problem)
-    report = sufficient_check(problem, driver, candidate,
+    report = sufficient_check(problem, driver, adjoint,
                               pairs=opts["pairs"],
                               seed=config.run["seed"] + 3,
                               sample_times=opts["sample_times"])
@@ -677,9 +673,8 @@ def _run_sufficiency(config):
             ("minimum", int(report.margin_report is not None
                             and report.margin_report.passed))]
     tables = {"sufficiency": (["check", "passed"], rows)}
-    scen = ScenarioReport(scenario="sufficiency", sections=sections,
+    return ScenarioReport(scenario="sufficiency", sections=sections,
                           assertions=assertions, tables=tables)
-    return scen, tables
 
 
 def _run_isometry(config):
@@ -711,9 +706,8 @@ def _run_isometry(config):
              report.mc_stderr, report.paths)]
     tables = {"isometry": (["mc_estimate", "quadrature_value", "difference",
                             "mc_stderr", "paths"], rows)}
-    scen = ScenarioReport(scenario="isometry", sections=sections,
+    return ScenarioReport(scenario="isometry", sections=sections,
                           assertions=assertions, tables=tables)
-    return scen, tables
 
 
 def _packaged_problem(name, horizon):
@@ -763,9 +757,8 @@ def _run_derivative_check(config):
         }
     tables = {"derivatives": (["problem", "derivative", "max_rel_error",
                                "tol", "flagged"], rows)}
-    scen = ScenarioReport(scenario="derivative-check", sections=sections,
+    return ScenarioReport(scenario="derivative-check", sections=sections,
                           assertions=assertions, tables=tables)
-    return scen, tables
 
 
 _RUNNERS = {
@@ -838,14 +831,14 @@ def _write_csv(path, header, rows):
                       for row in (header, *rows))
 
 
-def _emit(config, report, tables, out_dir, wall_seconds, status):
+def _emit(config, report, out_dir, wall_seconds, status):
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     outputs = []
     report_path = out_dir / "report.txt"
     report_path.write_text(_render_report(report), encoding="utf-8")
     outputs.append(report_path.name)
-    for stem, (header, rows) in sorted(tables.items()):
+    for stem, (header, rows) in sorted(report.tables.items()):
         csv_path = out_dir / f"{stem}.csv"
         _write_csv(csv_path, header, rows)
         outputs.append(csv_path.name)
@@ -895,20 +888,20 @@ def run(config, output_dir=None, seed=None, threads=None, verbosity=1,
 
     status = "ok"
     try:
-        report, tables = _RUNNERS[config.scenario](config)
+        report = _RUNNERS[config.scenario](config)
         if not report.passed:
             status = "assertion-failure"
     except (BlowUpError, RegressionRankError) as exc:
-        report, tables = _error_report(config, exc), {}
+        report = _error_report(config, exc)
         status = "numerical-failure"
     except Exception as exc:
         # a defect, not an outcome: leave the manifest, then fail loudly
-        _emit(config, _error_report(config, exc), {}, out_dir,
+        _emit(config, _error_report(config, exc), out_dir,
               time.perf_counter() - t_start, "internal-error")
         raise
 
     wall = time.perf_counter() - t_start
-    outputs = _emit(config, report, tables, out_dir, wall, status)
+    outputs = _emit(config, report, out_dir, wall, status)
     if verbosity >= 1:
         print(f"{config.scenario}: {status} "
               f"({wall:.1f}s, outputs in {out_dir})", file=stream)

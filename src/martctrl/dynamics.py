@@ -287,21 +287,21 @@ def apply_spike(policy, spec, grid):
 
 @dataclass
 class TrajectoryBundle:
-    """States on the full grid for every path of one noise bundle.
+    """One run of one policy: states on the full grid for every path of one
+    noise bundle.
 
     ``recorded[k]`` is the (paths, control_dim) control the integrator
     applied at step k, kept so that costs, adjoints and residuals read it
     instead of evaluating the policy again.  Open-loop and spike rows are
     the broadcast views the policy returns and cost no memory; feedback
-    rows cost paths * control_dim doubles per step.  Entries that are None
-    (or a ``recorded`` of None) fall back to evaluating the policy at the
-    stored states, which gives the same values.
+    rows cost paths * control_dim doubles per step.  Without a record (a
+    ``recorded`` of None) reads evaluate the policy at the stored states,
+    which gives the same values.
     """
 
     states: np.ndarray
     policy: ControlPolicy
     bundle: NoiseBundle = field(repr=False)
-    spike: SpikeSpec | None = None
     recorded: list | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
@@ -321,7 +321,7 @@ class TrajectoryBundle:
 
     def control_at(self, k):
         """Control applied at step k, shape (paths, control_dim)."""
-        if self.recorded is not None and self.recorded[k] is not None:
+        if self.recorded is not None:
             return self.recorded[k]
         return self.policy.controls_at(k, self.grid.times[k],
                                        self.states[:, k, :])
@@ -334,16 +334,6 @@ class TrajectoryBundle:
     def drop_controls(self):
         """Release the recorded controls; later reads evaluate the policy."""
         self.recorded = None
-
-
-class _ControlsOf(ControlPolicy):
-    """The controls of one trajectory, whatever states they are asked at."""
-
-    def __init__(self, trajectory):
-        self.trajectory = trajectory
-
-    def controls_at(self, k, t, states):
-        return self.trajectory.control_at(k)
 
 
 def _euler(problem, policy, bundle, x, start, visit):
@@ -370,19 +360,6 @@ def _euler(problem, policy, bundle, x, start, visit):
     return x
 
 
-def _integrate_stored(problem, trajectories, start):
-    """Euler steps from ``start`` on, storing states and applied controls."""
-    states = trajectories.states
-    recorded = trajectories.recorded
-
-    def store(k, x, u, x_next):
-        recorded[k] = u
-        states[:, k + 1, :] = x_next
-
-    _euler(problem, trajectories.policy, trajectories.bundle,
-           states[:, start, :].copy(), start, store)
-
-
 def integrate_forward(problem, policy, bundle, x0):
     """Euler-Maruyama forward run with left-point coefficients.
 
@@ -399,32 +376,16 @@ def integrate_forward(problem, policy, bundle, x0):
         raise ValueError(f"x0 must have shape ({n},) or ({bundle.paths}, {n})")
     states = np.empty((bundle.paths, bundle.steps + 1, n))
     states[:, 0, :] = x0
+    recorded = [None] * bundle.steps
+
+    def store(k, x, u, x_next):
+        recorded[k] = u
+        states[:, k + 1, :] = x_next
+
+    _euler(problem, policy, bundle, states[:, 0, :].copy(), 0, store)
     trajectories = TrajectoryBundle(states=states, policy=policy,
                                     bundle=bundle)
-    trajectories.recorded = [None] * bundle.steps
-    _integrate_stored(problem, trajectories, 0)
-    return trajectories
-
-
-def integrate_spiked(problem, base, spec):
-    """Re-run a base trajectory under a spiked policy, reusing the prefix.
-
-    The spiked policy agrees with the base policy before the window, so the
-    result is bit-identical to a full re-integration from t = 0; the
-    recorded controls of that prefix are the base trajectory's own.  When
-    only the cost of the spiked run is needed, ``spiked_cost`` gives it
-    without storing the states.
-    """
-    grid = base.grid
-    k0, _ = spec.window(grid)
-    policy = apply_spike(base.policy, spec, grid)
-    states = np.empty_like(base.states)
-    states[:, :k0 + 1, :] = base.states[:, :k0 + 1, :]
-    trajectories = TrajectoryBundle(states=states, policy=policy,
-                                    bundle=base.bundle, spike=spec)
-    trajectories.recorded = (base.recorded[:k0] if base.recorded is not None
-                             else [None] * k0) + [None] * (grid.steps - k0)
-    _integrate_stored(problem, trajectories, k0)
+    trajectories.recorded = recorded
     return trajectories
 
 
@@ -433,8 +394,10 @@ def stream_spiked(problem, base, spec, visit):
 
     Starts at the window start k0 from the base state there, which the
     spiked run shares with the base, so ``visit(k, x_k, u_k, x_next)`` sees,
-    for k >= k0, the states and controls that ``integrate_spiked`` would
-    store.  Returns the terminal state X_T, shape (paths, dim).
+    for k >= k0, the states and controls of the full re-integration
+    ``integrate_forward(problem, apply_spike(base.policy, spec, grid),
+    base.bundle, x0)``, bit for bit.  Returns the terminal state X_T, shape
+    (paths, dim).
     """
     grid = base.grid
     k0, _ = spec.window(grid)
@@ -443,15 +406,26 @@ def stream_spiked(problem, base, spec, visit):
                   k0, visit)
 
 
+@dataclass(frozen=True)
+class FirstVariation:
+    """First variation p of the state along ``spike``, on ``optimal``.
+
+    ``states`` has shape (paths, steps + 1, n), zero before the window
+    start.  p reads only the spike's start and value v, never its width, so
+    one p serves every eps of a difference quotient or rate ladder.
+    """
+
+    states: np.ndarray
+    optimal: TrajectoryBundle = field(repr=False)
+    spike: SpikeSpec
+
+
 def integrate_variational(problem, optimal, spec):
     """First variation p of the state along a spike, on the frozen trajectory.
 
     p(t0) = F(t0, X(t0), v) - F(t0, X(t0), u(t0)), then
     p_{k+1} = p_k + F_x(t_k, X_k, u_k) p_k dt + (G_x(t_k, X_k)[p_k]) dM_k,
-    driven by the optimal trajectory's own noise bundle.  Stored as zeros
-    before the window start; the result carries the bundle and ``spec``.
-    Its controls are the optimal trajectory's: its record, and after either
-    run drops its record, the optimal policy evaluated at X (never at p).
+    driven by the optimal trajectory's own noise bundle and controls.
     """
     bundle = optimal.bundle
     grid = bundle.grid
@@ -475,21 +449,19 @@ def integrate_variational(problem, optimal, spec):
         p = p + apply_operator(fx, p) * dt \
             + apply_operator(gx, bundle.increments[:, k, :])
         out[:, k + 1, :] = p
-    p_paths = TrajectoryBundle(states=out, policy=_ControlsOf(optimal),
-                               bundle=bundle, spike=spec)
-    p_paths.recorded = optimal.recorded
-    return p_paths
+    return FirstVariation(states=out, optimal=optimal, spike=spec)
 
 
-def integrate_zeta(problem, optimal, p_paths):
-    """Scalar first variation of the running cost along p_paths' spike.
+def integrate_zeta(problem, p):
+    """Scalar first variation of the running cost along p's spike.
 
     zeta(t0) = ell(t0, X(t0), v) - ell(t0, X(t0), u(t0)), then
-    zeta_{k+1} = zeta_k + <ell_x(t_k, X_k, u_k), p_k> dt.  Returns an array
-    of shape (paths, steps + 1), zero before the window start.
+    zeta_{k+1} = zeta_k + <ell_x(t_k, X_k, u_k), p_k> dt along p's optimal
+    trajectory.  Returns an array of shape (paths, steps + 1), zero before
+    the window start.
     """
-    optimal.bundle.require_same(p_paths.bundle, "zeta run")
-    spec = p_paths.spike
+    optimal = p.optimal
+    spec = p.spike
     grid = optimal.grid
     times = grid.times
     dt = grid.dt
@@ -504,7 +476,7 @@ def integrate_zeta(problem, optimal, p_paths):
         xk = optimal.states[:, k, :]
         uk = optimal.control_at(k)
         grad = problem.ell_x(times[k], xk, uk)
-        z = z + np.einsum("pi,pi->p", grad, p_paths.states[:, k, :]) * dt
+        z = z + np.einsum("pi,pi->p", grad, p.states[:, k, :]) * dt
         out[:, k + 1] = z
     return out
 
@@ -558,11 +530,12 @@ def evaluate_cost(problem, trajectories, running_at=()):
 def spiked_cost(problem, base, base_cost, spec):
     """Cost of a base trajectory re-run under a spike, without its states.
 
-    Bit-identical to ``evaluate_cost(problem, integrate_spiked(problem,
-    base, spec))``: the running cost starts from ``base_cost.running[k0]``,
-    the base run's cost over the shared prefix before the window start k0
-    (keep k0 when evaluating ``base_cost``), and adds the terms of the
-    steps from k0 on in the same order while ``stream_spiked`` steps.
+    Bit-identical to ``evaluate_cost`` of the full re-integration under
+    ``apply_spike(base.policy, spec, grid)``: the running cost starts from
+    ``base_cost.running[k0]``, the base run's cost over the shared prefix
+    before the window start k0 (keep k0 when evaluating ``base_cost``), and
+    adds the terms of the steps from k0 on in the same order while
+    ``stream_spiked`` steps.
     """
     k0, _ = spec.window(base.grid)
     if k0 not in base_cost.running:

@@ -240,8 +240,8 @@ class NoiseBundle:
     """Sampled driver increments on a grid, for a block of Monte Carlo paths.
 
     ``increments[p, k]`` is the driver increment over [t_k, t_{k+1}] for
-    path p.  The (seed, paths, steps, dim) tuple identifies the bundle for
-    coupling checks between runs that must share noise.
+    path p.  ``identity()`` is the (seed, paths, steps, dim) tuple; runs
+    that share noise hold the one bundle object.
     """
 
     increments: np.ndarray
@@ -274,13 +274,6 @@ class NoiseBundle:
 
     def identity(self):
         return (int(self.seed), self.paths, self.steps, self.dim)
-
-    def require_same(self, other, what):
-        """Raise ValueError naming ``what`` unless ``other`` is this noise."""
-        if other.identity() != self.identity():
-            raise ValueError(f"{what} requires one noise bundle (got "
-                             f"identities {self.identity()} vs "
-                             f"{other.identity()})")
 
     def save(self, path):
         """Write the documented flat binary layout (header + float64 body)."""

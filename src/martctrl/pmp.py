@@ -28,34 +28,22 @@ from functools import partial
 
 import numpy as np
 
-from .adjoint import (AdjointSolution, HamiltonianArgs, RegressionBasis,
-                      duality_check, hamiltonian, solve_adjoint_explicit,
-                      solve_adjoint_lsmc)
+from .adjoint import (AdjointSolution, RegressionBasis, duality_check,
+                      hamiltonian, solve_adjoint_explicit, solve_adjoint_lsmc)
 from .dynamics import (BoxSet, ControlProblem, FeedbackPolicy, OpenLoopPolicy,
-                       SpikeSpec, TrajectoryBundle, evaluate_cost,
-                       integrate_forward, integrate_variational,
-                       integrate_zeta, sample_controls, spiked_cost,
-                       stream_spiked)
+                       SpikeSpec, evaluate_cost, integrate_forward,
+                       integrate_variational, integrate_zeta, sample_controls,
+                       spiked_cost, stream_spiked)
 from .hilbert import SpaceConfig
 from .martingale import (MartingaleDriver, PathGrid, ScalarIntensity,
                          sample_increments)
 
 
-@dataclass
-class CandidatePair:
-    """Trajectories of a control policy and the adjoint pair along them.
-
-    The policy is ``trajectories.policy``; ``adjoint`` may be None where
-    no adjoint applies, and otherwise was solved on the same noise bundle.
-    """
-
-    trajectories: TrajectoryBundle
-    adjoint: AdjointSolution | None
-
-    def __post_init__(self):
-        if self.adjoint is not None:
-            self.trajectories.bundle.require_same(
-                self.adjoint.trajectories.bundle, "candidate adjoint pair")
+# Largest midpoint-convexity violation that sufficient_check still passes.
+CONVEXITY_TOL = 1e-10
+# Smallest |v - u*| at which a spike of the default family counts as
+# displaced from the stationary control.
+FAR_THRESHOLD = 0.25
 
 
 @dataclass(frozen=True)
@@ -120,16 +108,17 @@ def _spread_indices(total, count):
     return np.unique(np.round(np.linspace(0, total - 1, count)).astype(int))
 
 
-def necessary_check(problem, driver, candidate, probes=None, sample_times=20,
+def necessary_check(problem, driver, adjoint, probes=None, sample_times=20,
                     sample_paths=100, points_per_dim=11, tol_floor=1e-8,
                     stat_allowance=0.0, disc_allowance=0.0):
     """Minimum-condition margins of the Hamiltonian over a probe lattice.
 
-    Passes when the smallest margin over all sampled (time, path, probe)
-    triples is >= -tol with tol = max(tol_floor, 3 * (stat_allowance +
-    disc_allowance)); the allowances are reported alongside the verdict.
+    The candidate is ``adjoint.trajectories`` with the adjoint pair along
+    it.  Passes when the smallest margin over all sampled (time, path,
+    probe) triples is >= -tol with tol = max(tol_floor, 3 * (stat_allowance
+    + disc_allowance)); the allowances are reported alongside the verdict.
     """
-    traj = candidate.trajectories
+    traj = adjoint.trajectories
     grid = traj.grid
     times = grid.times
     if probes is None:
@@ -147,17 +136,15 @@ def necessary_check(problem, driver, candidate, probes=None, sample_times=20,
     for i, k in enumerate(t_idx):
         t = times[k]
         xs = traj.states[p_idx, k, :]
-        ys = candidate.adjoint.y_at(k)[p_idx]
-        zq = candidate.adjoint.z_at(k, states=xs) @ driver.cov_rate_sqrt(t)
+        ys = adjoint.y_at(k)[p_idx]
+        zq = adjoint.z_at(k, states=xs) @ driver.cov_rate_sqrt(t)
         u_star = traj.policy.controls_at(k, t, xs)
-        h_star = hamiltonian(problem, driver,
-                             HamiltonianArgs(t=t, x=xs, u=u_star, y=ys, zq=zq))
+        h_star = hamiltonian(problem, driver, t, xs, u_star, ys, zq)
         xr = np.repeat(xs, n_v, axis=0)
         yr = np.repeat(ys, n_v, axis=0)
         zr = np.repeat(zq, n_v, axis=0)
         ur = np.tile(probes, (xs.shape[0], 1))
-        h_probe = hamiltonian(problem, driver,
-                              HamiltonianArgs(t=t, x=xr, u=ur, y=yr, zq=zr))
+        h_probe = hamiltonian(problem, driver, t, xr, ur, yr, zr)
         margins[i] = h_probe.reshape(xs.shape[0], n_v) - h_star[:, None]
 
     tol = max(tol_floor, 3.0 * (stat_allowance + disc_allowance))
@@ -205,25 +192,26 @@ def _state_box(trajectories, widen=0.5):
     return lo - pad, hi + pad
 
 
-def sufficient_check(problem, driver, candidate, pairs=1000, seed=77,
-                     sample_times=8, tol=1e-10, margin_report=None):
+def sufficient_check(problem, driver, adjoint, pairs=1000, seed=77,
+                     sample_times=8, margin_report=None):
     """Midpoint-convexity and minimum-condition package.
 
     Aborts as inapplicable when the declared control set is not convex.
-    Terminal and joint convexity run on ``pairs`` random midpoint probes;
-    the joint check holds the candidate's (Y, Z Q^(1/2)) fixed at sampled
-    (time, path) points while perturbing (x, v).
+    Terminal and joint convexity run on ``pairs`` random midpoint probes
+    and pass up to ``CONVEXITY_TOL``; the joint check holds the adjoint's
+    (Y, Z Q^(1/2)) fixed at sampled (time, path) points of its trajectories
+    while perturbing (x, v).
     """
     if not problem.control_set.is_convex:
         return SufficiencyReport(
             applicable=False, set_convex=False, terminal_violation=float("nan"),
             terminal_passed=False, joint_violation=float("nan"),
             joint_passed=False, joint_witness=None, margin_report=None,
-            pairs=0, tol=tol,
+            pairs=0, tol=CONVEXITY_TOL,
             note="inapplicable: control set is not convex")
 
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed))
-    traj = candidate.trajectories
+    traj = adjoint.trajectories
     grid = traj.grid
     lo, hi = _state_box(traj)
     n = lo.shape[0]
@@ -237,7 +225,7 @@ def sufficient_check(problem, driver, candidate, pairs=1000, seed=77,
     h_avg = 0.5 * (np.asarray(problem.h(xa), dtype=float)
                    + np.asarray(problem.h(xb), dtype=float))
     terminal_violation = float(np.max(h_mid - h_avg))
-    terminal_passed = terminal_violation <= tol
+    terminal_passed = terminal_violation <= CONVEXITY_TOL
 
     t_idx = _spread_indices(grid.steps, sample_times)
     per_time = int(np.ceil(pairs / t_idx.size))
@@ -247,19 +235,16 @@ def sufficient_check(problem, driver, candidate, pairs=1000, seed=77,
         t = grid.times[k]
         p_sel = rng.integers(0, traj.paths, size=per_time)
         xs = traj.states[p_sel, k, :]
-        ys = candidate.adjoint.y_at(k)[p_sel]
-        zq = candidate.adjoint.z_at(k, states=xs) @ driver.cov_rate_sqrt(t)
+        ys = adjoint.y_at(k)[p_sel]
+        zq = adjoint.z_at(k, states=xs) @ driver.cov_rate_sqrt(t)
         x1 = draw_states(per_time)
         x2 = draw_states(per_time)
         v1 = sample_controls(problem.control_set, per_time, rng)
         v2 = sample_controls(problem.control_set, per_time, rng)
-        h1 = hamiltonian(problem, driver,
-                         HamiltonianArgs(t=t, x=x1, u=v1, y=ys, zq=zq))
-        h2 = hamiltonian(problem, driver,
-                         HamiltonianArgs(t=t, x=x2, u=v2, y=ys, zq=zq))
-        hm = hamiltonian(problem, driver,
-                         HamiltonianArgs(t=t, x=0.5 * (x1 + x2),
-                                         u=0.5 * (v1 + v2), y=ys, zq=zq))
+        h1 = hamiltonian(problem, driver, t, x1, v1, ys, zq)
+        h2 = hamiltonian(problem, driver, t, x2, v2, ys, zq)
+        hm = hamiltonian(problem, driver, t, 0.5 * (x1 + x2),
+                         0.5 * (v1 + v2), ys, zq)
         viol = hm - 0.5 * (h1 + h2)
         worst = int(np.argmax(viol))
         if float(viol[worst]) > joint_violation:
@@ -267,10 +252,10 @@ def sufficient_check(problem, driver, candidate, pairs=1000, seed=77,
             joint_witness = {"t": float(t), "x1": x1[worst].copy(),
                              "v1": v1[worst].copy(), "x2": x2[worst].copy(),
                              "v2": v2[worst].copy()}
-    joint_passed = joint_violation <= tol
+    joint_passed = joint_violation <= CONVEXITY_TOL
 
     if margin_report is None:
-        margin_report = necessary_check(problem, driver, candidate)
+        margin_report = necessary_check(problem, driver, adjoint)
 
     return SufficiencyReport(
         applicable=True, set_convex=True,
@@ -278,7 +263,7 @@ def sufficient_check(problem, driver, candidate, pairs=1000, seed=77,
         terminal_passed=terminal_passed, joint_violation=joint_violation,
         joint_passed=joint_passed,
         joint_witness=None if joint_passed else joint_witness,
-        margin_report=margin_report, pairs=pairs, tol=tol)
+        margin_report=margin_report, pairs=pairs, tol=CONVEXITY_TOL)
 
 
 @dataclass(frozen=True)
@@ -305,22 +290,21 @@ class GateauxReport:
         return all(e.agree for e in self.entries)
 
 
-def gateaux_check(problem, candidate, spec, eps_list=(0.05, 0.025),
-                  bias_fraction=0.1, p_paths=None):
+def gateaux_check(problem, p, eps_list=(0.05, 0.025), bias_fraction=0.1):
     """Spike difference quotient of the cost vs E[<h_x(X_T), p(T)> + zeta(T)].
 
-    All runs share the candidate's noise bundle (common random numbers);
-    per eps, agreement requires |mean difference| <= 3 * SE(paired diff) +
-    bias_fraction * eps * |first-variation value|.  ``p_paths`` is
-    injectable for fault-detection self-tests.
+    The spikes start at p's own t0 with p's own v, one per eps, and re-run
+    p's optimal trajectory on its noise bundle (common random numbers); per
+    eps, agreement requires |mean difference| <= 3 * SE(paired diff) +
+    bias_fraction * eps * |first-variation value|.  Fault-detection
+    self-tests pass a doctored p.
     """
-    traj = candidate.trajectories
-    if p_paths is None:
-        p_paths = integrate_variational(problem, traj, spec)
-    zeta = integrate_zeta(problem, traj, p_paths)
+    traj = p.optimal
+    spec = p.spike
+    zeta = integrate_zeta(problem, p)
     grid = traj.grid
     hx = np.asarray(problem.h_x(traj.states[:, -1, :]), dtype=float)
-    adj_pp = np.einsum("pi,pi->p", hx, p_paths.states[:, -1, :]) + zeta[:, -1]
+    adj_pp = np.einsum("pi,pi->p", hx, p.states[:, -1, :]) + zeta[:, -1]
     adj = float(np.mean(adj_pp))
     se_adj = float(np.std(adj_pp, ddof=1) / np.sqrt(adj_pp.shape[0]))
 
@@ -369,20 +353,18 @@ def _sup_gap(base, msq, k, x, u, x_next):
     np.maximum(msq, np.einsum("pi,pi->p", diff, diff), out=msq)
 
 
-def rate_experiments(problem, candidate, t0, v,
-                     eps_ladder=(0.2, 0.1, 0.05, 0.025), p_paths=None):
+def rate_experiments(problem, p, eps_ladder=(0.2, 0.1, 0.05, 0.025)):
     """Measure E sup_t |X_eps - X|^2 and E |(X_eps(T)-X(T))/eps - p(T)|^2.
 
-    All spiked runs reuse the candidate's noise bundle.  Passes when the
-    log-log slope of the sup curve is >= 1.5 and the remainder sequence is
-    strictly decreasing with final value < 1/4 of the initial one.
+    The spikes start at p's own t0 with p's own v, one per eps, and re-run
+    p's optimal trajectory on its noise bundle.  Passes when the log-log
+    slope of the sup curve is >= 1.5 and the remainder sequence is strictly
+    decreasing with final value < 1/4 of the initial one.
     """
-    traj = candidate.trajectories
+    traj = p.optimal
+    t0, v = p.spike.t0, p.spike.v
     ladder = np.sort(np.asarray(eps_ladder, dtype=float))[::-1]
-    spec_max = SpikeSpec(t0=float(t0), eps=float(ladder[0]), v=v)
-    if p_paths is None:
-        p_paths = integrate_variational(problem, traj, spec_max)
-    p_term = p_paths.states[:, -1, :]
+    p_term = p.states[:, -1, :]
 
     esup = np.empty(ladder.size)
     esup_se = np.empty(ladder.size)
@@ -537,30 +519,30 @@ def named_feedback(name, u_star, control_dim):
     raise ValueError(f"unknown feedback policy name {name!r}")
 
 
-def example1_candidate(cfg, with_adjoint=True):
-    """Scenario-1 problem and the candidate pair that ``cfg`` selects.
+def initial_policy(cfg, u_default, steps):
+    """The constant ``cfg.schedule``, else the named ``cfg.feedback``, else
+    the constant ``u_default``."""
+    if cfg.schedule is not None:
+        return OpenLoopPolicy.constant(np.asarray(cfg.schedule, dtype=float),
+                                       steps)
+    if cfg.feedback is not None:
+        return named_feedback(cfg.feedback, u_default, cfg.control_dim)
+    return OpenLoopPolicy.constant(u_default, steps)
 
-    The candidate follows ``cfg.schedule`` (constant open loop), else the
-    named ``cfg.feedback``, else the stationary control u*.  Its adjoint is
-    the explicit solution, skipped when ``with_adjoint`` is false (the
-    nonlinear drift variant has none).  Returns (problem, driver, grid,
-    u_star, candidate).
+
+def example1_candidate(cfg):
+    """Scenario-1 problem and the candidate trajectories ``cfg`` selects.
+
+    The candidate follows ``initial_policy(cfg, u_star, steps)``.  Returns
+    (problem, driver, grid, u_star, trajectories); where an adjoint applies
+    (linear drift), ``solve_adjoint_explicit`` solves it along them.
     """
     problem, driver, grid, u_star = build_example1_problem(cfg)
     bundle = sample_increments(driver, grid, cfg.paths, cfg.seed)
-    if cfg.schedule is not None:
-        policy = OpenLoopPolicy.constant(np.asarray(cfg.schedule, dtype=float),
-                                         grid.steps)
-    elif cfg.feedback is not None:
-        policy = named_feedback(cfg.feedback, u_star, cfg.control_dim)
-    else:
-        policy = OpenLoopPolicy.constant(u_star, grid.steps)
-    trajectories = integrate_forward(problem, policy, bundle,
-                                     np.asarray(cfg.x0, dtype=float))
-    adjoint = solve_adjoint_explicit(problem, driver, trajectories) \
-        if with_adjoint else None
-    candidate = CandidatePair(trajectories=trajectories, adjoint=adjoint)
-    return problem, driver, grid, u_star, candidate
+    trajectories = integrate_forward(problem,
+                                     initial_policy(cfg, u_star, grid.steps),
+                                     bundle, np.asarray(cfg.x0, dtype=float))
+    return problem, driver, grid, u_star, trajectories
 
 
 @dataclass(frozen=True)
@@ -571,8 +553,7 @@ class SpikeOutcome:
     far: bool
 
 
-def default_spike_family(grid, u_star, control_set, count=20, seed=0,
-                         far_threshold=0.25):
+def default_spike_family(grid, u_star, control_set, count=20, seed=0):
     """Deterministic family of spike specs around the stationary control.
 
     Two specs spike with the stationary value itself (expected zero gap);
@@ -611,18 +592,18 @@ def default_spike_family(grid, u_star, control_set, count=20, seed=0,
             v = np.clip(v, getattr(control_set, "lower", v),
                         getattr(control_set, "upper", v))
         specs.append(SpikeSpec(t0=float(t0), eps=float(eps), v=v))
-    return specs, far_threshold
+    return specs
 
 
 @dataclass
 class Example1Result:
-    """Scenario-1 outcome; the trajectories and adjoint are the candidate's."""
+    """Scenario-1 outcome; the candidate is ``adjoint.trajectories``."""
 
     report: ScenarioReport
     problem: ControlProblem
     driver: MartingaleDriver
     grid: PathGrid
-    candidate: CandidatePair
+    adjoint: AdjointSolution
     cost: object
     analytic_cost: float
     u_star: np.ndarray
@@ -642,9 +623,9 @@ def run_example1(cfg=None):
             "drift variant through the difference-quotient or rate "
             "experiments instead")
     tic = time.perf_counter()
-    problem, driver, grid, u_star, candidate = example1_candidate(cfg)
-    trajectories = candidate.trajectories
-    specs, far_threshold = default_spike_family(
+    problem, driver, grid, u_star, trajectories = example1_candidate(cfg)
+    adjoint = solve_adjoint_explicit(problem, driver, trajectories)
+    specs = default_spike_family(
         grid, u_star, problem.control_set, count=cfg.spike_count,
         seed=cfg.seed)
     # spikes start from the base run's running cost at their start steps
@@ -660,15 +641,15 @@ def run_example1(cfg=None):
         gap_pp = cost_eps.per_path - cost.per_path
         gap = float(np.mean(gap_pp))
         se = float(np.std(gap_pp, ddof=1) / np.sqrt(gap_pp.shape[0]))
-        far = float(np.linalg.norm(spec.v - u_star)) >= far_threshold
+        far = float(np.linalg.norm(spec.v - u_star)) >= FAR_THRESHOLD
         spikes.append(SpikeOutcome(spec=spec, gap=gap, se=se, far=far))
 
     margin_report = necessary_check(
-        problem, driver, candidate, sample_times=cfg.sample_times,
+        problem, driver, adjoint, sample_times=cfg.sample_times,
         sample_paths=cfg.sample_paths,
         points_per_dim=cfg.probe_points_per_dim)
     sufficiency = sufficient_check(
-        problem, driver, candidate, pairs=cfg.convexity_pairs,
+        problem, driver, adjoint, pairs=cfg.convexity_pairs,
         seed=cfg.seed + 3, margin_report=margin_report)
 
     delta = abs(cost.mean - analytic)
@@ -742,10 +723,10 @@ def run_example1(cfg=None):
     report = ScenarioReport(
         scenario="example1", sections=sections, assertions=assertions,
         tables={"spike_gaps": (spike_header, spike_rows),
-                "hamiltonian_margins": (margin_header, margin_rows)})
+                "margins_summary": (margin_header, margin_rows)})
     return Example1Result(
         report=report, problem=problem, driver=driver, grid=grid,
-        candidate=candidate, cost=cost, analytic_cost=analytic,
+        adjoint=adjoint, cost=cost, analytic_cost=analytic,
         u_star=u_star, spikes=spikes, margin_report=margin_report,
         sufficiency=sufficiency, core_seconds=core_seconds)
 
@@ -847,8 +828,9 @@ def build_example2_problem(cfg):
     return problem, driver, grid
 
 
-def stationarity_residual(problem, trajectories, adjoint):
-    """RMS of grad_u H = ell_u + F_u^T Y along the realized pair."""
+def stationarity_residual(problem, adjoint):
+    """RMS of grad_u H = ell_u + F_u^T Y along ``adjoint.trajectories``."""
+    trajectories = adjoint.trajectories
     grid = trajectories.grid
     times = grid.times
     total = 0.0
@@ -873,9 +855,9 @@ def stationarity_residual(problem, trajectories, adjoint):
 
 @dataclass
 class SweepRecord:
-    """One policy-improvement sweep; its policy is ``trajectories.policy``."""
+    """One policy-improvement sweep, run and solved along
+    ``adjoint.trajectories`` (whose ``policy`` is the sweep's)."""
 
-    trajectories: TrajectoryBundle
     adjoint: AdjointSolution
     cost: object
     residual: float
@@ -923,13 +905,7 @@ def run_example2(cfg=None):
     basis = RegressionBasis(degree=cfg.basis_degree)
 
     bundle = sample_increments(driver, grid, cfg.paths, cfg.seed)
-    if cfg.schedule is not None:
-        policy = OpenLoopPolicy.constant(np.asarray(cfg.schedule, dtype=float),
-                                         grid.steps)
-    elif cfg.feedback is not None:
-        policy = named_feedback(cfg.feedback, np.zeros(m), m)
-    else:
-        policy = OpenLoopPolicy.constant(np.zeros(m), grid.steps)
+    policy = initial_policy(cfg, np.zeros(m), grid.steps)
 
     sweeps = []
     for s in range(cfg.sweeps + 1):
@@ -937,13 +913,12 @@ def run_example2(cfg=None):
         adjoint = solve_adjoint_lsmc(problem, driver, trajectories,
                                      basis=basis)
         cost = evaluate_cost(problem, trajectories)
-        residual, per_step = stationarity_residual(problem, trajectories,
-                                                   adjoint)
+        residual, per_step = stationarity_residual(problem, adjoint)
         # nothing reads this record again: later sweeps call the policy
         # at their own states
         trajectories.drop_controls()
-        sweeps.append(SweepRecord(trajectories=trajectories, adjoint=adjoint,
-                                  cost=cost, residual=residual,
+        sweeps.append(SweepRecord(adjoint=adjoint, cost=cost,
+                                  residual=residual,
                                   residual_per_step=per_step))
         if s < cfg.sweeps:
             policy = _improvement_policy(adjoint, c_op, r_inv, grid)
@@ -952,10 +927,10 @@ def run_example2(cfg=None):
     if cfg.run_duality:
         spec = SpikeSpec(t0=cfg.duality_t0, eps=cfg.duality_eps,
                          v=np.asarray(cfg.duality_v, dtype=float))
-        first = sweeps[0]
-        p_paths = integrate_variational(problem, first.trajectories, spec)
-        duality = duality_check(problem, first.trajectories, first.adjoint,
-                                p_paths)
+        first = sweeps[0].adjoint
+        duality = duality_check(
+            problem, first,
+            integrate_variational(problem, first.trajectories, spec))
 
     assertions = []
     cost_ok = True

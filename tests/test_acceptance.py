@@ -19,7 +19,7 @@ from martctrl.dynamics import (OpenLoopPolicy, SpikeSpec, finite_diff_check,
                                integrate_forward, integrate_variational,
                                sample_controls)
 from martctrl.martingale import sample_increments, verify_isometry
-from martctrl.pmp import (CandidatePair, Example1Config, Example2Config,
+from martctrl.pmp import (Example1Config, Example2Config,
                           build_example1_problem, build_example2_problem,
                           gateaux_check, rate_experiments, run_example1,
                           run_example2, sufficient_check)
@@ -43,7 +43,7 @@ def example2_full():
 
 
 def stationary_candidate(drift_gain, seed):
-    """Scenario-1 stationary candidate at full 20 000-path scale."""
+    """Scenario-1 stationary trajectories at full 20 000-path scale."""
     cfg = Example1Config(steps=400, paths=20000, seed=seed,
                          drift_gain=drift_gain)
     problem, driver, grid, u_star = build_example1_problem(cfg)
@@ -51,8 +51,7 @@ def stationary_candidate(drift_gain, seed):
     policy = OpenLoopPolicy.constant(u_star, grid.steps)
     traj = integrate_forward(problem, policy, bundle,
                              np.asarray(cfg.x0, dtype=float))
-    candidate = CandidatePair(trajectories=traj, adjoint=None)
-    return problem, driver, grid, u_star, candidate
+    return problem, driver, grid, u_star, traj
 
 
 @pytest.fixture(scope="module")
@@ -109,7 +108,7 @@ def test_criterion_04_sufficiency_and_concave_fault(example1_full):
         result.problem,
         ell=lambda t, x, u: -np.einsum("pi,pi->p", u, u),
         ell_u=lambda t, x, u: -2.0 * u)
-    bad = sufficient_check(concave, result.driver, result.candidate,
+    bad = sufficient_check(concave, result.driver, result.adjoint,
                            pairs=1000, seed=404)
     assert bad.applicable
     assert not bad.joint_passed, \
@@ -124,18 +123,19 @@ def test_criterion_04_sufficiency_and_concave_fault(example1_full):
 def test_criterion_05_gateaux_identity_linear_and_tanh(linear_candidate_20k):
     spec = SpikeSpec(t0=0.3, eps=0.025, v=np.array([0.65, 0.45]))
 
-    problem, _, _, _, candidate = linear_candidate_20k
-    rep = gateaux_check(problem, candidate, spec, eps_list=(0.025,),
-                        bias_fraction=0.1)
+    problem, _, _, _, traj = linear_candidate_20k
+    rep = gateaux_check(problem, integrate_variational(problem, traj, spec),
+                        eps_list=(0.025,), bias_fraction=0.1)
     entry = rep.entries[0]
     assert entry.agree, \
         (f"linear drift: |fd - adjoint| = {abs(entry.mean_diff):.3e} "
          f"> tol {entry.tol:.3e}")
 
-    problem_t, _, _, _, candidate_t = stationary_candidate(drift_gain=0.25,
-                                                           seed=31415)
-    rep_t = gateaux_check(problem_t, candidate_t, spec, eps_list=(0.025,),
-                          bias_fraction=0.1)
+    problem_t, _, _, _, traj_t = stationary_candidate(drift_gain=0.25,
+                                                      seed=31415)
+    rep_t = gateaux_check(problem_t,
+                          integrate_variational(problem_t, traj_t, spec),
+                          eps_list=(0.025,), bias_fraction=0.1)
     entry_t = rep_t.entries[0]
     assert entry_t.agree, \
         (f"tanh drift: |fd - adjoint| = {abs(entry_t.mean_diff):.3e} "
@@ -147,11 +147,11 @@ def test_criterion_05_gateaux_identity_linear_and_tanh(linear_candidate_20k):
 # ---------------------------------------------------------------------------
 
 def test_criterion_06_spike_rates_ladder(linear_candidate_20k):
-    problem, _, _, _, candidate = linear_candidate_20k
-    assert candidate.trajectories.paths == 20000
-    rep = rate_experiments(problem, candidate, t0=0.25,
-                           v=np.array([0.65, 0.45]),
-                           eps_ladder=(0.2, 0.1, 0.05, 0.025))
+    problem, _, _, _, traj = linear_candidate_20k
+    assert traj.paths == 20000
+    p = integrate_variational(
+        problem, traj, SpikeSpec(t0=0.25, eps=0.2, v=np.array([0.65, 0.45])))
+    rep = rate_experiments(problem, p, eps_ladder=(0.2, 0.1, 0.05, 0.025))
     assert rep.slope >= 1.5, f"sup-gap log-log slope {rep.slope:.3f} < 1.5"
     assert np.all(np.diff(rep.exi) < 0.0), \
         f"remainder ladder not strictly decreasing: {rep.exi}"
@@ -183,10 +183,9 @@ def test_criterion_07_isometry_quadrature():
 def test_criterion_08_duality_both_examples(example1_full, example2_full):
     result, _ = example1_full
     spec = SpikeSpec(t0=0.3, eps=0.1, v=np.array([0.65, 0.45]))
-    optimal = result.candidate.trajectories
-    p_paths = integrate_variational(result.problem, optimal, spec)
-    explicit = duality_check(result.problem, optimal,
-                             result.candidate.adjoint, p_paths)
+    p = integrate_variational(result.problem, result.adjoint.trajectories,
+                              spec)
+    explicit = duality_check(result.problem, result.adjoint, p)
     # with the constant costate the right side is exact: <c, F~ (v - u*)>
     assert explicit.rhs == pytest.approx(0.75, abs=1e-10)
     assert explicit.se_rhs == 0.0
@@ -224,7 +223,7 @@ def test_criterion_09_lsmc_scalar_oracle_and_sweeps():
     y_num = y_den = z_num = z_den = 0.0
     for k in range(grid.steps + 1):
         tau = horizon - grid.times[k]
-        xk = first.trajectories.states[:, k, 0]
+        xk = first.adjoint.trajectories.states[:, k, 0]
         g_t = f / a * (np.exp(a * tau) - 1.0)
         y_true = p1 * np.exp(a * tau) * (np.exp(a * tau) * xk + g_t)
         y_num += np.mean((first.adjoint.Y[:, k, 0] - y_true) ** 2)

@@ -5,9 +5,8 @@ import warnings
 import numpy as np
 import pytest
 
-from martctrl.adjoint import (HamiltonianArgs, RegressionBasis,
-                              RegressionRankError, duality_check,
-                              grad_x_hamiltonian, hamiltonian,
+from martctrl.adjoint import (RegressionBasis, RegressionRankError,
+                              duality_check, grad_x_hamiltonian, hamiltonian,
                               solve_adjoint_explicit, solve_adjoint_lsmc)
 from martctrl.dynamics import (OpenLoopPolicy, SpikeSpec, integrate_forward,
                                integrate_variational)
@@ -60,8 +59,7 @@ def test_hamiltonian_value_by_hand():
     from martctrl.hilbert import psd_sqrt
     qhalf = psd_sqrt(driver.cov_rate(t))
     expected = ell + drift @ y + np.sum((g_op @ qhalf) * zq)
-    got = hamiltonian(problem, driver,
-                      HamiltonianArgs(t=t, x=x, u=u, y=y, zq=zq))
+    got = hamiltonian(problem, driver, t, x, u, y, zq)
     assert got == pytest.approx(expected, rel=1e-12)
 
 
@@ -76,8 +74,7 @@ def test_hamiltonian_affine_in_adjoint_arguments():
     t = float(grid.times[5])
 
     def h_at(y, zq):
-        return hamiltonian(problem, driver,
-                           HamiltonianArgs(t=t, x=x, u=u, y=y, zq=zq))
+        return hamiltonian(problem, driver, t, x, u, y, zq)
 
     base = h_at(np.zeros_like(y1), np.zeros_like(z1))
     assert np.allclose(h_at(y1 + y2, z1 + z2),
@@ -91,12 +88,10 @@ def test_hamiltonian_scalar_vs_batched():
     u = np.array([0.1, -0.2])
     y = np.array([0.8, -0.3, 0.5, 0.2])
     zq = np.zeros((4, 4))
-    single = hamiltonian(problem, driver,
-                         HamiltonianArgs(t=0.5, x=x, u=u, y=y, zq=zq))
+    single = hamiltonian(problem, driver, 0.5, x, u, y, zq)
     assert isinstance(single, float)
-    batched = hamiltonian(problem, driver,
-                          HamiltonianArgs(t=0.5, x=np.tile(x, (3, 1)), u=u,
-                                          y=y, zq=zq))
+    batched = hamiltonian(problem, driver, 0.5, np.tile(x, (3, 1)), u, y,
+                          zq)
     assert batched.shape == (3,)
     assert np.allclose(batched, single)
 
@@ -116,16 +111,13 @@ def test_grad_x_hamiltonian_matches_finite_differences(which):
     y = rng.standard_normal((6, n))
     zq = rng.standard_normal((6, n, n))
     t = 0.375
-    args = HamiltonianArgs(t=t, x=x, u=u, y=y, zq=zq)
-    grad = grad_x_hamiltonian(problem, driver, args)
+    grad = grad_x_hamiltonian(problem, driver, t, x, u, y, zq)
     step = 1e-6
     for j in range(n):
         dx = np.zeros(n)
         dx[j] = step
-        hp = hamiltonian(problem, driver,
-                         HamiltonianArgs(t=t, x=x + dx, u=u, y=y, zq=zq))
-        hm = hamiltonian(problem, driver,
-                         HamiltonianArgs(t=t, x=x - dx, u=u, y=y, zq=zq))
+        hp = hamiltonian(problem, driver, t, x + dx, u, y, zq)
+        hm = hamiltonian(problem, driver, t, x - dx, u, y, zq)
         fd = (hp - hm) / (2.0 * step)
         assert np.allclose(grad[:, j], fd, atol=1e-6)
 
@@ -151,7 +143,6 @@ def test_explicit_adjoint_on_constant_gradient_problem():
     adj = solve_adjoint_explicit(problem, driver, traj)
     c = np.asarray(EXAMPLE1_C)
     assert adj.method == "explicit"
-    assert adj.n_is_zero
     assert adj.n_residual_ratio == 0.0
     assert adj.trajectories is traj
     # one row per path, each exactly the terminal gradient, held as a
@@ -273,8 +264,8 @@ def test_duality_identity_example1_frozen_value():
         steps=200, paths=8000, seed=555)
     adj = solve_adjoint_explicit(problem, driver, traj)
     spec = SpikeSpec(t0=0.3, eps=0.1, v=np.array([0.65, 0.45]))
-    p_paths = integrate_variational(problem, traj, spec)
-    rep = duality_check(problem, traj, adj, p_paths)
+    p = integrate_variational(problem, traj, spec)
+    rep = duality_check(problem, adj, p)
     c = np.asarray(EXAMPLE1_C)
     f_tilde = np.asarray(EXAMPLE1_F_TILDE)
     analytic = float(c @ f_tilde @ (spec.v - u_star))
@@ -294,5 +285,11 @@ def test_duality_check_requires_shared_bundle():
     other_traj = integrate_forward(problem, pol, other_bundle,
                                    np.asarray(cfg.x0))
     p_other = integrate_variational(problem, other_traj, spec)
-    with pytest.raises(ValueError, match="noise bundle"):
-        duality_check(problem, traj, adj, p_other)
+    with pytest.raises(ValueError, match="own trajectories"):
+        duality_check(problem, adj, p_other)
+    # the same numbers integrated again are other trajectories too
+    twin = integrate_forward(problem, pol, bundle, np.asarray(cfg.x0))
+    with pytest.raises(ValueError, match="own trajectories"):
+        duality_check(problem, adj, integrate_variational(problem, twin, spec))
+    assert duality_check(problem, adj,
+                         integrate_variational(problem, traj, spec)).paths == 16

@@ -1,8 +1,10 @@
 """Config parsing and end-to-end coverage for the command line runner."""
 
+import contextlib
 import csv
 import os
 import re
+import signal
 import subprocess
 import sys
 import tempfile
@@ -448,6 +450,35 @@ def _value_text(key, parse, dt, steps):
     raise AssertionError(f"no strategy for the parser of {key}")
 
 
+# Hard wall-clock limit of one draw below.  Hypothesis checks its deadline
+# only after a draw returns, so without it a hang would stall the suite.
+DRAW_SECONDS = 60
+
+
+@contextlib.contextmanager
+def _time_limit(seconds):
+    """Raise TimeoutError in the main thread once ``seconds`` have passed."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_time_limit_interrupts_a_hang():
+    with pytest.raises(TimeoutError, match="still running"):
+        with _time_limit(0.2):
+            while True:
+                pass
+    # the timer is disarmed on the way out
+    assert signal.getitimer(signal.ITIMER_REAL) == (0.0, 0.0)
+
+
 @pytest.mark.parametrize("scenario", SCENARIOS)
 @settings(max_examples=20, deadline=timedelta(seconds=30),
           derandomize=True, database=None)
@@ -479,7 +510,7 @@ def test_every_validated_config_ends_with_a_manifest(scenario, data):
             event("config error")
             return
         out = Path(tmp) / "out"
-        with warnings.catch_warnings():
+        with warnings.catch_warnings(), _time_limit(DRAW_SECONDS):
             warnings.simplefilter("ignore")
             code = run(cfg, output_dir=out, verbosity=0)
         event(f"exit {code}")

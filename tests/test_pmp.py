@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from martctrl import adjoint, hilbert, martingale, pmp
-from martctrl.adjoint import solve_adjoint_explicit, solve_adjoint_lsmc
+from martctrl.adjoint import solve_adjoint_explicit
 from martctrl.dynamics import (FeedbackPolicy, FiniteSet, OpenLoopPolicy,
-                               SpikeSpec, integrate_forward, integrate_spiked,
-                               integrate_variational)
+                               SpikeSpec, apply_spike, evaluate_cost,
+                               integrate_forward, integrate_variational,
+                               spiked_cost)
 from martctrl.martingale import sample_increments
-from martctrl.pmp import (EXAMPLE1_C, EXAMPLE1_F_TILDE, CandidatePair,
+from martctrl.pmp import (EXAMPLE1_C, EXAMPLE1_F_TILDE, FAR_THRESHOLD,
                           Example1Config, Example2Config, build_example1_problem,
                           build_example2_problem, default_spike_family,
                           example1_analytic_cost, gateaux_check,
@@ -18,16 +19,22 @@ from martctrl.pmp import (EXAMPLE1_C, EXAMPLE1_F_TILDE, CandidatePair,
                           sufficient_check)
 
 
-def candidate_for(cfg, policy=None, with_adjoint=True):
+def candidate_for(cfg, policy=None):
+    """Scenario-1 problem and trajectories of ``policy`` (default u*)."""
     problem, driver, grid, u_star = build_example1_problem(cfg)
     bundle = sample_increments(driver, grid, cfg.paths, cfg.seed)
     pol = policy if policy is not None \
         else OpenLoopPolicy.constant(u_star, grid.steps)
     traj = integrate_forward(problem, pol, bundle, np.asarray(cfg.x0))
-    adj = solve_adjoint_explicit(problem, driver, traj) if with_adjoint \
-        else None
-    cand = CandidatePair(trajectories=traj, adjoint=adj)
-    return problem, driver, grid, u_star, bundle, cand
+    return problem, driver, grid, u_star, bundle, traj
+
+
+def adjoint_for(cfg, policy=None):
+    """As ``candidate_for``, with the explicit adjoint in place of the
+    trajectories it was solved along."""
+    problem, driver, grid, u_star, bundle, traj = candidate_for(cfg, policy)
+    return (problem, driver, grid, u_star, bundle,
+            solve_adjoint_explicit(problem, driver, traj))
 
 
 def test_example1_closed_form_constants():
@@ -49,8 +56,8 @@ def test_necessary_check_margins_are_squared_distance():
     # with Y = c and Z = 0, the Hamiltonian increment at probe v is exactly
     # |v - u*|^2, with no Monte Carlo error at all
     cfg = Example1Config(steps=50, paths=60, seed=11)
-    problem, driver, grid, u_star, bundle, cand = candidate_for(cfg)
-    rep = necessary_check(problem, driver, cand, sample_times=5,
+    problem, driver, grid, u_star, bundle, adj = adjoint_for(cfg)
+    rep = necessary_check(problem, driver, adj, sample_times=5,
                           sample_paths=10, points_per_dim=5)
     assert rep.passed
     expected = np.sum((rep.probes - u_star) ** 2, axis=1)
@@ -62,9 +69,9 @@ def test_necessary_check_margins_are_squared_distance():
 def test_necessary_check_flags_suboptimal_candidate():
     cfg = Example1Config(steps=50, paths=60, seed=11)
     zero_pol = OpenLoopPolicy.constant(np.zeros(2), 50)
-    problem, driver, grid, u_star, bundle, cand = candidate_for(
+    problem, driver, grid, u_star, bundle, adj = adjoint_for(
         cfg, policy=zero_pol)
-    rep = necessary_check(problem, driver, cand, sample_times=5,
+    rep = necessary_check(problem, driver, adj, sample_times=5,
                           sample_paths=10, points_per_dim=11)
     assert not rep.passed
     # the minimum sits at the probe closest to u*, with value -|u*|^2
@@ -78,17 +85,17 @@ def test_necessary_check_flags_suboptimal_candidate():
 
 def test_necessary_check_rejects_inadmissible_probes():
     cfg = Example1Config(steps=20, paths=30, seed=2)
-    problem, driver, grid, u_star, bundle, cand = candidate_for(cfg)
+    problem, driver, grid, u_star, bundle, adj = adjoint_for(cfg)
     bad = np.array([[10.0, 0.0]])
     with pytest.raises(ValueError, match="outside the declared"):
-        necessary_check(problem, driver, cand, probes=bad, sample_times=2,
+        necessary_check(problem, driver, adj, probes=bad, sample_times=2,
                         sample_paths=5)
 
 
 def test_sufficient_check_passes_on_convex_problem():
     cfg = Example1Config(steps=50, paths=60, seed=13)
-    problem, driver, grid, u_star, bundle, cand = candidate_for(cfg)
-    rep = sufficient_check(problem, driver, cand, pairs=300)
+    problem, driver, grid, u_star, bundle, adj = adjoint_for(cfg)
+    rep = sufficient_check(problem, driver, adj, pairs=300)
     assert rep.applicable and rep.set_convex
     assert rep.terminal_passed
     assert rep.terminal_violation <= 1e-10
@@ -100,12 +107,12 @@ def test_sufficient_check_passes_on_convex_problem():
 def test_sufficient_check_fails_on_concave_running_cost():
     import dataclasses
     cfg = Example1Config(steps=50, paths=60, seed=13)
-    problem, driver, grid, u_star, bundle, cand = candidate_for(cfg)
+    problem, driver, grid, u_star, bundle, adj = adjoint_for(cfg)
     concave = dataclasses.replace(
         problem,
         ell=lambda t, x, u: -np.einsum("pi,pi->p", u, u),
         ell_u=lambda t, x, u: -2.0 * u)
-    rep = sufficient_check(concave, driver, cand, pairs=1000)
+    rep = sufficient_check(concave, driver, adj, pairs=1000)
     assert rep.applicable
     assert not rep.joint_passed
     assert not rep.overall
@@ -116,11 +123,11 @@ def test_sufficient_check_fails_on_concave_running_cost():
 def test_sufficient_check_inapplicable_for_finite_control_set():
     import dataclasses
     cfg = Example1Config(steps=20, paths=30, seed=5)
-    problem, driver, grid, u_star, bundle, cand = candidate_for(cfg)
+    problem, driver, grid, u_star, bundle, adj = adjoint_for(cfg)
     finite = dataclasses.replace(
         problem, control_set=FiniteSet(points=np.array([[0.0, 0.0],
                                                         [1.0, 1.0]])))
-    rep = sufficient_check(finite, driver, cand, pairs=10)
+    rep = sufficient_check(finite, driver, adj, pairs=10)
     assert not rep.applicable
     assert "not convex" in rep.note
     assert not rep.overall
@@ -129,60 +136,72 @@ def test_sufficient_check_inapplicable_for_finite_control_set():
 def test_gateaux_check_agreement_and_fault_detection():
     # steps must make every eps in the list a whole number of grid cells
     cfg = Example1Config(steps=200, paths=4000, seed=31)
-    problem, driver, grid, u_star, bundle, cand = candidate_for(cfg)
+    problem, driver, grid, u_star, bundle, traj = candidate_for(cfg)
     spec = SpikeSpec(t0=0.3, eps=0.05, v=np.array([0.65, 0.45]))
-    rep = gateaux_check(problem, cand, spec, eps_list=(0.05, 0.025))
+    p = integrate_variational(problem, traj, spec)
+    rep = gateaux_check(problem, p, eps_list=(0.05, 0.025))
     assert rep.agree_all
     assert len(rep.entries) == 2
     for entry in rep.entries:
         assert entry.agree
         assert abs(entry.fd_quotient - rep.adjoint_value) <= entry.tol
     # doubled first variation must be flagged
-    from martctrl.dynamics import integrate_variational
     import dataclasses
-    p = integrate_variational(problem, cand.trajectories, spec)
     wrong = dataclasses.replace(p, states=2.0 * p.states)
-    bad = gateaux_check(problem, cand, spec, eps_list=(0.05, 0.025),
-                        p_paths=wrong)
+    bad = gateaux_check(problem, wrong, eps_list=(0.05, 0.025))
     assert not bad.agree_all
+
+
+def test_gateaux_check_spikes_at_the_first_variations_own_start():
+    cfg = Example1Config(steps=80, paths=300, seed=37)
+    problem, driver, grid, u_star, bundle, traj = candidate_for(cfg)
+    v = np.array([0.65, 0.45])
+    p = integrate_variational(problem, traj, SpikeSpec(t0=0.5, eps=0.05, v=v))
+    eps_list = (0.05, 0.025)
+    rep = gateaux_check(problem, p, eps_list=eps_list)
+    # t0 = 0.5 is step 40 of 80
+    base_cost = evaluate_cost(problem, traj, running_at=(40,))
+    for entry, eps in zip(rep.entries, eps_list):
+        spiked = spiked_cost(problem, traj, base_cost,
+                             SpikeSpec(t0=0.5, eps=eps, v=v))
+        quotient = (spiked.per_path - base_cost.per_path) / eps
+        assert entry.fd_quotient == float(np.mean(quotient))
 
 
 def test_rate_experiments_pass_and_fault_detection():
     # default eps ladder bottoms out at 0.025, so dt must divide it
     cfg = Example1Config(steps=200, paths=4000, seed=33)
-    problem, driver, grid, u_star, bundle, cand = candidate_for(cfg)
-    rep = rate_experiments(problem, cand, t0=0.25, v=np.array([0.65, 0.45]))
+    problem, driver, grid, u_star, bundle, traj = candidate_for(cfg)
+    spec = SpikeSpec(t0=0.25, eps=0.2, v=np.array([0.65, 0.45]))
+    p = integrate_variational(problem, traj, spec)
+    rep = rate_experiments(problem, p)
     assert rep.passed
     assert rep.slope >= 1.5
     assert np.all(np.diff(rep.exi) < 0.0)
     assert rep.exi[-1] < 0.25 * rep.exi[0]
     # eps ladder is reported largest first
     assert np.all(np.diff(rep.eps) < 0.0)
-    from martctrl.dynamics import integrate_variational
     import dataclasses
-    spec = SpikeSpec(t0=0.25, eps=0.2, v=np.array([0.65, 0.45]))
-    p = integrate_variational(problem, cand.trajectories, spec)
     wrong = dataclasses.replace(p, states=2.0 * p.states)
-    bad = rate_experiments(problem, cand, t0=0.25, v=np.array([0.65, 0.45]),
-                           p_paths=wrong)
+    bad = rate_experiments(problem, wrong)
     assert not bad.passed
 
 
 def test_rate_experiments_match_stored_spiked_states():
     cfg = Example1Config(steps=80, paths=300, seed=35, drift_gain=0.25)
-    problem, driver, grid, u_star, bundle, cand = candidate_for(
-        cfg, with_adjoint=False)
+    problem, driver, grid, u_star, bundle, traj = candidate_for(cfg)
     v = np.array([0.65, 0.45])
     ladder = (0.2, 0.1, 0.05)
-    rep = rate_experiments(problem, cand, t0=0.25, v=v, eps_ladder=ladder)
+    p = integrate_variational(problem, traj, SpikeSpec(t0=0.25, eps=0.2, v=v))
+    rep = rate_experiments(problem, p, eps_ladder=ladder)
     # the same statistics from stored spiked states, step by step
-    traj = cand.trajectories
-    p_term = integrate_variational(problem, traj,
-                                   SpikeSpec(t0=0.25, eps=0.2, v=v)).states[:, -1]
+    p_term = p.states[:, -1]
     for i, eps in enumerate(ladder):
         spec = SpikeSpec(t0=0.25, eps=eps, v=v)
         k0, _ = spec.window(grid)
-        spiked = integrate_spiked(problem, traj, spec)
+        spiked = integrate_forward(problem,
+                                   apply_spike(traj.policy, spec, grid),
+                                   bundle, np.asarray(cfg.x0))
         msq = np.zeros(traj.paths)
         for k in range(k0, grid.steps + 1):
             diff = spiked.states[:, k, :] - traj.states[:, k, :]
@@ -200,10 +219,9 @@ def test_rate_experiments_match_stored_spiked_states():
 def test_default_spike_family_layout():
     cfg = Example1Config(steps=100, paths=10, seed=1)
     problem, driver, grid, u_star = build_example1_problem(cfg)
-    specs, far_threshold = default_spike_family(grid, u_star,
-                                                problem.control_set, count=20)
+    specs = default_spike_family(grid, u_star, problem.control_set, count=20)
     assert len(specs) == 20
-    assert far_threshold == pytest.approx(0.25)
+    assert FAR_THRESHOLD == pytest.approx(0.25)
     noop = [s for s in specs if np.allclose(s.v, u_star)]
     assert len(noop) == 2
     for s in specs:
@@ -217,7 +235,7 @@ def test_default_spike_family_layout():
     # radius clears the far threshold
     assert np.all(dists >= 0.6 - 1e-12)
     assert np.all(dists <= 1.8 + 1e-12)
-    assert np.all(dists >= far_threshold)
+    assert np.all(dists >= FAR_THRESHOLD)
 
 
 def test_named_feedback():
@@ -229,32 +247,6 @@ def test_named_feedback():
     assert np.allclose(stat.fn(0.0, states), u_star)
     with pytest.raises(ValueError):
         named_feedback("bang-bang", u_star, 2)
-
-
-def test_candidate_pair_rejects_mismatched_bundles():
-    cfg = Example1Config(steps=20, paths=16, seed=3)
-    problem, driver, grid, u_star = build_example1_problem(cfg)
-    bundle_a = sample_increments(driver, grid, 16, seed=3)
-    bundle_b = sample_increments(driver, grid, 16, seed=4)
-    pol = OpenLoopPolicy.constant(u_star, grid.steps)
-    traj_a = integrate_forward(problem, pol, bundle_a, np.asarray(cfg.x0))
-    traj_b = integrate_forward(problem, pol, bundle_b, np.asarray(cfg.x0))
-    cfg2 = Example2Config(steps=20, paths=300, seed=3)
-    problem2, driver2, grid2 = build_example2_problem(cfg2)
-    bundle2 = sample_increments(driver2, grid2, 300, seed=3)
-    pol2 = OpenLoopPolicy.constant(np.zeros(2), grid2.steps)
-    traj2 = integrate_forward(problem2, pol2, bundle2, np.asarray(cfg2.x0))
-    adj2 = solve_adjoint_lsmc(problem2, driver2, traj2)
-    other2 = integrate_forward(problem2, pol2,
-                               sample_increments(driver2, grid2, 300, seed=5),
-                               np.asarray(cfg2.x0))
-    with pytest.raises(ValueError, match="bundle"):
-        CandidatePair(trajectories=other2, adjoint=adj2)
-    # the explicit route is solved along trajectories too
-    adj_a = solve_adjoint_explicit(problem, driver, traj_a)
-    assert CandidatePair(trajectories=traj_a, adjoint=adj_a).adjoint is adj_a
-    with pytest.raises(ValueError, match="bundle"):
-        CandidatePair(trajectories=traj_b, adjoint=adj_a)
 
 
 def test_run_example1_small_scale_report():
@@ -336,14 +328,14 @@ def test_example2_sweep_records_fresh_policy_controls():
                          run_duality=False)
     result = run_example2(cfg)
     sweep = result.sweeps[1]
-    policy = sweep.trajectories.policy
+    trajectories = sweep.adjoint.trajectories
+    policy = trajectories.policy
     assert isinstance(policy, FeedbackPolicy)
     # finished sweeps release their record
-    assert sweep.trajectories.recorded is None
-    again = integrate_forward(result.problem, policy,
-                              sweep.trajectories.bundle,
+    assert trajectories.recorded is None
+    again = integrate_forward(result.problem, policy, trajectories.bundle,
                               np.asarray(cfg.x0))
-    assert np.array_equal(again.states, sweep.trajectories.states)
+    assert np.array_equal(again.states, trajectories.states)
     times = result.grid.times
     for k in range(result.grid.steps):
         fresh = policy.controls_at(k, times[k], again.states[:, k, :])
