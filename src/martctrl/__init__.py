@@ -21,8 +21,8 @@ from .dynamics import (BallSet, BlowUpError, BoxSet, ControlProblem,
                        CostReport, FeedbackPolicy, FiniteSet, FirstVariation,
                        OpenLoopPolicy, SpikeSpec, TrajectoryBundle,
                        apply_spike, evaluate_cost, finite_diff_check,
-                       integrate_forward, integrate_variational,
-                       integrate_zeta, spiked_cost, stream_spiked)
+                       integrate_forward, integrate_variational, spiked_cost,
+                       stream_spiked)
 from .adjoint import (AdjointSolution, RegressionBasis, RegressionRankError,
                       duality_check, grad_x_hamiltonian, hamiltonian,
                       solve_adjoint_explicit, solve_adjoint_lsmc)
@@ -41,7 +41,7 @@ __all__ = [
     "FeedbackPolicy", "FiniteSet", "FirstVariation", "OpenLoopPolicy",
     "SpikeSpec", "TrajectoryBundle", "apply_spike", "evaluate_cost",
     "finite_diff_check", "integrate_forward", "integrate_variational",
-    "integrate_zeta", "spiked_cost", "stream_spiked",
+    "spiked_cost", "stream_spiked",
     "AdjointSolution", "RegressionBasis", "RegressionRankError",
     "duality_check", "grad_x_hamiltonian", "hamiltonian",
     "solve_adjoint_explicit", "solve_adjoint_lsmc",

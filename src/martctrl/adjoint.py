@@ -49,7 +49,7 @@ import numpy as np
 
 from .dynamics import sample_controls
 from .hilbert import apply_operator, batch_hs_inner
-from .martingale import step_covariances
+from .martingale import mean_se, step_covariances
 
 DEFAULT_CONDITION_LIMIT = 1e12
 # Relative singular-value cutoff for the per-step feature regression.
@@ -480,40 +480,29 @@ def duality_check(problem, adjoint, p):
                     + E<Y(t0), F(t0, X(t0), v) - F(t0, X(t0), u(t0))>
 
     for the spike that the first variation ``p`` follows, which must have
-    been taken along the adjoint's own trajectories.  Reports both sides
-    with standard errors; the caller decides the acceptance multiple.
+    been taken along the adjoint's own trajectories.  The last term reads
+    p(t0), which is that difference of drifts.  Reports both sides with
+    standard errors; the caller decides the acceptance multiple.
     """
     optimal = adjoint.trajectories
     if p.optimal is not optimal:
         raise ValueError("duality check needs the first variation taken "
                          "along the adjoint's own trajectories")
-    spec = p.spike
     grid = optimal.grid
     times = grid.times
     dt = grid.dt
-    k0, _ = spec.window(grid)
-    paths = optimal.paths
+    k0, _ = p.spike.window(grid)
 
     lhs_pp = np.einsum("pi,pi->p", adjoint.y_at(grid.steps),
                        p.states[:, grid.steps, :])
-
-    x0 = optimal.states[:, k0, :]
-    u0 = optimal.control_at(k0)
-    v = np.broadcast_to(spec.v, u0.shape)
-    delta_f = np.asarray(problem.F(times[k0], x0, v), dtype=float) \
-        - np.asarray(problem.F(times[k0], x0, u0), dtype=float)
-    rhs_pp = np.einsum("pi,pi->p", adjoint.y_at(k0), delta_f)
+    rhs_pp = np.einsum("pi,pi->p", adjoint.y_at(k0), p.states[:, k0, :])
     for k in range(k0, grid.steps):
         xk = optimal.states[:, k, :]
         uk = optimal.control_at(k)
         grad = np.asarray(problem.ell_x(times[k], xk, uk), dtype=float)
         rhs_pp -= np.einsum("pi,pi->p", grad, p.states[:, k, :]) * dt
 
-    lhs = float(np.mean(lhs_pp))
-    rhs = float(np.mean(rhs_pp))
-    se_lhs = float(np.std(lhs_pp, ddof=1) / np.sqrt(paths)) if paths > 1 \
-        else float("inf")
-    se_rhs = float(np.std(rhs_pp, ddof=1) / np.sqrt(paths)) if paths > 1 \
-        else float("inf")
+    lhs, se_lhs = mean_se(lhs_pp)
+    rhs, se_rhs = mean_se(rhs_pp)
     return DualityReport(lhs=lhs, rhs=rhs, difference=lhs - rhs,
-                         se_lhs=se_lhs, se_rhs=se_rhs, paths=paths)
+                         se_lhs=se_lhs, se_rhs=se_rhs, paths=optimal.paths)

@@ -513,7 +513,7 @@ def _first_variation(config, eps):
     """Problem and first variation of a rates or gateaux run.
 
     p follows the spike (t0, eps, v) of the options along the stationary
-    scenario-1 candidate; ``inject_fault`` doubles it.
+    scenario-1 candidate; ``inject_fault`` doubles its states p, not zeta.
     """
     opts = config.options
     cfg = Example1Config(**_run_fields(config), drift_gain=opts["drift_gain"])

@@ -5,7 +5,8 @@ martingale driver, discretized by Euler-Maruyama with left-point coefficient
 evaluation.  A spike perturbation replaces the control by a fixed value v on
 a grid-aligned window [t0, t0 + eps).  The first variation p of the state
 with respect to the spike and the running-cost variation zeta follow linear
-equations driven by the frozen optimal trajectory and the same noise.
+equations driven by the frozen optimal trajectory and the same noise;
+integrate_variational steps both in one walk along that trajectory.
 
 Problem callables are vectorized over paths:
 
@@ -27,7 +28,7 @@ from typing import Callable
 import numpy as np
 
 from .hilbert import SpaceConfig, apply_operator, as_vector
-from .martingale import NoiseBundle, PathGrid
+from .martingale import NoiseBundle, mean_se
 
 
 class BlowUpError(RuntimeError):
@@ -408,22 +409,27 @@ def stream_spiked(problem, base, spec, visit):
 
 @dataclass(frozen=True)
 class FirstVariation:
-    """First variation p of the state along ``spike``, on ``optimal``.
+    """First variations p of the state and zeta of the running cost along
+    ``spike``, on ``optimal``.
 
-    ``states`` has shape (paths, steps + 1, n), zero before the window
-    start.  p reads only the spike's start and value v, never its width, so
-    one p serves every eps of a difference quotient or rate ladder.
+    ``states`` has shape (paths, steps + 1, n) and ``zeta`` (paths,
+    steps + 1), both zero before the window start.  They read only the
+    spike's start and value v, never its width, so one first variation
+    serves every eps of a difference quotient or rate ladder.
     """
 
     states: np.ndarray
+    zeta: np.ndarray
     optimal: TrajectoryBundle = field(repr=False)
     spike: SpikeSpec
 
 
 def integrate_variational(problem, optimal, spec):
-    """First variation p of the state along a spike, on the frozen trajectory.
+    """First variations p and zeta along a spike, on the frozen trajectory.
 
-    p(t0) = F(t0, X(t0), v) - F(t0, X(t0), u(t0)), then
+    p(t0) = F(t0, X(t0), v) - F(t0, X(t0), u(t0)) and
+    zeta(t0) = ell(t0, X(t0), v) - ell(t0, X(t0), u(t0)), then
+    zeta_{k+1} = zeta_k + <ell_x(t_k, X_k, u_k), p_k> dt and
     p_{k+1} = p_k + F_x(t_k, X_k, u_k) p_k dt + (G_x(t_k, X_k)[p_k]) dM_k,
     driven by the optimal trajectory's own noise bundle and controls.
     """
@@ -438,47 +444,23 @@ def integrate_variational(problem, optimal, spec):
     u0 = optimal.control_at(k0)
     v = np.broadcast_to(spec.v, u0.shape)
     p = problem.F(t0, x0, v) - problem.F(t0, x0, u0)
+    z = problem.ell(t0, x0, v) - problem.ell(t0, x0, u0)
     out = np.zeros_like(optimal.states)
+    zeta = np.zeros((optimal.paths, grid.steps + 1))
     out[:, k0, :] = p
+    zeta[:, k0] = z
     for k in range(k0, grid.steps):
         t = times[k]
         xk = x_at[:, k, :]
         uk = optimal.control_at(k)
+        z = z + np.einsum("pi,pi->p", problem.ell_x(t, xk, uk), p) * dt
+        zeta[:, k + 1] = z
         fx = problem.F_x(t, xk, uk)
         gx = problem.G_x(t, xk, p)
         p = p + apply_operator(fx, p) * dt \
             + apply_operator(gx, bundle.increments[:, k, :])
         out[:, k + 1, :] = p
-    return FirstVariation(states=out, optimal=optimal, spike=spec)
-
-
-def integrate_zeta(problem, p):
-    """Scalar first variation of the running cost along p's spike.
-
-    zeta(t0) = ell(t0, X(t0), v) - ell(t0, X(t0), u(t0)), then
-    zeta_{k+1} = zeta_k + <ell_x(t_k, X_k, u_k), p_k> dt along p's optimal
-    trajectory.  Returns an array of shape (paths, steps + 1), zero before
-    the window start.
-    """
-    optimal = p.optimal
-    spec = p.spike
-    grid = optimal.grid
-    times = grid.times
-    dt = grid.dt
-    k0, _ = spec.window(grid)
-    x0 = optimal.states[:, k0, :]
-    u0 = optimal.control_at(k0)
-    v = np.broadcast_to(spec.v, u0.shape)
-    z = problem.ell(times[k0], x0, v) - problem.ell(times[k0], x0, u0)
-    out = np.zeros((optimal.paths, grid.steps + 1))
-    out[:, k0] = z
-    for k in range(k0, grid.steps):
-        xk = optimal.states[:, k, :]
-        uk = optimal.control_at(k)
-        grad = problem.ell_x(times[k], xk, uk)
-        z = z + np.einsum("pi,pi->p", grad, p.states[:, k, :]) * dt
-        out[:, k + 1] = z
-    return out
+    return FirstVariation(states=out, zeta=zeta, optimal=optimal, spike=spec)
 
 
 @dataclass(frozen=True)
@@ -500,10 +482,8 @@ class CostReport:
 
 
 def _cost_report(total, running):
-    se = float(np.std(total, ddof=1) / np.sqrt(total.shape[0])) \
-        if total.shape[0] > 1 else float("inf")
-    return CostReport(mean=float(np.mean(total)), stderr=se, per_path=total,
-                      running=running)
+    mean, se = mean_se(total)
+    return CostReport(mean=mean, stderr=se, per_path=total, running=running)
 
 
 def evaluate_cost(problem, trajectories, running_at=()):

@@ -247,7 +247,6 @@ class NoiseBundle:
     increments: np.ndarray
     seed: int
     grid: PathGrid
-    driver: MartingaleDriver | None = field(default=None, repr=False)
 
     def __post_init__(self):
         inc = np.asarray(self.increments, dtype=float)
@@ -285,7 +284,7 @@ class NoiseBundle:
             fh.write(body.tobytes(order="C"))
 
     @classmethod
-    def load(cls, path, grid, driver=None):
+    def load(cls, path, grid):
         """Read a bundle back; the grid (horizon) must be supplied again."""
         with open(path, "rb") as fh:
             raw = fh.read(_HEADER_STRUCT.size)
@@ -301,7 +300,7 @@ class NoiseBundle:
             raise ValueError(f"noise file body has {body.size} doubles, "
                              f"expected {expected}")
         inc = body.reshape(paths, steps, dim).astype(float)
-        return cls(increments=inc, seed=seed, grid=grid, driver=driver)
+        return cls(increments=inc, seed=seed, grid=grid)
 
 
 def sample_increments(driver, grid, paths, seed):
@@ -333,8 +332,19 @@ def sample_increments(driver, grid, paths, seed):
 
     blocks = _parallel.map_blocks(block, paths)
     increments = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
-    return NoiseBundle(increments=increments, seed=seed, grid=grid,
-                       driver=driver)
+    return NoiseBundle(increments=increments, seed=seed, grid=grid)
+
+
+def mean_se(values):
+    """Monte Carlo mean of per-path values and its standard error.
+
+    The SE is std(ddof=1) / sqrt(paths), NaN below two paths, so that no
+    check passes against it.
+    """
+    n = values.shape[0]
+    se = float(np.std(values, ddof=1) / np.sqrt(n)) if n > 1 \
+        else float("nan")
+    return float(np.mean(values)), se
 
 
 @dataclass(frozen=True)
@@ -389,9 +399,7 @@ def verify_isometry(phi, driver, bundle):
     for k in range(grid.steps):
         totals += bundle.increments[:, k, :] @ mats[k].T
     sq = np.einsum("pi,pi->p", totals, totals)
-    mc = float(np.mean(sq))
-    se = float(np.std(sq, ddof=1) / np.sqrt(bundle.paths)) if bundle.paths > 1 \
-        else float("inf")
+    mc, se = mean_se(sq)
 
     integrals = step_intensity_integrals(driver, grid)   # (ncomp, steps)
     betas = driver.betas()                               # (ncomp, dim)

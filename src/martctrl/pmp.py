@@ -22,7 +22,6 @@ report).
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -32,11 +31,11 @@ from .adjoint import (AdjointSolution, RegressionBasis, duality_check,
                       hamiltonian, solve_adjoint_explicit, solve_adjoint_lsmc)
 from .dynamics import (BoxSet, ControlProblem, FeedbackPolicy, OpenLoopPolicy,
                        SpikeSpec, evaluate_cost, integrate_forward,
-                       integrate_variational, integrate_zeta, sample_controls,
-                       spiked_cost, stream_spiked)
+                       integrate_variational, sample_controls, spiked_cost,
+                       stream_spiked)
 from .hilbert import SpaceConfig
 from .martingale import (MartingaleDriver, PathGrid, ScalarIntensity,
-                         sample_increments)
+                         mean_se, sample_increments)
 
 
 # Largest midpoint-convexity violation that sufficient_check still passes.
@@ -86,7 +85,6 @@ class ScenarioReport:
 class MarginReport:
     """Hamiltonian margins over sampled times, paths, and control probes."""
 
-    time_indices: np.ndarray
     times: np.ndarray
     path_indices: np.ndarray
     probes: np.ndarray
@@ -152,7 +150,7 @@ def necessary_check(problem, driver, adjoint, probes=None, sample_times=20,
     wi, wp, wv = np.unravel_index(flat_arg, margins.shape)
     witness = (float(times[t_idx[wi]]), int(p_idx[wp]), probes[wv].copy())
     return MarginReport(
-        time_indices=t_idx, times=times[t_idx], path_indices=p_idx,
+        times=times[t_idx], path_indices=p_idx,
         probes=probes, margins=margins, min_margin=float(margins.min()),
         frac_negative=float(np.mean(margins < 0.0)), tol=tol,
         stat_allowance=stat_allowance, disc_allowance=disc_allowance,
@@ -301,29 +299,23 @@ def gateaux_check(problem, p, eps_list=(0.05, 0.025), bias_fraction=0.1):
     """
     traj = p.optimal
     spec = p.spike
-    zeta = integrate_zeta(problem, p)
-    grid = traj.grid
     hx = np.asarray(problem.h_x(traj.states[:, -1, :]), dtype=float)
-    adj_pp = np.einsum("pi,pi->p", hx, p.states[:, -1, :]) + zeta[:, -1]
-    adj = float(np.mean(adj_pp))
-    se_adj = float(np.std(adj_pp, ddof=1) / np.sqrt(adj_pp.shape[0]))
+    adj_pp = np.einsum("pi,pi->p", hx, p.states[:, -1, :]) + p.zeta[:, -1]
+    adj, se_adj = mean_se(adj_pp)
 
-    k0, _ = spec.window(grid)
+    k0, _ = spec.window(traj.grid)
     base_cost = evaluate_cost(problem, traj, running_at=(k0,))
     entries = []
     for eps in eps_list:
         spec_eps = SpikeSpec(t0=spec.t0, eps=float(eps), v=spec.v)
         cost_eps = spiked_cost(problem, traj, base_cost, spec_eps)
         fd_pp = (cost_eps.per_path - base_cost.per_path) / float(eps)
-        diff_pp = fd_pp - adj_pp
-        mean_diff = float(np.mean(diff_pp))
-        se_diff = float(np.std(diff_pp, ddof=1) / np.sqrt(diff_pp.shape[0]))
+        fd, se_fd = mean_se(fd_pp)
+        mean_diff, se_diff = mean_se(fd_pp - adj_pp)
         tol = 3.0 * se_diff + bias_fraction * float(eps) * abs(adj)
         entries.append(GateauxEntry(
-            eps=float(eps), fd_quotient=float(np.mean(fd_pp)),
-            se_fd=float(np.std(fd_pp, ddof=1) / np.sqrt(fd_pp.shape[0])),
-            mean_diff=mean_diff, se_diff=se_diff, tol=tol,
-            agree=abs(mean_diff) <= tol))
+            eps=float(eps), fd_quotient=fd, se_fd=se_fd, mean_diff=mean_diff,
+            se_diff=se_diff, tol=tol, agree=abs(mean_diff) <= tol))
     return GateauxReport(adjoint_value=adj, se_adjoint=se_adj,
                          entries=entries)
 
@@ -370,17 +362,14 @@ def rate_experiments(problem, p, eps_ladder=(0.2, 0.1, 0.05, 0.025)):
     esup_se = np.empty(ladder.size)
     exi = np.empty(ladder.size)
     exi_se = np.empty(ladder.size)
-    paths = traj.paths
     for i, eps in enumerate(ladder):
         spec = SpikeSpec(t0=float(t0), eps=float(eps), v=v)
-        msq = np.zeros(paths)
+        msq = np.zeros(traj.paths)
         x_end = stream_spiked(problem, traj, spec, partial(_sup_gap, traj, msq))
         xi = (x_end - traj.states[:, -1, :]) / eps - p_term
         xi_sq = np.einsum("pi,pi->p", xi, xi)
-        esup[i] = float(np.mean(msq))
-        esup_se[i] = float(np.std(msq, ddof=1) / np.sqrt(paths))
-        exi[i] = float(np.mean(xi_sq))
-        exi_se[i] = float(np.std(xi_sq, ddof=1) / np.sqrt(paths))
+        esup[i], esup_se[i] = mean_se(msq)
+        exi[i], exi_se[i] = mean_se(xi_sq)
 
     slope = float(np.polyfit(np.log(ladder), np.log(esup), 1)[0])
     decreasing = bool(np.all(np.diff(exi) < 0.0))
@@ -610,7 +599,6 @@ class Example1Result:
     spikes: list
     margin_report: MarginReport
     sufficiency: SufficiencyReport
-    core_seconds: float          # wall time of setup, forward run and cost
 
 
 def run_example1(cfg=None):
@@ -622,7 +610,6 @@ def run_example1(cfg=None):
             "candidate and requires drift_gain = 0; exercise the nonlinear "
             "drift variant through the difference-quotient or rate "
             "experiments instead")
-    tic = time.perf_counter()
     problem, driver, grid, u_star, trajectories = example1_candidate(cfg)
     adjoint = solve_adjoint_explicit(problem, driver, trajectories)
     specs = default_spike_family(
@@ -631,16 +618,13 @@ def run_example1(cfg=None):
     # spikes start from the base run's running cost at their start steps
     cost = evaluate_cost(problem, trajectories,
                          running_at={spec.window(grid)[0] for spec in specs})
-    core_seconds = time.perf_counter() - tic
 
     analytic = example1_analytic_cost(cfg)
 
     spikes = []
     for spec in specs:
         cost_eps = spiked_cost(problem, trajectories, cost, spec)
-        gap_pp = cost_eps.per_path - cost.per_path
-        gap = float(np.mean(gap_pp))
-        se = float(np.std(gap_pp, ddof=1) / np.sqrt(gap_pp.shape[0]))
+        gap, se = mean_se(cost_eps.per_path - cost.per_path)
         far = float(np.linalg.norm(spec.v - u_star)) >= FAR_THRESHOLD
         spikes.append(SpikeOutcome(spec=spec, gap=gap, se=se, far=far))
 
@@ -728,7 +712,7 @@ def run_example1(cfg=None):
         report=report, problem=problem, driver=driver, grid=grid,
         adjoint=adjoint, cost=cost, analytic_cost=analytic,
         u_star=u_star, spikes=spikes, margin_report=margin_report,
-        sufficiency=sufficiency, core_seconds=core_seconds)
+        sufficiency=sufficiency)
 
 
 # ---------------------------------------------------------------------------
@@ -835,7 +819,6 @@ def stationarity_residual(problem, adjoint):
     times = grid.times
     total = 0.0
     count = 0
-    per_step = np.empty(grid.steps)
     for k in range(grid.steps):
         xk = trajectories.states[:, k, :]
         uk = trajectories.control_at(k)
@@ -847,10 +830,9 @@ def stationarity_residual(problem, adjoint):
             futy = np.einsum("pnm,pn->pm", fu, yk)
         resid = np.asarray(problem.ell_u(times[k], xk, uk), dtype=float) + futy
         sq = np.einsum("pi,pi->p", resid, resid)
-        per_step[k] = float(np.mean(sq))
         total += float(np.sum(sq))
         count += sq.shape[0]
-    return float(np.sqrt(total / count)), per_step
+    return float(np.sqrt(total / count))
 
 
 @dataclass
@@ -861,7 +843,6 @@ class SweepRecord:
     adjoint: AdjointSolution
     cost: object
     residual: float
-    residual_per_step: np.ndarray
 
 
 @dataclass
@@ -913,13 +894,12 @@ def run_example2(cfg=None):
         adjoint = solve_adjoint_lsmc(problem, driver, trajectories,
                                      basis=basis)
         cost = evaluate_cost(problem, trajectories)
-        residual, per_step = stationarity_residual(problem, adjoint)
+        residual = stationarity_residual(problem, adjoint)
         # nothing reads this record again: later sweeps call the policy
         # at their own states
         trajectories.drop_controls()
         sweeps.append(SweepRecord(adjoint=adjoint, cost=cost,
-                                  residual=residual,
-                                  residual_per_step=per_step))
+                                  residual=residual))
         if s < cfg.sweeps:
             policy = _improvement_policy(adjoint, c_op, r_inv, grid)
 
@@ -936,9 +916,8 @@ def run_example2(cfg=None):
     cost_ok = True
     details = []
     for s in range(1, len(sweeps)):
-        diff_pp = sweeps[s].cost.per_path - sweeps[s - 1].cost.per_path
-        mean_diff = float(np.mean(diff_pp))
-        se_diff = float(np.std(diff_pp, ddof=1) / np.sqrt(diff_pp.shape[0]))
+        mean_diff, se_diff = mean_se(sweeps[s].cost.per_path
+                                     - sweeps[s - 1].cost.per_path)
         ok = mean_diff <= 2.0 * se_diff
         cost_ok = cost_ok and ok
         details.append(f"sweep {s}: dJ = {mean_diff:.3e} (SE {se_diff:.1e})")

@@ -10,7 +10,7 @@ from martctrl.adjoint import (RegressionBasis, RegressionRankError,
                               solve_adjoint_explicit, solve_adjoint_lsmc)
 from martctrl.dynamics import (OpenLoopPolicy, SpikeSpec, integrate_forward,
                                integrate_variational)
-from martctrl.martingale import sample_increments
+from martctrl.martingale import sample_increments, verify_isometry
 from martctrl.pmp import (EXAMPLE1_C, EXAMPLE1_F_TILDE, Example1Config,
                           Example2Config, build_example1_problem,
                           build_example2_problem)
@@ -274,6 +274,21 @@ def test_duality_identity_example1_frozen_value():
     assert rep.se_rhs == pytest.approx(0.0, abs=1e-12)
     assert rep.within(3.0)
     assert abs(rep.lhs - analytic) < 4.0 * rep.se_lhs
+
+
+def test_one_path_checks_do_not_pass():
+    # one path has no standard error: a k-SE check must not pass against it
+    cfg, problem, driver, grid, u_star, bundle, pol, traj = example1_setup(
+        steps=20, paths=1)
+    adj = solve_adjoint_explicit(problem, driver, traj)
+    spec = SpikeSpec(t0=0.25, eps=0.1, v=np.array([0.6, 0.4]))
+    duality = duality_check(problem, adj,
+                            integrate_variational(problem, traj, spec))
+    assert np.isfinite(duality.difference)
+    assert not duality.within(3.0)
+    isometry = verify_isometry(np.eye(4), driver, bundle)
+    assert np.isfinite(isometry.difference)
+    assert not isometry.within(3.0)
 
 
 def test_duality_check_requires_shared_bundle():

@@ -358,6 +358,15 @@ def test_readme_lists_every_run_key():
     assert sorted(listed) == sorted({"scenario"} | keys)
 
 
+def test_readme_library_use_runs(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(
+        encoding="utf-8")
+    section = readme.split("## Library use", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(code, "README.md (Library use)", "exec"), {})
+    assert "True" in capsys.readouterr().out
+
+
 def _ini_value(value):
     if isinstance(value, bool):
         return "true" if value else "false"

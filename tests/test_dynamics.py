@@ -7,12 +7,13 @@ from martctrl.dynamics import (BallSet, BlowUpError, BoxSet, ControlProblem,
                                FeedbackPolicy, FiniteSet, OpenLoopPolicy,
                                SpikeSpec, apply_spike, evaluate_cost,
                                finite_diff_check, integrate_forward,
-                               integrate_variational, integrate_zeta,
-                               sample_controls, spiked_cost, stream_spiked)
+                               integrate_variational, sample_controls,
+                               spiked_cost, stream_spiked)
 from martctrl.hilbert import SpaceConfig
 from martctrl.martingale import (MartingaleDriver, PathGrid, ScalarIntensity,
                                  sample_increments)
-from martctrl.pmp import Example1Config, build_example1_problem, named_feedback
+from martctrl.pmp import (Example1Config, Example2Config, build_example1_problem,
+                          build_example2_problem, named_feedback)
 
 
 def make_driver(dim=2, horizon=1.0):
@@ -320,11 +321,36 @@ def test_zeta_for_control_only_running_cost():
     v = np.array([0.4, 0.9])
     spec = SpikeSpec(t0=0.25, eps=0.1, v=v)
     p = integrate_variational(problem, traj, spec)
-    zeta = integrate_zeta(problem, p)
     jump = float(v @ v - u_star @ u_star)
     k0, _ = spec.window(grid)
-    assert np.allclose(zeta[:, :k0], 0.0)
-    assert np.allclose(zeta[:, -1], jump, atol=1e-12)
+    assert np.allclose(p.zeta[:, :k0], 0.0)
+    assert np.allclose(p.zeta[:, -1], jump, atol=1e-12)
+
+
+def test_zeta_rides_with_p_bit_for_bit():
+    # example2 has ell_x = x P != 0, so zeta reads p; the reference is the
+    # separate walk along the optimal run that zeta had before
+    cfg = Example2Config(steps=30, paths=64, seed=8)
+    problem, driver, grid = build_example2_problem(cfg)
+    bundle = sample_increments(driver, grid, cfg.paths, cfg.seed)
+    pol = FeedbackPolicy(fn=lambda t, x: -0.5 * x)
+    traj = integrate_forward(problem, pol, bundle, np.asarray(cfg.x0))
+    spec = SpikeSpec(t0=0.2, eps=0.1, v=np.array([0.5, -0.25]))
+    p = integrate_variational(problem, traj, spec)
+
+    times, dt = grid.times, grid.dt
+    k0, _ = spec.window(grid)
+    x0, u0 = traj.states[:, k0, :], traj.control_at(k0)
+    v = np.broadcast_to(spec.v, u0.shape)
+    z = problem.ell(times[k0], x0, v) - problem.ell(times[k0], x0, u0)
+    ref = np.zeros((traj.paths, grid.steps + 1))
+    ref[:, k0] = z
+    for k in range(k0, grid.steps):
+        grad = problem.ell_x(times[k], traj.states[:, k, :], traj.control_at(k))
+        z = z + np.einsum("pi,pi->p", grad, p.states[:, k, :]) * dt
+        ref[:, k + 1] = z
+    assert np.array_equal(p.zeta, ref)
+    assert not np.array_equal(p.zeta[:, -1], p.zeta[:, k0])
 
 
 def test_evaluate_cost_left_riemann():
