@@ -106,12 +106,20 @@ def _normalize_args(x, u, y, zq):
     return x, u, y, zq, squeeze
 
 
+def _times_qhalf(action, x, qhalf):
+    """A diffusion action times Q^(1/2): the (P, n, n) batch whose column
+    j is ``action(q_j)``, with the column q_j of Q^(1/2) broadcast over the
+    paths of x."""
+    shape = (x.shape[0], qhalf.shape[0])
+    return np.stack([np.asarray(action(np.broadcast_to(q, shape)),
+                                dtype=float) for q in qhalf.T], axis=-1)
+
+
 def hamiltonian(problem, driver, t, x, u, y, zq):
     """Evaluate H; returns a scalar for a single point, else shape (P,)."""
     x, u, y, zq, squeeze = _normalize_args(x, u, y, zq)
-    qhalf = driver.cov_rate_sqrt(t)
-    g = np.asarray(problem.G(t, x), dtype=float)
-    gq = g @ qhalf
+    gq = _times_qhalf(lambda dm: problem.G(t, x, dm), x,
+                      driver.cov_rate_sqrt(t))
     value = np.asarray(problem.ell(t, x, u), dtype=float) \
         + np.einsum("pi,pi->p", np.asarray(problem.F(t, x, u), dtype=float), y) \
         + batch_hs_inner(gq, zq)
@@ -135,13 +143,11 @@ def grad_x_hamiltonian(problem, driver, t, x, u, y, zq):
         fxty = np.einsum("pij,pi->pj", fx, y)
     grad = np.asarray(problem.ell_x(t, x, u), dtype=float) + fxty
     gamma = np.empty((x.shape[0], n))
-    for d in range(n):
-        direction = np.zeros(n)
-        direction[d] = 1.0
-        gxd = np.asarray(
-            problem.G_x(t, x, np.broadcast_to(direction, x.shape)),
-            dtype=float)
-        gamma[:, d] = batch_hs_inner(gxd @ qhalf, zq)
+    for d, direction in enumerate(np.eye(n)):
+        direction = np.broadcast_to(direction, x.shape)
+        gxdq = _times_qhalf(lambda dm: problem.G_x(t, x, direction, dm), x,
+                            qhalf)
+        gamma[:, d] = batch_hs_inner(gxdq, zq)
     grad = grad + gamma
     return grad[0] if squeeze else grad
 

@@ -562,11 +562,12 @@ def _run_gateaux(config):
     problem, p = _first_variation(config, eps_list[0])
     report = gateaux_check(problem, p, eps_list=eps_list,
                            bias_fraction=opts["bias_fraction"])
-    assertions = [Assertion(
-        name=f"quotient_matches_eps_{entry.eps:g}", passed=entry.agree,
-        detail=f"fd {entry.fd_quotient:.6f} vs adjoint "
-               f"{report.adjoint_value:.6f}, |diff| "
-               f"{abs(entry.mean_diff):.2e} vs tol {entry.tol:.2e}")
+    assertions = [within_3se(
+        f"quotient_matches_eps_{entry.eps:g}", entry.mean_diff,
+        entry.se_diff, report.adjoint_value, "adjoint",
+        f"fd {entry.fd_quotient:.6f} vs adjoint "
+        f"{report.adjoint_value:.6f}, |diff| "
+        f"{abs(entry.mean_diff):.2e} vs tol {entry.tol:.2e}", tol=entry.tol)
         for entry in report.entries]
     sections = {
         "gateaux": {

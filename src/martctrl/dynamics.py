@@ -11,13 +11,15 @@ integrate_variational steps both in one walk along that trajectory.
 Problem callables are vectorized over paths:
 
     F(t, X, U) -> (P, n)          F_x(t, X, U) -> (n, n) or (P, n, n)
-    G(t, X)    -> (n, n) or (P, n, n)
-    G_x(t, X, D) -> (n, n) or (P, n, n)   directional derivative along D
+    G(t, X, dM) -> (P, n)         the increment G(t, X) dM
+    G_x(t, X, D, dM) -> (P, n)    (G_x(t, X)[D]) dM, derivative along D
     ell(t, X, U) -> (P,)          ell_x -> (P, n), ell_u -> (P, m)
     h(X) -> (P,)                  h_x(X) -> (P, n)
     F_u(t, X, U) -> (n, m) or (P, n, m)
 
-with X of shape (P, n), U of shape (P, m) and scalar t.
+with X, D and dM of shape (P, n), U of shape (P, m) and scalar t.  The
+diffusion is only ever applied, so G and G_x return its action on the
+driver directions dM and never an operator per path.
 """
 
 from __future__ import annotations
@@ -164,9 +166,11 @@ def sample_controls(control_set, count, rng):
 class ControlProblem:
     """Coefficients, costs, and analytic derivatives of one control problem.
 
-    ``G_x(t, X, D)`` is the directional derivative of G at X along the state
-    directions D (one per path): it returns the operator that multiplies the
-    driver increment in the first-variation equation.
+    The diffusion enters through its action: ``G(t, X, dM)`` returns
+    G(t, X) dM and ``G_x(t, X, D, dM)`` returns (G_x(t, X)[D]) dM, the
+    directional derivative of G at X along the state directions D applied
+    to dM, one row per path.  ``F_x`` stays an operator because grad_x H
+    needs its transpose.
     """
 
     space: SpaceConfig
@@ -351,8 +355,7 @@ def _euler(problem, policy, bundle, x, start, visit):
         t = times[k]
         u = policy.controls_at(k, t, x)
         drift = problem.F(t, x, u)
-        diffusion = apply_operator(problem.G(t, x), bundle.increments[:, k, :])
-        x_next = x + drift * dt + diffusion
+        x_next = x + drift * dt + problem.G(t, x, bundle.increments[:, k, :])
         if not np.all(np.isfinite(x_next)):
             bad = np.argwhere(~np.isfinite(x_next).all(axis=1))[0, 0]
             raise BlowUpError(path=bad, step=k + 1, time=times[k + 1])
@@ -456,9 +459,8 @@ def integrate_variational(problem, optimal, spec):
         z = z + np.einsum("pi,pi->p", problem.ell_x(t, xk, uk), p) * dt
         zeta[:, k + 1] = z
         fx = problem.F_x(t, xk, uk)
-        gx = problem.G_x(t, xk, p)
         p = p + apply_operator(fx, p) * dt \
-            + apply_operator(gx, bundle.increments[:, k, :])
+            + problem.G_x(t, xk, p, bundle.increments[:, k, :])
         out[:, k + 1, :] = p
     return FirstVariation(states=out, zeta=zeta, optimal=optimal, spike=spec)
 
@@ -577,24 +579,32 @@ def finite_diff_check(problem, probes, rel_step=1e-5, tol=1e-4):
     audit the derivatives independently: no analytic derivative enters
     them.  Derivatives whose max relative error exceeds ``tol`` are
     flagged; G_x is compared one direction at a time, each on its own scale.
+    The diffusion operators are read off their actions on the basis
+    vectors, column by column.
     """
     n = problem.space.state_dim
     m = problem.space.control_dim
     worst = dict.fromkeys(("F_x", "F_u", "G_x", "ell_x", "ell_u", "h_x"), 0.0)
+    basis = np.eye(n)[:, None, :]
+
+    def operator(action):
+        # (1, n, n) operator whose column j is action(e_j)
+        return np.stack([np.asarray(action(e), dtype=float) for e in basis],
+                        axis=-1)
 
     count = 0
     for t, x, u in probes:
         count += 1
         X = as_vector(x, dim=n, name="probe state")[None, :]
         U = as_vector(u, dim=m, name="probe control")[None, :]
-        g_x = np.stack([np.asarray(problem.G_x(t, X, e[None]), dtype=float)
-                        for e in np.eye(n)], axis=-1)
+        g_x = np.stack([operator(lambda e, d=d: problem.G_x(t, X, d, e))
+                        for d in basis], axis=-1)
         # (name, analytic value, function of the perturbed point, the point
         # it perturbs); batch axes of length one broadcast away
         table = (
             ("F_x", problem.F_x(t, X, U), lambda z: problem.F(t, z, U), X),
             ("F_u", problem.F_u(t, X, U), lambda z: problem.F(t, X, z), U),
-            ("G_x", g_x, lambda z: problem.G(t, z), X),
+            ("G_x", g_x, lambda z: operator(lambda e: problem.G(t, z, e)), X),
             ("ell_x", problem.ell_x(t, X, U),
              lambda z: problem.ell(t, z, U), X),
             ("ell_u", problem.ell_u(t, X, U),

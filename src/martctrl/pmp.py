@@ -52,21 +52,29 @@ class Assertion:
     detail: str = ""
 
 
-def within_3se(name, difference, stderr, target, label, detail):
-    """Assertion that |difference| <= 3 SE, never passed vacuously.
+def _informative(stderr, target):
+    """Whether 3 SE is at most half of max(1, |target|).
 
     Agreement within 3 SE says nothing once 3 SE dwarfs the scale of the
-    target value: the verdict then fails, its detail starting with
-    ``inconclusive``, when 3 SE exceeds half of max(1, |target|).
+    target value, so every Monte Carlo agreement verdict requires this.
+    """
+    return 3.0 * stderr <= 0.5 * max(1.0, abs(target))
+
+
+def within_3se(name, difference, stderr, target, label, detail, tol=None):
+    """Assertion that |difference| <= tol, never passed vacuously.
+
+    ``tol`` defaults to 3 SE.  The verdict fails, its detail starting with
+    ``inconclusive``, when 3 SE exceeds half of max(1, |target|);
     ``label`` names the target in that detail.
     """
-    scale = max(1.0, abs(target))
-    informative = 3.0 * stderr <= 0.5 * scale
-    if not informative:
+    tol = 3.0 * stderr if tol is None else tol
+    ok = _informative(stderr, target)
+    if not ok:
         detail = (f"inconclusive: 3*SE exceeds half of max(1, |{label}|) = "
-                  f"{scale:.2e}; {detail}")
+                  f"{max(1.0, abs(target)):.2e}; {detail}")
     return Assertion(name=name, detail=detail,
-                     passed=informative and abs(difference) <= 3.0 * stderr)
+                     passed=ok and abs(difference) <= tol)
 
 
 @dataclass
@@ -294,7 +302,8 @@ def gateaux_check(problem, p, eps_list=(0.05, 0.025), bias_fraction=0.1):
     The spikes start at p's own t0 with p's own v, one per eps, and re-run
     p's optimal trajectory on its noise bundle (common random numbers); per
     eps, agreement requires |mean difference| <= 3 * SE(paired diff) +
-    bias_fraction * eps * |first-variation value|.  Fault-detection
+    bias_fraction * eps * |first-variation value|, and 3 * SE(paired diff)
+    at most half of max(1, |first-variation value|).  Fault-detection
     self-tests pass a doctored p.
     """
     traj = p.optimal
@@ -315,7 +324,8 @@ def gateaux_check(problem, p, eps_list=(0.05, 0.025), bias_fraction=0.1):
         tol = 3.0 * se_diff + bias_fraction * float(eps) * abs(adj)
         entries.append(GateauxEntry(
             eps=float(eps), fd_quotient=fd, se_fd=se_fd, mean_diff=mean_diff,
-            se_diff=se_diff, tol=tol, agree=abs(mean_diff) <= tol))
+            se_diff=se_diff, tol=tol,
+            agree=_informative(se_diff, adj) and abs(mean_diff) <= tol))
     return GateauxReport(adjoint_value=adj, se_adjoint=se_adj,
                          entries=entries)
 
@@ -432,7 +442,8 @@ def build_example1_problem(cfg):
     beta = np.asarray(cfg.beta, dtype=float)
     c = np.asarray(cfg.c, dtype=float)
     f_tilde = np.asarray(cfg.f_tilde, dtype=float).reshape(n, m)
-    g_tilde = np.asarray(cfg.g_tilde, dtype=float).reshape(n, n)
+    # transposed once: diffusions apply it as dM G~^T
+    g_tilde_t = np.asarray(cfg.g_tilde, dtype=float).reshape(n, n).T.copy()
     gain = float(cfg.drift_gain)
     u_star = -0.5 * (f_tilde.T @ c)
     control_set = BoxSet(u_star - cfg.control_box_radius,
@@ -452,12 +463,11 @@ def build_example1_problem(cfg):
         out[:, idx, idx] = gain * (1.0 - np.tanh(x) ** 2)
         return out
 
-    def diffusion(t, x):
-        return np.einsum("p,ij->pij", x @ beta, g_tilde)
+    def diffusion(t, x, dm):
+        return (x @ beta)[:, None] * (dm @ g_tilde_t)
 
-    def diffusion_x(t, x, d):
-        return np.einsum("p,ij->pij", np.asarray(d, dtype=float) @ beta,
-                         g_tilde)
+    def diffusion_x(t, x, d, dm):
+        return (d @ beta)[:, None] * (dm @ g_tilde_t)
 
     problem = ControlProblem(
         space=space,
@@ -774,8 +784,9 @@ def build_example2_problem(cfg):
     c_op = np.asarray(cfg.c_op, dtype=float).reshape(n, m)
     f = np.asarray(cfg.f, dtype=float).reshape(n)
     gamma = np.asarray(cfg.gamma, dtype=float).reshape(n)
-    g_tilde = np.asarray(cfg.g_tilde, dtype=float).reshape(n, n)
-    d = np.asarray(cfg.d, dtype=float).reshape(n, n)
+    # transposed once: the diffusion applies them as dM G~^T and dM D^T
+    g_tilde_t = np.asarray(cfg.g_tilde, dtype=float).reshape(n, n).T.copy()
+    d_t = np.asarray(cfg.d, dtype=float).reshape(n, n).T.copy()
     p_w = np.asarray(cfg.p_weight, dtype=float).reshape(n, n)
     r_w = np.asarray(cfg.r_weight, dtype=float).reshape(m, m)
     p1 = np.asarray(cfg.p1, dtype=float).reshape(n, n)
@@ -784,20 +795,20 @@ def build_example2_problem(cfg):
             raise ValueError(f"{name} must be symmetric")
     beta = np.asarray(cfg.beta, dtype=float).reshape(n)
 
-    def diffusion(t, x):
-        return np.einsum("p,ij->pij", x @ gamma, g_tilde) + d
+    def quadratic(z, w):
+        return np.einsum("pi,pi->p", z @ w, z)
 
     problem = ControlProblem(
         space=space,
         F=lambda t, x, u: x @ a.T + u @ c_op.T + f,
-        G=diffusion,
-        ell=lambda t, x, u: 0.5 * np.einsum("pi,ij,pj->p", x, p_w, x)
-            + 0.5 * np.einsum("pi,ij,pj->p", u, r_w, u),
-        h=lambda x: 0.5 * np.einsum("pi,ij,pj->p", x, p1, x),
+        G=lambda t, x, dm: (x @ gamma)[:, None] * (dm @ g_tilde_t)
+            + dm @ d_t,
+        ell=lambda t, x, u: 0.5 * quadratic(x, p_w) + 0.5 * quadratic(u, r_w),
+        h=lambda x: 0.5 * quadratic(x, p1),
         F_x=lambda t, x, u: a,
         F_u=lambda t, x, u: c_op,
-        G_x=lambda t, x, dirs: np.einsum(
-            "p,ij->pij", np.asarray(dirs, dtype=float) @ gamma, g_tilde),
+        G_x=lambda t, x, dirs, dm: (dirs @ gamma)[:, None]
+            * (dm @ g_tilde_t),
         ell_x=lambda t, x, u: x @ p_w,
         ell_u=lambda t, x, u: u @ r_w,
         h_x=lambda x: x @ p1,
@@ -931,12 +942,12 @@ def run_example2(cfg=None):
         passed=(res_last < res_first) or res_first == 0.0,
         detail=f"residual {res_first:.4e} -> {res_last:.4e}"))
     if duality is not None:
-        assertions.append(Assertion(
-            name="duality_within_3se",
-            passed=duality.within(3.0),
-            detail=f"|{duality.lhs:.5f} - {duality.rhs:.5f}| = "
-                   f"{abs(duality.difference):.2e} vs "
-                   f"3*(SE_L+SE_R) = {3.0 * (duality.se_lhs + duality.se_rhs):.2e}"))
+        se = duality.se_lhs + duality.se_rhs
+        assertions.append(within_3se(
+            "duality_within_3se", duality.difference, se, duality.lhs, "lhs",
+            f"|{duality.lhs:.5f} - {duality.rhs:.5f}| = "
+            f"{abs(duality.difference):.2e} vs "
+            f"3*(SE_L+SE_R) = {3.0 * se:.2e}"))
 
     sections = {
         "sweeps": {

@@ -1,7 +1,10 @@
 """Forward integration, spikes, variational processes, and cost evaluation."""
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from martctrl.dynamics import (BallSet, BlowUpError, BoxSet, ControlProblem,
                                FeedbackPolicy, FiniteSet, OpenLoopPolicy,
@@ -14,6 +17,34 @@ from martctrl.martingale import (MartingaleDriver, PathGrid, ScalarIntensity,
                                  sample_increments)
 from martctrl.pmp import (Example1Config, Example2Config, build_example1_problem,
                           build_example2_problem, named_feedback)
+
+PACKAGED = {"example1": Example1Config(),
+            "example1-tanh": Example1Config(drift_gain=0.25),
+            "example2": Example2Config()}
+
+
+def packaged(name, **fields):
+    """Problem, driver, grid and an admissible constant control of a
+    packaged problem, with the given config fields replaced."""
+    cfg = dataclasses.replace(PACKAGED[name], **fields)
+    if name == "example2":
+        problem, driver, grid = build_example2_problem(cfg)
+        return cfg, problem, driver, grid, np.zeros(cfg.control_dim)
+    problem, driver, grid, u_star = build_example1_problem(cfg)
+    return cfg, problem, driver, grid, u_star
+
+
+def dense_diffusion(cfg, x, offset=True):
+    """(P, n, n) operators s_p G~ + D of a packaged config, built from its
+    fields: s_p = x_p . beta for example1 (no D), x_p . gamma for example2.
+    Without the offset D they are the derivatives along x."""
+    n = cfg.state_dim
+    g_tilde = np.asarray(cfg.g_tilde, dtype=float).reshape(n, n)
+    weights = cfg.gamma if isinstance(cfg, Example2Config) else cfg.beta
+    ops = (x @ np.asarray(weights, dtype=float))[:, None, None] * g_tilde
+    if offset and isinstance(cfg, Example2Config):
+        ops = ops + np.asarray(cfg.d, dtype=float).reshape(n, n)
+    return ops
 
 
 def make_driver(dim=2, horizon=1.0):
@@ -37,12 +68,12 @@ def constant_g_problem(dim=2, drift=None, g_scale=0.5, ell=None, h=None):
     return ControlProblem(
         space=SpaceConfig(state_dim=dim, control_dim=dim),
         F=lambda t, x, u: drift + pad(u),
-        G=lambda t, x: g,
+        G=lambda t, x, dm: dm @ g.T,
         ell=ell if ell is not None else (lambda t, x, u: np.zeros(x.shape[0])),
         h=h if h is not None else (lambda x: np.zeros(x.shape[0])),
         F_x=lambda t, x, u: np.zeros((dim, dim)),
         F_u=lambda t, x, u: np.eye(dim),
-        G_x=lambda t, x, d: np.zeros((x.shape[0], dim, dim)),
+        G_x=lambda t, x, d, dm: np.zeros_like(x),
         ell_x=lambda t, x, u: np.zeros_like(x),
         ell_u=lambda t, x, u: np.zeros_like(u),
         h_x=lambda x: np.zeros_like(x),
@@ -279,6 +310,49 @@ def test_streamed_spike_is_bit_identical_to_stored_spike(feedback,
         spiked_cost(problem, base, evaluate_cost(problem, base), specs[1])
 
 
+@pytest.mark.parametrize("feedback", [False, True],
+                         ids=["open-loop", "feedback"])
+@pytest.mark.parametrize("name", sorted(PACKAGED))
+@settings(max_examples=15, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_spike_prefix_identity(name, feedback, data):
+    # a streamed spike continues the base run from the window start: its
+    # cost and states are those of the full re-integration, bit for bit
+    steps = 16
+    cfg, problem, driver, grid, u = packaged(name, steps=steps, paths=24)
+    bundle = sample_increments(driver, grid, cfg.paths, cfg.seed)
+    policy = FeedbackPolicy(fn=lambda t, x: -0.1 * x[:, :2]) if feedback \
+        else OpenLoopPolicy.constant(u, grid.steps)
+    x0 = np.asarray(cfg.x0)
+    base = integrate_forward(problem, policy, bundle, x0)
+    k0 = data.draw(st.integers(0, steps - 1), label="k0")
+    width = data.draw(st.integers(1, steps - k0), label="width")
+    box = problem.control_set
+    v = np.array([data.draw(st.floats(lo, hi), label=f"v{j}")
+                  for j, (lo, hi) in enumerate(zip(box.lower, box.upper))])
+    spec = SpikeSpec(t0=k0 * grid.dt, eps=width * grid.dt, v=v)
+    assert spec.window(grid) == (k0, k0 + width)
+
+    full = integrate_forward(problem, apply_spike(policy, spec, grid), bundle,
+                             x0)
+    assert np.array_equal(full.states[:, :k0 + 1, :],
+                          base.states[:, :k0 + 1, :])
+    seen = {}
+    x_end = stream_spiked(problem, base, spec,
+                          lambda k, x, u, x_next: seen.setdefault(k + 1,
+                                                                  x_next))
+    assert sorted(seen) == list(range(k0 + 1, steps + 1))
+    for k, x in seen.items():
+        assert np.array_equal(x, full.states[:, k, :]), k
+    assert np.array_equal(x_end, full.states[:, -1, :])
+    base_cost = evaluate_cost(problem, base, running_at=(k0,))
+    streamed = spiked_cost(problem, base, base_cost, spec)
+    expected = evaluate_cost(problem, full)
+    assert np.array_equal(streamed.per_path, expected.per_path)
+    assert (streamed.mean, streamed.stderr) \
+        == (expected.mean, expected.stderr)
+
+
 def test_noop_spike_changes_nothing():
     cfg = Example1Config(steps=40, paths=16, seed=3)
     problem, driver, grid, u_star = build_example1_problem(cfg)
@@ -388,6 +462,28 @@ def test_finite_diff_check_passes_on_consistent_problem():
     assert max(rep.max_rel_error.values()) < 1e-4
 
 
+@pytest.mark.parametrize("name, fields", [
+    ("example1", {}), ("example1-tanh", {}), ("example2", {}),
+    # the packaged example2 operators are diagonal, which hides a transpose
+    ("example2", {"g_tilde": ((0.3, 0.1), (-0.05, 0.2)),
+                  "d": ((0.2, 0.07), (0.0, 0.15))})],
+    ids=["example1", "example1-tanh", "example2", "example2-full"])
+def test_diffusion_action_matches_dense_operator(name, fields):
+    cfg, problem, _, _, _ = packaged(name, **fields)
+    rng = np.random.default_rng(41)
+    x = 2.0 * rng.standard_normal((64, cfg.state_dim))
+    d = rng.standard_normal(x.shape)
+    dm = 0.1 * rng.standard_normal(x.shape)
+    for action, ref in (
+            (problem.G(0.3, x, dm),
+             np.einsum("pij,pj->pi", dense_diffusion(cfg, x), dm)),
+            (problem.G_x(0.3, x, d, dm),
+             np.einsum("pij,pj->pi", dense_diffusion(cfg, d, offset=False),
+                       dm))):
+        assert action.shape == x.shape
+        assert np.max(np.abs(action - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
 def test_finite_diff_check_flags_wrong_derivative():
     cfg = Example1Config()
     problem, _, _, u_star = build_example1_problem(cfg)
@@ -396,3 +492,8 @@ def test_finite_diff_check_flags_wrong_derivative():
     rep = finite_diff_check(problem, probes)
     assert not rep.passed
     assert "ell_u" in rep.flagged
+    # the diffusion derivative is audited through its action
+    doctored = dataclasses.replace(
+        problem, ell_u=lambda t, x, u: 2.0 * u,
+        G_x=lambda t, x, d, dm: 1.5 * problem.G_x(t, x, d, dm))
+    assert finite_diff_check(doctored, probes).flagged == ("G_x",)

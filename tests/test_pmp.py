@@ -152,6 +152,35 @@ def test_gateaux_check_agreement_and_fault_detection():
     assert not bad.agree_all
 
 
+def test_gateaux_check_with_huge_se_is_inconclusive():
+    # zero-mean noise of +-50 on zeta(T) leaves the mean difference where
+    # it was, inside the tolerance, but 3 SE(diff) then dwarfs the value
+    import dataclasses
+    cfg = Example1Config(steps=80, paths=300, seed=37)
+    problem, driver, grid, u_star, bundle, traj = candidate_for(cfg)
+    spec = SpikeSpec(t0=0.3, eps=0.05, v=np.array([0.65, 0.45]))
+    p = integrate_variational(problem, traj, spec)
+    assert gateaux_check(problem, p).agree_all
+    zeta = p.zeta.copy()
+    zeta[:, -1] += 50.0 * (-1.0) ** np.arange(cfg.paths)
+    noisy = gateaux_check(problem, dataclasses.replace(p, zeta=zeta))
+    for entry in noisy.entries:
+        assert abs(entry.mean_diff) <= entry.tol
+        assert 3.0 * entry.se_diff > 0.5 * max(1.0, abs(noisy.adjoint_value))
+        assert not entry.agree
+
+
+def test_within_3se_with_tolerance_is_never_vacuous():
+    ok = pmp.within_3se("a", 0.4, 0.1, 1.3, "value", "d", tol=0.5)
+    assert ok.passed and ok.detail == "d"
+    assert not pmp.within_3se("a", 0.6, 0.1, 1.3, "value", "d",
+                              tol=0.5).passed
+    vacuous = pmp.within_3se("a", 0.4, 0.3, 1.3, "value", "d", tol=5.0)
+    assert not vacuous.passed
+    assert vacuous.detail.startswith("inconclusive: 3*SE exceeds half of "
+                                     "max(1, |value|) = 1.30e+00; d")
+
+
 def test_gateaux_check_spikes_at_the_first_variations_own_start():
     cfg = Example1Config(steps=80, paths=300, seed=37)
     problem, driver, grid, u_star, bundle, traj = candidate_for(cfg)
@@ -320,6 +349,18 @@ def test_run_example2_small_scale_report():
     assert residuals[-1] < residuals[0]
     assert result.duality is not None
     assert result.duality.within(3.0)
+
+
+def test_run_example2_duality_with_huge_se_is_inconclusive():
+    # 3*(SE_L + SE_R) = 0.80 against lhs = 0.62: the difference 0.20 sat
+    # inside it, but agreement within 3 SE would say nothing
+    result = run_example2(Example2Config(steps=20, paths=70, sweeps=1,
+                                         alpha_slope=200.0))
+    verdict = {a.name: a for a in result.report.assertions}[
+        "duality_within_3se"]
+    assert result.duality.within(3.0)
+    assert not verdict.passed
+    assert verdict.detail.startswith("inconclusive"), verdict.detail
 
 
 def test_example2_sweep_records_fresh_policy_controls():
