@@ -13,7 +13,7 @@ packaged end to end, runnable from Python or the ``martctrl`` command line.
 
 __version__ = "0.1.0"
 
-from .hilbert import SpaceConfig, hs_inner, hs_norm, psd_sqrt
+from .hilbert import SpaceConfig
 from .martingale import (IsometryReport, MartingaleDriver, NoiseBundle,
                          PathGrid, ScalarIntensity, sample_increments,
                          verify_isometry)
@@ -34,7 +34,7 @@ from .pmp import (Example1Config, Example2Config, GateauxReport,
 
 __all__ = [
     "__version__",
-    "SpaceConfig", "hs_inner", "hs_norm", "psd_sqrt",
+    "SpaceConfig",
     "IsometryReport", "MartingaleDriver", "NoiseBundle", "PathGrid",
     "ScalarIntensity", "sample_increments", "verify_isometry",
     "BallSet", "BlowUpError", "BoxSet", "ControlProblem", "CostReport",

@@ -2,12 +2,16 @@
 
 The Hamiltonian of the control problem is
 
-    H(t, x, u, y, zq) = ell(t, x, u) + <F(t, x, u), y> + <G(t, x) Q^(1/2)(t), zq>_HS
+    H(t, x, u, y, z) = ell(t, x, u) + <F(t, x, u), y>
+                       + <G(t, x) Q^(1/2)(t), z Q^(1/2)(t)>_HS
 
-where ``zq`` stands for the composite Z(t) Q^(1/2)(t) of the adjoint pair.
+with (y, z) a value of the adjoint pair (Y, Z).  The Hilbert-Schmidt term
+is tr(G^T z Q), so it is read through any factor L with L L^T = Q; the
+driver's own columns l_j = sqrt(alpha_j) beta_j give
+sum_j <G(t, x) l_j, z l_j>, one diffusion action per driver component.
 The adjoint backward equation
 
-    -dY = grad_x H(t, X, u, Y, Z Q^(1/2)) dt - Z dM - dN,   Y(T) = h_x(X(T))
+    -dY = grad_x H(t, X, u, Y, Z) dt - Z dM - dN,   Y(T) = h_x(X(T))
 
 is solved either explicitly (terminal gradient constant and the Hamiltonian
 state-gradient vanishing at Z = 0, verified by probing) or by least-squares
@@ -21,7 +25,7 @@ Monte Carlo backward induction over a basis of state polynomials:
         conditionally mean-zero) and suppresses the variance of the
         estimator; the off-range part of Z_k is set to zero through the
         covariance pseudo-inverse
-    Y_k = E-hat[Y_{k+1} | X_k] + grad_x H(t_k, X_k, u_k, Y-hat_k, Z_k Q^(1/2)) dt
+    Y_k = E-hat[Y_{k+1} | X_k] + grad_x H(t_k, X_k, u_k, Y-hat_k, Z_k) dt
         with a two-iteration Picard pass for the implicit Y-hat_k.
 
 Each per-step projection E-hat[. | X_k] fits an intercept plus centered,
@@ -48,7 +52,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dynamics import sample_controls
-from .hilbert import apply_operator, batch_hs_inner
+from .hilbert import apply_operator
 from .martingale import mean_se, step_covariances
 
 DEFAULT_CONDITION_LIMIT = 1e12
@@ -80,17 +84,17 @@ class RegressionRankError(RuntimeError):
             f"shrink the basis")
 
 
-def _normalize_args(x, u, y, zq):
+def _normalize_args(x, u, y, z):
     """Batch the Hamiltonian arguments; ``squeeze`` marks a single point.
 
-    ``x``, ``u``, ``y`` may be single vectors or (P, dim) batches; ``zq``
-    is a single operator or a (P, n, n) batch, holding Z Q^(1/2).
+    ``x``, ``u``, ``y`` may be single vectors or (P, dim) batches; ``z``
+    is a single (n, n) operator or a (P, n, n) batch.
     """
     x = np.asarray(x, dtype=float)
     u = np.asarray(u, dtype=float)
     y = np.asarray(y, dtype=float)
-    zq = np.asarray(zq, dtype=float)
-    squeeze = x.ndim == 1 and u.ndim == 1 and y.ndim == 1 and zq.ndim == 2
+    z = np.asarray(z, dtype=float)
+    squeeze = x.ndim == 1 and u.ndim == 1 and y.ndim == 1 and z.ndim == 2
     if x.ndim == 1:
         x = x[None, :]
     batch = x.shape[0]
@@ -98,44 +102,46 @@ def _normalize_args(x, u, y, zq):
         u = np.broadcast_to(u, (batch, u.shape[0]))
     if y.ndim == 1:
         y = np.broadcast_to(y, (batch, y.shape[0]))
-    if zq.ndim == 2:
-        zq = np.broadcast_to(zq, (batch,) + zq.shape)
-    if not (u.shape[0] == y.shape[0] == zq.shape[0] == batch):
+    if z.ndim == 2:
+        z = np.broadcast_to(z, (batch,) + z.shape)
+    if not (u.shape[0] == y.shape[0] == z.shape[0] == batch):
         raise ValueError("mismatched batch sizes in the Hamiltonian "
                          "arguments")
-    return x, u, y, zq, squeeze
+    return x, u, y, z, squeeze
 
 
-def _times_qhalf(action, x, qhalf):
-    """A diffusion action times Q^(1/2): the (P, n, n) batch whose column
-    j is ``action(q_j)``, with the column q_j of Q^(1/2) broadcast over the
-    paths of x."""
-    shape = (x.shape[0], qhalf.shape[0])
-    return np.stack([np.asarray(action(np.broadcast_to(q, shape)),
-                                dtype=float) for q in qhalf.T], axis=-1)
+def _paired(action, factor, zl):
+    """sum_j <action(l_j), z l_j> per path, over the columns l_j of the
+    covariance-rate factor; ``zl`` holds the (P, n, r) products z l_j."""
+    total = np.zeros(zl.shape[0])
+    for j, col in enumerate(factor.T):
+        acted = action(np.broadcast_to(col, zl.shape[:2]))
+        total += np.einsum("pi,pi->p", acted, zl[:, :, j])
+    return total
 
 
-def hamiltonian(problem, driver, t, x, u, y, zq):
+def hamiltonian(problem, driver, t, x, u, y, z):
     """Evaluate H; returns a scalar for a single point, else shape (P,)."""
-    x, u, y, zq, squeeze = _normalize_args(x, u, y, zq)
-    gq = _times_qhalf(lambda dm: problem.G(t, x, dm), x,
-                      driver.cov_rate_sqrt(t))
+    x, u, y, z, squeeze = _normalize_args(x, u, y, z)
+    factor = driver.cov_rate_factor(t)
     value = np.asarray(problem.ell(t, x, u), dtype=float) \
         + np.einsum("pi,pi->p", np.asarray(problem.F(t, x, u), dtype=float), y) \
-        + batch_hs_inner(gq, zq)
+        + _paired(lambda dm: problem.G(t, x, dm), factor, z @ factor)
     return float(value[0]) if squeeze else value
 
 
-def grad_x_hamiltonian(problem, driver, t, x, u, y, zq):
+def grad_x_hamiltonian(problem, driver, t, x, u, y, z):
     """State gradient of H.
 
     grad_x H = ell_x + F_x^T y + Gamma where Gamma is assembled against the
-    basis directions: <Gamma, d> = <(G_x(x)[d]) Q^(1/2)(t), zq>_HS.
+    basis directions: <Gamma, e_d> = sum_j <(G_x(x)[e_d]) l_j, z l_j> over
+    the columns l_j of ``driver.cov_rate_factor(t)``.
     Returns a vector for a single point, else shape (P, n).
     """
-    x, u, y, zq, squeeze = _normalize_args(x, u, y, zq)
+    x, u, y, z, squeeze = _normalize_args(x, u, y, z)
     n = x.shape[1]
-    qhalf = driver.cov_rate_sqrt(t)
+    factor = driver.cov_rate_factor(t)
+    zl = z @ factor
     fx = np.asarray(problem.F_x(t, x, u), dtype=float)
     if fx.ndim == 2:
         fxty = y @ fx
@@ -145,9 +151,8 @@ def grad_x_hamiltonian(problem, driver, t, x, u, y, zq):
     gamma = np.empty((x.shape[0], n))
     for d, direction in enumerate(np.eye(n)):
         direction = np.broadcast_to(direction, x.shape)
-        gxdq = _times_qhalf(lambda dm: problem.G_x(t, x, direction, dm), x,
-                            qhalf)
-        gamma[:, d] = batch_hs_inner(gxdq, zq)
+        gamma[:, d] = _paired(lambda dm: problem.G_x(t, x, direction, dm),
+                              factor, zl)
     grad = grad + gamma
     return grad[0] if squeeze else grad
 
@@ -268,11 +273,10 @@ class AdjointSolution:
         t = self.grid.times[k]
         yhat0 = fit.y_mean + xc @ fit.y_coef
         z = self._z_fitted(k, xc)
-        zq = z @ self._driver.cov_rate_sqrt(t)
         y = yhat0
         for _ in range(PICARD_ITERS):
             grad = grad_x_hamiltonian(self._problem, self._driver, t,
-                                      states, u, y, zq)
+                                      states, u, y, z)
             y = yhat0 + grad * self.grid.dt
         return y, z
 
@@ -348,10 +352,10 @@ def solve_adjoint_explicit(problem, driver, trajectories):
             f"{dev:.3e}); the explicit adjoint solution does not apply")
     y0 = hx[0].copy()
     controls = sample_controls(problem.control_set, EXPLICIT_PROBES, rng)
-    zq0 = np.zeros((n, n))
+    z0 = np.zeros((n, n))
     for t in np.linspace(0.0, grid.horizon, 5):
         grad = grad_x_hamiltonian(problem, driver, float(t), states,
-                                  controls, y0, zq0)
+                                  controls, y0, z0)
         if float(np.max(np.abs(grad))) \
                 > EXPLICIT_TOL * (1.0 + float(np.max(np.abs(y0)))):
             raise ValueError(
@@ -487,26 +491,21 @@ def duality_check(problem, adjoint, p):
 
     for the spike that the first variation ``p`` follows, which must have
     been taken along the adjoint's own trajectories.  The last term reads
-    p(t0), which is that difference of drifts.  Reports both sides with
-    standard errors; the caller decides the acceptance multiple.
+    p(t0), which is that difference of drifts, and the integral is
+    zeta(T) - zeta(t0), the running-cost variation p carries.  Reports both
+    sides with standard errors; the caller decides the acceptance multiple.
     """
     optimal = adjoint.trajectories
     if p.optimal is not optimal:
         raise ValueError("duality check needs the first variation taken "
                          "along the adjoint's own trajectories")
     grid = optimal.grid
-    times = grid.times
-    dt = grid.dt
     k0, _ = p.spike.window(grid)
 
     lhs_pp = np.einsum("pi,pi->p", adjoint.y_at(grid.steps),
                        p.states[:, grid.steps, :])
-    rhs_pp = np.einsum("pi,pi->p", adjoint.y_at(k0), p.states[:, k0, :])
-    for k in range(k0, grid.steps):
-        xk = optimal.states[:, k, :]
-        uk = optimal.control_at(k)
-        grad = np.asarray(problem.ell_x(times[k], xk, uk), dtype=float)
-        rhs_pp -= np.einsum("pi,pi->p", grad, p.states[:, k, :]) * dt
+    rhs_pp = np.einsum("pi,pi->p", adjoint.y_at(k0), p.states[:, k0, :]) \
+        - (p.zeta[:, grid.steps] - p.zeta[:, k0])
 
     lhs, se_lhs = mean_se(lhs_pp)
     rhs, se_rhs = mean_se(rhs_pp)

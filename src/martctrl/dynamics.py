@@ -53,6 +53,10 @@ class ControlSet:
     def contains(self, v, tol=1e-9):
         raise NotImplementedError
 
+    def nearest(self, v):
+        """The admissible control closest to v in the Euclidean norm."""
+        raise NotImplementedError
+
     def probe_grid(self, points_per_dim=11, cap=10000):
         raise NotImplementedError
 
@@ -80,6 +84,9 @@ class BoxSet(ControlSet):
         span = np.maximum(self.upper - self.lower, 1.0)
         return bool(np.all(v >= self.lower - tol * span)
                     and np.all(v <= self.upper + tol * span))
+
+    def nearest(self, v):
+        return np.clip(v, self.lower, self.upper)
 
     def probe_grid(self, points_per_dim=11, cap=10000):
         m = self.dim
@@ -113,6 +120,13 @@ class BallSet(ControlSet):
         return bool(np.linalg.norm(v - self.center)
                     <= self.radius * (1.0 + tol))
 
+    def nearest(self, v):
+        v = np.asarray(v, dtype=float)
+        dist = float(np.linalg.norm(v - self.center))
+        if dist <= self.radius:
+            return v.copy()
+        return self.center + (v - self.center) * (self.radius / dist)
+
     def probe_grid(self, points_per_dim=11, cap=10000):
         box = BoxSet(self.center - self.radius, self.center + self.radius)
         pts = box.probe_grid(points_per_dim, cap)
@@ -141,6 +155,10 @@ class FiniteSet(ControlSet):
     def contains(self, v, tol=1e-9):
         v = np.asarray(v, dtype=float)
         return bool(np.min(np.linalg.norm(self.points - v, axis=1)) <= tol)
+
+    def nearest(self, v):
+        dists = np.linalg.norm(self.points - np.asarray(v, dtype=float), axis=1)
+        return self.points[int(np.argmin(dists))].copy()
 
     def probe_grid(self, points_per_dim=11, cap=10000):
         return np.array(self.points, copy=True)

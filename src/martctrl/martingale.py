@@ -22,13 +22,13 @@ stored; the grid must be supplied again at load time.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from . import _parallel
-from .hilbert import as_vector, psd_sqrt
+from .hilbert import as_vector
 
 _HEADER_STRUCT = struct.Struct("<qqqq")
 
@@ -135,9 +135,6 @@ class MartingaleDriver:
     state_dim: int
     horizon: float
     components: tuple = ()
-    # Q(t)^(1/2) by time, filled by cov_rate_sqrt
-    _sqrt_memo: dict = field(default_factory=dict, init=False, repr=False,
-                             compare=False)
 
     def __post_init__(self):
         if self.state_dim < 1:
@@ -180,21 +177,17 @@ class MartingaleDriver:
             q += a * np.outer(beta, beta)
         return q
 
-    def cov_rate_sqrt(self, t):
-        """PSD square root Q(t)^(1/2), computed once per time and kept.
+    def cov_rate_factor(self, t):
+        """Factor L(t) of Q(t) = L(t) L(t)^T: the (state_dim, n_components)
+        columns sqrt(alpha_i(t)) beta_i, (state_dim, 0) without components.
 
-        The Hamiltonian, its state gradient, the optimality checks and the
-        regression adjoint all ask for the root at the same grid times, so
-        each distinct time costs one eigendecomposition per driver.  The
-        returned array is read-only.
+        Any such factor pairs operators in the Hilbert-Schmidt norm of
+        Q^(1/2): <A Q^(1/2), B Q^(1/2)>_HS = sum_j <A l_j, B l_j>.
         """
         t = self._check_time(t)
-        root = self._sqrt_memo.get(t)
-        if root is None:
-            root = psd_sqrt(self.cov_rate(t))
-            root.flags.writeable = False
-            self._sqrt_memo[t] = root
-        return root
+        alphas = [float(intensity.values(np.asarray(t)))
+                  for _, intensity in self.components]
+        return self.betas().T * np.sqrt(alphas)
 
     def dominating_operator(self):
         """Constant PSD operator dominating every Q(t) in the PSD order."""

@@ -10,7 +10,8 @@ from martctrl.adjoint import (RegressionBasis, RegressionRankError,
                               solve_adjoint_explicit, solve_adjoint_lsmc)
 from martctrl.dynamics import (OpenLoopPolicy, SpikeSpec, integrate_forward,
                                integrate_variational)
-from martctrl.martingale import sample_increments, verify_isometry
+from martctrl.martingale import (MartingaleDriver, ScalarIntensity,
+                                 sample_increments, verify_isometry)
 from martctrl.pmp import (EXAMPLE1_C, EXAMPLE1_F_TILDE, Example1Config,
                           Example2Config, build_example1_problem,
                           build_example2_problem)
@@ -36,14 +37,14 @@ def example2_setup(steps=30, paths=1500, seed=9):
 
 
 def test_hamiltonian_value_by_hand():
-    # independent route: assemble ell + <F, y> + <G Q^(1/2), zq>_HS with
-    # plain matrix algebra on a single point of the linear-quadratic problem
+    # independent route: assemble ell + <F, y> + tr(G^T z Q) with plain
+    # matrix algebra on a single point of the linear-quadratic problem
     cfg = Example2Config()
     problem, driver, _ = build_example2_problem(cfg)
     t, x = 0.25, np.array([1.0, 0.5])
     u = np.array([0.2, -0.1])
     y = np.array([0.3, 0.4])
-    zq = np.array([[0.1, 0.0], [0.2, -0.3]])
+    z = np.array([[0.1, 0.0], [0.2, -0.3]])
     a = np.asarray(cfg.a)
     c_op = np.asarray(cfg.c_op)
     f = np.asarray(cfg.f)
@@ -56,11 +57,45 @@ def test_hamiltonian_value_by_hand():
     drift = a @ x + c_op @ u + f
     g_op = float(x @ gam) * gt + d
 
-    from martctrl.hilbert import psd_sqrt
-    qhalf = psd_sqrt(driver.cov_rate(t))
-    expected = ell + drift @ y + np.sum((g_op @ qhalf) * zq)
-    got = hamiltonian(problem, driver, t, x, u, y, zq)
+    expected = ell + drift @ y + np.trace(g_op.T @ z @ driver.cov_rate(t))
+    got = hamiltonian(problem, driver, t, x, u, y, z)
     assert got == pytest.approx(expected, rel=1e-12)
+
+
+def test_hamiltonian_pairs_through_the_root_of_q():
+    # two components spanning a plane of R^4: the factor pairing must give
+    # <G Q^(1/2), z Q^(1/2)>_HS and its state gradient, with Q^(1/2) taken
+    # here by eigendecomposition
+    cfg = Example1Config(steps=10, paths=4)
+    problem, _, _, _ = build_example1_problem(cfg)
+    beta = np.asarray(cfg.beta)
+    driver = MartingaleDriver(
+        state_dim=4, horizon=1.0,
+        components=((beta, ScalarIntensity.linear(1.0, 0.5, 1.0)),
+                    (np.array([0.0, 1.0, 1.0, 0.0]),
+                     ScalarIntensity.constant(2.0))))
+    t = 0.375
+    w, v = np.linalg.eigh(driver.cov_rate(t))
+    assert np.sum(w > 1e-12) == 2
+    qhalf = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.T
+    rng = np.random.default_rng(3)
+    x = rng.standard_normal((5, 4))
+    u = rng.standard_normal((5, 2))
+    y = rng.standard_normal((5, 4))
+    z = rng.standard_normal((5, 4, 4))
+    g_tilde = np.asarray(cfg.g_tilde).reshape(4, 4)
+    zq = z @ qhalf
+    hs = np.array([np.sum(((xp @ beta) * g_tilde @ qhalf) * zp)
+                   for xp, zp in zip(x, zq)])
+    gamma = np.array([[np.sum((bd * g_tilde @ qhalf) * zp) for bd in beta]
+                      for zp in zq])
+    zero = np.zeros_like(z)
+    h_diff = hamiltonian(problem, driver, t, x, u, y, z) \
+        - hamiltonian(problem, driver, t, x, u, y, zero)
+    g_diff = grad_x_hamiltonian(problem, driver, t, x, u, y, z) \
+        - grad_x_hamiltonian(problem, driver, t, x, u, y, zero)
+    assert np.allclose(h_diff, hs, rtol=1e-12, atol=1e-12)
+    assert np.allclose(g_diff, gamma, rtol=1e-12, atol=1e-12)
 
 
 def test_hamiltonian_affine_in_adjoint_arguments():
@@ -73,8 +108,8 @@ def test_hamiltonian_affine_in_adjoint_arguments():
     z1, z2 = rng.standard_normal((2, 8, 4, 4))
     t = float(grid.times[5])
 
-    def h_at(y, zq):
-        return hamiltonian(problem, driver, t, x, u, y, zq)
+    def h_at(y, z):
+        return hamiltonian(problem, driver, t, x, u, y, z)
 
     base = h_at(np.zeros_like(y1), np.zeros_like(z1))
     assert np.allclose(h_at(y1 + y2, z1 + z2),
@@ -87,11 +122,11 @@ def test_hamiltonian_scalar_vs_batched():
     x = np.array([1.0, 0.5, -0.25, 0.75])
     u = np.array([0.1, -0.2])
     y = np.array([0.8, -0.3, 0.5, 0.2])
-    zq = np.zeros((4, 4))
-    single = hamiltonian(problem, driver, 0.5, x, u, y, zq)
+    z = np.zeros((4, 4))
+    single = hamiltonian(problem, driver, 0.5, x, u, y, z)
     assert isinstance(single, float)
     batched = hamiltonian(problem, driver, 0.5, np.tile(x, (3, 1)), u, y,
-                          zq)
+                          z)
     assert batched.shape == (3,)
     assert np.allclose(batched, single)
 
@@ -109,15 +144,15 @@ def test_grad_x_hamiltonian_matches_finite_differences(which):
     x = rng.standard_normal((6, n))
     u = rng.standard_normal((6, m))
     y = rng.standard_normal((6, n))
-    zq = rng.standard_normal((6, n, n))
+    z = rng.standard_normal((6, n, n))
     t = 0.375
-    grad = grad_x_hamiltonian(problem, driver, t, x, u, y, zq)
+    grad = grad_x_hamiltonian(problem, driver, t, x, u, y, z)
     step = 1e-6
     for j in range(n):
         dx = np.zeros(n)
         dx[j] = step
-        hp = hamiltonian(problem, driver, t, x + dx, u, y, zq)
-        hm = hamiltonian(problem, driver, t, x - dx, u, y, zq)
+        hp = hamiltonian(problem, driver, t, x + dx, u, y, z)
+        hm = hamiltonian(problem, driver, t, x - dx, u, y, z)
         fd = (hp - hm) / (2.0 * step)
         assert np.allclose(grad[:, j], fd, atol=1e-6)
 
@@ -274,6 +309,26 @@ def test_duality_identity_example1_frozen_value():
     assert rep.se_rhs == pytest.approx(0.0, abs=1e-12)
     assert rep.within(3.0)
     assert abs(rep.lhs - analytic) < 4.0 * rep.se_lhs
+
+
+def test_duality_rhs_integrates_ell_x_through_zeta():
+    # example2 has ell_x != 0: the rhs reads int <ell_x, p> dt off zeta and
+    # must agree with the left-point sum of the integrand to roundoff
+    cfg, problem, driver, grid, bundle, pol, traj = example2_setup(
+        steps=20, paths=400)
+    adj = solve_adjoint_lsmc(problem, driver, traj, basis=RegressionBasis(1))
+    spec = SpikeSpec(t0=0.25, eps=0.1, v=np.array([0.5, -0.25]))
+    p = integrate_variational(problem, traj, spec)
+    k0, _ = spec.window(grid)
+    integral = sum(
+        np.einsum("pi,pi->p", problem.ell_x(grid.times[k], traj.states[:, k],
+                                            traj.control_at(k)),
+                  p.states[:, k]) * grid.dt
+        for k in range(k0, grid.steps))
+    assert np.max(np.abs(integral)) > 1e-3
+    rhs_pp = np.einsum("pi,pi->p", adj.y_at(k0), p.states[:, k0]) - integral
+    rep = duality_check(problem, adj, p)
+    assert rep.rhs == pytest.approx(float(np.mean(rhs_pp)), rel=1e-12)
 
 
 def test_one_path_checks_do_not_pass():

@@ -349,6 +349,21 @@ def test_benchmark_workloads_pass_validation():
         assert parse_config(path).scenario in SCENARIOS, path.name
 
 
+def test_benchmark_tracer_binds_to_the_package():
+    # the traced benchmark runs rebind martctrl's functions and methods by
+    # name; a deletion under src/ must leave it something to bind and no
+    # name it fails on
+    root = Path(__file__).resolve().parents[1]
+    code = ("import sys; sys.path[:0] = sys.argv[1:]; "
+            "from spans import Tracer; print(Tracer().install())")
+    proc = subprocess.run(
+        [sys.executable, "-B", "-c", code, str(root / "perfbench"),
+         str(root / "src")],
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout.strip()) > 0
+
+
 def test_readme_lists_every_run_key():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(
         encoding="utf-8")

@@ -4,8 +4,9 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from martctrl._parallel import BLOCK_SIZE
 from martctrl.dynamics import (BallSet, BlowUpError, BoxSet, ControlProblem,
                                FeedbackPolicy, FiniteSet, OpenLoopPolicy,
                                SpikeSpec, apply_spike, evaluate_cost,
@@ -105,6 +106,18 @@ def test_ball_and_finite_sets():
     assert fin.probe_grid().shape == (2, 2)
     assert not fin.is_convex and ball.is_convex and BoxSet(
         lower=-np.ones(1), upper=np.ones(1)).is_convex
+
+
+def test_control_set_nearest():
+    box = BoxSet(lower=-np.ones(2), upper=np.ones(2))
+    assert np.array_equal(box.nearest(np.array([2.0, 0.5])), [1.0, 0.5])
+    ball = BallSet(center=np.array([1.0, 0.0]), radius=2.0)
+    assert np.allclose(ball.nearest(np.array([1.0, 5.0])), [1.0, 2.0])
+    assert np.array_equal(ball.nearest(np.array([0.5, 0.5])), [0.5, 0.5])
+    fin = FiniteSet(points=np.array([[0.0, 0.0], [1.0, 1.0]]))
+    assert np.array_equal(fin.nearest(np.array([0.9, 0.4])), [1.0, 1.0])
+    for cs, v in ((box, [3.0, -3.0]), (ball, [-4.0, 4.0]), (fin, [9.0, 0.0])):
+        assert cs.contains(cs.nearest(np.array(v)))
 
 
 def test_sample_controls_stay_admissible():
@@ -308,6 +321,30 @@ def test_streamed_spike_is_bit_identical_to_stored_spike(feedback,
         assert np.array_equal(x_end, stored.states[:, -1, :])
     with pytest.raises(ValueError, match="running cost"):
         spiked_cost(problem, base, evaluate_cost(problem, base), specs[1])
+
+
+@pytest.mark.parametrize("name", ["example1-tanh", "example2"])
+@settings(max_examples=6, deadline=None, derandomize=True, database=None)
+@given(small=st.integers(2, BLOCK_SIZE + 64), extra=st.integers(1, 256))
+@example(small=7, extra=57)
+@example(small=100, extra=4900)
+@example(small=33, extra=BLOCK_SIZE + 1 - 33)
+def test_more_paths_extend_fewer(name, small, extra):
+    # per-path noise substreams: a run on more paths repeats the states and
+    # per-path costs of a run on fewer, bit for bit, across block edges too.
+    # From two paths up only: numpy multiplies a one-row batch with its
+    # matrix-vector kernel, whose last bits differ from the matrix-matrix
+    # kernel of every larger batch (see README, Determinism)
+    cfg, problem, driver, grid, u = packaged(name, steps=6)
+    policy = OpenLoopPolicy.constant(u, grid.steps)
+    runs = []
+    for paths in (small, small + extra):
+        bundle = sample_increments(driver, grid, paths, cfg.seed)
+        traj = integrate_forward(problem, policy, bundle, np.asarray(cfg.x0))
+        runs.append((traj.states, evaluate_cost(problem, traj).per_path))
+    (states, cost), (more_states, more_cost) = runs
+    assert np.array_equal(more_states[:small], states)
+    assert np.array_equal(more_cost[:small], cost)
 
 
 @pytest.mark.parametrize("feedback", [False, True],

@@ -1,18 +1,9 @@
-"""Vector/operator coercions, PSD square roots, and HS inner products."""
+"""Space dimensions, vector coercion and batched operator application."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
-from martctrl.hilbert import (SpaceConfig, apply_operator, as_operator,
-                              as_vector, batch_hs_inner, check_covariance,
-                              hs_inner, hs_norm, psd_sqrt, tensor)
-
-
-def random_psd(dim, seed):
-    rng = np.random.default_rng(seed)
-    a = rng.standard_normal((dim, dim))
-    return a @ a.T
+from martctrl.hilbert import SpaceConfig, apply_operator, as_vector
 
 
 def test_space_config_validation():
@@ -35,76 +26,6 @@ def test_as_vector_checks():
         as_vector([1.0, np.nan])
 
 
-def test_as_operator_checks():
-    m = as_operator(np.eye(3), rows=3, cols=3)
-    assert m.shape == (3, 3)
-    with pytest.raises(ValueError):
-        as_operator([1.0, 2.0])
-    with pytest.raises(ValueError):
-        as_operator(np.eye(3), rows=2)
-    with pytest.raises(ValueError):
-        as_operator(np.full((2, 2), np.inf))
-
-
-def test_check_covariance_clamps_and_rejects():
-    w, v = check_covariance(np.zeros((3, 3)))
-    assert np.all(w == 0.0)
-    # tiny negative eigenvalue within the band is clamped to zero
-    c = np.diag([1.0, 1e-14, 0.0])
-    c[1, 1] = -1e-14
-    w, _ = check_covariance(c)
-    assert np.all(w >= 0.0)
-    with pytest.raises(ValueError, match="not symmetric"):
-        check_covariance([[1.0, 0.5], [0.0, 1.0]])
-    with pytest.raises(ValueError, match="negative eigenvalue"):
-        check_covariance(np.diag([1.0, -0.5]))
-
-
-def test_psd_sqrt_round_trip():
-    c = random_psd(5, seed=1)
-    s = psd_sqrt(c)
-    assert np.allclose(s, s.T, atol=1e-12)
-    assert np.min(np.linalg.eigvalsh(s)) >= -1e-10
-    assert np.allclose(s @ s, c, atol=1e-10 * np.linalg.norm(c))
-
-
-def test_psd_sqrt_rank_one():
-    # closed form: sqrt of beta beta^T is beta beta^T / |beta|
-    beta = np.array([1.0, -0.5, 0.25, 0.0])
-    c = np.outer(beta, beta)
-    expected = c / np.linalg.norm(beta)
-    assert np.allclose(psd_sqrt(c), expected, atol=1e-12)
-
-
-@settings(max_examples=50, deadline=None)
-@given(st.integers(min_value=1, max_value=4), st.integers(min_value=0, max_value=10**6))
-def test_psd_sqrt_round_trip_property(dim, seed):
-    c = random_psd(dim, seed)
-    s = psd_sqrt(c)
-    assert np.allclose(s @ s, c, atol=1e-9 * max(1.0, np.linalg.norm(c)))
-
-
-def test_hs_inner_and_norm():
-    a = np.array([[1.0, 2.0], [3.0, 4.0]])
-    b = np.array([[0.5, -1.0], [2.0, 0.0]])
-    assert hs_inner(a, b) == pytest.approx(np.sum(a * b))
-    assert hs_norm(a) == pytest.approx(np.sqrt(np.sum(a * a)))
-    assert hs_inner(a, a) == pytest.approx(hs_norm(a) ** 2)
-    with pytest.raises(ValueError):
-        hs_inner(a, np.eye(3))
-
-
-def test_tensor_identity():
-    # <u tensor w, A>_HS = <u, A w>
-    rng = np.random.default_rng(7)
-    u = rng.standard_normal(4)
-    w = rng.standard_normal(4)
-    a = rng.standard_normal((4, 4))
-    t = tensor(u, w)
-    assert t.shape == (4, 4)
-    assert hs_inner(t, a) == pytest.approx(u @ a @ w)
-
-
 def test_apply_operator_batched():
     rng = np.random.default_rng(11)
     op = rng.standard_normal((3, 4))
@@ -118,18 +39,3 @@ def test_apply_operator_batched():
     assert np.allclose(out3, expected)
     with pytest.raises(ValueError):
         apply_operator(rng.standard_normal(4), vecs)
-
-
-def test_batch_hs_inner_matches_loop():
-    rng = np.random.default_rng(13)
-    a = rng.standard_normal((5, 3, 3))
-    b = rng.standard_normal((5, 3, 3))
-    single = rng.standard_normal((3, 3))
-    expected = np.array([np.sum(a[p] * b[p]) for p in range(5)])
-    assert np.allclose(batch_hs_inner(a, b), expected)
-    assert np.allclose(batch_hs_inner(a, single),
-                       [np.sum(a[p] * single) for p in range(5)])
-    assert np.allclose(batch_hs_inner(single, b),
-                       [np.sum(single * b[p]) for p in range(5)])
-    with pytest.raises(ValueError):
-        batch_hs_inner(single, single)

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from martctrl._parallel import BLOCK_SIZE
-from martctrl.hilbert import psd_sqrt
 from martctrl.martingale import (IsometryReport, MartingaleDriver, NoiseBundle,
                                  PathGrid, ScalarIntensity,
                                  sample_increments, step_covariances,
@@ -86,18 +85,24 @@ def test_cov_rate_and_dominating_operator():
         d.cov_rate(2.0)
 
 
-def test_cov_rate_sqrt_is_computed_once_per_time():
-    d = example_driver()
-    for t in (0.0, 0.3, 1.0):
-        root = d.cov_rate_sqrt(t)
-        assert np.array_equal(root, psd_sqrt(d.cov_rate(t)))
-        assert d.cov_rate_sqrt(t) is root
-        assert not root.flags.writeable
-    # a rebuilt driver keeps its own memo
-    other = example_driver()
-    assert other.cov_rate_sqrt(0.3) is not d.cov_rate_sqrt(0.3)
+def test_cov_rate_factor_reproduces_cov_rate():
+    # L(t) L(t)^T == Q(t) for r = 0, 1 and 2 components
+    two = MartingaleDriver(
+        state_dim=4, horizon=1.0,
+        components=((BETA, ScalarIntensity.linear(1.0, 0.5, 1.0)),
+                    (np.array([0.0, 1.0, 1.0, 0.0]),
+                     ScalarIntensity.constant(2.0))))
+    for d, rank in ((MartingaleDriver(state_dim=4, horizon=1.0), 0),
+                    (example_driver(), 1), (two, 2)):
+        for t in (0.0, 0.3, 1.0):
+            factor = d.cov_rate_factor(t)
+            assert factor.shape == (4, rank)
+            assert np.allclose(factor @ factor.T, d.cov_rate(t),
+                               rtol=0.0, atol=1e-14)
+    # the columns are sqrt(alpha_i(t)) beta_i
+    assert np.allclose(two.cov_rate_factor(1.0)[:, 0], np.sqrt(1.5) * BETA)
     with pytest.raises(ValueError, match="outside horizon"):
-        d.cov_rate_sqrt(2.0)
+        two.cov_rate_factor(2.0)
 
 
 def test_step_integrals_exact_for_linear_intensity():
