@@ -1,8 +1,9 @@
 """Fixed-order block iteration.
 
 Work is partitioned into blocks of a fixed size and block results are
-returned in block order.  Every stage runs serially: threads were measured
-not to pay, because the per-path sampling loop holds the interpreter lock.
+returned in block order.  Nothing in the package calls it; the benchmark
+tracer in ``perfbench/spans.py`` imports it, so it stays until the
+benchmark drops its ``parallel.*`` metrics.
 """
 
 from __future__ import annotations

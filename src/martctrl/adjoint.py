@@ -84,32 +84,6 @@ class RegressionRankError(RuntimeError):
             f"shrink the basis")
 
 
-def _normalize_args(x, u, y, z):
-    """Batch the Hamiltonian arguments; ``squeeze`` marks a single point.
-
-    ``x``, ``u``, ``y`` may be single vectors or (P, dim) batches; ``z``
-    is a single (n, n) operator or a (P, n, n) batch.
-    """
-    x = np.asarray(x, dtype=float)
-    u = np.asarray(u, dtype=float)
-    y = np.asarray(y, dtype=float)
-    z = np.asarray(z, dtype=float)
-    squeeze = x.ndim == 1 and u.ndim == 1 and y.ndim == 1 and z.ndim == 2
-    if x.ndim == 1:
-        x = x[None, :]
-    batch = x.shape[0]
-    if u.ndim == 1:
-        u = np.broadcast_to(u, (batch, u.shape[0]))
-    if y.ndim == 1:
-        y = np.broadcast_to(y, (batch, y.shape[0]))
-    if z.ndim == 2:
-        z = np.broadcast_to(z, (batch,) + z.shape)
-    if not (u.shape[0] == y.shape[0] == z.shape[0] == batch):
-        raise ValueError("mismatched batch sizes in the Hamiltonian "
-                         "arguments")
-    return x, u, y, z, squeeze
-
-
 def _paired(action, factor, zl):
     """sum_j <action(l_j), z l_j> per path, over the columns l_j of the
     covariance-rate factor; ``zl`` holds the (P, n, r) products z l_j."""
@@ -120,14 +94,18 @@ def _paired(action, factor, zl):
     return total
 
 
+def _control_terms(problem, t, x, u, y):
+    """ell + <F, y>: the terms of H that depend on the control, shape (P,)."""
+    return np.asarray(problem.ell(t, x, u), dtype=float) \
+        + np.einsum("pi,pi->p", np.asarray(problem.F(t, x, u), dtype=float), y)
+
+
 def hamiltonian(problem, driver, t, x, u, y, z):
-    """Evaluate H; returns a scalar for a single point, else shape (P,)."""
-    x, u, y, z, squeeze = _normalize_args(x, u, y, z)
+    """Evaluate H at P points: ``x`` and ``y`` are (P, n), ``u`` is (P, m)
+    and ``z`` is (P, n, n); returns shape (P,)."""
     factor = driver.cov_rate_factor(t)
-    value = np.asarray(problem.ell(t, x, u), dtype=float) \
-        + np.einsum("pi,pi->p", np.asarray(problem.F(t, x, u), dtype=float), y) \
+    return _control_terms(problem, t, x, u, y) \
         + _paired(lambda dm: problem.G(t, x, dm), factor, z @ factor)
-    return float(value[0]) if squeeze else value
 
 
 def grad_x_hamiltonian(problem, driver, t, x, u, y, z):
@@ -135,10 +113,9 @@ def grad_x_hamiltonian(problem, driver, t, x, u, y, z):
 
     grad_x H = ell_x + F_x^T y + Gamma where Gamma is assembled against the
     basis directions: <Gamma, e_d> = sum_j <(G_x(x)[e_d]) l_j, z l_j> over
-    the columns l_j of ``driver.cov_rate_factor(t)``.
-    Returns a vector for a single point, else shape (P, n).
+    the columns l_j of ``driver.cov_rate_factor(t)``.  Takes the batches
+    :func:`hamiltonian` takes; returns shape (P, n).
     """
-    x, u, y, z, squeeze = _normalize_args(x, u, y, z)
     n = x.shape[1]
     factor = driver.cov_rate_factor(t)
     zl = z @ factor
@@ -153,8 +130,7 @@ def grad_x_hamiltonian(problem, driver, t, x, u, y, z):
         direction = np.broadcast_to(direction, x.shape)
         gamma[:, d] = _paired(lambda dm: problem.G_x(t, x, direction, dm),
                               factor, zl)
-    grad = grad + gamma
-    return grad[0] if squeeze else grad
+    return grad + gamma
 
 
 @dataclass(frozen=True)
@@ -229,7 +205,6 @@ class AdjointSolution:
     explained_energy: np.ndarray
     basis: RegressionBasis | None = None
     _problem: object = field(default=None, repr=False)
-    _driver: object = field(default=None, repr=False)
     _fits: list = field(default=None, repr=False)
     _c_pinv: np.ndarray = field(default=None, repr=False)
 
@@ -275,7 +250,8 @@ class AdjointSolution:
         z = self._z_fitted(k, xc)
         y = yhat0
         for _ in range(PICARD_ITERS):
-            grad = grad_x_hamiltonian(self._problem, self._driver, t,
+            grad = grad_x_hamiltonian(self._problem,
+                                      self.trajectories.bundle.driver, t,
                                       states, u, y, z)
             y = yhat0 + grad * self.grid.dt
         return y, z
@@ -329,7 +305,7 @@ class AdjointSolution:
         return resid / explained
 
 
-def solve_adjoint_explicit(problem, driver, trajectories):
+def solve_adjoint_explicit(problem, trajectories):
     """Closed-form adjoint along ``trajectories`` when probing confirms it.
 
     Preconditions, each checked by random probing at the scale
@@ -352,10 +328,11 @@ def solve_adjoint_explicit(problem, driver, trajectories):
             f"{dev:.3e}); the explicit adjoint solution does not apply")
     y0 = hx[0].copy()
     controls = sample_controls(problem.control_set, EXPLICIT_PROBES, rng)
-    z0 = np.zeros((n, n))
+    ys = np.broadcast_to(y0, states.shape)
+    z0 = np.zeros((EXPLICIT_PROBES, n, n))
     for t in np.linspace(0.0, grid.horizon, 5):
-        grad = grad_x_hamiltonian(problem, driver, float(t), states,
-                                  controls, y0, z0)
+        grad = grad_x_hamiltonian(problem, trajectories.bundle.driver,
+                                  float(t), states, controls, ys, z0)
         if float(np.max(np.abs(grad))) \
                 > EXPLICIT_TOL * (1.0 + float(np.max(np.abs(y0)))):
             raise ValueError(
@@ -365,11 +342,10 @@ def solve_adjoint_explicit(problem, driver, trajectories):
     zeros = np.zeros(grid.steps)
     return AdjointSolution(trajectories=trajectories, Y=y_path,
                            method="explicit", n_residual_energy=zeros.copy(),
-                           explained_energy=zeros.copy(), _problem=problem,
-                           _driver=driver)
+                           explained_energy=zeros.copy(), _problem=problem)
 
 
-def solve_adjoint_lsmc(problem, driver, trajectories, basis=None,
+def solve_adjoint_lsmc(problem, trajectories, basis=None,
                        cond_limit=DEFAULT_CONDITION_LIMIT,
                        warn_ratio=N_RESIDUAL_WARN_RATIO):
     """Least-squares Monte Carlo backward induction for the adjoint pair.
@@ -394,7 +370,7 @@ def solve_adjoint_lsmc(problem, driver, trajectories, basis=None,
             f"need feature count < paths / 10 for a stable regression")
     eps = np.finfo(float).eps
 
-    c_steps = step_covariances(driver, grid)
+    c_steps = step_covariances(bundle.driver, grid)
     c_pinv = np.stack([np.linalg.pinv(c_steps[k], rcond=1e-12,
                                       hermitian=True)
                        for k in range(grid.steps)])
@@ -408,7 +384,7 @@ def solve_adjoint_lsmc(problem, driver, trajectories, basis=None,
     solution = AdjointSolution(
         trajectories=trajectories, Y=y, method="lsmc",
         n_residual_energy=n_energy, explained_energy=explained, basis=basis,
-        _problem=problem, _driver=driver, _fits=fits, _c_pinv=c_pinv)
+        _problem=problem, _fits=fits, _c_pinv=c_pinv)
 
     for k in range(grid.steps - 1, -1, -1):
         phi = basis.features(x[:, k, :])
@@ -470,13 +446,18 @@ def solve_adjoint_lsmc(problem, driver, trajectories, basis=None,
 
 @dataclass(frozen=True)
 class DualityReport:
-    """Both sides of the adjoint/first-variation duality identity."""
+    """Both sides of the adjoint/first-variation duality identity.
+
+    ``se_diff`` is the SE of the per-path lhs - rhs; ``within`` keeps the
+    unpaired 3 * (SE_L + SE_R) gate.
+    """
 
     lhs: float
     rhs: float
     difference: float
     se_lhs: float
     se_rhs: float
+    se_diff: float
     paths: int
 
     def within(self, k=3.0):
@@ -510,4 +491,6 @@ def duality_check(problem, adjoint, p):
     lhs, se_lhs = mean_se(lhs_pp)
     rhs, se_rhs = mean_se(rhs_pp)
     return DualityReport(lhs=lhs, rhs=rhs, difference=lhs - rhs,
-                         se_lhs=se_lhs, se_rhs=se_rhs, paths=optimal.paths)
+                         se_lhs=se_lhs, se_rhs=se_rhs,
+                         se_diff=mean_se(lhs_pp - rhs_pp)[1],
+                         paths=optimal.paths)

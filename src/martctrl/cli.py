@@ -517,7 +517,7 @@ def _first_variation(config, eps):
     """
     opts = config.options
     cfg = Example1Config(**_run_fields(config), drift_gain=opts["drift_gain"])
-    problem, _, _, _, trajectories = example1_candidate(cfg)
+    problem, _, _, trajectories = example1_candidate(cfg)
     spec = SpikeSpec(t0=opts["t0"], eps=eps,
                      v=np.asarray(opts["v"], dtype=float))
     p = integrate_variational(problem, trajectories, spec)
@@ -590,10 +590,10 @@ def _run_gateaux(config):
 def _run_pmp_check(config):
     opts = config.options
     cfg = Example1Config(**_run_fields(config), schedule=opts["schedule"])
-    problem, driver, _, _, trajectories = example1_candidate(cfg)
-    adjoint = solve_adjoint_explicit(problem, driver, trajectories)
+    problem, _, _, trajectories = example1_candidate(cfg)
+    adjoint = solve_adjoint_explicit(problem, trajectories)
     margin_report = necessary_check(
-        problem, driver, adjoint, sample_times=opts["sample_times"],
+        problem, adjoint, sample_times=opts["sample_times"],
         sample_paths=opts["sample_paths"],
         points_per_dim=opts["points_per_dim"])
     assertions = [Assertion(
@@ -606,8 +606,6 @@ def _run_pmp_check(config):
             "min_margin": margin_report.min_margin,
             "frac_negative": margin_report.frac_negative,
             "tol": margin_report.tol,
-            "stat_allowance": margin_report.stat_allowance,
-            "disc_allowance": margin_report.disc_allowance,
         },
     }
     return ScenarioReport(scenario="pmp-check", sections=sections,
@@ -626,13 +624,12 @@ def _concave_running_cost_fault(problem):
 
 def _run_sufficiency(config):
     opts = config.options
-    problem, driver, _, _, trajectories = example1_candidate(
+    problem, _, _, trajectories = example1_candidate(
         Example1Config(**_run_fields(config)))
-    adjoint = solve_adjoint_explicit(problem, driver, trajectories)
+    adjoint = solve_adjoint_explicit(problem, trajectories)
     if opts["inject_fault"]:
         problem = _concave_running_cost_fault(problem)
-    report = sufficient_check(problem, driver, adjoint,
-                              pairs=opts["pairs"],
+    report = sufficient_check(problem, adjoint, pairs=opts["pairs"],
                               seed=config.run["seed"] + 3,
                               sample_times=opts["sample_times"])
     assertions = [
@@ -683,7 +680,7 @@ def _run_isometry(config):
     _, driver, grid, _ = build_example1_problem(cfg)
     bundle = sample_increments(driver, grid, cfg.paths, cfg.seed)
     phi = np.eye(driver.state_dim)
-    report = verify_isometry(phi, driver, bundle)
+    report = verify_isometry(phi, bundle)
     beta_sq = float(np.sum(np.asarray(cfg.beta) ** 2))
     t_end = cfg.horizon
     analytic = beta_sq * (t_end + t_end ** 2 / 4.0)

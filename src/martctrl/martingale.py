@@ -15,8 +15,11 @@ normal ``xi`` and the per-step integral computed by the trapezoid rule.
 
 Noise bundles serialize to a flat binary file: a header of four little-endian
 int64 fields (state_dim, steps, paths, seed) followed by the increments as
-row-major (path, step, coordinate) little-endian float64.  The horizon is not
-stored; the grid must be supplied again at load time.
+row-major (path, step, coordinate) little-endian float64.  A bundle carries
+the driver it was sampled from, so verify_isometry(phi, bundle) takes no
+driver; the file stores neither that driver nor the horizon, so
+NoiseBundle.load(path, driver) takes the driver again and rebuilds the grid
+from its horizon and the stored step count.
 """
 
 from __future__ import annotations
@@ -27,7 +30,6 @@ from typing import Callable
 
 import numpy as np
 
-from . import _parallel
 from .hilbert import as_vector
 
 _HEADER_STRUCT = struct.Struct("<qqqq")
@@ -230,16 +232,18 @@ def step_covariances(driver, grid):
 
 @dataclass
 class NoiseBundle:
-    """Sampled driver increments on a grid, for a block of Monte Carlo paths.
+    """Increments of ``driver`` on a grid, for a block of Monte Carlo paths.
 
     ``increments[p, k]`` is the driver increment over [t_k, t_{k+1}] for
     path p.  ``identity()`` is the (seed, paths, steps, dim) tuple; runs
-    that share noise hold the one bundle object.
+    that share noise hold the one bundle object.  Everything that pairs
+    the increments with the driver's covariances reads ``driver`` here.
     """
 
     increments: np.ndarray
     seed: int
     grid: PathGrid
+    driver: MartingaleDriver
 
     def __post_init__(self):
         inc = np.asarray(self.increments, dtype=float)
@@ -250,6 +254,10 @@ class NoiseBundle:
             raise ValueError(
                 f"increments have {inc.shape[1]} steps but grid has "
                 f"{self.grid.steps}")
+        if inc.shape[2] != self.driver.state_dim:
+            raise ValueError(
+                f"increments have dimension {inc.shape[2]} but the driver "
+                f"has state_dim {self.driver.state_dim}")
         self.increments = inc
 
     @property
@@ -277,23 +285,26 @@ class NoiseBundle:
             fh.write(body.tobytes(order="C"))
 
     @classmethod
-    def load(cls, path, grid):
-        """Read a bundle back; the grid (horizon) must be supplied again."""
+    def load(cls, path, driver):
+        """Read back a bundle sampled from ``driver``; the grid is rebuilt
+        from ``driver.horizon`` and the stored step count."""
         with open(path, "rb") as fh:
             raw = fh.read(_HEADER_STRUCT.size)
             if len(raw) != _HEADER_STRUCT.size:
                 raise ValueError(f"truncated noise file {path!r}")
             dim, steps, paths, seed = _HEADER_STRUCT.unpack(raw)
             body = np.frombuffer(fh.read(), dtype="<f8")
-        if steps != grid.steps:
-            raise ValueError(f"noise file has {steps} steps but grid has "
-                             f"{grid.steps}")
+        if dim != driver.state_dim:
+            raise ValueError(f"noise file has dimension {dim} but the driver "
+                             f"has state_dim {driver.state_dim}")
         expected = paths * steps * dim
         if body.size != expected:
             raise ValueError(f"noise file body has {body.size} doubles, "
                              f"expected {expected}")
         inc = body.reshape(paths, steps, dim).astype(float)
-        return cls(increments=inc, seed=seed, grid=grid)
+        return cls(increments=inc, seed=seed,
+                   grid=PathGrid(horizon=driver.horizon, steps=steps),
+                   driver=driver)
 
 
 def sample_increments(driver, grid, paths, seed):
@@ -307,25 +318,15 @@ def sample_increments(driver, grid, paths, seed):
     integrals = step_intensity_integrals(driver, grid)
     scales = np.sqrt(integrals)                       # (ncomp, steps)
     betas = driver.betas()                            # (ncomp, dim)
-    ncomp = driver.n_components
-    steps = grid.steps
-    dim = driver.state_dim
     seed = int(seed)
-
-    def block(start, stop):
-        out = np.zeros((stop - start, steps, dim))
-        if ncomp == 0:
-            return out
-        for p in range(start, stop):
-            rng = np.random.default_rng(
-                np.random.SeedSequence(entropy=seed, spawn_key=(p,)))
-            xi = rng.standard_normal((ncomp, steps))
-            out[p - start] = (scales * xi).T @ betas
-        return out
-
-    blocks = _parallel.map_blocks(block, paths)
-    increments = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
-    return NoiseBundle(increments=increments, seed=seed, grid=grid)
+    increments = np.empty((paths, grid.steps, driver.state_dim))
+    for p in range(paths):
+        rng = np.random.default_rng(
+            np.random.SeedSequence(entropy=seed, spawn_key=(p,)))
+        xi = rng.standard_normal((driver.n_components, grid.steps))
+        increments[p] = (scales * xi).T @ betas
+    return NoiseBundle(increments=increments, seed=seed, grid=grid,
+                       driver=driver)
 
 
 def mean_se(values):
@@ -372,18 +373,17 @@ def _normalize_step_process(phi, steps, dim, times):
     return mats
 
 
-def verify_isometry(phi, driver, bundle):
+def verify_isometry(phi, bundle):
     """Compare E|int Phi dM|^2 with its covariance-rate quadrature.
 
     ``phi`` is an operator-valued step process: a single matrix, an array of
     per-step matrices, or a callable of time evaluated at left endpoints.
     The Monte Carlo side sums Phi(t_k) dM_k over the bundle; the quadrature
-    side integrates the squared Hilbert-Schmidt norm of Phi Q^(1/2) with the
-    same per-step trapezoid convention used when sampling.
+    side integrates the squared Hilbert-Schmidt norm of Phi Q^(1/2) of the
+    bundle's own driver with the same per-step trapezoid convention used
+    when sampling.
     """
-    if bundle.dim != driver.state_dim:
-        raise ValueError(f"bundle dimension {bundle.dim} does not match "
-                         f"driver dimension {driver.state_dim}")
+    driver = bundle.driver
     grid = bundle.grid
     mats = _normalize_step_process(phi, grid.steps, driver.state_dim,
                                    grid.times)

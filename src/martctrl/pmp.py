@@ -2,7 +2,11 @@
 
 necessary_check probes the Hamiltonian margin H(t, X, v, Y, Z) -
 H(t, X, u, Y, Z) over a lattice of admissible controls: along an optimal
-pair the margin is nonnegative for a.e. time, almost surely.
+pair the margin is nonnegative for a.e. time, almost surely.  G(t, X) does
+not see the control, so the Z term cancels from the margin.
+necessary_check(problem, adjoint) and sufficient_check(problem, adjoint)
+take the adjoint, whose trajectories carry the noise bundle and that bundle
+its driver.
 sufficient_check verifies the convexity package that upgrades a stationary
 candidate to a minimizer: convex control set, midpoint-convex terminal cost,
 joint midpoint convexity of (x, v) -> H at the candidate's adjoint pair, and
@@ -27,8 +31,9 @@ from functools import partial
 
 import numpy as np
 
-from .adjoint import (AdjointSolution, RegressionBasis, duality_check,
-                      hamiltonian, solve_adjoint_explicit, solve_adjoint_lsmc)
+from .adjoint import (AdjointSolution, RegressionBasis, _control_terms,
+                      duality_check, hamiltonian, solve_adjoint_explicit,
+                      solve_adjoint_lsmc)
 from .dynamics import (BallSet, BoxSet, ControlProblem, FeedbackPolicy,
                        OpenLoopPolicy, SpikeSpec, evaluate_cost,
                        integrate_forward, integrate_variational,
@@ -40,6 +45,8 @@ from .martingale import (MartingaleDriver, PathGrid, ScalarIntensity,
 
 # Largest midpoint-convexity violation that sufficient_check still passes.
 CONVEXITY_TOL = 1e-10
+# Most negative Hamiltonian margin that necessary_check still passes.
+MARGIN_TOL = 1e-8
 # Smallest |v - u*| at which a spike of the default family counts as
 # displaced from the stationary control.
 FAR_THRESHOLD = 0.25
@@ -100,8 +107,6 @@ class MarginReport:
     min_margin: float
     frac_negative: float
     tol: float
-    stat_allowance: float
-    disc_allowance: float
     witness: tuple               # (time, path index, probe control)
 
     @property
@@ -114,15 +119,14 @@ def _spread_indices(total, count):
     return np.unique(np.round(np.linspace(0, total - 1, count)).astype(int))
 
 
-def necessary_check(problem, driver, adjoint, probes=None, sample_times=20,
-                    sample_paths=100, points_per_dim=11, tol_floor=1e-8,
-                    stat_allowance=0.0, disc_allowance=0.0):
+def necessary_check(problem, adjoint, probes=None, sample_times=20,
+                    sample_paths=100, points_per_dim=11):
     """Minimum-condition margins of the Hamiltonian over a probe lattice.
 
     The candidate is ``adjoint.trajectories`` with the adjoint pair along
-    it.  Passes when the smallest margin over all sampled (time, path,
-    probe) triples is >= -tol with tol = max(tol_floor, 3 * (stat_allowance
-    + disc_allowance)); the allowances are reported alongside the verdict.
+    it.  The margin at probe v is ell(v) - ell(u) + <F(v) - F(u), Y>, so
+    neither Z nor the diffusion is evaluated.  Passes when the smallest
+    margin over all sampled (time, path, probe) triples is >= -MARGIN_TOL.
     """
     traj = adjoint.trajectories
     grid = traj.grid
@@ -143,25 +147,21 @@ def necessary_check(problem, driver, adjoint, probes=None, sample_times=20,
         t = times[k]
         xs = traj.states[p_idx, k, :]
         ys = adjoint.y_at(k)[p_idx]
-        zs = adjoint.z_at(k, states=xs)
         u_star = traj.policy.controls_at(k, t, xs)
-        h_star = hamiltonian(problem, driver, t, xs, u_star, ys, zs)
+        h_star = _control_terms(problem, t, xs, u_star, ys)
         xr = np.repeat(xs, n_v, axis=0)
         yr = np.repeat(ys, n_v, axis=0)
-        zr = np.repeat(zs, n_v, axis=0)
         ur = np.tile(probes, (xs.shape[0], 1))
-        h_probe = hamiltonian(problem, driver, t, xr, ur, yr, zr)
+        h_probe = _control_terms(problem, t, xr, ur, yr)
         margins[i] = h_probe.reshape(xs.shape[0], n_v) - h_star[:, None]
 
-    tol = max(tol_floor, 3.0 * (stat_allowance + disc_allowance))
     flat_arg = int(np.argmin(margins))
     wi, wp, wv = np.unravel_index(flat_arg, margins.shape)
     witness = (float(times[t_idx[wi]]), int(p_idx[wp]), probes[wv].copy())
     return MarginReport(
         times=times[t_idx], path_indices=p_idx,
         probes=probes, margins=margins, min_margin=float(margins.min()),
-        frac_negative=float(np.mean(margins < 0.0)), tol=tol,
-        stat_allowance=stat_allowance, disc_allowance=disc_allowance,
+        frac_negative=float(np.mean(margins < 0.0)), tol=MARGIN_TOL,
         witness=witness)
 
 
@@ -198,7 +198,7 @@ def _state_box(trajectories, widen=0.5):
     return lo - pad, hi + pad
 
 
-def sufficient_check(problem, driver, adjoint, pairs=1000, seed=77,
+def sufficient_check(problem, adjoint, pairs=1000, seed=77,
                      sample_times=8, margin_report=None):
     """Midpoint-convexity and minimum-condition package.
 
@@ -219,6 +219,7 @@ def sufficient_check(problem, driver, adjoint, pairs=1000, seed=77,
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed))
     traj = adjoint.trajectories
     grid = traj.grid
+    driver = traj.bundle.driver
     lo, hi = _state_box(traj)
     n = lo.shape[0]
 
@@ -261,7 +262,7 @@ def sufficient_check(problem, driver, adjoint, pairs=1000, seed=77,
     joint_passed = joint_violation <= CONVEXITY_TOL
 
     if margin_report is None:
-        margin_report = necessary_check(problem, driver, adjoint)
+        margin_report = necessary_check(problem, adjoint)
 
     return SufficiencyReport(
         applicable=True, set_convex=True,
@@ -533,15 +534,16 @@ def example1_candidate(cfg):
     """Scenario-1 problem and the candidate trajectories ``cfg`` selects.
 
     The candidate follows ``initial_policy(cfg, u_star, steps)``.  Returns
-    (problem, driver, grid, u_star, trajectories); where an adjoint applies
-    (linear drift), ``solve_adjoint_explicit`` solves it along them.
+    (problem, grid, u_star, trajectories), whose noise bundle carries the
+    driver; where an adjoint applies (linear drift),
+    ``solve_adjoint_explicit`` solves it along them.
     """
     problem, driver, grid, u_star = build_example1_problem(cfg)
     bundle = sample_increments(driver, grid, cfg.paths, cfg.seed)
     trajectories = integrate_forward(problem,
                                      initial_policy(cfg, u_star, grid.steps),
                                      bundle, np.asarray(cfg.x0, dtype=float))
-    return problem, driver, grid, u_star, trajectories
+    return problem, grid, u_star, trajectories
 
 
 @dataclass(frozen=True)
@@ -603,7 +605,6 @@ class Example1Result:
 
     report: ScenarioReport
     problem: ControlProblem
-    driver: MartingaleDriver
     grid: PathGrid
     adjoint: AdjointSolution
     cost: object
@@ -623,8 +624,8 @@ def run_example1(cfg=None):
             "candidate and requires drift_gain = 0; exercise the nonlinear "
             "drift variant through the difference-quotient or rate "
             "experiments instead")
-    problem, driver, grid, u_star, trajectories = example1_candidate(cfg)
-    adjoint = solve_adjoint_explicit(problem, driver, trajectories)
+    problem, grid, u_star, trajectories = example1_candidate(cfg)
+    adjoint = solve_adjoint_explicit(problem, trajectories)
     specs = default_spike_family(
         grid, u_star, problem.control_set, count=cfg.spike_count,
         seed=cfg.seed)
@@ -642,11 +643,11 @@ def run_example1(cfg=None):
         spikes.append(SpikeOutcome(spec=spec, gap=gap, se=se, far=far))
 
     margin_report = necessary_check(
-        problem, driver, adjoint, sample_times=cfg.sample_times,
+        problem, adjoint, sample_times=cfg.sample_times,
         sample_paths=cfg.sample_paths,
         points_per_dim=cfg.probe_points_per_dim)
     sufficiency = sufficient_check(
-        problem, driver, adjoint, pairs=cfg.convexity_pairs,
+        problem, adjoint, pairs=cfg.convexity_pairs,
         seed=cfg.seed + 3, margin_report=margin_report)
 
     delta = abs(cost.mean - analytic)
@@ -722,7 +723,7 @@ def run_example1(cfg=None):
         tables={"spike_gaps": (spike_header, spike_rows),
                 "margins_summary": (margin_header, margin_rows)})
     return Example1Result(
-        report=report, problem=problem, driver=driver, grid=grid,
+        report=report, problem=problem, grid=grid,
         adjoint=adjoint, cost=cost, analytic_cost=analytic,
         u_star=u_star, spikes=spikes, margin_report=margin_report,
         sufficiency=sufficiency)
@@ -865,7 +866,6 @@ class Example2Result:
 
     report: ScenarioReport
     problem: ControlProblem
-    driver: MartingaleDriver
     grid: PathGrid
     sweeps: list
     duality: object | None
@@ -905,8 +905,7 @@ def run_example2(cfg=None):
     sweeps = []
     for s in range(cfg.sweeps + 1):
         trajectories = integrate_forward(problem, policy, bundle, x0)
-        adjoint = solve_adjoint_lsmc(problem, driver, trajectories,
-                                     basis=basis)
+        adjoint = solve_adjoint_lsmc(problem, trajectories, basis=basis)
         cost = evaluate_cost(problem, trajectories)
         residual = stationarity_residual(problem, adjoint)
         # nothing reads this record again: later sweeps call the policy
@@ -979,6 +978,7 @@ def run_example2(cfg=None):
             "lhs": duality.lhs, "rhs": duality.rhs,
             "difference": duality.difference,
             "se_lhs": duality.se_lhs, "se_rhs": duality.se_rhs,
+            "se_diff": duality.se_diff,
         }
     sweep_rows = [(s, sweeps[s].cost.mean, sweeps[s].cost.stderr,
                    sweeps[s].residual) for s in range(len(sweeps))]
@@ -986,5 +986,5 @@ def run_example2(cfg=None):
         scenario="example2", sections=sections, assertions=assertions,
         tables={"sweeps": (["sweep", "cost", "cost_stderr",
                             "stationarity_residual"], sweep_rows)})
-    return Example2Result(report=report, problem=problem, driver=driver,
-                          grid=grid, sweeps=sweeps, duality=duality)
+    return Example2Result(report=report, problem=problem, grid=grid,
+                          sweeps=sweeps, duality=duality)

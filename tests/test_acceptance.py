@@ -108,8 +108,7 @@ def test_criterion_04_sufficiency_and_concave_fault(example1_full):
         result.problem,
         ell=lambda t, x, u: -np.einsum("pi,pi->p", u, u),
         ell_u=lambda t, x, u: -2.0 * u)
-    bad = sufficient_check(concave, result.driver, result.adjoint,
-                           pairs=1000, seed=404)
+    bad = sufficient_check(concave, result.adjoint, pairs=1000, seed=404)
     assert bad.applicable
     assert not bad.joint_passed, \
         "midpoint probing missed the concave running cost"
@@ -167,7 +166,7 @@ def test_criterion_07_isometry_quadrature():
     cfg = Example1Config(steps=400, paths=20000, seed=7071)
     _, driver, grid, _ = build_example1_problem(cfg)
     bundle = sample_increments(driver, grid, cfg.paths, cfg.seed)
-    report = verify_isometry(np.eye(cfg.state_dim), driver, bundle)
+    report = verify_isometry(np.eye(cfg.state_dim), bundle)
     # trapezoid quadrature is exact for the linear intensity 1 + t/2:
     # |beta|^2 (T + T^2/4) with |beta|^2 = 1.3125, T = 1
     assert report.quadrature_value == pytest.approx(1.640625, abs=1e-12)

@@ -38,7 +38,8 @@ def example2_setup(steps=30, paths=1500, seed=9):
 
 def test_hamiltonian_value_by_hand():
     # independent route: assemble ell + <F, y> + tr(G^T z Q) with plain
-    # matrix algebra on a single point of the linear-quadratic problem
+    # matrix algebra on one point of the linear-quadratic problem, which
+    # the Hamiltonian takes as a one-row batch
     cfg = Example2Config()
     problem, driver, _ = build_example2_problem(cfg)
     t, x = 0.25, np.array([1.0, 0.5])
@@ -58,8 +59,9 @@ def test_hamiltonian_value_by_hand():
     g_op = float(x @ gam) * gt + d
 
     expected = ell + drift @ y + np.trace(g_op.T @ z @ driver.cov_rate(t))
-    got = hamiltonian(problem, driver, t, x, u, y, z)
-    assert got == pytest.approx(expected, rel=1e-12)
+    got = hamiltonian(problem, driver, t, x[None], u[None], y[None], z[None])
+    assert got.shape == (1,)
+    assert got[0] == pytest.approx(expected, rel=1e-12)
 
 
 def test_hamiltonian_pairs_through_the_root_of_q():
@@ -116,21 +118,6 @@ def test_hamiltonian_affine_in_adjoint_arguments():
                        h_at(y1, z1) + h_at(y2, z2) - base, atol=1e-10)
 
 
-def test_hamiltonian_scalar_vs_batched():
-    cfg, problem, driver, grid, u_star, _, _, _ = example1_setup(
-        steps=10, paths=4)
-    x = np.array([1.0, 0.5, -0.25, 0.75])
-    u = np.array([0.1, -0.2])
-    y = np.array([0.8, -0.3, 0.5, 0.2])
-    z = np.zeros((4, 4))
-    single = hamiltonian(problem, driver, 0.5, x, u, y, z)
-    assert isinstance(single, float)
-    batched = hamiltonian(problem, driver, 0.5, np.tile(x, (3, 1)), u, y,
-                          z)
-    assert batched.shape == (3,)
-    assert np.allclose(batched, single)
-
-
 @pytest.mark.parametrize("which", ["example1", "example2"])
 def test_grad_x_hamiltonian_matches_finite_differences(which):
     if which == "example1":
@@ -175,7 +162,7 @@ def test_regression_basis_features():
 def test_explicit_adjoint_on_constant_gradient_problem():
     cfg, problem, driver, grid, _, _, _, traj = example1_setup(steps=20,
                                                                paths=4)
-    adj = solve_adjoint_explicit(problem, driver, traj)
+    adj = solve_adjoint_explicit(problem, traj)
     c = np.asarray(EXAMPLE1_C)
     assert adj.method == "explicit"
     assert adj.n_residual_ratio == 0.0
@@ -195,7 +182,7 @@ def test_explicit_adjoint_on_constant_gradient_problem():
 def test_explicit_adjoint_refuses_state_dependent_terminal_cost():
     _, problem, driver, grid, _, _, traj = example2_setup(steps=10, paths=4)
     with pytest.raises(ValueError, match="does not apply"):
-        solve_adjoint_explicit(problem, driver, traj)
+        solve_adjoint_explicit(problem, traj)
 
 
 def test_explicit_adjoint_refuses_nonvanishing_gradient():
@@ -203,7 +190,7 @@ def test_explicit_adjoint_refuses_nonvanishing_gradient():
     cfg, problem, driver, grid, _, _, _, traj = example1_setup(
         steps=10, paths=4, drift_gain=0.25)
     with pytest.raises(ValueError, match="does not apply"):
-        solve_adjoint_explicit(problem, driver, traj)
+        solve_adjoint_explicit(problem, traj)
 
 
 def test_lsmc_reproduces_constant_adjoint_exactly():
@@ -211,7 +198,7 @@ def test_lsmc_reproduces_constant_adjoint_exactly():
     # sees a constant target and must return it with zero feature weight
     cfg, problem, driver, grid, _, bundle, pol, traj = example1_setup(
         steps=25, paths=300)
-    adj = solve_adjoint_lsmc(problem, driver, traj)
+    adj = solve_adjoint_lsmc(problem, traj)
     c = np.asarray(EXAMPLE1_C)
     assert adj.method == "lsmc"
     assert np.max(np.abs(adj.Y - c)) < 1e-10
@@ -238,7 +225,7 @@ def test_lsmc_matches_scalar_closed_form():
     bundle = sample_increments(driver, grid, cfg.paths, cfg.seed)
     pol = OpenLoopPolicy.constant(np.zeros(1), grid.steps)
     traj = integrate_forward(problem, pol, bundle, np.asarray(cfg.x0))
-    adj = solve_adjoint_lsmc(problem, driver, traj)
+    adj = solve_adjoint_lsmc(problem, traj)
     times = grid.times
     y_num = y_den = z_num = z_den = 0.0
     for k in range(grid.steps + 1):
@@ -258,7 +245,7 @@ def test_lsmc_matches_scalar_closed_form():
 
 def test_lsmc_y_eval_reproduces_training_values():
     _, problem, driver, grid, bundle, pol, traj = example2_setup()
-    adj = solve_adjoint_lsmc(problem, driver, traj)
+    adj = solve_adjoint_lsmc(problem, traj)
     for k in (0, 1, grid.steps // 2, grid.steps - 1):
         on_cloud = adj.y_eval(k, traj.states[:, k, :])
         assert np.array_equal(on_cloud, adj.Y[:, k, :])
@@ -270,7 +257,7 @@ def test_lsmc_condition_limit_raises():
     _, problem, driver, grid, bundle, pol, traj = example2_setup(
         steps=20, paths=400)
     with pytest.raises(RegressionRankError) as exc:
-        solve_adjoint_lsmc(problem, driver, traj, cond_limit=2.0)
+        solve_adjoint_lsmc(problem, traj, cond_limit=2.0)
     assert exc.value.step >= 0
     assert exc.value.cond > 2.0
     assert "condition number" in str(exc.value)
@@ -280,7 +267,7 @@ def test_lsmc_enforces_feature_count_invariant():
     _, problem, driver, grid, bundle, pol, traj = example2_setup(
         steps=10, paths=50)
     with pytest.raises(ValueError, match="paths"):
-        solve_adjoint_lsmc(problem, driver, traj)
+        solve_adjoint_lsmc(problem, traj)
 
 
 def test_lsmc_residual_warning():
@@ -288,7 +275,7 @@ def test_lsmc_residual_warning():
         steps=20, paths=400)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        solve_adjoint_lsmc(problem, driver, traj, warn_ratio=1e-12)
+        solve_adjoint_lsmc(problem, traj, warn_ratio=1e-12)
     assert any("unexplained martingale residual" in str(w.message)
                for w in caught)
 
@@ -297,7 +284,7 @@ def test_duality_identity_example1_frozen_value():
     # Y = c and ell_x = 0 make both sides equal <c, F_tilde (v - u*)>
     cfg, problem, driver, grid, u_star, bundle, pol, traj = example1_setup(
         steps=200, paths=8000, seed=555)
-    adj = solve_adjoint_explicit(problem, driver, traj)
+    adj = solve_adjoint_explicit(problem, traj)
     spec = SpikeSpec(t0=0.3, eps=0.1, v=np.array([0.65, 0.45]))
     p = integrate_variational(problem, traj, spec)
     rep = duality_check(problem, adj, p)
@@ -316,7 +303,7 @@ def test_duality_rhs_integrates_ell_x_through_zeta():
     # must agree with the left-point sum of the integrand to roundoff
     cfg, problem, driver, grid, bundle, pol, traj = example2_setup(
         steps=20, paths=400)
-    adj = solve_adjoint_lsmc(problem, driver, traj, basis=RegressionBasis(1))
+    adj = solve_adjoint_lsmc(problem, traj, basis=RegressionBasis(1))
     spec = SpikeSpec(t0=0.25, eps=0.1, v=np.array([0.5, -0.25]))
     p = integrate_variational(problem, traj, spec)
     k0, _ = spec.window(grid)
@@ -331,17 +318,36 @@ def test_duality_rhs_integrates_ell_x_through_zeta():
     assert rep.rhs == pytest.approx(float(np.mean(rhs_pp)), rel=1e-12)
 
 
+def test_duality_reports_paired_difference_se():
+    # the SE of the per-path lhs - rhs, beside the unpaired SE_L + SE_R
+    # that the gate keeps
+    cfg, problem, driver, grid, bundle, pol, traj = example2_setup(
+        steps=20, paths=400)
+    adj = solve_adjoint_lsmc(problem, traj, basis=RegressionBasis(1))
+    spec = SpikeSpec(t0=0.25, eps=0.1, v=np.array([0.5, -0.25]))
+    p = integrate_variational(problem, traj, spec)
+    rep = duality_check(problem, adj, p)
+    k0, _ = spec.window(grid)
+    lhs_pp = np.einsum("pi,pi->p", adj.y_at(grid.steps), p.states[:, -1])
+    rhs_pp = np.einsum("pi,pi->p", adj.y_at(k0), p.states[:, k0]) \
+        - (p.zeta[:, -1] - p.zeta[:, k0])
+    diff = lhs_pp - rhs_pp
+    assert rep.se_diff == pytest.approx(
+        float(np.std(diff, ddof=1) / np.sqrt(diff.size)), rel=1e-12)
+    assert 0.0 < rep.se_diff < rep.se_lhs + rep.se_rhs
+
+
 def test_one_path_checks_do_not_pass():
     # one path has no standard error: a k-SE check must not pass against it
     cfg, problem, driver, grid, u_star, bundle, pol, traj = example1_setup(
         steps=20, paths=1)
-    adj = solve_adjoint_explicit(problem, driver, traj)
+    adj = solve_adjoint_explicit(problem, traj)
     spec = SpikeSpec(t0=0.25, eps=0.1, v=np.array([0.6, 0.4]))
     duality = duality_check(problem, adj,
                             integrate_variational(problem, traj, spec))
     assert np.isfinite(duality.difference)
     assert not duality.within(3.0)
-    isometry = verify_isometry(np.eye(4), driver, bundle)
+    isometry = verify_isometry(np.eye(4), bundle)
     assert np.isfinite(isometry.difference)
     assert not isometry.within(3.0)
 
@@ -349,7 +355,7 @@ def test_one_path_checks_do_not_pass():
 def test_duality_check_requires_shared_bundle():
     cfg, problem, driver, grid, u_star, bundle, pol, traj = example1_setup(
         steps=20, paths=16)
-    adj = solve_adjoint_explicit(problem, driver, traj)
+    adj = solve_adjoint_explicit(problem, traj)
     spec = SpikeSpec(t0=0.25, eps=0.1, v=np.array([0.6, 0.4]))
     other_bundle = sample_increments(driver, grid, 16, seed=1234)
     other_traj = integrate_forward(problem, pol, other_bundle,

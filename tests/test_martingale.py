@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from martctrl._parallel import BLOCK_SIZE
 from martctrl.martingale import (IsometryReport, MartingaleDriver, NoiseBundle,
                                  PathGrid, ScalarIntensity,
                                  sample_increments, step_covariances,
@@ -159,9 +158,8 @@ def test_sampling_is_extensible():
     d = example_driver()
     grid = PathGrid(horizon=1.0, steps=20)
     one = sample_increments(d, grid, paths=64, seed=5)
-    # per-path substreams: a longer run extends a shorter one bit for bit,
-    # also across the boundary of the first BLOCK_SIZE block
-    for paths in (128, BLOCK_SIZE + 1):
+    # per-path substreams: a longer run extends a shorter one bit for bit
+    for paths in (65, 128):
         longer = sample_increments(d, grid, paths=paths, seed=5)
         assert longer.increments.shape == (paths, 20, 4)
         assert np.array_equal(longer.increments[:64], one.increments)
@@ -180,9 +178,28 @@ def test_noise_bundle_round_trip(tmp_path):
     assert len(raw) == 32 + 10 * 12 * 4 * 8
     header = np.frombuffer(raw[:32], dtype="<i8")
     assert list(header) == [4, 12, 10, 42]
-    loaded = NoiseBundle.load(fn, grid)
+    loaded = NoiseBundle.load(fn, d)
     assert np.array_equal(loaded.increments, bundle.increments)
     assert loaded.identity() == bundle.identity()
+    assert loaded.driver is d
+
+
+def test_noise_bundle_load_rebuilds_grid_from_driver(tmp_path):
+    # the file stores no horizon: the driver's horizon and the stored step
+    # count give the grid back
+    d = example_driver(horizon=2.0)
+    bundle = sample_increments(d, PathGrid(horizon=2.0, steps=8), paths=3,
+                               seed=4)
+    fn = tmp_path / "noise.bin"
+    bundle.save(fn)
+    loaded = NoiseBundle.load(fn, d)
+    assert loaded.grid == PathGrid(horizon=2.0, steps=8)
+    assert np.array_equal(loaded.increments, bundle.increments)
+    two = MartingaleDriver(
+        state_dim=2, horizon=2.0,
+        components=((np.array([1.0, 0.0]), ScalarIntensity.constant(1.0)),))
+    with pytest.raises(ValueError, match="state_dim 2"):
+        NoiseBundle.load(fn, two)
 
 
 def test_noise_bundle_load_rejects_bad_files(tmp_path):
@@ -191,22 +208,34 @@ def test_noise_bundle_load_rejects_bad_files(tmp_path):
     bundle = sample_increments(d, grid, paths=4, seed=1)
     fn = tmp_path / "noise.bin"
     bundle.save(fn)
-    with pytest.raises(ValueError, match="steps"):
-        NoiseBundle.load(fn, PathGrid(horizon=1.0, steps=13))
     fn.write_bytes(fn.read_bytes()[:40])
     with pytest.raises(ValueError, match="body"):
-        NoiseBundle.load(fn, grid)
+        NoiseBundle.load(fn, d)
     fn.write_bytes(b"\x01\x02")
     with pytest.raises(ValueError, match="truncated"):
-        NoiseBundle.load(fn, grid)
+        NoiseBundle.load(fn, d)
 
 
 def test_bundle_shape_validation():
+    d = example_driver()
     grid = PathGrid(horizon=1.0, steps=3)
     with pytest.raises(ValueError, match="3-d"):
-        NoiseBundle(increments=np.zeros((4, 3)), seed=0, grid=grid)
+        NoiseBundle(increments=np.zeros((4, 3)), seed=0, grid=grid, driver=d)
     with pytest.raises(ValueError, match="steps"):
-        NoiseBundle(increments=np.zeros((4, 5, 2)), seed=0, grid=grid)
+        NoiseBundle(increments=np.zeros((4, 5, 4)), seed=0, grid=grid,
+                    driver=d)
+
+
+def test_bundle_rejects_increments_off_the_driver_dimension():
+    # the driver pairs the increments with its covariances, so their last
+    # axis must be its state_dim
+    d = example_driver()
+    grid = PathGrid(horizon=1.0, steps=3)
+    with pytest.raises(ValueError, match="state_dim 4"):
+        NoiseBundle(increments=np.zeros((4, 3, 2)), seed=0, grid=grid,
+                    driver=d)
+    assert NoiseBundle(increments=np.zeros((4, 3, 4)), seed=0, grid=grid,
+                       driver=d).dim == 4
 
 
 def test_isometry_identity_process_frozen_value():
@@ -214,7 +243,7 @@ def test_isometry_identity_process_frozen_value():
     d = example_driver()
     grid = PathGrid(horizon=1.0, steps=400)
     bundle = sample_increments(d, grid, paths=20000, seed=7071)
-    rep = verify_isometry(np.eye(4), d, bundle)
+    rep = verify_isometry(np.eye(4), bundle)
     assert rep.quadrature_value == pytest.approx(1.640625, abs=1e-12)
     assert float(BETA @ BETA) * (1.0 + 0.25) == pytest.approx(1.640625)
     assert isinstance(rep, IsometryReport)
@@ -226,10 +255,10 @@ def test_isometry_accepts_callable_and_stepwise_phi():
     grid = PathGrid(horizon=1.0, steps=25)
     bundle = sample_increments(d, grid, paths=500, seed=3)
     proj = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]])
-    from_matrix = verify_isometry(proj, d, bundle)
-    from_callable = verify_isometry(lambda t: proj, d, bundle)
+    from_matrix = verify_isometry(proj, bundle)
+    from_callable = verify_isometry(lambda t: proj, bundle)
     stack = np.broadcast_to(proj, (25, 2, 4))
-    from_array = verify_isometry(stack, d, bundle)
+    from_array = verify_isometry(stack, bundle)
     assert from_matrix.mc_estimate == pytest.approx(from_callable.mc_estimate)
     assert from_matrix.quadrature_value == pytest.approx(
         from_array.quadrature_value)
@@ -240,6 +269,6 @@ def test_isometry_validates_shapes():
     grid = PathGrid(horizon=1.0, steps=5)
     bundle = sample_increments(d, grid, paths=10, seed=0)
     with pytest.raises(ValueError, match="columns"):
-        verify_isometry(np.eye(3), d, bundle)
+        verify_isometry(np.eye(3), bundle)
     with pytest.raises(ValueError, match="one matrix per step"):
-        verify_isometry(np.zeros((4, 2, 4)), d, bundle)
+        verify_isometry(np.zeros((4, 2, 4)), bundle)

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from martctrl import pmp
-from martctrl.adjoint import solve_adjoint_explicit
+from martctrl.adjoint import (RegressionBasis, hamiltonian,
+                              solve_adjoint_explicit, solve_adjoint_lsmc)
 from martctrl.dynamics import (BallSet, BoxSet, FeedbackPolicy, FiniteSet,
                                OpenLoopPolicy, SpikeSpec, apply_spike,
                                evaluate_cost, integrate_forward,
@@ -34,7 +35,7 @@ def adjoint_for(cfg, policy=None):
     trajectories it was solved along."""
     problem, driver, grid, u_star, bundle, traj = candidate_for(cfg, policy)
     return (problem, driver, grid, u_star, bundle,
-            solve_adjoint_explicit(problem, driver, traj))
+            solve_adjoint_explicit(problem, traj))
 
 
 def test_example1_closed_form_constants():
@@ -57,7 +58,7 @@ def test_necessary_check_margins_are_squared_distance():
     # |v - u*|^2, with no Monte Carlo error at all
     cfg = Example1Config(steps=50, paths=60, seed=11)
     problem, driver, grid, u_star, bundle, adj = adjoint_for(cfg)
-    rep = necessary_check(problem, driver, adj, sample_times=5,
+    rep = necessary_check(problem, adj, sample_times=5,
                           sample_paths=10, points_per_dim=5)
     assert rep.passed
     expected = np.sum((rep.probes - u_star) ** 2, axis=1)
@@ -71,7 +72,7 @@ def test_necessary_check_flags_suboptimal_candidate():
     zero_pol = OpenLoopPolicy.constant(np.zeros(2), 50)
     problem, driver, grid, u_star, bundle, adj = adjoint_for(
         cfg, policy=zero_pol)
-    rep = necessary_check(problem, driver, adj, sample_times=5,
+    rep = necessary_check(problem, adj, sample_times=5,
                           sample_paths=10, points_per_dim=11)
     assert not rep.passed
     # the minimum sits at the probe closest to u*, with value -|u*|^2
@@ -88,14 +89,64 @@ def test_necessary_check_rejects_inadmissible_probes():
     problem, driver, grid, u_star, bundle, adj = adjoint_for(cfg)
     bad = np.array([[10.0, 0.0]])
     with pytest.raises(ValueError, match="outside the declared"):
-        necessary_check(problem, driver, adj, probes=bad, sample_times=2,
+        necessary_check(problem, adj, probes=bad, sample_times=2,
                         sample_paths=5)
+
+
+def test_necessary_check_margins_equal_full_hamiltonian_gaps():
+    # on the regression adjoint Z != 0, yet the Z term of H does not see
+    # the control, so the margins read without it equal the full
+    # H(v) - H(u*) up to roundoff
+    cfg = Example2Config(steps=20, paths=400, seed=9)
+    problem, driver, grid = build_example2_problem(cfg)
+    bundle = sample_increments(driver, grid, cfg.paths, cfg.seed)
+    traj = integrate_forward(problem,
+                             OpenLoopPolicy.constant(np.zeros(2), grid.steps),
+                             bundle, np.asarray(cfg.x0))
+    adj = solve_adjoint_lsmc(problem, traj, basis=RegressionBasis(1))
+    rep = necessary_check(problem, adj, sample_times=4,
+                          sample_paths=10, points_per_dim=5)
+    full = np.empty_like(rep.margins)
+    z_term = 0.0
+    for i, t in enumerate(rep.times):
+        k = grid.index_of(t)
+        xs = traj.states[rep.path_indices, k]
+        ys = adj.y_at(k)[rep.path_indices]
+        zs = adj.z_at(k, states=xs)
+        us = traj.control_at(k)[rep.path_indices]
+        h_star = hamiltonian(problem, driver, t, xs, us, ys, zs)
+        z_term = max(z_term, float(np.max(np.abs(
+            h_star - hamiltonian(problem, driver, t, xs, us, ys,
+                                 np.zeros_like(zs))))))
+        for j, v in enumerate(rep.probes):
+            vs = np.broadcast_to(v, us.shape)
+            full[i, :, j] = hamiltonian(problem, driver, t, xs, vs, ys,
+                                        zs) - h_star
+    assert z_term > 1e-3
+    assert np.max(np.abs(rep.margins - full)) \
+        <= 1e-12 * np.max(np.abs(full))
+
+
+def test_necessary_check_evaluates_no_diffusion():
+    import dataclasses
+
+    def refuse(*args):
+        raise AssertionError("the minimum condition read the diffusion")
+
+    cfg = Example1Config(steps=20, paths=30, seed=2)
+    problem, driver, grid, u_star, bundle, adj = adjoint_for(cfg)
+    blind = dataclasses.replace(problem, G=refuse, G_x=refuse)
+    opts = dict(sample_times=3, sample_paths=5, points_per_dim=3)
+    rep = necessary_check(blind, adj, **opts)
+    assert rep.passed
+    assert np.array_equal(rep.margins,
+                          necessary_check(problem, adj, **opts).margins)
 
 
 def test_sufficient_check_passes_on_convex_problem():
     cfg = Example1Config(steps=50, paths=60, seed=13)
     problem, driver, grid, u_star, bundle, adj = adjoint_for(cfg)
-    rep = sufficient_check(problem, driver, adj, pairs=300)
+    rep = sufficient_check(problem, adj, pairs=300)
     assert rep.applicable and rep.set_convex
     assert rep.terminal_passed
     assert rep.terminal_violation <= 1e-10
@@ -112,7 +163,7 @@ def test_sufficient_check_fails_on_concave_running_cost():
         problem,
         ell=lambda t, x, u: -np.einsum("pi,pi->p", u, u),
         ell_u=lambda t, x, u: -2.0 * u)
-    rep = sufficient_check(concave, driver, adj, pairs=1000)
+    rep = sufficient_check(concave, adj, pairs=1000)
     assert rep.applicable
     assert not rep.joint_passed
     assert not rep.overall
@@ -127,7 +178,7 @@ def test_sufficient_check_inapplicable_for_finite_control_set():
     finite = dataclasses.replace(
         problem, control_set=FiniteSet(points=np.array([[0.0, 0.0],
                                                         [1.0, 1.0]])))
-    rep = sufficient_check(finite, driver, adj, pairs=10)
+    rep = sufficient_check(finite, adj, pairs=10)
     assert not rep.applicable
     assert "not convex" in rep.note
     assert not rep.overall
@@ -363,6 +414,9 @@ def test_run_example2_small_scale_report():
     assert residuals[-1] < residuals[0]
     assert result.duality is not None
     assert result.duality.within(3.0)
+    assert report.sections["duality"]["se_diff"] == result.duality.se_diff
+    assert result.duality.se_diff < (result.duality.se_lhs
+                                     + result.duality.se_rhs)
 
 
 def test_run_example2_duality_with_huge_se_is_inconclusive():
