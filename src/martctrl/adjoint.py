@@ -53,7 +53,7 @@ import numpy as np
 
 from .dynamics import sample_controls
 from .hilbert import apply_operator
-from .martingale import mean_se, step_covariances
+from .martingale import mean_se, step_covariances, step_major_zeros
 
 DEFAULT_CONDITION_LIMIT = 1e12
 # Relative singular-value cutoff for the per-step feature regression.
@@ -190,8 +190,9 @@ class _StepFit:
 class AdjointSolution:
     """Adjoint pair along ``trajectories``, the candidate it was solved on.
 
-    ``Y`` has shape (paths, steps + 1, n); the explicit solver stores it as
-    a read-only broadcast view of its one constant row.  Z is exposed through
+    ``Y`` has shape (paths, steps + 1, n); the regression solver stores it
+    step-major, like the states, and the explicit solver as a read-only
+    broadcast view of its one constant row.  Z is exposed through
     :meth:`z_at` (per-step evaluation) rather than one dense array so the
     desk-scale memory stays bounded; ``n_residual_energy[k]`` records the
     mean squared unexplained martingale increment at step k (zero for the
@@ -375,7 +376,7 @@ def solve_adjoint_lsmc(problem, trajectories, basis=None,
                                       hermitian=True)
                        for k in range(grid.steps)])
 
-    y = np.empty((paths, grid.steps + 1, n))
+    y = step_major_zeros(paths, grid.steps + 1, n)
     y[:, grid.steps, :] = np.asarray(problem.h_x(x[:, grid.steps, :]),
                                      dtype=float)
     fits = [None] * grid.steps

@@ -30,7 +30,7 @@ from typing import Callable
 import numpy as np
 
 from .hilbert import SpaceConfig, apply_operator, as_vector
-from .martingale import NoiseBundle, mean_se
+from .martingale import NoiseBundle, mean_se, step_major, step_major_zeros
 
 
 class BlowUpError(RuntimeError):
@@ -320,6 +320,10 @@ class TrajectoryBundle:
     rows cost paths * control_dim doubles per step.  Without a record (a
     ``recorded`` of None) reads evaluate the policy at the stored states,
     which gives the same values.
+
+    ``states`` is indexed (paths, steps + 1, dim) but stored step-major, as
+    the noise is: ``states[:, k, :]`` is one contiguous block, and states
+    given in any other layout are copied into it.
     """
 
     states: np.ndarray
@@ -332,7 +336,7 @@ class TrajectoryBundle:
         if s.ndim != 3:
             raise ValueError(f"states must be (paths, steps+1, dim), got "
                              f"shape {s.shape}")
-        self.states = s
+        self.states = step_major(s)
 
     @property
     def paths(self):
@@ -396,7 +400,7 @@ def integrate_forward(problem, policy, bundle, x0):
                              (bundle.paths, n))
     elif x0.shape != (bundle.paths, n):
         raise ValueError(f"x0 must have shape ({n},) or ({bundle.paths}, {n})")
-    states = np.empty((bundle.paths, bundle.steps + 1, n))
+    states = step_major_zeros(bundle.paths, bundle.steps + 1, n)
     states[:, 0, :] = x0
     recorded = [None] * bundle.steps
 
@@ -434,7 +438,9 @@ class FirstVariation:
     ``spike``, on ``optimal``.
 
     ``states`` has shape (paths, steps + 1, n) and ``zeta`` (paths,
-    steps + 1), both zero before the window start.  They read only the
+    steps + 1), both zero before the window start and both stored
+    step-major like the trajectory states, so ``states[:, k, :]`` and
+    ``zeta[:, k]`` are contiguous.  They read only the
     spike's start and value v, never its width, so one first variation
     serves every eps of a difference quotient or rate ladder.
     """
@@ -466,8 +472,8 @@ def integrate_variational(problem, optimal, spec):
     v = np.broadcast_to(spec.v, u0.shape)
     p = problem.F(t0, x0, v) - problem.F(t0, x0, u0)
     z = problem.ell(t0, x0, v) - problem.ell(t0, x0, u0)
-    out = np.zeros_like(optimal.states)
-    zeta = np.zeros((optimal.paths, grid.steps + 1))
+    out = step_major_zeros(optimal.paths, grid.steps + 1, bundle.dim)
+    zeta = step_major_zeros(optimal.paths, grid.steps + 1)
     out[:, k0, :] = p
     zeta[:, k0] = z
     for k in range(k0, grid.steps):

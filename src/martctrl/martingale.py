@@ -13,9 +13,13 @@ increments are exact Gaussian draws: each component contributes
 ``beta_i * sqrt(int_{t_k}^{t_{k+1}} alpha_i(s) ds) * xi`` with iid standard
 normal ``xi`` and the per-step integral computed by the trapezoid rule.
 
-Noise bundles serialize to a flat binary file: a header of four little-endian
-int64 fields (state_dim, steps, paths, seed) followed by the increments as
-row-major (path, step, coordinate) little-endian float64.  A bundle carries
+Increments are indexed (path, step, coordinate) but stored step-major: the
+memory runs (step, path, coordinate), so the block ``increments[:, k, :]``
+that every Euler, first-variation and adjoint step reads is one contiguous
+array.  Noise bundles serialize to a flat binary file, unchanged by that
+layout: a header of four little-endian int64 fields (state_dim, steps,
+paths, seed) followed by the increments as row-major (path, step,
+coordinate) little-endian float64.  A bundle carries
 the driver it was sampled from, so verify_isometry(phi, bundle) takes no
 driver; the file stores neither that driver nor the horizon, so
 NoiseBundle.load(path, driver) takes the driver again and rebuilds the grid
@@ -199,6 +203,20 @@ class MartingaleDriver:
         return q
 
 
+def step_major_zeros(paths, steps, *tail):
+    """Zeros indexed (paths, steps, *tail) with the step axis outermost in
+    memory, so that each block ``a[:, k]`` is C-contiguous."""
+    return np.zeros((steps, paths) + tail).swapaxes(0, 1)
+
+
+def step_major(a):
+    """``a``, indexed (paths, steps, ...), laid out as
+    :func:`step_major_zeros` lays out its arrays: ``a`` itself when it
+    already is, else a step-major copy with equal values."""
+    a = np.asarray(a, dtype=float)
+    return np.ascontiguousarray(a.swapaxes(0, 1)).swapaxes(0, 1)
+
+
 def step_intensity_integrals(driver, grid):
     """Trapezoid-rule integrals of each alpha_i over every grid step.
 
@@ -235,7 +253,11 @@ class NoiseBundle:
     """Increments of ``driver`` on a grid, for a block of Monte Carlo paths.
 
     ``increments[p, k]`` is the driver increment over [t_k, t_{k+1}] for
-    path p.  ``identity()`` is the (seed, paths, steps, dim) tuple; runs
+    path p.  The array keeps that (paths, steps, dim) indexing but its
+    memory is step-major (see :func:`step_major`): any other layout given
+    here is copied into it, so ``increments[:, k, :]`` is contiguous in
+    every bundle.  :meth:`save` still writes the path-major file format.
+    ``identity()`` is the (seed, paths, steps, dim) tuple; runs
     that share noise hold the one bundle object.  Everything that pairs
     the increments with the driver's covariances reads ``driver`` here.
     """
@@ -258,7 +280,7 @@ class NoiseBundle:
             raise ValueError(
                 f"increments have dimension {inc.shape[2]} but the driver "
                 f"has state_dim {self.driver.state_dim}")
-        self.increments = inc
+        self.increments = step_major(inc)
 
     @property
     def paths(self):
@@ -301,7 +323,8 @@ class NoiseBundle:
         if body.size != expected:
             raise ValueError(f"noise file body has {body.size} doubles, "
                              f"expected {expected}")
-        inc = body.reshape(paths, steps, dim).astype(float)
+        inc = step_major_zeros(paths, steps, dim)
+        inc[...] = body.reshape(paths, steps, dim)
         return cls(increments=inc, seed=seed,
                    grid=PathGrid(horizon=driver.horizon, steps=steps),
                    driver=driver)
@@ -312,6 +335,8 @@ def sample_increments(driver, grid, paths, seed):
 
     Path p uses the dedicated substream SeedSequence(seed, spawn_key=(p,)),
     so the draw is reproducible and a larger ``paths`` extends a smaller one.
+    Each path's normals fill its own (n_components, steps) row of one buffer,
+    and the step-major increments are summed from it one step at a time.
     """
     if paths < 1:
         raise ValueError(f"paths must be >= 1, got {paths}")
@@ -319,12 +344,18 @@ def sample_increments(driver, grid, paths, seed):
     scales = np.sqrt(integrals)                       # (ncomp, steps)
     betas = driver.betas()                            # (ncomp, dim)
     seed = int(seed)
-    increments = np.empty((paths, grid.steps, driver.state_dim))
+    xi = np.empty((paths, driver.n_components, grid.steps))
     for p in range(paths):
         rng = np.random.default_rng(
             np.random.SeedSequence(entropy=seed, spawn_key=(p,)))
-        xi = rng.standard_normal((driver.n_components, grid.steps))
-        increments[p] = (scales * xi).T @ betas
+        rng.standard_normal(out=xi[p])
+    xi *= scales
+    # dM_k = 0 + sum_i xi_ik beta_i from elementwise products in component
+    # order, so a path's bits do not depend on how many paths there are
+    increments = step_major_zeros(paths, grid.steps, driver.state_dim)
+    for k in range(grid.steps):
+        for i, beta in enumerate(betas):
+            increments[:, k] += xi[:, i, k, None] * beta
     return NoiseBundle(increments=increments, seed=seed, grid=grid,
                        driver=driver)
 

@@ -7,9 +7,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from martctrl._parallel import BLOCK_SIZE
+from martctrl.adjoint import solve_adjoint_lsmc
 from martctrl.dynamics import (BallSet, BlowUpError, BoxSet, ControlProblem,
                                FeedbackPolicy, FiniteSet, OpenLoopPolicy,
-                               SpikeSpec, apply_spike, evaluate_cost,
+                               SpikeSpec, TrajectoryBundle, apply_spike,
+                               evaluate_cost,
                                finite_diff_check, integrate_forward,
                                integrate_variational, sample_controls,
                                spiked_cost, stream_spiked)
@@ -245,24 +247,81 @@ def test_forward_x0_shapes():
         integrate_forward(problem, pol, bundle, np.zeros((4, 2)))
 
 
-def test_blow_up_error_names_path_and_step():
-    dim = 1
-    problem = constant_g_problem(dim=dim, g_scale=0.0)
+def noiseless_problem(drift, paths, steps=30):
+    """One-dimensional problem with drift ``drift`` and zero noise, with an
+    open-loop zero control and a zeroed bundle of ``paths`` paths."""
+    problem = constant_g_problem(dim=1, g_scale=0.0)
+    problem.F = drift
+    grid = PathGrid(horizon=1.0, steps=steps)
+    bundle = sample_increments(make_driver(1), grid, paths=paths, seed=0)
+    bundle.increments[:] = 0.0
+    return problem, OpenLoopPolicy.constant(np.zeros(1), steps), bundle
 
+
+def test_blow_up_error_names_path_and_step():
     def cubed(t, x, u):
         with np.errstate(over="ignore"):
             return x ** 3
 
-    problem.F = cubed
-    driver = make_driver(dim)
-    grid = PathGrid(horizon=1.0, steps=30)
-    bundle = sample_increments(driver, grid, paths=2, seed=0)
-    bundle.increments[:] = 0.0
-    pol = OpenLoopPolicy.constant(np.zeros(1), grid.steps)
+    # path 2 starts highest and leaves the finite range first; path 0
+    # blows up later and path 1 not at all
+    x0 = np.array([[2.0], [0.1], [40.0], [3.0]])
+    problem, pol, bundle = noiseless_problem(cubed, paths=4)
+    grid = bundle.grid
+    zero = np.zeros((1, 1))
+    first = []
+    for path, row in enumerate(x0):
+        x = row[None, :]
+        for k in range(grid.steps):
+            t = grid.times[k]
+            with np.errstate(over="ignore", invalid="ignore"):
+                x = x + problem.F(t, x, zero) * grid.dt \
+                    + problem.G(t, x, zero)
+            if not np.all(np.isfinite(x)):
+                first.append((k + 1, path))
+                break
+    step, path = min(first)
+    assert path == 2 and len(first) > 1
     with pytest.raises(BlowUpError) as exc:
-        integrate_forward(problem, pol, bundle, np.array([40.0]))
-    assert exc.value.step >= 1
-    assert "path" in str(exc.value)
+        integrate_forward(problem, pol, bundle, x0)
+    assert (exc.value.path, exc.value.step) == (path, step)
+    assert exc.value.time == grid.times[step]
+    assert f"path {path} at step {step}" in str(exc.value)
+
+
+def test_large_finite_states_do_not_blow_up():
+    # every state is finite although any sum of two of them overflows
+    problem, pol, bundle = noiseless_problem(
+        lambda t, x, u: np.zeros_like(x), paths=2, steps=5)
+    traj = integrate_forward(problem, pol, bundle, np.array([1e308]))
+    assert np.all(traj.states == 1e308)
+
+
+def test_per_step_blocks_are_contiguous():
+    # every per-step array is stored step-major, so the block of step k
+    # that each Euler, first-variation and LSMC step touches is contiguous
+    cfg, problem, driver, grid, u0 = packaged("example2", steps=8,
+                                              paths=200)
+    bundle = sample_increments(driver, grid, cfg.paths, cfg.seed)
+    traj = integrate_forward(problem,
+                             OpenLoopPolicy.constant(u0, grid.steps), bundle,
+                             np.asarray(cfg.x0))
+    p = integrate_variational(problem, traj,
+                              SpikeSpec(t0=0.25, eps=0.125, v=u0 + 0.5))
+    y = solve_adjoint_lsmc(problem, traj).Y
+    blocks = [bundle.increments[:, k, :] for k in range(grid.steps)]
+    for k in range(grid.steps + 1):
+        blocks += [traj.states[:, k, :], p.states[:, k, :], p.zeta[:, k],
+                   y[:, k, :]]
+    assert all(block.flags.c_contiguous for block in blocks)
+    # trajectories given path-major states keep their values in the
+    # step-major layout
+    path_major = np.ascontiguousarray(traj.states)
+    rebuilt = TrajectoryBundle(states=path_major, policy=traj.policy,
+                               bundle=bundle)
+    assert np.array_equal(rebuilt.states, path_major)
+    assert all(rebuilt.states[:, k, :].flags.c_contiguous
+               for k in range(grid.steps + 1))
 
 
 def test_spiked_run_matches_full_reintegration():

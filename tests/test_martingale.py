@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from martctrl.martingale import (IsometryReport, MartingaleDriver, NoiseBundle,
                                  PathGrid, ScalarIntensity,
@@ -178,10 +179,105 @@ def test_noise_bundle_round_trip(tmp_path):
     assert len(raw) == 32 + 10 * 12 * 4 * 8
     header = np.frombuffer(raw[:32], dtype="<i8")
     assert list(header) == [4, 12, 10, 42]
+    # the body is the path-major (path, step, coordinate) order whatever
+    # the layout in memory
+    assert raw[32:] == np.ascontiguousarray(bundle.increments).tobytes()
     loaded = NoiseBundle.load(fn, d)
     assert np.array_equal(loaded.increments, bundle.increments)
     assert loaded.identity() == bundle.identity()
     assert loaded.driver is d
+    again = tmp_path / "again.bin"
+    loaded.save(again)
+    assert again.read_bytes() == raw
+
+
+def per_step_blocks_contiguous(a):
+    return all(a[:, k].flags.c_contiguous for k in range(a.shape[1]))
+
+
+def test_bundles_are_step_major(tmp_path):
+    d = example_driver()
+    grid = PathGrid(horizon=1.0, steps=6)
+    sampled = sample_increments(d, grid, paths=5, seed=8)
+    fn = tmp_path / "noise.bin"
+    sampled.save(fn)
+    loaded = NoiseBundle.load(fn, d)
+    for bundle in (sampled, loaded):
+        assert bundle.increments.shape == (5, 6, 4)
+        assert per_step_blocks_contiguous(bundle.increments)
+    # a path-major array is copied into the step-major layout ...
+    path_major = np.ascontiguousarray(sampled.increments)
+    built = NoiseBundle(increments=path_major, seed=8, grid=grid, driver=d)
+    assert per_step_blocks_contiguous(built.increments)
+    assert np.array_equal(built.increments, path_major)
+    # ... and a step-major one is kept without a copy
+    again = NoiseBundle(increments=sampled.increments, seed=8, grid=grid,
+                        driver=d)
+    assert np.shares_memory(again.increments, sampled.increments)
+
+
+def driver_from(dim, betas, rates, slopes):
+    return MartingaleDriver(
+        state_dim=dim, horizon=1.0,
+        components=tuple((np.array(b), ScalarIntensity.linear(r, s, 1.0))
+                         for b, r, s in zip(betas, rates, slopes)))
+
+
+@st.composite
+def drivers(draw, max_components):
+    dim = draw(st.integers(1, 4))
+    count = draw(st.integers(1, max_components))
+    # zero entries in beta give products of either sign of zero
+    entry = st.one_of(st.sampled_from([0.0, -0.0]),
+                      st.floats(-1e3, 1e3, allow_nan=False))
+    betas = [draw(st.lists(entry, min_size=dim, max_size=dim)
+                  .filter(lambda b: np.linalg.norm(b) > 0.0))
+             for _ in range(count)]
+    rates = draw(st.lists(st.floats(0.01, 10.0), min_size=count,
+                          max_size=count))
+    slopes = draw(st.lists(st.floats(0.0, 5.0), min_size=count,
+                           max_size=count))
+    return driver_from(dim, betas, rates, slopes)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(driver=drivers(max_components=4), steps=st.integers(1, 12),
+       paths=st.integers(1, 6), seed=st.integers(0, 2 ** 32))
+def test_sampling_matches_per_path_products(driver, steps, paths, seed):
+    # reference: each path's (steps, n_components) @ (n_components, dim)
+    # product; one component gives the same bytes, signed zeros included,
+    # and more components sum in another order, within rounding
+    grid = PathGrid(horizon=1.0, steps=steps)
+    scales = np.sqrt(step_intensity_integrals(driver, grid))
+    betas = driver.betas()
+    reference = np.empty((paths, steps, driver.state_dim))
+    bound = np.empty_like(reference)
+    for p in range(paths):
+        rng = np.random.default_rng(
+            np.random.SeedSequence(entropy=seed, spawn_key=(p,)))
+        scaled = scales * rng.standard_normal((driver.n_components, steps))
+        reference[p] = scaled.T @ betas
+        bound[p] = np.abs(scaled.T) @ np.abs(betas)
+    got = sample_increments(driver, grid, paths, seed).increments
+    if driver.n_components == 1:
+        assert np.ascontiguousarray(got).tobytes() == reference.tobytes()
+    else:
+        eps = np.finfo(float).eps
+        assert np.all(np.abs(got - reference)
+                      <= driver.n_components * eps * bound)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(driver=drivers(max_components=4), steps=st.integers(1, 12),
+       few=st.integers(1, 4), extra=st.integers(1, 40),
+       seed=st.integers(0, 2 ** 32))
+def test_more_paths_extend_fewer_from_one_path(driver, steps, few, extra,
+                                               seed):
+    grid = PathGrid(horizon=1.0, steps=steps)
+    short = sample_increments(driver, grid, few, seed).increments
+    long = sample_increments(driver, grid, few + extra, seed).increments
+    assert np.ascontiguousarray(long[:few]).tobytes() \
+        == np.ascontiguousarray(short).tobytes()
 
 
 def test_noise_bundle_load_rebuilds_grid_from_driver(tmp_path):
