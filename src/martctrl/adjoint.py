@@ -120,10 +120,7 @@ def grad_x_hamiltonian(problem, driver, t, x, u, y, z):
     factor = driver.cov_rate_factor(t)
     zl = z @ factor
     fx = np.asarray(problem.F_x(t, x, u), dtype=float)
-    if fx.ndim == 2:
-        fxty = y @ fx
-    else:
-        fxty = np.einsum("pij,pi->pj", fx, y)
+    fxty = apply_operator(np.swapaxes(fx, -1, -2), y)
     grad = np.asarray(problem.ell_x(t, x, u), dtype=float) + fxty
     gamma = np.empty((x.shape[0], n))
     for d, direction in enumerate(np.eye(n)):
@@ -465,7 +462,7 @@ class DualityReport:
         return abs(self.difference) <= k * (self.se_lhs + self.se_rhs)
 
 
-def duality_check(problem, adjoint, p):
+def duality_check(adjoint, p):
     """Monte Carlo check of the duality identity
 
     E<Y(T), p(T)> = -E int_{t0}^{T} <ell_x(t, X, u), p> dt
@@ -474,8 +471,9 @@ def duality_check(problem, adjoint, p):
     for the spike that the first variation ``p`` follows, which must have
     been taken along the adjoint's own trajectories.  The last term reads
     p(t0), which is that difference of drifts, and the integral is
-    zeta(T) - zeta(t0), the running-cost variation p carries.  Reports both
-    sides with standard errors; the caller decides the acceptance multiple.
+    zeta(T) - zeta(t0), the running-cost variation p carries at t0 and T.
+    Reports both sides with standard errors; the caller decides the
+    acceptance multiple.
     """
     optimal = adjoint.trajectories
     if p.optimal is not optimal:
@@ -485,9 +483,9 @@ def duality_check(problem, adjoint, p):
     k0, _ = p.spike.window(grid)
 
     lhs_pp = np.einsum("pi,pi->p", adjoint.y_at(grid.steps),
-                       p.states[:, grid.steps, :])
-    rhs_pp = np.einsum("pi,pi->p", adjoint.y_at(k0), p.states[:, k0, :]) \
-        - (p.zeta[:, grid.steps] - p.zeta[:, k0])
+                       p.states[:, -1, :])
+    rhs_pp = np.einsum("pi,pi->p", adjoint.y_at(k0), p.states[:, 0, :]) \
+        - (p.zeta[:, -1] - p.zeta[:, 0])
 
     lhs, se_lhs = mean_se(lhs_pp)
     rhs, se_rhs = mean_se(rhs_pp)

@@ -175,8 +175,7 @@ class Schema(NamedTuple):
 def _run_entries(seed, steps, paths, horizon=1.0):
     return (("seed", _INT0, seed), ("steps", _INT1, steps),
             ("paths", _INT2, paths), ("horizon", _POSITIVE, horizon),
-            ("threads", _INT1, None), ("dump_trajectories", _INT0, 0),
-            ("output_dir", str, None))
+            ("threads", _INT1, None), ("output_dir", str, None))
 
 
 def _field_defaults(cls):
@@ -188,9 +187,11 @@ def _space(defaults):
 
 
 def _packaged(defaults, options, checks=()):
-    """Schema of a packaged scenario whose defaults are its config fields."""
+    """Schema of a packaged scenario whose defaults are its config fields;
+    only these scenarios dump trajectories."""
     return Schema(
-        run=_run_entries(*(defaults[key] for key in _RUN_FIELDS)),
+        run=_run_entries(*(defaults[key] for key in _RUN_FIELDS))
+        + (("dump_trajectories", _INT0, 0),),
         space=_space(defaults),
         options=tuple((key, parse, defaults[key]) for key, parse in options),
         checks=checks)

@@ -437,10 +437,9 @@ class FirstVariation:
     """First variations p of the state and zeta of the running cost along
     ``spike``, on ``optimal``.
 
-    ``states`` has shape (paths, steps + 1, n) and ``zeta`` (paths,
-    steps + 1), both zero before the window start and both stored
-    step-major like the trajectory states, so ``states[:, k, :]`` and
-    ``zeta[:, k]`` are contiguous.  They read only the
+    ``states`` has shape (paths, 2, n) and ``zeta`` (paths, 2): p and zeta
+    at the window start t0 (column 0) and at T (column 1), the only times
+    the duality identity and the cost derivative read.  They read only the
     spike's start and value v, never its width, so one first variation
     serves every eps of a difference quotient or rate ladder.
     """
@@ -459,6 +458,8 @@ def integrate_variational(problem, optimal, spec):
     zeta_{k+1} = zeta_k + <ell_x(t_k, X_k, u_k), p_k> dt and
     p_{k+1} = p_k + F_x(t_k, X_k, u_k) p_k dt + (G_x(t_k, X_k)[p_k]) dM_k,
     driven by the optimal trajectory's own noise bundle and controls.
+    Keeps only the running p and zeta, as ``stream_spiked`` keeps only
+    the running state, and returns them at t0 and T.
     """
     bundle = optimal.bundle
     grid = bundle.grid
@@ -470,23 +471,19 @@ def integrate_variational(problem, optimal, spec):
     x0 = x_at[:, k0, :]
     u0 = optimal.control_at(k0)
     v = np.broadcast_to(spec.v, u0.shape)
-    p = problem.F(t0, x0, v) - problem.F(t0, x0, u0)
-    z = problem.ell(t0, x0, v) - problem.ell(t0, x0, u0)
-    out = step_major_zeros(optimal.paths, grid.steps + 1, bundle.dim)
-    zeta = step_major_zeros(optimal.paths, grid.steps + 1)
-    out[:, k0, :] = p
-    zeta[:, k0] = z
+    p_start = p = problem.F(t0, x0, v) - problem.F(t0, x0, u0)
+    z_start = z = problem.ell(t0, x0, v) - problem.ell(t0, x0, u0)
     for k in range(k0, grid.steps):
         t = times[k]
         xk = x_at[:, k, :]
         uk = optimal.control_at(k)
         z = z + np.einsum("pi,pi->p", problem.ell_x(t, xk, uk), p) * dt
-        zeta[:, k + 1] = z
         fx = problem.F_x(t, xk, uk)
         p = p + apply_operator(fx, p) * dt \
             + problem.G_x(t, xk, p, bundle.increments[:, k, :])
-        out[:, k + 1, :] = p
-    return FirstVariation(states=out, zeta=zeta, optimal=optimal, spike=spec)
+    return FirstVariation(states=np.stack((p_start, p), axis=1),
+                          zeta=np.stack((z_start, z), axis=1),
+                          optimal=optimal, spike=spec)
 
 
 @dataclass(frozen=True)

@@ -38,7 +38,7 @@ from .dynamics import (BallSet, BoxSet, ControlProblem, FeedbackPolicy,
                        OpenLoopPolicy, SpikeSpec, evaluate_cost,
                        integrate_forward, integrate_variational,
                        sample_controls, spiked_cost, stream_spiked)
-from .hilbert import SpaceConfig
+from .hilbert import SpaceConfig, apply_operator
 from .martingale import (MartingaleDriver, PathGrid, ScalarIntensity,
                          mean_se, sample_increments)
 
@@ -839,10 +839,7 @@ def stationarity_residual(problem, adjoint):
         uk = trajectories.control_at(k)
         yk = adjoint.y_at(k)
         fu = np.asarray(problem.F_u(times[k], xk, uk), dtype=float)
-        if fu.ndim == 2:
-            futy = yk @ fu
-        else:
-            futy = np.einsum("pnm,pn->pm", fu, yk)
+        futy = apply_operator(np.swapaxes(fu, -1, -2), yk)
         resid = np.asarray(problem.ell_u(times[k], xk, uk), dtype=float) + futy
         sq = np.einsum("pi,pi->p", resid, resid)
         total += float(np.sum(sq))
@@ -922,8 +919,7 @@ def run_example2(cfg=None):
                          v=np.asarray(cfg.duality_v, dtype=float))
         first = sweeps[0].adjoint
         duality = duality_check(
-            problem, first,
-            integrate_variational(problem, first.trajectories, spec))
+            first, integrate_variational(problem, first.trajectories, spec))
 
     assertions = []
     cost_ok = True

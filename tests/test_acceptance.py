@@ -184,7 +184,7 @@ def test_criterion_08_duality_both_examples(example1_full, example2_full):
     spec = SpikeSpec(t0=0.3, eps=0.1, v=np.array([0.65, 0.45]))
     p = integrate_variational(result.problem, result.adjoint.trajectories,
                               spec)
-    explicit = duality_check(result.problem, result.adjoint, p)
+    explicit = duality_check(result.adjoint, p)
     # with the constant costate the right side is exact: <c, F~ (v - u*)>
     assert explicit.rhs == pytest.approx(0.75, abs=1e-10)
     assert explicit.se_rhs == 0.0

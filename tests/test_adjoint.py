@@ -15,6 +15,7 @@ from martctrl.martingale import (MartingaleDriver, ScalarIntensity,
 from martctrl.pmp import (EXAMPLE1_C, EXAMPLE1_F_TILDE, Example1Config,
                           Example2Config, build_example1_problem,
                           build_example2_problem)
+from test_dynamics import variation_on_every_step
 
 
 def example1_setup(steps=100, paths=200, seed=7, drift_gain=0.0):
@@ -287,7 +288,7 @@ def test_duality_identity_example1_frozen_value():
     adj = solve_adjoint_explicit(problem, traj)
     spec = SpikeSpec(t0=0.3, eps=0.1, v=np.array([0.65, 0.45]))
     p = integrate_variational(problem, traj, spec)
-    rep = duality_check(problem, adj, p)
+    rep = duality_check(adj, p)
     c = np.asarray(EXAMPLE1_C)
     f_tilde = np.asarray(EXAMPLE1_F_TILDE)
     analytic = float(c @ f_tilde @ (spec.v - u_star))
@@ -306,15 +307,16 @@ def test_duality_rhs_integrates_ell_x_through_zeta():
     adj = solve_adjoint_lsmc(problem, traj, basis=RegressionBasis(1))
     spec = SpikeSpec(t0=0.25, eps=0.1, v=np.array([0.5, -0.25]))
     p = integrate_variational(problem, traj, spec)
+    ps, _ = variation_on_every_step(problem, traj, spec)
     k0, _ = spec.window(grid)
     integral = sum(
         np.einsum("pi,pi->p", problem.ell_x(grid.times[k], traj.states[:, k],
                                             traj.control_at(k)),
-                  p.states[:, k]) * grid.dt
+                  ps[:, k]) * grid.dt
         for k in range(k0, grid.steps))
     assert np.max(np.abs(integral)) > 1e-3
-    rhs_pp = np.einsum("pi,pi->p", adj.y_at(k0), p.states[:, k0]) - integral
-    rep = duality_check(problem, adj, p)
+    rhs_pp = np.einsum("pi,pi->p", adj.y_at(k0), ps[:, k0]) - integral
+    rep = duality_check(adj, p)
     assert rep.rhs == pytest.approx(float(np.mean(rhs_pp)), rel=1e-12)
 
 
@@ -326,11 +328,11 @@ def test_duality_reports_paired_difference_se():
     adj = solve_adjoint_lsmc(problem, traj, basis=RegressionBasis(1))
     spec = SpikeSpec(t0=0.25, eps=0.1, v=np.array([0.5, -0.25]))
     p = integrate_variational(problem, traj, spec)
-    rep = duality_check(problem, adj, p)
+    rep = duality_check(adj, p)
     k0, _ = spec.window(grid)
     lhs_pp = np.einsum("pi,pi->p", adj.y_at(grid.steps), p.states[:, -1])
-    rhs_pp = np.einsum("pi,pi->p", adj.y_at(k0), p.states[:, k0]) \
-        - (p.zeta[:, -1] - p.zeta[:, k0])
+    rhs_pp = np.einsum("pi,pi->p", adj.y_at(k0), p.states[:, 0]) \
+        - (p.zeta[:, -1] - p.zeta[:, 0])
     diff = lhs_pp - rhs_pp
     assert rep.se_diff == pytest.approx(
         float(np.std(diff, ddof=1) / np.sqrt(diff.size)), rel=1e-12)
@@ -343,8 +345,7 @@ def test_one_path_checks_do_not_pass():
         steps=20, paths=1)
     adj = solve_adjoint_explicit(problem, traj)
     spec = SpikeSpec(t0=0.25, eps=0.1, v=np.array([0.6, 0.4]))
-    duality = duality_check(problem, adj,
-                            integrate_variational(problem, traj, spec))
+    duality = duality_check(adj, integrate_variational(problem, traj, spec))
     assert np.isfinite(duality.difference)
     assert not duality.within(3.0)
     isometry = verify_isometry(np.eye(4), bundle)
@@ -362,10 +363,10 @@ def test_duality_check_requires_shared_bundle():
                                    np.asarray(cfg.x0))
     p_other = integrate_variational(problem, other_traj, spec)
     with pytest.raises(ValueError, match="own trajectories"):
-        duality_check(problem, adj, p_other)
+        duality_check(adj, p_other)
     # the same numbers integrated again are other trajectories too
     twin = integrate_forward(problem, pol, bundle, np.asarray(cfg.x0))
     with pytest.raises(ValueError, match="own trajectories"):
-        duality_check(problem, adj, integrate_variational(problem, twin, spec))
-    assert duality_check(problem, adj,
+        duality_check(adj, integrate_variational(problem, twin, spec))
+    assert duality_check(adj,
                          integrate_variational(problem, traj, spec)).paths == 16

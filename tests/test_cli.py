@@ -239,6 +239,24 @@ def test_unknown_option_key_rejected(tmp_path):
         parse_config(path)
 
 
+def test_dump_trajectories_only_where_it_dumps(tmp_path):
+    # only example1 and example2 write trajectories.csv; the other
+    # scenarios reject the key instead of ignoring it
+    path = write_config(tmp_path, """\
+        [run]
+        scenario = gateaux
+        dump_trajectories = 3
+        """)
+    with pytest.raises(ConfigError,
+                       match=r"\[run\] unknown key 'dump_trajectories'"):
+        parse_config(path)
+    assert main([str(path)]) == EXIT_CONFIG
+    for name, schema in SCHEMAS.items():
+        keys = {key for key, _, _ in schema.run}
+        assert ("dump_trajectories" in keys) \
+            == (name in ("example1", "example2")), name
+
+
 @pytest.mark.parametrize("text, fragments", [
     ("""\
         [run]

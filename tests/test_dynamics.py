@@ -1,6 +1,7 @@
 """Forward integration, spikes, variational processes, and cost evaluation."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from martctrl.dynamics import (BallSet, BlowUpError, BoxSet, ControlProblem,
                                finite_diff_check, integrate_forward,
                                integrate_variational, sample_controls,
                                spiked_cost, stream_spiked)
-from martctrl.hilbert import SpaceConfig
+from martctrl.hilbert import SpaceConfig, apply_operator
 from martctrl.martingale import (MartingaleDriver, PathGrid, ScalarIntensity,
                                  sample_increments)
 from martctrl.pmp import (Example1Config, Example2Config, build_example1_problem,
@@ -299,20 +300,17 @@ def test_large_finite_states_do_not_blow_up():
 
 def test_per_step_blocks_are_contiguous():
     # every per-step array is stored step-major, so the block of step k
-    # that each Euler, first-variation and LSMC step touches is contiguous
+    # that each Euler, first-variation and LSMC step reads is contiguous
     cfg, problem, driver, grid, u0 = packaged("example2", steps=8,
                                               paths=200)
     bundle = sample_increments(driver, grid, cfg.paths, cfg.seed)
     traj = integrate_forward(problem,
                              OpenLoopPolicy.constant(u0, grid.steps), bundle,
                              np.asarray(cfg.x0))
-    p = integrate_variational(problem, traj,
-                              SpikeSpec(t0=0.25, eps=0.125, v=u0 + 0.5))
     y = solve_adjoint_lsmc(problem, traj).Y
     blocks = [bundle.increments[:, k, :] for k in range(grid.steps)]
     for k in range(grid.steps + 1):
-        blocks += [traj.states[:, k, :], p.states[:, k, :], p.zeta[:, k],
-                   y[:, k, :]]
+        blocks += [traj.states[:, k, :], y[:, k, :]]
     assert all(block.flags.c_contiguous for block in blocks)
     # trajectories given path-major states keep their values in the
     # step-major layout
@@ -474,10 +472,9 @@ def test_variational_kick_and_constant_propagation():
     v = np.array([0.9, -0.3])
     spec = SpikeSpec(t0=0.5, eps=0.1, v=v)
     p = integrate_variational(problem, traj, spec)
-    k0, _ = spec.window(grid)
-    assert np.array_equal(p.states[:, :k0, :], np.zeros_like(p.states[:, :k0, :]))
+    assert p.states.shape == (20, 2, dim) and p.zeta.shape == (20, 2)
     kick = v - u  # F(x, v) - F(x, u) for F = drift + u
-    assert np.allclose(p.states[:, k0, :], kick, atol=1e-12)
+    assert np.allclose(p.states[:, 0, :], kick, atol=1e-12)
     assert np.allclose(p.states[:, -1, :], kick, atol=1e-12)
 
 
@@ -492,14 +489,62 @@ def test_zeta_for_control_only_running_cost():
     spec = SpikeSpec(t0=0.25, eps=0.1, v=v)
     p = integrate_variational(problem, traj, spec)
     jump = float(v @ v - u_star @ u_star)
-    k0, _ = spec.window(grid)
-    assert np.allclose(p.zeta[:, :k0], 0.0)
+    assert np.allclose(p.zeta[:, 0], jump, atol=1e-12)
     assert np.allclose(p.zeta[:, -1], jump, atol=1e-12)
 
 
+def variation_on_every_step(problem, optimal, spec):
+    """p, (paths, steps + 1, n), and zeta, (paths, steps + 1), at every
+    grid step and zero before the window start: the recursion of
+    integrate_variational with every step stored."""
+    bundle = optimal.bundle
+    grid = bundle.grid
+    times, dt = grid.times, grid.dt
+    k0, _ = spec.window(grid)
+    x0, u0 = optimal.states[:, k0, :], optimal.control_at(k0)
+    v = np.broadcast_to(spec.v, u0.shape)
+    p = problem.F(times[k0], x0, v) - problem.F(times[k0], x0, u0)
+    z = problem.ell(times[k0], x0, v) - problem.ell(times[k0], x0, u0)
+    ps = np.zeros((optimal.paths, grid.steps + 1, bundle.dim))
+    zeta = np.zeros((optimal.paths, grid.steps + 1))
+    ps[:, k0], zeta[:, k0] = p, z
+    for k in range(k0, grid.steps):
+        t, xk, uk = times[k], optimal.states[:, k, :], optimal.control_at(k)
+        z = z + np.einsum("pi,pi->p", problem.ell_x(t, xk, uk), p) * dt
+        p = p + apply_operator(problem.F_x(t, xk, uk), p) * dt \
+            + problem.G_x(t, xk, p, bundle.increments[:, k, :])
+        ps[:, k + 1], zeta[:, k + 1] = p, z
+    return ps, zeta
+
+
+@pytest.mark.parametrize("name", sorted(PACKAGED))
+@settings(max_examples=10, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_variation_keeps_the_recursion_at_t0_and_t(name, data):
+    # the two columns of p and zeta are the t0 and T entries of the
+    # recursion that stores every step, bit for bit
+    steps = 16
+    cfg, problem, driver, grid, u = packaged(name, steps=steps, paths=24)
+    bundle = sample_increments(driver, grid, cfg.paths, cfg.seed)
+    traj = integrate_forward(problem, OpenLoopPolicy.constant(u, steps),
+                             bundle, np.asarray(cfg.x0))
+    k0 = data.draw(st.integers(0, steps - 1), label="k0")
+    box = problem.control_set
+    v = np.array([data.draw(st.floats(lo, hi), label=f"v{j}")
+                  for j, (lo, hi) in enumerate(zip(box.lower, box.upper))])
+    spec = SpikeSpec(t0=k0 * grid.dt, eps=grid.dt, v=v)
+    p = integrate_variational(problem, traj, spec)
+    ps, zeta = variation_on_every_step(problem, traj, spec)
+    assert p.states.shape == (cfg.paths, 2, bundle.dim)
+    assert p.zeta.shape == (cfg.paths, 2)
+    assert np.array_equal(p.states, ps[:, [k0, steps]])
+    assert np.array_equal(p.zeta, zeta[:, [k0, steps]])
+
+
 def test_zeta_rides_with_p_bit_for_bit():
-    # example2 has ell_x = x P != 0, so zeta reads p; the reference is the
-    # separate walk along the optimal run that zeta had before
+    # example2 has ell_x = x P != 0, so zeta reads p; zeta(T) - zeta(t0)
+    # is the left-point sum of <ell_x, p> dt over the reference p, in the
+    # order zeta adds its terms
     cfg = Example2Config(steps=30, paths=64, seed=8)
     problem, driver, grid = build_example2_problem(cfg)
     bundle = sample_increments(driver, grid, cfg.paths, cfg.seed)
@@ -507,20 +552,36 @@ def test_zeta_rides_with_p_bit_for_bit():
     traj = integrate_forward(problem, pol, bundle, np.asarray(cfg.x0))
     spec = SpikeSpec(t0=0.2, eps=0.1, v=np.array([0.5, -0.25]))
     p = integrate_variational(problem, traj, spec)
+    ps, _ = variation_on_every_step(problem, traj, spec)
 
-    times, dt = grid.times, grid.dt
     k0, _ = spec.window(grid)
-    x0, u0 = traj.states[:, k0, :], traj.control_at(k0)
-    v = np.broadcast_to(spec.v, u0.shape)
-    z = problem.ell(times[k0], x0, v) - problem.ell(times[k0], x0, u0)
-    ref = np.zeros((traj.paths, grid.steps + 1))
-    ref[:, k0] = z
+    z = p.zeta[:, 0]
     for k in range(k0, grid.steps):
-        grad = problem.ell_x(times[k], traj.states[:, k, :], traj.control_at(k))
-        z = z + np.einsum("pi,pi->p", grad, p.states[:, k, :]) * dt
-        ref[:, k + 1] = z
-    assert np.array_equal(p.zeta, ref)
-    assert not np.array_equal(p.zeta[:, -1], p.zeta[:, k0])
+        grad = problem.ell_x(grid.times[k], traj.states[:, k, :],
+                             traj.control_at(k))
+        z = z + np.einsum("pi,pi->p", grad, ps[:, k, :]) * grid.dt
+    assert np.array_equal(p.zeta[:, -1], z)
+    assert not np.array_equal(p.zeta[:, -1], p.zeta[:, 0])
+
+
+def test_variation_allocates_no_per_step_record():
+    # p and zeta are kept as running values: the walk's peak stays below
+    # one (paths, steps + 1, n) float array
+    cfg, problem, driver, grid, u = packaged("example1-tanh", steps=200,
+                                             paths=2000)
+    bundle = sample_increments(driver, grid, cfg.paths, cfg.seed)
+    traj = integrate_forward(problem, OpenLoopPolicy.constant(u, grid.steps),
+                             bundle, np.asarray(cfg.x0))
+    spec = SpikeSpec(t0=0.25, eps=0.05, v=u + 0.1)
+    record = 8 * cfg.paths * (grid.steps + 1) * bundle.dim
+    tracemalloc.start()
+    try:
+        p = integrate_variational(problem, traj, spec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert p.states.shape == (cfg.paths, 2, bundle.dim)
+    assert peak < record
 
 
 def test_evaluate_cost_left_riemann():

@@ -1,4 +1,4 @@
-"""Golden digests: small runs of three scenarios reproduce recorded bytes.
+"""Golden digests: small runs of four scenarios reproduce recorded bytes.
 
 Each config runs through ``cli.run``; the SHA-256 of every CSV and of
 ``report.txt`` must equal the digest recorded when the numbers were last
@@ -14,7 +14,7 @@ import textwrap
 
 import pytest
 
-from martctrl.cli import EXIT_OK, parse_config, run
+from martctrl.cli import EXIT_ASSERTION, EXIT_OK, parse_config, run
 
 CONFIGS = {
     # spikes, probes, convexity pairs and a trajectory dump
@@ -51,7 +51,27 @@ CONFIGS = {
         [gateaux]
         drift_gain = 0.25
         """,
+    # rate ladder, which reads p(T) only
+    "rates": """\
+        [run]
+        scenario = rates
+        steps = 80
+        paths = 1000
+        """,
+    # the same ladder on a doubled p, which its assertions must catch
+    "rates-fault": """\
+        [run]
+        scenario = rates
+        steps = 80
+        paths = 1000
+
+        [rates]
+        inject_fault = true
+        """,
 }
+
+# Exit code of each config; the others exit EXIT_OK.
+EXIT_CODES = {"rates-fault": EXIT_ASSERTION}
 
 DIGESTS = {
     "example1": {
@@ -70,6 +90,14 @@ DIGESTS = {
         "gateaux.csv": "e3c1f582dd051842fff7ff39ca97f150562e888e50d029821e28188a56c1240d",
         "report.txt": "9deeb2269c347e85768824e1fd6610dffbb48edd50906593d598239a035f0cb5",
     },
+    "rates": {
+        "rates.csv": "3e563dc59acd4418cdb22952dea001ce2d64776baf701090f8b47eb651fc0722",
+        "report.txt": "09361d363b2f9a7d923153380f169069d1c95b36385bc37dff157805455e48e5",
+    },
+    "rates-fault": {
+        "rates.csv": "5d88f227d39629f53d2e2ce207c85bd780c3c53cb25df7e591a5162ecd8fec2f",
+        "report.txt": "c163ccc9da486b32a5a8d837cb17cce80c57050521dada7044dc45937cc2ef76",
+    },
 }
 
 
@@ -87,5 +115,5 @@ def test_artifacts_match_recorded_digests(tmp_path, scenario):
                            encoding="utf-8")
     out_dir = tmp_path / "out"
     code = run(parse_config(config_path), output_dir=out_dir, verbosity=0)
-    assert code == EXIT_OK
+    assert code == EXIT_CODES.get(scenario, EXIT_OK)
     assert artifact_digests(out_dir) == DIGESTS[scenario]

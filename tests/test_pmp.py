@@ -489,6 +489,36 @@ def test_stationarity_residual_near_zero_at_fitted_optimum():
     assert res[-1] < 0.05 * res[0]
 
 
+def test_stationarity_residual_reads_a_per_path_f_u():
+    # no packaged problem has a (P, n, m) F_u; give example2 one that
+    # varies with the state and compare with a plain einsum of F_u^T Y
+    import dataclasses
+    cfg = Example2Config(steps=10, paths=300, seed=23)
+    problem, driver, grid = build_example2_problem(cfg)
+    c_op = np.asarray(cfg.c_op, dtype=float).reshape(cfg.state_dim,
+                                                     cfg.control_dim)
+
+    def f_u(t, x, u):
+        return (1.0 + x[:, :1, None]) * c_op
+
+    problem = dataclasses.replace(problem, F_u=f_u)
+    bundle = sample_increments(driver, grid, cfg.paths, cfg.seed)
+    traj = integrate_forward(problem,
+                             OpenLoopPolicy.constant(np.zeros(2), grid.steps),
+                             bundle, np.asarray(cfg.x0))
+    adj = solve_adjoint_lsmc(problem, traj, basis=RegressionBasis(1))
+    squares = []
+    for k in range(grid.steps):
+        t, xk, uk = grid.times[k], traj.states[:, k], traj.control_at(k)
+        resid = problem.ell_u(t, xk, uk) \
+            + np.einsum("pnm,pn->pm", f_u(t, xk, uk), adj.y_at(k))
+        squares.append(np.sum(resid ** 2, axis=1))
+    reference = float(np.sqrt(np.mean(squares)))
+    assert reference > 0.0
+    assert stationarity_residual(problem, adj) == pytest.approx(reference,
+                                                                rel=1e-12)
+
+
 def test_build_example2_rejects_asymmetric_weights():
     cfg = Example2Config(p_weight=((0.5, 0.1), (0.0, 0.5)))
     with pytest.raises(ValueError, match="symmetric"):
