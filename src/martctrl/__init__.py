@@ -17,12 +17,12 @@ from .hilbert import SpaceConfig
 from .martingale import (IsometryReport, MartingaleDriver, NoiseBundle,
                          PathGrid, ScalarIntensity, sample_increments,
                          verify_isometry)
-from .dynamics import (BallSet, BlowUpError, BoxSet, ControlProblem,
-                       CostReport, FeedbackPolicy, FiniteSet, FirstVariation,
-                       OpenLoopPolicy, SpikeSpec, TrajectoryBundle,
-                       apply_spike, evaluate_cost, finite_diff_check,
-                       integrate_forward, integrate_variational, spiked_cost,
-                       stream_spiked)
+from .dynamics import (AffineDiffusion, BallSet, BlowUpError, BoxSet,
+                       ControlProblem, CostReport, FeedbackPolicy, FiniteSet,
+                       FirstVariation, OpenLoopPolicy, SpikeSpec,
+                       TrajectoryBundle, apply_spike, evaluate_cost,
+                       finite_diff_check, integrate_forward,
+                       integrate_variational, spiked_cost, stream_spiked)
 from .adjoint import (AdjointSolution, RegressionBasis, RegressionRankError,
                       duality_check, grad_x_hamiltonian, hamiltonian,
                       solve_adjoint_explicit, solve_adjoint_lsmc)
@@ -37,7 +37,8 @@ __all__ = [
     "SpaceConfig",
     "IsometryReport", "MartingaleDriver", "NoiseBundle", "PathGrid",
     "ScalarIntensity", "sample_increments", "verify_isometry",
-    "BallSet", "BlowUpError", "BoxSet", "ControlProblem", "CostReport",
+    "AffineDiffusion", "BallSet", "BlowUpError", "BoxSet", "ControlProblem",
+    "CostReport",
     "FeedbackPolicy", "FiniteSet", "FirstVariation", "OpenLoopPolicy",
     "SpikeSpec", "TrajectoryBundle", "apply_spike", "evaluate_cost",
     "finite_diff_check", "integrate_forward", "integrate_variational",

@@ -9,6 +9,10 @@ with (y, z) a value of the adjoint pair (Y, Z).  The Hilbert-Schmidt term
 is tr(G^T z Q), so it is read through any factor L with L L^T = Q; the
 driver's own columns l_j = sqrt(alpha_j) beta_j give
 sum_j <G(t, x) l_j, z l_j>, one diffusion action per driver component.
+Its state gradient Gamma, <Gamma, e_d> = sum_j <(G_x[e_d]) l_j, z l_j>,
+costs n actions of G_x per component in general.  An AffineDiffusion
+(x . gamma) G~ + D has G_x[e_d] = gamma_d G~, so there
+Gamma = gamma * sum_j <G~ l_j, z l_j>, one einsum.
 The adjoint backward equation
 
     -dY = grad_x H(t, X, u, Y, Z) dt - Z dM - dN,   Y(T) = h_x(X(T))
@@ -51,7 +55,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import sample_controls
+from .dynamics import AffineDiffusion, sample_controls
 from .hilbert import apply_operator
 from .martingale import mean_se, step_covariances, step_major_zeros
 
@@ -108,20 +112,25 @@ def hamiltonian(problem, driver, t, x, u, y, z):
         + _paired(lambda dm: problem.G(t, x, dm), factor, z @ factor)
 
 
-def grad_x_hamiltonian(problem, driver, t, x, u, y, z):
+def grad_x_hamiltonian(problem, driver, t, x, u, y, z, factor=None):
     """State gradient of H.
 
     grad_x H = ell_x + F_x^T y + Gamma where Gamma is assembled against the
     basis directions: <Gamma, e_d> = sum_j <(G_x(x)[e_d]) l_j, z l_j> over
-    the columns l_j of ``driver.cov_rate_factor(t)``.  Takes the batches
+    the columns l_j of ``driver.cov_rate_factor(t)``, or of ``factor`` when
+    the caller already holds it.  An :class:`AffineDiffusion` ``problem.G``
+    gives Gamma in closed form instead.  Takes the batches
     :func:`hamiltonian` takes; returns shape (P, n).
     """
-    n = x.shape[1]
-    factor = driver.cov_rate_factor(t)
-    zl = z @ factor
+    if factor is None:
+        factor = driver.cov_rate_factor(t)
     fx = np.asarray(problem.F_x(t, x, u), dtype=float)
     fxty = apply_operator(np.swapaxes(fx, -1, -2), y)
     grad = np.asarray(problem.ell_x(t, x, u), dtype=float) + fxty
+    if isinstance(problem.G, AffineDiffusion):
+        return grad + problem.G.state_gradient(factor, z)
+    n = x.shape[1]
+    zl = z @ factor
     gamma = np.empty((x.shape[0], n))
     for d, direction in enumerate(np.eye(n)):
         direction = np.broadcast_to(direction, x.shape)
@@ -244,13 +253,14 @@ class AdjointSolution:
         """
         fit = self._fits[k]
         t = self.grid.times[k]
+        driver = self.trajectories.bundle.driver
+        factor = driver.cov_rate_factor(t)
         yhat0 = fit.y_mean + xc @ fit.y_coef
         z = self._z_fitted(k, xc)
         y = yhat0
         for _ in range(PICARD_ITERS):
-            grad = grad_x_hamiltonian(self._problem,
-                                      self.trajectories.bundle.driver, t,
-                                      states, u, y, z)
+            grad = grad_x_hamiltonian(self._problem, driver, t, states, u, y,
+                                      z, factor=factor)
             y = yhat0 + grad * self.grid.dt
         return y, z
 
@@ -273,7 +283,8 @@ class AdjointSolution:
 
         On the solution's own states at step k this returns ``Y[:, k]``.
         The controls at ``states`` come from the trajectories' policy, the
-        one place where a solution evaluates it.
+        one place where a solution evaluates it, unless the problem
+        declares ``grad_x_ignores_u`` and grad_x H needs no control.
         """
         states = np.asarray(states, dtype=float)
         if self.method == "explicit":
@@ -281,8 +292,9 @@ class AdjointSolution:
                                    (states.shape[0], self.state_dim))
         if k >= self.steps:
             return np.asarray(self._problem.h_x(states), dtype=float)
-        u = self.trajectories.policy.controls_at(k, self.grid.times[k],
-                                                 states)
+        u = None if self._problem.grad_x_ignores_u \
+            else self.trajectories.policy.controls_at(k, self.grid.times[k],
+                                                      states)
         return self._step(k, states, self._centered_features(k, states),
                           u)[0]
 

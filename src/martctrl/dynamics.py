@@ -19,7 +19,8 @@ Problem callables are vectorized over paths:
 
 with X, D and dM of shape (P, n), U of shape (P, m) and scalar t.  The
 diffusion is only ever applied, so G and G_x return its action on the
-driver directions dM and never an operator per path.
+driver directions dM and never an operator per path.  An AffineDiffusion
+declares the form (X . gamma) G~ + D and serves as both G and G_x.
 """
 
 from __future__ import annotations
@@ -180,6 +181,39 @@ def sample_controls(control_set, count, rng):
     raise TypeError(f"unsupported control set {type(control_set).__name__}")
 
 
+class AffineDiffusion:
+    """The diffusion G(t, X) = (X . gamma) G~ + D, declared by its data.
+
+    The object is the ``G`` callable, ``derivative`` is the matching
+    ``G_x`` (G_x(t, X)[D'] = (D' . gamma) G~), and :meth:`state_gradient`
+    gives the diffusion part of grad_x H in closed form.  ``d`` is
+    optional: an absent D adds nothing rather than zeros.
+    """
+
+    def __init__(self, gamma, g_tilde, d=None):
+        self.gamma = np.asarray(gamma, dtype=float)
+        self.g_tilde = np.asarray(g_tilde, dtype=float)
+        # transposed once: the actions apply them as dM G~^T and dM D^T
+        self._g_tilde_t = self.g_tilde.T.copy()
+        self._d_t = None if d is None else np.asarray(d, dtype=float).T.copy()
+
+    def __call__(self, t, x, dm):
+        out = (x @ self.gamma)[:, None] * (dm @ self._g_tilde_t)
+        if self._d_t is not None:
+            out = out + dm @ self._d_t
+        return out
+
+    def derivative(self, t, x, dirs, dm):
+        return (dirs @ self.gamma)[:, None] * (dm @ self._g_tilde_t)
+
+    def state_gradient(self, factor, z):
+        """Gamma = gamma * sum_j <G~ l_j, z l_j> over the columns l_j of
+        ``factor``, for (P, n, n) ``z``; shape (P, n).  The sum is the
+        Frobenius product of z with G~ L L^T, L = ``factor``."""
+        paired = np.einsum("ik,pik->p", self.g_tilde @ factor @ factor.T, z)
+        return paired[:, None] * self.gamma
+
+
 @dataclass
 class ControlProblem:
     """Coefficients, costs, and analytic derivatives of one control problem.
@@ -188,7 +222,8 @@ class ControlProblem:
     G(t, X) dM and ``G_x(t, X, D, dM)`` returns (G_x(t, X)[D]) dM, the
     directional derivative of G at X along the state directions D applied
     to dM, one row per path.  ``F_x`` stays an operator because grad_x H
-    needs its transpose.
+    needs its transpose.  ``grad_x_ignores_u`` declares that ``ell_x`` and
+    ``F_x`` do not read the control (:func:`finite_diff_check` audits it).
     """
 
     space: SpaceConfig
@@ -204,6 +239,7 @@ class ControlProblem:
     h_x: Callable
     control_set: ControlSet
     name: str = ""
+    grad_x_ignores_u: bool = False
 
 
 class ControlPolicy:
@@ -601,7 +637,9 @@ def finite_diff_check(problem, probes, rel_step=1e-5, tol=1e-4):
     them.  Derivatives whose max relative error exceeds ``tol`` are
     flagged; G_x is compared one direction at a time, each on its own scale.
     The diffusion operators are read off their actions on the basis
-    vectors, column by column.
+    vectors, column by column.  A problem declaring ``grad_x_ignores_u``
+    gets one more entry of that name: the relative change of ell_x and F_x
+    when every control coordinate moves by max(1, |u_j|).
     """
     n = problem.space.state_dim
     m = problem.space.control_dim
@@ -640,6 +678,13 @@ def finite_diff_check(problem, probes, rel_step=1e-5, tol=1e-4):
             else:
                 err = _rel_err(an, fd)
             worst[name] = max(worst[name], err)
+        if problem.grad_x_ignores_u:
+            moved = U + np.maximum(1.0, np.abs(U))
+            worst["grad_x_ignores_u"] = max(
+                worst.get("grad_x_ignores_u", 0.0),
+                *(_rel_err(np.asarray(f(t, X, U), dtype=float),
+                           np.asarray(f(t, X, moved), dtype=float))
+                  for f in (problem.ell_x, problem.F_x)))
 
     flagged = tuple(name for name, err in worst.items() if err > tol)
     return DerivativeReport(max_rel_error=worst, flagged=flagged, tol=tol,

@@ -34,8 +34,8 @@ import numpy as np
 from .adjoint import (AdjointSolution, RegressionBasis, _control_terms,
                       duality_check, hamiltonian, solve_adjoint_explicit,
                       solve_adjoint_lsmc)
-from .dynamics import (BallSet, BoxSet, ControlProblem, FeedbackPolicy,
-                       OpenLoopPolicy, SpikeSpec, evaluate_cost,
+from .dynamics import (AffineDiffusion, BallSet, BoxSet, ControlProblem,
+                       FeedbackPolicy, OpenLoopPolicy, SpikeSpec, evaluate_cost,
                        integrate_forward, integrate_variational,
                        sample_controls, spiked_cost, stream_spiked)
 from .hilbert import SpaceConfig, apply_operator
@@ -443,8 +443,7 @@ def build_example1_problem(cfg):
     beta = np.asarray(cfg.beta, dtype=float)
     c = np.asarray(cfg.c, dtype=float)
     f_tilde = np.asarray(cfg.f_tilde, dtype=float).reshape(n, m)
-    # transposed once: diffusions apply it as dM G~^T
-    g_tilde_t = np.asarray(cfg.g_tilde, dtype=float).reshape(n, n).T.copy()
+    diffusion = AffineDiffusion(beta, np.reshape(cfg.g_tilde, (n, n)))
     gain = float(cfg.drift_gain)
     u_star = -0.5 * (f_tilde.T @ c)
     control_set = BoxSet(u_star - cfg.control_box_radius,
@@ -464,12 +463,6 @@ def build_example1_problem(cfg):
         out[:, idx, idx] = gain * (1.0 - np.tanh(x) ** 2)
         return out
 
-    def diffusion(t, x, dm):
-        return (x @ beta)[:, None] * (dm @ g_tilde_t)
-
-    def diffusion_x(t, x, d, dm):
-        return (d @ beta)[:, None] * (dm @ g_tilde_t)
-
     problem = ControlProblem(
         space=space,
         F=drift,
@@ -478,12 +471,13 @@ def build_example1_problem(cfg):
         h=lambda x: x @ c,
         F_x=drift_x,
         F_u=lambda t, x, u: f_tilde,
-        G_x=diffusion_x,
+        G_x=diffusion.derivative,
         ell_x=lambda t, x, u: np.zeros_like(x),
         ell_u=lambda t, x, u: 2.0 * u,
         h_x=lambda x: np.broadcast_to(c, x.shape),
         control_set=control_set,
-        name="example1" if gain == 0.0 else "example1-tanh")
+        name="example1" if gain == 0.0 else "example1-tanh",
+        grad_x_ignores_u=True)
     driver = MartingaleDriver(
         state_dim=n, horizon=cfg.horizon,
         components=((beta, ScalarIntensity.linear(cfg.alpha0, cfg.alpha_slope,
@@ -787,10 +781,9 @@ def build_example2_problem(cfg):
     a = np.asarray(cfg.a, dtype=float).reshape(n, n)
     c_op = np.asarray(cfg.c_op, dtype=float).reshape(n, m)
     f = np.asarray(cfg.f, dtype=float).reshape(n)
-    gamma = np.asarray(cfg.gamma, dtype=float).reshape(n)
-    # transposed once: the diffusion applies them as dM G~^T and dM D^T
-    g_tilde_t = np.asarray(cfg.g_tilde, dtype=float).reshape(n, n).T.copy()
-    d_t = np.asarray(cfg.d, dtype=float).reshape(n, n).T.copy()
+    diffusion = AffineDiffusion(np.reshape(cfg.gamma, n),
+                                np.reshape(cfg.g_tilde, (n, n)),
+                                np.reshape(cfg.d, (n, n)))
     p_w = np.asarray(cfg.p_weight, dtype=float).reshape(n, n)
     r_w = np.asarray(cfg.r_weight, dtype=float).reshape(m, m)
     p1 = np.asarray(cfg.p1, dtype=float).reshape(n, n)
@@ -805,20 +798,19 @@ def build_example2_problem(cfg):
     problem = ControlProblem(
         space=space,
         F=lambda t, x, u: x @ a.T + u @ c_op.T + f,
-        G=lambda t, x, dm: (x @ gamma)[:, None] * (dm @ g_tilde_t)
-            + dm @ d_t,
+        G=diffusion,
         ell=lambda t, x, u: 0.5 * quadratic(x, p_w) + 0.5 * quadratic(u, r_w),
         h=lambda x: 0.5 * quadratic(x, p1),
         F_x=lambda t, x, u: a,
         F_u=lambda t, x, u: c_op,
-        G_x=lambda t, x, dirs, dm: (dirs @ gamma)[:, None]
-            * (dm @ g_tilde_t),
+        G_x=diffusion.derivative,
         ell_x=lambda t, x, u: x @ p_w,
         ell_u=lambda t, x, u: u @ r_w,
         h_x=lambda x: x @ p1,
         control_set=BoxSet(-cfg.control_box_radius * np.ones(m),
                            cfg.control_box_radius * np.ones(m)),
-        name="example2")
+        name="example2",
+        grad_x_ignores_u=True)
     driver = MartingaleDriver(
         state_dim=n, horizon=cfg.horizon,
         components=((beta, ScalarIntensity.linear(cfg.alpha0, cfg.alpha_slope,

@@ -1,5 +1,6 @@
 """Hamiltonian algebra, explicit and regression adjoint solvers, duality."""
 
+import dataclasses
 import warnings
 
 import numpy as np
@@ -8,14 +9,15 @@ import pytest
 from martctrl.adjoint import (RegressionBasis, RegressionRankError,
                               duality_check, grad_x_hamiltonian, hamiltonian,
                               solve_adjoint_explicit, solve_adjoint_lsmc)
-from martctrl.dynamics import (OpenLoopPolicy, SpikeSpec, integrate_forward,
-                               integrate_variational)
+from martctrl.dynamics import (AffineDiffusion, OpenLoopPolicy, SpikeSpec,
+                               integrate_forward, integrate_variational,
+                               sample_controls)
 from martctrl.martingale import (MartingaleDriver, ScalarIntensity,
                                  sample_increments, verify_isometry)
 from martctrl.pmp import (EXAMPLE1_C, EXAMPLE1_F_TILDE, Example1Config,
                           Example2Config, build_example1_problem,
                           build_example2_problem)
-from test_dynamics import variation_on_every_step
+from test_dynamics import packaged, variation_on_every_step
 
 
 def example1_setup(steps=100, paths=200, seed=7, drift_gain=0.0):
@@ -143,6 +145,67 @@ def test_grad_x_hamiltonian_matches_finite_differences(which):
         hm = hamiltonian(problem, driver, t, x - dx, u, y, z)
         fd = (hp - hm) / (2.0 * step)
         assert np.allclose(grad[:, j], fd, atol=1e-6)
+
+
+def undeclared(problem):
+    """``problem`` with G behind a plain lambda and no declarations, so
+    grad_x H takes the generic G_x loop and y_eval reads the policy."""
+    diffusion = problem.G
+    return dataclasses.replace(problem, G=lambda t, x, dm: diffusion(t, x, dm),
+                               grad_x_ignores_u=False)
+
+
+@pytest.mark.parametrize("components", [1, 2])
+@pytest.mark.parametrize("name", ["example1", "example1-tanh", "example2"])
+def test_closed_form_gamma_matches_the_generic_loop(name, components):
+    cfg, problem, driver, _, _ = packaged(name)
+    assert isinstance(problem.G, AffineDiffusion)
+    n = cfg.state_dim
+    if components == 2:
+        # a second direction off the first, so the factor has two columns
+        second = np.linspace(1.0, -0.5, n)
+        driver = MartingaleDriver(
+            state_dim=n, horizon=cfg.horizon,
+            components=(driver.components[0],
+                        (second, ScalarIntensity.constant(2.0))))
+    generic = undeclared(problem)
+    rng = np.random.default_rng(17 + components)
+    paths = 64
+    x = 2.0 * rng.standard_normal((paths, n))
+    u = sample_controls(problem.control_set, paths, rng)
+    y = rng.standard_normal((paths, n))
+    z = rng.standard_normal((paths, n, n))
+    zero = np.zeros_like(z)
+    for t in (0.0, 0.375, cfg.horizon):
+        assert driver.cov_rate_factor(t).shape == (n, components)
+        got = grad_x_hamiltonian(problem, driver, t, x, u, y, z)
+        ref = grad_x_hamiltonian(generic, driver, t, x, u, y, z)
+        base = grad_x_hamiltonian(generic, driver, t, x, u, y, zero)
+        gamma = ref - base
+        assert np.max(np.abs(gamma)) > 0.1
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(gamma))
+        # the explicit solver's probe point: Z = 0 leaves no Gamma at all
+        assert np.array_equal(
+            grad_x_hamiltonian(problem, driver, t, x, u, y, zero), base)
+
+
+def test_explicit_probe_reads_the_closed_form_gamma():
+    cfg, problem, driver, grid, _, _, _, traj = example1_setup(steps=20,
+                                                               paths=4)
+    declared = solve_adjoint_explicit(problem, traj)
+    generic = solve_adjoint_explicit(undeclared(problem), traj)
+    assert np.array_equal(declared.Y, generic.Y)
+
+    class Offset(AffineDiffusion):
+        """A declared Gamma that does not vanish at Z = 0."""
+
+        def state_gradient(self, factor, z):
+            return super().state_gradient(factor, z) + 1e-3
+
+    doctored = dataclasses.replace(problem, G=Offset(
+        cfg.beta, np.asarray(cfg.g_tilde).reshape(4, 4)))
+    with pytest.raises(ValueError, match="does not vanish at Z = 0"):
+        solve_adjoint_explicit(doctored, traj)
 
 
 def test_regression_basis_features():

@@ -678,6 +678,26 @@ def test_run_derivative_check_fault_exit_one(tmp_path):
     assert flagged and all("ell_x" == r[1] for r in flagged)
 
 
+def test_run_derivative_check_audits_the_control_declaration(tmp_path):
+    cfg = parse_config(write_config(tmp_path, """\
+        [run]
+        scenario = derivative-check
+
+        [derivative-check]
+        problem = all
+        probes = 4
+        """))
+    out = tmp_path / "out"
+    assert run(cfg, output_dir=out, verbosity=0) == EXIT_OK
+    _, rows = read_csv(out / "derivatives.csv")
+    # every packaged problem declares grad_x_ignores_u, and its ell_x and
+    # F_x do not move at all when the control does
+    audited = {r[0]: float(r[2]) for r in rows if r[1] == "grad_x_ignores_u"}
+    assert audited == {"example1": 0.0, "example1-tanh": 0.0,
+                       "example2": 0.0}
+    assert len(rows) == 7 * len(audited)
+
+
 def test_run_example2_blowup_exit_three(tmp_path):
     cfg = parse_config(write_config(tmp_path, """\
         [run]

@@ -615,8 +615,44 @@ def test_finite_diff_check_passes_on_consistent_problem():
     assert rep.passed
     assert rep.flagged == ()
     assert set(rep.max_rel_error) == {"F_x", "F_u", "G_x", "ell_x", "ell_u",
-                                      "h_x"}
+                                      "h_x", "grad_x_ignores_u"}
     assert max(rep.max_rel_error.values()) < 1e-4
+    # the declaration is exact: ell_x and F_x do not read u at all
+    assert rep.max_rel_error["grad_x_ignores_u"] == 0.0
+    undeclared = dataclasses.replace(problem, grad_x_ignores_u=False)
+    assert set(finite_diff_check(undeclared, probes).max_rel_error) == {
+        "F_x", "F_u", "G_x", "ell_x", "ell_u", "h_x"}
+
+
+def test_finite_diff_check_flags_a_false_grad_x_ignores_u():
+    # example2 with a consistent x-u coupling 0.5 <x, u> added to ell or
+    # 0.5 diag(u) x added to F: every derivative is right, yet ell_x or
+    # F_x now reads u, which the declaration denies
+    cfg, problem, _, _, _ = packaged("example2")
+    rng = np.random.default_rng(5)
+    probes = [(float(t), np.asarray(cfg.x0) + rng.standard_normal(2),
+               rng.standard_normal(2)) for t in np.linspace(0.0, 1.0, 4)]
+    assert finite_diff_check(problem, probes).passed
+
+    reads_u = {
+        "ell_x": dataclasses.replace(
+            problem,
+            ell=lambda t, x, u: problem.ell(t, x, u)
+            + 0.5 * np.einsum("pi,pi->p", x, u),
+            ell_x=lambda t, x, u: problem.ell_x(t, x, u) + 0.5 * u,
+            ell_u=lambda t, x, u: problem.ell_u(t, x, u) + 0.5 * x),
+        "F_x": dataclasses.replace(
+            problem,
+            F=lambda t, x, u: problem.F(t, x, u) + 0.5 * u * x,
+            F_x=lambda t, x, u: problem.F_x(t, x, u)
+            + 0.5 * u[:, :, None] * np.eye(2),
+            F_u=lambda t, x, u: problem.F_u(t, x, u)
+            + 0.5 * x[:, :, None] * np.eye(2))}
+    for reader, doctored in reads_u.items():
+        assert finite_diff_check(doctored, probes).flagged \
+            == ("grad_x_ignores_u",), reader
+        honest = dataclasses.replace(doctored, grad_x_ignores_u=False)
+        assert finite_diff_check(honest, probes).passed, reader
 
 
 @pytest.mark.parametrize("name, fields", [

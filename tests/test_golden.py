@@ -83,8 +83,8 @@ DIGESTS = {
         "report.txt": "9d8493c36d17389f3356ec8b6e475b5bce44c63a351e65c135bcd0a75a47e564",
     },
     "example2": {
-        "sweeps.csv": "be8773e573dd35ccdc395aa2859442349fefa7f971527b4cf6375b501f15b02d",
-        "report.txt": "2c1b0a01595383b222d7e77ef89560e552862e762c42a67fb1aaa7c19d0e30ae",
+        "sweeps.csv": "284f068e53315d27f0ca5243ddf32597be37d01149fd745615247a7e712b4bbc",
+        "report.txt": "25fc047263258b96bf13ddcb6e6b5148d117a48b30abc39915d7de1901a81718",
     },
     "gateaux": {
         "gateaux.csv": "e3c1f582dd051842fff7ff39ca97f150562e888e50d029821e28188a56c1240d",

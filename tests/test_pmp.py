@@ -1,5 +1,7 @@
 """Optimality checks, spike experiments, and the two packaged scenarios."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,7 @@ from martctrl.pmp import (EXAMPLE1_C, EXAMPLE1_F_TILDE, FAR_THRESHOLD,
                           named_feedback, necessary_check, rate_experiments,
                           run_example1, run_example2, stationarity_residual,
                           sufficient_check)
+from test_adjoint import undeclared
 
 
 def candidate_for(cfg, policy=None):
@@ -128,7 +131,6 @@ def test_necessary_check_margins_equal_full_hamiltonian_gaps():
 
 
 def test_necessary_check_evaluates_no_diffusion():
-    import dataclasses
 
     def refuse(*args):
         raise AssertionError("the minimum condition read the diffusion")
@@ -156,7 +158,6 @@ def test_sufficient_check_passes_on_convex_problem():
 
 
 def test_sufficient_check_fails_on_concave_running_cost():
-    import dataclasses
     cfg = Example1Config(steps=50, paths=60, seed=13)
     problem, driver, grid, u_star, bundle, adj = adjoint_for(cfg)
     concave = dataclasses.replace(
@@ -172,7 +173,6 @@ def test_sufficient_check_fails_on_concave_running_cost():
 
 
 def test_sufficient_check_inapplicable_for_finite_control_set():
-    import dataclasses
     cfg = Example1Config(steps=20, paths=30, seed=5)
     problem, driver, grid, u_star, bundle, adj = adjoint_for(cfg)
     finite = dataclasses.replace(
@@ -197,7 +197,6 @@ def test_gateaux_check_agreement_and_fault_detection():
         assert entry.agree
         assert abs(entry.fd_quotient - rep.adjoint_value) <= entry.tol
     # doubled first variation must be flagged
-    import dataclasses
     wrong = dataclasses.replace(p, states=2.0 * p.states)
     bad = gateaux_check(problem, wrong, eps_list=(0.05, 0.025))
     assert not bad.agree_all
@@ -206,7 +205,6 @@ def test_gateaux_check_agreement_and_fault_detection():
 def test_gateaux_check_with_huge_se_is_inconclusive():
     # zero-mean noise of +-50 on zeta(T) leaves the mean difference where
     # it was, inside the tolerance, but 3 SE(diff) then dwarfs the value
-    import dataclasses
     cfg = Example1Config(steps=80, paths=300, seed=37)
     problem, driver, grid, u_star, bundle, traj = candidate_for(cfg)
     spec = SpikeSpec(t0=0.3, eps=0.05, v=np.array([0.65, 0.45]))
@@ -261,7 +259,6 @@ def test_rate_experiments_pass_and_fault_detection():
     assert rep.exi[-1] < 0.25 * rep.exi[0]
     # eps ladder is reported largest first
     assert np.all(np.diff(rep.eps) < 0.0)
-    import dataclasses
     wrong = dataclasses.replace(p, states=2.0 * p.states)
     bad = rate_experiments(problem, wrong)
     assert not bad.passed
@@ -474,10 +471,47 @@ def test_run_example2_evaluates_each_policy_once_per_step(monkeypatch):
 
     monkeypatch.setattr(FeedbackPolicy, "controls_at", counted_controls_at)
     run_example2(Example2Config(steps=steps, paths=300, sweeps=sweeps))
-    # sweep s integrates once through its policy, whose every call walks
-    # back through the s - 1 feedback policies before it (sweep 0 is open
-    # loop); cost, adjoint and residual read the recorded controls
+    # sweep s integrates once through its policy (sweep 0 is open loop);
+    # example2 declares grad_x_ignores_u, so the fitted Y the policy reads
+    # needs no control and no call walks back through the policies before
+    # it; cost, adjoint and residual read the recorded controls
+    assert len(calls) == steps * sweeps
+
+
+def test_undeclared_example2_walks_the_chain_bit_for_bit(monkeypatch):
+    # a copy of example2 that declares nothing: a plain-lambda G takes the
+    # generic Gamma loop, and without grad_x_ignores_u every fitted Y reads
+    # the policy of its sweep, which walks back through the s - 1 feedback
+    # policies before it; the numbers are those recorded before either
+    # declaration existed (numpy 2.4, OpenBLAS 0.3.31, as tests/test_golden)
+    steps, sweeps = 20, 3
+    build = pmp.build_example2_problem
+
+    def build_undeclared(cfg):
+        problem, driver, grid = build(cfg)
+        return undeclared(problem), driver, grid
+
+    calls = []
+    controls_at = FeedbackPolicy.controls_at
+
+    def counted_controls_at(self, k, t, states):
+        calls.append(k)
+        return controls_at(self, k, t, states)
+
+    monkeypatch.setattr(pmp, "build_example2_problem", build_undeclared)
+    monkeypatch.setattr(FeedbackPolicy, "controls_at", counted_controls_at)
+    result = run_example2(Example2Config(steps=steps, paths=300,
+                                         sweeps=sweeps))
     assert len(calls) == steps * sweeps * (sweeps + 1) // 2
+    assert [s.cost.mean for s in result.sweeps] == [
+        0.4694735471405941, 0.40635928693788964, 0.3488349097981356,
+        0.3433164999412472]
+    assert [s.residual for s in result.sweeps] == [
+        0.6277315547236536, 0.38120032511843044, 0.10817235176104786,
+        0.028916562497931893]
+    assert (result.duality.lhs, result.duality.rhs) == (
+        0.11663667766292204, 0.1151740273767514)
+    assert result.sweeps[-1].adjoint.n_residual_ratio == 0.03253733190322413
 
 
 def test_stationarity_residual_near_zero_at_fitted_optimum():
@@ -492,7 +526,6 @@ def test_stationarity_residual_near_zero_at_fitted_optimum():
 def test_stationarity_residual_reads_a_per_path_f_u():
     # no packaged problem has a (P, n, m) F_u; give example2 one that
     # varies with the state and compare with a plain einsum of F_u^T Y
-    import dataclasses
     cfg = Example2Config(steps=10, paths=300, seed=23)
     problem, driver, grid = build_example2_problem(cfg)
     c_op = np.asarray(cfg.c_op, dtype=float).reshape(cfg.state_dim,
