@@ -237,10 +237,12 @@ class AdjointSolution:
         return (phi[:, 1:] - fit.mu) / fit.scale
 
     def _z_fitted(self, k, xc):
+        # one (paths * n, n) @ (n, n) product: a batched (paths, n, n) @
+        # (n, n) matmul runs one small product per path
         fit = self._fits[k]
-        w = (fit.w_mean + xc @ fit.w_coef).reshape(
-            xc.shape[0], self.state_dim, self.state_dim)
-        return w @ self._c_pinv[k]
+        n = self.state_dim
+        w = (fit.w_mean + xc @ fit.w_coef).reshape(-1, n)
+        return (w @ self._c_pinv[k]).reshape(xc.shape[0], n, n)
 
     def _step(self, k, states, xc, u):
         """Backward-induction (Y_k, Z_k) at ``states`` from fit k.

@@ -131,12 +131,6 @@ def _parse_floats(text, length=None, positive=False):
     return values
 
 
-def _parse_sizes(text):
-    """An operator size, or a comma list of sizes (one per checked problem)."""
-    values = tuple(_parse_int(tok, minimum=1) for tok in text.split(","))
-    return values[0] if len(values) == 1 else values
-
-
 def _parse_enum(text, choices):
     value = text.strip()
     if value not in choices:
@@ -148,9 +142,11 @@ def _parse_enum(text, choices):
 # Option schema.  Every section is a tuple of (key, parser, default) entries.
 # example1 and example2 take their defaults from the fields of
 # Example1Config and Example2Config; the other scenarios state theirs here.
-# A key whose text does not parse is reported and keeps its default, so the
-# cross-field checks always see a complete section.  A check takes the
-# parsed [run], [space] and scenario sections and yields error messages.
+# No config sets the operator sizes: each scenario takes them from the
+# packaged problems it runs.  A key whose text does not parse is reported
+# and keeps its default, so the cross-field checks always see a complete
+# section.  A check takes the parsed [run] section, the operator sizes and
+# the parsed scenario section and yields error messages.
 # ---------------------------------------------------------------------------
 
 _INT0 = partial(_parse_int, minimum=0)
@@ -164,7 +160,7 @@ _RUN_FIELDS = ("seed", "steps", "paths", "horizon")
 
 
 class Schema(NamedTuple):
-    """What one scenario accepts in [run], [space] and its own section."""
+    """What one scenario accepts in [run] and its own section."""
 
     run: tuple
     space: object      # operator sizes, or a function of the options to them
@@ -178,32 +174,29 @@ def _run_entries(seed, steps, paths, horizon=1.0):
             ("threads", _INT1, None), ("output_dir", str, None))
 
 
-def _field_defaults(cls):
-    return {f.name: f.default for f in dataclasses.fields(cls)}
+def _space(cfg):
+    return {"state_dim": cfg.state_dim, "control_dim": cfg.control_dim}
 
 
-def _space(defaults):
-    return {key: defaults[key] for key in ("state_dim", "control_dim")}
-
-
-def _packaged(defaults, options, checks=()):
-    """Schema of a packaged scenario whose defaults are its config fields;
-    only these scenarios dump trajectories."""
+def _packaged(cfg, options, checks=()):
+    """Schema of a packaged scenario whose defaults are the fields of the
+    default config ``cfg``; only these scenarios dump trajectories."""
     return Schema(
-        run=_run_entries(*(defaults[key] for key in _RUN_FIELDS))
+        run=_run_entries(*(getattr(cfg, key) for key in _RUN_FIELDS))
         + (("dump_trajectories", _INT0, 0),),
-        space=_space(defaults),
-        options=tuple((key, parse, defaults[key]) for key, parse in options),
+        space=_space(cfg),
+        options=tuple((key, parse, getattr(cfg, key))
+                      for key, parse in options),
         checks=checks)
 
 
-_EX1 = _field_defaults(Example1Config)
-_EX2 = _field_defaults(Example2Config)
+_EX1 = PACKAGED_PROBLEMS["example1"]
+_EX2 = PACKAGED_PROBLEMS["example2"]
 _SPACE1 = _space(_EX1)
 # One value per control (or state) dimension of the packaged problem.
-_CONTROL1 = partial(_parse_floats, length=_EX1["control_dim"])
-_CONTROL2 = partial(_parse_floats, length=_EX2["control_dim"])
-_STATE2 = partial(_parse_floats, length=_EX2["state_dim"])
+_CONTROL1 = partial(_parse_floats, length=_EX1.control_dim)
+_CONTROL2 = partial(_parse_floats, length=_EX2.control_dim)
+_STATE2 = partial(_parse_floats, length=_EX2.state_dim)
 
 
 def _window_errors(run, t0, eps_values, label="spike"):
@@ -215,11 +208,6 @@ def _window_errors(run, t0, eps_values, label="spike"):
         except ValueError as exc:
             yield (f"{label} window (t0={t0}, eps={eps}) is not "
                    f"grid-aligned: {exc}")
-
-
-def _one_policy(run, space, opts):
-    if opts["schedule"] is not None and opts["feedback"] is not None:
-        yield "specify either schedule or feedback, not both (ambiguous policy)"
 
 
 def _duality_window(run, space, opts):
@@ -309,10 +297,9 @@ SCHEMAS = {
         ("alpha0", _POSITIVE),
         ("alpha_slope", _NONNEGATIVE),
         ("schedule", _CONTROL1),
-        ("feedback", partial(_parse_enum, choices=("stationary", "zero"))),
-    ), checks=(_one_policy, _in_control_box(
+    ), checks=(_in_control_box(
         lambda opts: Example1Config(
-            control_box_radius=opts["control_box_radius"]), "schedule"))),
+            control_box_radius=opts["control_box_radius"]), "schedule"),)),
     "example2": _packaged(_EX2, (
         ("basis_degree", partial(_parse_int, choices={0, 1, 2})),
         # sweep 0 alone leaves stationarity_residual_decreases unpassable
@@ -323,8 +310,7 @@ SCHEMAS = {
         ("duality_v", _CONTROL2),
         ("gamma", _STATE2),
         ("schedule", _CONTROL2),
-        ("feedback", partial(_parse_enum, choices=("zero",))),
-    ), checks=(_duality_window, _regression_paths, _one_policy,
+    ), checks=(_duality_window, _regression_paths,
                _in_control_box(lambda opts: Example2Config(), "schedule",
                                "duality_v"))),
     "rates": Schema(_run_entries(2718, 400, 4000), _SPACE1, (
@@ -417,23 +403,9 @@ def parse_config(path):
     _reject_leftovers(run_raw, "run", errors)
 
     opts_raw = sections.pop(scenario, {})
-    option_errors = []
-    options = _parse_section(opts_raw, scenario, schema.options,
-                             option_errors)
+    options = _parse_section(opts_raw, scenario, schema.options, errors)
     space = schema.space(options) if callable(schema.space) \
         else dict(schema.space)
-    space_raw = sections.pop("space", {})
-    stated = _parse_section(
-        space_raw, "space",
-        [(key, _parse_sizes, want) for key, want in space.items()], errors)
-    for key, want in space.items():
-        if stated[key] != want:
-            errors.append(f"[space] {key} must be {_fmt_value(want)} for "
-                          f"scenario {scenario} (the packaged operators have "
-                          f"that size)")
-    _reject_leftovers(space_raw, "space", errors)
-
-    errors.extend(option_errors)
     for check in schema.checks:
         errors.extend(f"[{scenario}] {message}"
                       for message in check(run, space, options))

@@ -195,13 +195,6 @@ class MartingaleDriver:
                   for _, intensity in self.components]
         return self.betas().T * np.sqrt(alphas)
 
-    def dominating_operator(self):
-        """Constant PSD operator dominating every Q(t) in the PSD order."""
-        q = np.zeros((self.state_dim, self.state_dim))
-        for beta, intensity in self.components:
-            q += intensity.alpha_max * np.outer(beta, beta)
-        return q
-
 
 def step_major_zeros(paths, steps, *tail):
     """Zeros indexed (paths, steps, *tail) with the step axis outermost in

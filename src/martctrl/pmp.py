@@ -412,8 +412,6 @@ class Example1Config:
     experiments rather than the full scenario pipeline.
     """
 
-    state_dim: int = 4
-    control_dim: int = 2
     beta: tuple = EXAMPLE1_BETA
     c: tuple = EXAMPLE1_C
     f_tilde: tuple = EXAMPLE1_F_TILDE
@@ -433,7 +431,16 @@ class Example1Config:
     convexity_pairs: int = 1000
     drift_gain: float = 0.0
     schedule: tuple | None = None     # constant open-loop override
-    feedback: str | None = None       # named feedback policy override
+
+    @property
+    def state_dim(self):
+        """Length of ``x0``."""
+        return len(self.x0)
+
+    @property
+    def control_dim(self):
+        """Column count of ``f_tilde``."""
+        return np.size(self.f_tilde) // self.state_dim
 
 
 def build_example1_problem(cfg):
@@ -495,33 +502,11 @@ def example1_analytic_cost(cfg):
     return float(c @ x0 - cfg.horizon / 4.0 * np.sum((f_tilde.T @ c) ** 2))
 
 
-def named_feedback(name, u_star, control_dim):
-    """Feedback policies addressable by name from configuration files."""
-    if name == "stationary":
-        target = np.asarray(u_star, dtype=float)
-
-        def stationary(t, states):
-            return np.broadcast_to(target,
-                                   (states.shape[0], target.shape[0])).copy()
-
-        return FeedbackPolicy(fn=stationary)
-    if name == "zero":
-        def zero(t, states):
-            return np.zeros((states.shape[0], control_dim))
-
-        return FeedbackPolicy(fn=zero)
-    raise ValueError(f"unknown feedback policy name {name!r}")
-
-
 def initial_policy(cfg, u_default, steps):
-    """The constant ``cfg.schedule``, else the named ``cfg.feedback``, else
-    the constant ``u_default``."""
-    if cfg.schedule is not None:
-        return OpenLoopPolicy.constant(np.asarray(cfg.schedule, dtype=float),
-                                       steps)
-    if cfg.feedback is not None:
-        return named_feedback(cfg.feedback, u_default, cfg.control_dim)
-    return OpenLoopPolicy.constant(u_default, steps)
+    """The constant ``cfg.schedule``, else the constant ``u_default``."""
+    u = u_default if cfg.schedule is None else np.asarray(cfg.schedule,
+                                                          dtype=float)
+    return OpenLoopPolicy.constant(u, steps)
 
 
 def example1_candidate(cfg):
@@ -744,8 +729,6 @@ EXAMPLE2_BETA = (1.0, 0.4)
 class Example2Config:
     """Linear-quadratic scenario solved with the regression adjoint."""
 
-    state_dim: int = 2
-    control_dim: int = 2
     a: tuple = EXAMPLE2_A
     c_op: tuple = EXAMPLE2_C
     f: tuple = EXAMPLE2_F
@@ -767,11 +750,20 @@ class Example2Config:
     sweeps: int = 3
     control_box_radius: float = 5.0
     schedule: tuple | None = None     # constant open-loop initial candidate
-    feedback: str | None = None       # named feedback initial candidate
     run_duality: bool = True
     duality_t0: float = 0.25
     duality_eps: float = 0.1
     duality_v: tuple = (0.5, -0.25)
+
+    @property
+    def state_dim(self):
+        """Length of ``x0``."""
+        return len(self.x0)
+
+    @property
+    def control_dim(self):
+        """Column count of ``c_op``."""
+        return np.size(self.c_op) // self.state_dim
 
 
 def build_example2_problem(cfg):

@@ -205,8 +205,7 @@ def test_criterion_08_duality_both_examples(example1_full, example2_full):
 
 def test_criterion_09_lsmc_scalar_oracle_and_sweeps():
     a, c_op, r, p1, d, f = -0.5, 1.0, 1.0, 0.5, 0.4, 0.1
-    cfg = Example2Config(state_dim=1, control_dim=1, a=((a,),),
-                         c_op=((c_op,),), f=(f,), gamma=(0.0,),
+    cfg = Example2Config(a=((a,),), c_op=((c_op,),), f=(f,), gamma=(0.0,),
                          g_tilde=((0.0,),), d=((d,),), p_weight=((0.0,),),
                          r_weight=((r,),), p1=((p1,),), x0=(1.0,),
                          beta=(1.0,), steps=50, paths=20000, seed=4242,

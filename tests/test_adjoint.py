@@ -280,11 +280,10 @@ def test_lsmc_matches_scalar_closed_form():
     #   Y(t) = P1 e^{A(T-t)} (e^{A(T-t)} X(t) + g(t)),  g(t) = f/A (e^{A(T-t)}-1)
     #   Z(t) = P1 e^{2A(T-t)} D
     a, c_op, r, p1, d, f, horizon = -0.5, 1.0, 1.0, 0.5, 0.4, 0.1, 1.0
-    cfg = Example2Config(state_dim=1, control_dim=1, a=((a,),), c_op=((c_op,),),
-                         f=(f,), gamma=(0.0,), g_tilde=((0.0,),), d=((d,),),
-                         p_weight=((0.0,),), r_weight=((r,),), p1=((p1,),),
-                         x0=(1.0,), beta=(1.0,), steps=50, paths=8000,
-                         seed=4242)
+    cfg = Example2Config(a=((a,),), c_op=((c_op,),), f=(f,), gamma=(0.0,),
+                         g_tilde=((0.0,),), d=((d,),), p_weight=((0.0,),),
+                         r_weight=((r,),), p1=((p1,),), x0=(1.0,),
+                         beta=(1.0,), steps=50, paths=8000, seed=4242)
     problem, driver, grid = build_example2_problem(cfg)
     bundle = sample_increments(driver, grid, cfg.paths, cfg.seed)
     pol = OpenLoopPolicy.constant(np.zeros(1), grid.steps)

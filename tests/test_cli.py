@@ -70,7 +70,7 @@ def test_minimal_config_fills_example1_defaults(tmp_path):
     assert opts["convexity_pairs"] == 1000
     assert opts["alpha0"] == 1.0
     assert opts["alpha_slope"] == 0.5
-    assert opts["schedule"] is None and opts["feedback"] is None
+    assert opts["schedule"] is None
 
 
 def test_scenario_defaults_differ(tmp_path):
@@ -148,7 +148,7 @@ def test_all_errors_collected_in_one_report(tmp_path):
         "[run] steps: must be an integer >= 1 (got '0')",
         "[run] paths: must be an integer >= 2 (got '1')",
         "[run] unknown key 'bogus'",
-        "[space] state_dim must be 4 for scenario rates",
+        "unknown section [space]",
         "[rates] eps_ladder entries must be distinct",
         "is not grid-aligned",
         "[rates] unknown key 'junk'",
@@ -159,30 +159,23 @@ def test_all_errors_collected_in_one_report(tmp_path):
     assert len(errors) >= len(expected)
 
 
-def test_schedule_and_feedback_are_mutually_exclusive(tmp_path):
-    path = write_config(tmp_path, """\
+@pytest.mark.parametrize("section, key, value, message", [
+    ("space", "state_dim", "4", "unknown section [space]"),
+    ("example1", "feedback", "zero", "[example1] unknown key 'feedback'"),
+], ids=["space", "feedback"])
+def test_removed_keys_are_config_errors(tmp_path, capsys, section, key, value,
+                                        message):
+    # the operator sizes come from the packaged problems, and every named
+    # feedback repeated a schedule or the default: no config sets either
+    path = write_config(tmp_path, f"""\
         [run]
         scenario = example1
 
-        [example1]
-        schedule = 0.1, 0.2
-        feedback = zero
+        [{section}]
+        {key} = {value}
         """)
-    with pytest.raises(ConfigError, match="not both"):
-        parse_config(path)
-
-
-def test_space_must_match_packaged_operators(tmp_path):
-    path = write_config(tmp_path, """\
-        [run]
-        scenario = example2
-
-        [space]
-        state_dim = 4
-        control_dim = 2
-        """)
-    with pytest.raises(ConfigError, match="state_dim must be 2"):
-        parse_config(path)
+    assert main([str(path)]) == EXIT_CONFIG
+    assert message in capsys.readouterr().err
 
 
 def test_gateaux_eps_checked_against_grid(tmp_path):
@@ -391,6 +384,18 @@ def test_readme_lists_every_run_key():
     assert sorted(listed) == sorted({"scenario"} | keys)
 
 
+def test_readme_names_every_scenario_option():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(
+        encoding="utf-8")
+    section = readme.split("### Scenario options", 1)[1].split("###", 1)[0]
+    paragraphs = section.split("\n\n")
+    for name, schema in SCHEMAS.items():
+        text = "".join(p for p in paragraphs if p.startswith(f"`[{name}]`"))
+        missing = [key for key, _, _ in schema.options
+                   if f"`{key}`" not in text]
+        assert text and not missing, (name, missing)
+
+
 def test_readme_library_use_runs(capsys):
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(
         encoding="utf-8")
@@ -416,8 +421,7 @@ def test_defaults_written_out_change_nothing(scenario, data):
         minimal = Path(tmp) / "minimal.ini"
         minimal.write_text(f"[run]\nscenario = {scenario}\n")
         base = parse_config(minimal)
-        sections = {"run": base.run, "space": base.space,
-                    scenario: base.options}
+        sections = {"run": base.run, scenario: base.options}
         keys = sorted((name, key) for name, values in sections.items()
                       for key, value in values.items() if value is not None)
         chosen = data.draw(st.sets(st.sampled_from(keys)))
@@ -877,19 +881,6 @@ def test_derivative_check_manifest_records_checked_sizes(
     manifest = read_manifest(out)
     assert (manifest["state_dim"], manifest["control_dim"]) \
         == (state_dim, control_dim)
-    # [space] may restate exactly these sizes
-    stated = text + f"""
-        [space]
-        state_dim = {state_dim}
-        control_dim = {control_dim}
-        """
-    assert parse_config(write_config(tmp_path, stated, name="s.ini")).space \
-        == parse_config(write_config(tmp_path, text, name="t.ini")).space
-    with pytest.raises(ConfigError, match="state_dim must be"):
-        parse_config(write_config(tmp_path, text + """
-        [space]
-        state_dim = 3
-        """, name="bad.ini"))
 
 
 def test_unexpected_error_leaves_manifest_and_propagates(tmp_path,

@@ -20,7 +20,7 @@ from martctrl.hilbert import SpaceConfig, apply_operator
 from martctrl.martingale import (MartingaleDriver, PathGrid, ScalarIntensity,
                                  sample_increments)
 from martctrl.pmp import (Example1Config, Example2Config, build_example1_problem,
-                          build_example2_problem, named_feedback)
+                          build_example2_problem)
 
 PACKAGED = {"example1": Example1Config(),
             "example1-tanh": Example1Config(drift_gain=0.25),
@@ -224,8 +224,9 @@ def test_recorded_controls_equal_fresh_policy_evaluation():
     # open-loop rows are broadcast views of the schedule: no memory per path
     assert all(row.strides[0] == 0 for row in open_loop.recorded)
 
-    feedback = integrate_forward(
-        problem, named_feedback("stationary", u_star, 2), bundle, x0)
+    stationary = FeedbackPolicy(
+        fn=lambda t, x: np.broadcast_to(u_star, (x.shape[0], 2)).copy())
+    feedback = integrate_forward(problem, stationary, bundle, x0)
     assert_records_fresh_evaluation(feedback)
 
     # without a record the same values come from the policy again

@@ -17,8 +17,8 @@ from martctrl.pmp import (EXAMPLE1_C, EXAMPLE1_F_TILDE, FAR_THRESHOLD,
                           Example1Config, Example2Config, build_example1_problem,
                           build_example2_problem, default_spike_family,
                           example1_analytic_cost, gateaux_check,
-                          named_feedback, necessary_check, rate_experiments,
-                          run_example1, run_example2, stationarity_residual,
+                          necessary_check, rate_experiments, run_example1,
+                          run_example2, stationarity_residual,
                           sufficient_check)
 from test_adjoint import undeclared
 
@@ -329,17 +329,6 @@ def test_default_spike_family_stays_in_any_control_set(control_set):
     assert all(control_set.contains(s.v) for s in specs)
 
 
-def test_named_feedback():
-    u_star = np.array([-0.35, -0.05])
-    zero = named_feedback("zero", u_star, 2)
-    states = np.ones((4, 4))
-    assert np.allclose(zero.fn(0.0, states), 0.0)
-    stat = named_feedback("stationary", u_star, 2)
-    assert np.allclose(stat.fn(0.0, states), u_star)
-    with pytest.raises(ValueError):
-        named_feedback("bang-bang", u_star, 2)
-
-
 def test_run_example1_small_scale_report():
     cfg = Example1Config(steps=60, paths=1200, seed=12022, spike_count=6,
                          sample_times=4, sample_paths=30, convexity_pairs=150)
@@ -377,7 +366,7 @@ def test_run_example1_fails_vacuous_verdicts(overrides, name, start):
 def test_run_example1_zero_feedback_fails_optimality():
     cfg = Example1Config(steps=60, paths=600, seed=7, spike_count=4,
                          sample_times=3, sample_paths=20, convexity_pairs=60,
-                         feedback="zero")
+                         schedule=(0.0, 0.0))
     result = run_example1(cfg)
     assert not result.report.passed
     by_name = {a.name: a for a in result.report.assertions}
