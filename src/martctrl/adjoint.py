@@ -59,7 +59,8 @@ from .dynamics import AffineDiffusion, sample_controls
 from .hilbert import apply_operator
 from .martingale import mean_se, step_covariances, step_major_zeros
 
-DEFAULT_CONDITION_LIMIT = 1e12
+# Largest condition number of a retained regression design.
+CONDITION_LIMIT = 1e12
 # Relative singular-value cutoff for the per-step feature regression.
 # Directions below the cutoff carry under cutoff^2 of the design energy and
 # are statistically unidentifiable at desk-scale path counts.
@@ -104,26 +105,23 @@ def _control_terms(problem, t, x, u, y):
         + np.einsum("pi,pi->p", np.asarray(problem.F(t, x, u), dtype=float), y)
 
 
-def hamiltonian(problem, driver, t, x, u, y, z):
+def hamiltonian(problem, factor, t, x, u, y, z):
     """Evaluate H at P points: ``x`` and ``y`` are (P, n), ``u`` is (P, m)
-    and ``z`` is (P, n, n); returns shape (P,)."""
-    factor = driver.cov_rate_factor(t)
+    and ``z`` is (P, n, n); returns shape (P,).  ``factor`` is
+    ``driver.cov_rate_factor(t)``, the (n, r) factor of Q(t)."""
     return _control_terms(problem, t, x, u, y) \
         + _paired(lambda dm: problem.G(t, x, dm), factor, z @ factor)
 
 
-def grad_x_hamiltonian(problem, driver, t, x, u, y, z, factor=None):
+def grad_x_hamiltonian(problem, factor, t, x, u, y, z):
     """State gradient of H.
 
     grad_x H = ell_x + F_x^T y + Gamma where Gamma is assembled against the
     basis directions: <Gamma, e_d> = sum_j <(G_x(x)[e_d]) l_j, z l_j> over
-    the columns l_j of ``driver.cov_rate_factor(t)``, or of ``factor`` when
-    the caller already holds it.  An :class:`AffineDiffusion` ``problem.G``
-    gives Gamma in closed form instead.  Takes the batches
+    the columns l_j of ``factor``.  An :class:`AffineDiffusion`
+    ``problem.G`` gives Gamma in closed form instead.  Takes the arguments
     :func:`hamiltonian` takes; returns shape (P, n).
     """
-    if factor is None:
-        factor = driver.cov_rate_factor(t)
     fx = np.asarray(problem.F_x(t, x, u), dtype=float)
     fxty = apply_operator(np.swapaxes(fx, -1, -2), y)
     grad = np.asarray(problem.ell_x(t, x, u), dtype=float) + fxty
@@ -255,14 +253,13 @@ class AdjointSolution:
         """
         fit = self._fits[k]
         t = self.grid.times[k]
-        driver = self.trajectories.bundle.driver
-        factor = driver.cov_rate_factor(t)
+        factor = self.trajectories.bundle.driver.cov_rate_factor(t)
         yhat0 = fit.y_mean + xc @ fit.y_coef
         z = self._z_fitted(k, xc)
         y = yhat0
         for _ in range(PICARD_ITERS):
-            grad = grad_x_hamiltonian(self._problem, driver, t, states, u, y,
-                                      z, factor=factor)
+            grad = grad_x_hamiltonian(self._problem, factor, t, states,
+                                      u, y, z)
             y = yhat0 + grad * self.grid.dt
         return y, z
 
@@ -328,7 +325,8 @@ def solve_adjoint_explicit(problem, trajectories):
     """
     grid = trajectories.grid
     x0_scale = max(1.0, float(np.max(np.abs(trajectories.states[:, 0, :]))))
-    n = problem.space.state_dim
+    n = trajectories.states.shape[2]
+    driver = trajectories.bundle.driver
     rng = np.random.default_rng(np.random.SeedSequence(EXPLICIT_PROBE_SEED))
     states = x0_scale * rng.standard_normal((EXPLICIT_PROBES, n))
     hx = np.asarray(problem.h_x(states), dtype=float)
@@ -342,9 +340,9 @@ def solve_adjoint_explicit(problem, trajectories):
     controls = sample_controls(problem.control_set, EXPLICIT_PROBES, rng)
     ys = np.broadcast_to(y0, states.shape)
     z0 = np.zeros((EXPLICIT_PROBES, n, n))
-    for t in np.linspace(0.0, grid.horizon, 5):
-        grad = grad_x_hamiltonian(problem, trajectories.bundle.driver,
-                                  float(t), states, controls, ys, z0)
+    for t in np.linspace(0.0, grid.horizon, 5).tolist():
+        grad = grad_x_hamiltonian(problem, driver.cov_rate_factor(t), t,
+                                  states, controls, ys, z0)
         if float(np.max(np.abs(grad))) \
                 > EXPLICIT_TOL * (1.0 + float(np.max(np.abs(y0)))):
             raise ValueError(
@@ -357,9 +355,7 @@ def solve_adjoint_explicit(problem, trajectories):
                            explained_energy=zeros.copy(), _problem=problem)
 
 
-def solve_adjoint_lsmc(problem, trajectories, basis=None,
-                       cond_limit=DEFAULT_CONDITION_LIMIT,
-                       warn_ratio=N_RESIDUAL_WARN_RATIO):
+def solve_adjoint_lsmc(problem, trajectories, basis=None):
     """Least-squares Monte Carlo backward induction for the adjoint pair.
 
     Per-step conditional expectations are least-squares fits of an
@@ -367,9 +363,9 @@ def solve_adjoint_lsmc(problem, trajectories, basis=None,
     singular directions above ``FEATURE_RCOND`` relative to the largest
     (see the module docstring for why the early steps make this
     necessary).  A design whose retained directions are still conditioned
-    worse than ``cond_limit`` raises :class:`RegressionRankError`.  The
-    controls are the ones ``trajectories`` recorded when the states were
-    integrated.
+    worse than ``CONDITION_LIMIT`` raises :class:`RegressionRankError`, and
+    a residual ratio above ``N_RESIDUAL_WARN_RATIO`` warns.  The controls
+    are the ones ``trajectories`` recorded when the states were integrated.
     """
     basis = basis if basis is not None else RegressionBasis(2)
     grid = trajectories.grid
@@ -382,10 +378,8 @@ def solve_adjoint_lsmc(problem, trajectories, basis=None,
             f"need feature count < paths / 10 for a stable regression")
     eps = np.finfo(float).eps
 
-    c_steps = step_covariances(bundle.driver, grid)
-    c_pinv = np.stack([np.linalg.pinv(c_steps[k], rcond=1e-12,
-                                      hermitian=True)
-                       for k in range(grid.steps)])
+    c_pinv = np.linalg.pinv(step_covariances(bundle.driver, grid),
+                            rcond=1e-12, hermitian=True)
 
     y = step_major_zeros(paths, grid.steps + 1, n)
     y[:, grid.steps, :] = np.asarray(problem.h_x(x[:, grid.steps, :]),
@@ -419,9 +413,9 @@ def solve_adjoint_lsmc(problem, trajectories, basis=None,
                     vt_k = vt_svd[keep]
                     # condition number of the design actually solved
                     cond = float(s_k[0] / s_k[-1])
-                    if cond > cond_limit:
+                    if cond > CONDITION_LIMIT:
                         raise RegressionRankError(step=k, cond=cond,
-                                                  limit=cond_limit)
+                                                  limit=CONDITION_LIMIT)
 
         def fit(target):
             """Intercept plus retained-direction least squares."""
@@ -448,7 +442,7 @@ def solve_adjoint_lsmc(problem, trajectories, basis=None,
         explained[k] = float(np.mean(np.einsum("pi,pi->p", zdm, zdm)))
 
     ratio = solution.n_residual_ratio
-    if np.isfinite(ratio) and ratio > warn_ratio:
+    if np.isfinite(ratio) and ratio > N_RESIDUAL_WARN_RATIO:
         warnings.warn(
             f"unexplained martingale residual energy is {ratio:.2f} of the "
             f"explained energy; the basis or path count may be too small",

@@ -30,7 +30,7 @@ from typing import Callable
 
 import numpy as np
 
-from .hilbert import SpaceConfig, apply_operator, as_vector
+from .hilbert import apply_operator, as_vector
 from .martingale import NoiseBundle, mean_se, step_major, step_major_zeros
 
 
@@ -224,9 +224,10 @@ class ControlProblem:
     to dM, one row per path.  ``F_x`` stays an operator because grad_x H
     needs its transpose.  ``grad_x_ignores_u`` declares that ``ell_x`` and
     ``F_x`` do not read the control (:func:`finite_diff_check` audits it).
+    The state size is read off the states, the control size off
+    ``control_set.dim``.
     """
 
-    space: SpaceConfig
     F: Callable
     G: Callable
     ell: Callable
@@ -251,30 +252,18 @@ class ControlPolicy:
 
 @dataclass(frozen=True)
 class OpenLoopPolicy(ControlPolicy):
-    """Deterministic grid-indexed schedule, one control per step."""
+    """The constant control u at every step and on every path.
 
-    schedule: np.ndarray
+    Keeps its own copy of u, so the caller may reuse its array.
+    """
+
+    u: np.ndarray
 
     def __post_init__(self):
-        s = np.asarray(self.schedule, dtype=float)
-        if s.ndim != 2:
-            raise ValueError(f"schedule must be (steps, control_dim), got "
-                             f"shape {s.shape}")
-        if not np.all(np.isfinite(s)):
-            raise ValueError("schedule has non-finite entries")
-        object.__setattr__(self, "schedule", s)
-
-    @classmethod
-    def constant(cls, u, steps):
-        u = as_vector(u, name="control")
-        return cls(np.tile(u, (steps, 1)))
+        object.__setattr__(self, "u", as_vector(self.u, name="control").copy())
 
     def controls_at(self, k, t, states):
-        if k < 0 or k >= self.schedule.shape[0]:
-            raise IndexError(f"step {k} outside schedule of length "
-                             f"{self.schedule.shape[0]}")
-        return np.broadcast_to(self.schedule[k],
-                               (states.shape[0], self.schedule.shape[1]))
+        return np.broadcast_to(self.u, (states.shape[0], self.u.shape[0]))
 
 
 @dataclass(frozen=True)
@@ -628,42 +617,43 @@ def _central_diff(fn, point, rel_step):
     return np.stack(cols, axis=-1)
 
 
+def _operator(action, basis):
+    """(1, n, n) operator whose column j is action(basis[j])."""
+    return np.stack([np.asarray(action(e), dtype=float) for e in basis],
+                    axis=-1)
+
+
 def finite_diff_check(problem, probes, rel_step=1e-5, tol=1e-4):
     """Check every analytic derivative at the probe points.
 
-    ``probes`` is a sequence of (t, x, u) with 1-d x and u.  Central
-    differences of F, G, ell and h, with steps rel_step * max(1, |coord|),
-    audit the derivatives independently: no analytic derivative enters
-    them.  Derivatives whose max relative error exceeds ``tol`` are
-    flagged; G_x is compared one direction at a time, each on its own scale.
-    The diffusion operators are read off their actions on the basis
-    vectors, column by column.  A problem declaring ``grad_x_ignores_u``
+    ``probes`` is a sequence of (t, x, u) with 1-d x and u, u of the
+    control set's dimension.  Central differences of F, G, ell and h, with
+    steps rel_step * max(1, |coord|), audit the derivatives independently:
+    no analytic derivative enters them.  Derivatives whose max relative
+    error exceeds ``tol`` are flagged; G_x is compared one direction at a
+    time, each on its own scale.  The diffusion operators are read off
+    their actions on the basis vectors, column by column.  A problem declaring ``grad_x_ignores_u``
     gets one more entry of that name: the relative change of ell_x and F_x
     when every control coordinate moves by max(1, |u_j|).
     """
-    n = problem.space.state_dim
-    m = problem.space.control_dim
+    m = problem.control_set.dim
     worst = dict.fromkeys(("F_x", "F_u", "G_x", "ell_x", "ell_u", "h_x"), 0.0)
-    basis = np.eye(n)[:, None, :]
-
-    def operator(action):
-        # (1, n, n) operator whose column j is action(e_j)
-        return np.stack([np.asarray(action(e), dtype=float) for e in basis],
-                        axis=-1)
-
     count = 0
     for t, x, u in probes:
         count += 1
-        X = as_vector(x, dim=n, name="probe state")[None, :]
+        X = as_vector(x, name="probe state")[None, :]
         U = as_vector(u, dim=m, name="probe control")[None, :]
-        g_x = np.stack([operator(lambda e, d=d: problem.G_x(t, X, d, e))
-                        for d in basis], axis=-1)
+        n = X.shape[1]
+        basis = np.eye(n)[:, None, :]
+        g_x = np.stack([_operator(lambda e, d=d: problem.G_x(t, X, d, e),
+                                  basis) for d in basis], axis=-1)
         # (name, analytic value, function of the perturbed point, the point
         # it perturbs); batch axes of length one broadcast away
         table = (
             ("F_x", problem.F_x(t, X, U), lambda z: problem.F(t, z, U), X),
             ("F_u", problem.F_u(t, X, U), lambda z: problem.F(t, X, z), U),
-            ("G_x", g_x, lambda z: operator(lambda e: problem.G(t, z, e)), X),
+            ("G_x", g_x,
+             lambda z: _operator(lambda e: problem.G(t, z, e), basis), X),
             ("ell_x", problem.ell_x(t, X, U),
              lambda z: problem.ell(t, z, U), X),
             ("ell_u", problem.ell_u(t, X, U),

@@ -1,34 +1,17 @@
 """Finite-dimensional truncations of the state and control Hilbert spaces.
 
 The ambient separable Hilbert spaces are represented by fixed coordinate
-bases of configurable dimension: vectors are 1-d float64 arrays and
-operators dense 2-d float64 arrays, applied to batches of vectors.
-Covariance rates never need a square root here: the Hilbert-Schmidt
-pairings of the Hamiltonian read Q(t) through the driver's own factor
+bases: vectors are 1-d float64 arrays and operators dense 2-d float64
+arrays, applied to batches of vectors.  No object records the sizes; every
+caller reads them off the shapes of the arrays it holds.  Covariance rates
+never need a square root here: the Hilbert-Schmidt pairings of the
+Hamiltonian read Q(t) through the driver's own factor
 (``MartingaleDriver.cov_rate_factor``).
 
 All functions are pure.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
-
 import numpy as np
-
-
-@dataclass(frozen=True)
-class SpaceConfig:
-    """Dimensions of the truncated state space and control space."""
-
-    state_dim: int
-    control_dim: int
-
-    def __post_init__(self):
-        if self.state_dim < 1:
-            raise ValueError(f"state_dim must be >= 1, got {self.state_dim}")
-        if self.control_dim < 1:
-            raise ValueError(f"control_dim must be >= 1, got {self.control_dim}")
 
 
 def as_vector(x, dim=None, name="vector"):

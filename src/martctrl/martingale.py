@@ -379,42 +379,26 @@ class IsometryReport:
         return abs(self.difference) <= k * self.mc_stderr
 
 
-def _normalize_step_process(phi, steps, dim, times):
-    a = phi
-    if callable(a):
-        mats = np.stack([np.asarray(a(t), dtype=float) for t in times[:-1]])
-    else:
-        mats = np.asarray(a, dtype=float)
-        if mats.ndim == 2:
-            mats = np.broadcast_to(mats, (steps,) + mats.shape)
-    if mats.ndim != 3 or mats.shape[0] != steps:
-        raise ValueError(f"step process must give one matrix per step, got "
-                         f"shape {mats.shape}")
-    if mats.shape[2] != dim:
-        raise ValueError(
-            f"step process matrices must have {dim} columns to act on the "
-            f"driver, got {mats.shape[2]}")
-    return mats
-
-
 def verify_isometry(phi, bundle):
     """Compare E|int Phi dM|^2 with its covariance-rate quadrature.
 
-    ``phi`` is an operator-valued step process: a single matrix, an array of
-    per-step matrices, or a callable of time evaluated at left endpoints.
-    The Monte Carlo side sums Phi(t_k) dM_k over the bundle; the quadrature
-    side integrates the squared Hilbert-Schmidt norm of Phi Q^(1/2) of the
+    ``phi`` is one (n_out, state_dim) matrix, the same at every step.  The
+    Monte Carlo side sums Phi dM_k over the bundle; the quadrature side
+    integrates the squared Hilbert-Schmidt norm of Phi Q^(1/2) of the
     bundle's own driver with the same per-step trapezoid convention used
     when sampling.
     """
     driver = bundle.driver
     grid = bundle.grid
-    mats = _normalize_step_process(phi, grid.steps, driver.state_dim,
-                                   grid.times)
+    phi = np.asarray(phi, dtype=float)
+    if phi.ndim != 2 or phi.shape[1] != driver.state_dim:
+        raise ValueError(f"phi must be an (n_out, {driver.state_dim}) "
+                         f"matrix, got shape {phi.shape}")
+    mats = np.broadcast_to(phi, (grid.steps,) + phi.shape)
 
-    totals = np.zeros((bundle.paths, mats.shape[1]))
+    totals = np.zeros((bundle.paths, phi.shape[0]))
     for k in range(grid.steps):
-        totals += bundle.increments[:, k, :] @ mats[k].T
+        totals += bundle.increments[:, k, :] @ phi.T
     sq = np.einsum("pi,pi->p", totals, totals)
     mc, se = mean_se(sq)
 

@@ -38,7 +38,7 @@ from .dynamics import (AffineDiffusion, BallSet, BoxSet, ControlProblem,
                        FeedbackPolicy, OpenLoopPolicy, SpikeSpec, evaluate_cost,
                        integrate_forward, integrate_variational,
                        sample_controls, spiked_cost, stream_spiked)
-from .hilbert import SpaceConfig, apply_operator
+from .hilbert import apply_operator
 from .martingale import (MartingaleDriver, PathGrid, ScalarIntensity,
                          mean_se, sample_increments)
 
@@ -119,25 +119,20 @@ def _spread_indices(total, count):
     return np.unique(np.round(np.linspace(0, total - 1, count)).astype(int))
 
 
-def necessary_check(problem, adjoint, probes=None, sample_times=20,
-                    sample_paths=100, points_per_dim=11):
+def necessary_check(problem, adjoint, sample_times=20, sample_paths=100,
+                    points_per_dim=11):
     """Minimum-condition margins of the Hamiltonian over a probe lattice.
 
     The candidate is ``adjoint.trajectories`` with the adjoint pair along
-    it.  The margin at probe v is ell(v) - ell(u) + <F(v) - F(u), Y>, so
+    it, and the probes are ``problem.control_set.probe_grid(points_per_dim)``.
+    The margin at probe v is ell(v) - ell(u) + <F(v) - F(u), Y>, so
     neither Z nor the diffusion is evaluated.  Passes when the smallest
     margin over all sampled (time, path, probe) triples is >= -MARGIN_TOL.
     """
     traj = adjoint.trajectories
     grid = traj.grid
     times = grid.times
-    if probes is None:
-        probes = problem.control_set.probe_grid(points_per_dim)
-    probes = np.asarray(probes, dtype=float)
-    for row in probes:
-        if not problem.control_set.contains(row, tol=1e-9):
-            raise ValueError(f"probe control {row} lies outside the declared "
-                             f"control set")
+    probes = problem.control_set.probe_grid(points_per_dim)
     t_idx = _spread_indices(grid.steps, sample_times)   # steps index < steps
     p_idx = _spread_indices(traj.paths, sample_paths)
     n_v = probes.shape[0]
@@ -248,9 +243,10 @@ def sufficient_check(problem, adjoint, pairs=1000, seed=77,
         x2 = draw_states(per_time)
         v1 = sample_controls(problem.control_set, per_time, rng)
         v2 = sample_controls(problem.control_set, per_time, rng)
-        h1 = hamiltonian(problem, driver, t, x1, v1, ys, zs)
-        h2 = hamiltonian(problem, driver, t, x2, v2, ys, zs)
-        hm = hamiltonian(problem, driver, t, 0.5 * (x1 + x2),
+        factor = driver.cov_rate_factor(t)
+        h1 = hamiltonian(problem, factor, t, x1, v1, ys, zs)
+        h2 = hamiltonian(problem, factor, t, x2, v2, ys, zs)
+        hm = hamiltonian(problem, factor, t, 0.5 * (x1 + x2),
                          0.5 * (v1 + v2), ys, zs)
         viol = hm - 0.5 * (h1 + h2)
         worst = int(np.argmax(viol))
@@ -446,7 +442,6 @@ class Example1Config:
 def build_example1_problem(cfg):
     """Problem, driver, grid, and the stationary control of scenario 1."""
     n, m = cfg.state_dim, cfg.control_dim
-    space = SpaceConfig(state_dim=n, control_dim=m)
     beta = np.asarray(cfg.beta, dtype=float)
     c = np.asarray(cfg.c, dtype=float)
     f_tilde = np.asarray(cfg.f_tilde, dtype=float).reshape(n, m)
@@ -471,7 +466,6 @@ def build_example1_problem(cfg):
         return out
 
     problem = ControlProblem(
-        space=space,
         F=drift,
         G=diffusion,
         ell=lambda t, x, u: np.einsum("pi,pi->p", u, u),
@@ -502,25 +496,23 @@ def example1_analytic_cost(cfg):
     return float(c @ x0 - cfg.horizon / 4.0 * np.sum((f_tilde.T @ c) ** 2))
 
 
-def initial_policy(cfg, u_default, steps):
+def initial_policy(cfg, u_default):
     """The constant ``cfg.schedule``, else the constant ``u_default``."""
-    u = u_default if cfg.schedule is None else np.asarray(cfg.schedule,
-                                                          dtype=float)
-    return OpenLoopPolicy.constant(u, steps)
+    return OpenLoopPolicy(u_default if cfg.schedule is None
+                          else cfg.schedule)
 
 
 def example1_candidate(cfg):
     """Scenario-1 problem and the candidate trajectories ``cfg`` selects.
 
-    The candidate follows ``initial_policy(cfg, u_star, steps)``.  Returns
+    The candidate follows ``initial_policy(cfg, u_star)``.  Returns
     (problem, grid, u_star, trajectories), whose noise bundle carries the
     driver; where an adjoint applies (linear drift),
     ``solve_adjoint_explicit`` solves it along them.
     """
     problem, driver, grid, u_star = build_example1_problem(cfg)
     bundle = sample_increments(driver, grid, cfg.paths, cfg.seed)
-    trajectories = integrate_forward(problem,
-                                     initial_policy(cfg, u_star, grid.steps),
+    trajectories = integrate_forward(problem, initial_policy(cfg, u_star),
                                      bundle, np.asarray(cfg.x0, dtype=float))
     return problem, grid, u_star, trajectories
 
@@ -769,7 +761,6 @@ class Example2Config:
 def build_example2_problem(cfg):
     """Linear-quadratic problem and driver for scenario 2."""
     n, m = cfg.state_dim, cfg.control_dim
-    space = SpaceConfig(state_dim=n, control_dim=m)
     a = np.asarray(cfg.a, dtype=float).reshape(n, n)
     c_op = np.asarray(cfg.c_op, dtype=float).reshape(n, m)
     f = np.asarray(cfg.f, dtype=float).reshape(n)
@@ -788,7 +779,6 @@ def build_example2_problem(cfg):
         return np.einsum("pi,pi->p", z @ w, z)
 
     problem = ControlProblem(
-        space=space,
         F=lambda t, x, u: x @ a.T + u @ c_op.T + f,
         G=diffusion,
         ell=lambda t, x, u: 0.5 * quadratic(x, p_w) + 0.5 * quadratic(u, r_w),
@@ -856,9 +846,7 @@ def _improvement_policy(adjoint, c_op, r_inv, grid):
     """Feedback u = -R^{-1} C^T E-hat[Y | X], from the fitted adjoint."""
 
     def fn(t, states):
-        k = grid.index_of(t, what="policy time")
-        k = min(k, grid.steps - 1)
-        y = adjoint.y_eval(k, states)
+        y = adjoint.y_eval(grid.index_of(t, what="policy time"), states)
         return -(y @ c_op) @ r_inv
 
     return FeedbackPolicy(fn=fn)
@@ -881,7 +869,7 @@ def run_example2(cfg=None):
     basis = RegressionBasis(degree=cfg.basis_degree)
 
     bundle = sample_increments(driver, grid, cfg.paths, cfg.seed)
-    policy = initial_policy(cfg, np.zeros(m), grid.steps)
+    policy = initial_policy(cfg, np.zeros(m))
 
     sweeps = []
     for s in range(cfg.sweeps + 1):

@@ -48,7 +48,7 @@ def stationary_candidate(drift_gain, seed):
                          drift_gain=drift_gain)
     problem, driver, grid, u_star = build_example1_problem(cfg)
     bundle = sample_increments(driver, grid, cfg.paths, cfg.seed)
-    policy = OpenLoopPolicy.constant(u_star, grid.steps)
+    policy = OpenLoopPolicy(u_star)
     traj = integrate_forward(problem, policy, bundle,
                              np.asarray(cfg.x0, dtype=float))
     return problem, driver, grid, u_star, traj

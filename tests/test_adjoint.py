@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+from martctrl import adjoint
 from martctrl.adjoint import (RegressionBasis, RegressionRankError,
                               duality_check, grad_x_hamiltonian, hamiltonian,
                               solve_adjoint_explicit, solve_adjoint_lsmc)
@@ -25,7 +26,7 @@ def example1_setup(steps=100, paths=200, seed=7, drift_gain=0.0):
                          drift_gain=drift_gain)
     problem, driver, grid, u_star = build_example1_problem(cfg)
     bundle = sample_increments(driver, grid, paths, seed)
-    pol = OpenLoopPolicy.constant(u_star, grid.steps)
+    pol = OpenLoopPolicy(u_star)
     traj = integrate_forward(problem, pol, bundle, np.asarray(cfg.x0))
     return cfg, problem, driver, grid, u_star, bundle, pol, traj
 
@@ -34,7 +35,7 @@ def example2_setup(steps=30, paths=1500, seed=9):
     cfg = Example2Config(steps=steps, paths=paths, seed=seed)
     problem, driver, grid = build_example2_problem(cfg)
     bundle = sample_increments(driver, grid, paths, seed)
-    pol = OpenLoopPolicy.constant(np.zeros(2), grid.steps)
+    pol = OpenLoopPolicy(np.zeros(2))
     traj = integrate_forward(problem, pol, bundle, np.asarray(cfg.x0))
     return cfg, problem, driver, grid, bundle, pol, traj
 
@@ -62,7 +63,8 @@ def test_hamiltonian_value_by_hand():
     g_op = float(x @ gam) * gt + d
 
     expected = ell + drift @ y + np.trace(g_op.T @ z @ driver.cov_rate(t))
-    got = hamiltonian(problem, driver, t, x[None], u[None], y[None], z[None])
+    got = hamiltonian(problem, driver.cov_rate_factor(t), t, x[None],
+                      u[None], y[None], z[None])
     assert got.shape == (1,)
     assert got[0] == pytest.approx(expected, rel=1e-12)
 
@@ -95,10 +97,11 @@ def test_hamiltonian_pairs_through_the_root_of_q():
     gamma = np.array([[np.sum((bd * g_tilde @ qhalf) * zp) for bd in beta]
                       for zp in zq])
     zero = np.zeros_like(z)
-    h_diff = hamiltonian(problem, driver, t, x, u, y, z) \
-        - hamiltonian(problem, driver, t, x, u, y, zero)
-    g_diff = grad_x_hamiltonian(problem, driver, t, x, u, y, z) \
-        - grad_x_hamiltonian(problem, driver, t, x, u, y, zero)
+    factor = driver.cov_rate_factor(t)
+    h_diff = hamiltonian(problem, factor, t, x, u, y, z) \
+        - hamiltonian(problem, factor, t, x, u, y, zero)
+    g_diff = grad_x_hamiltonian(problem, factor, t, x, u, y, z) \
+        - grad_x_hamiltonian(problem, factor, t, x, u, y, zero)
     assert np.allclose(h_diff, hs, rtol=1e-12, atol=1e-12)
     assert np.allclose(g_diff, gamma, rtol=1e-12, atol=1e-12)
 
@@ -114,7 +117,7 @@ def test_hamiltonian_affine_in_adjoint_arguments():
     t = float(grid.times[5])
 
     def h_at(y, z):
-        return hamiltonian(problem, driver, t, x, u, y, z)
+        return hamiltonian(problem, driver.cov_rate_factor(t), t, x, u, y, z)
 
     base = h_at(np.zeros_like(y1), np.zeros_like(z1))
     assert np.allclose(h_at(y1 + y2, z1 + z2),
@@ -136,13 +139,14 @@ def test_grad_x_hamiltonian_matches_finite_differences(which):
     y = rng.standard_normal((6, n))
     z = rng.standard_normal((6, n, n))
     t = 0.375
-    grad = grad_x_hamiltonian(problem, driver, t, x, u, y, z)
+    factor = driver.cov_rate_factor(t)
+    grad = grad_x_hamiltonian(problem, factor, t, x, u, y, z)
     step = 1e-6
     for j in range(n):
         dx = np.zeros(n)
         dx[j] = step
-        hp = hamiltonian(problem, driver, t, x + dx, u, y, z)
-        hm = hamiltonian(problem, driver, t, x - dx, u, y, z)
+        hp = hamiltonian(problem, factor, t, x + dx, u, y, z)
+        hm = hamiltonian(problem, factor, t, x - dx, u, y, z)
         fd = (hp - hm) / (2.0 * step)
         assert np.allclose(grad[:, j], fd, atol=1e-6)
 
@@ -177,16 +181,17 @@ def test_closed_form_gamma_matches_the_generic_loop(name, components):
     z = rng.standard_normal((paths, n, n))
     zero = np.zeros_like(z)
     for t in (0.0, 0.375, cfg.horizon):
-        assert driver.cov_rate_factor(t).shape == (n, components)
-        got = grad_x_hamiltonian(problem, driver, t, x, u, y, z)
-        ref = grad_x_hamiltonian(generic, driver, t, x, u, y, z)
-        base = grad_x_hamiltonian(generic, driver, t, x, u, y, zero)
+        factor = driver.cov_rate_factor(t)
+        assert factor.shape == (n, components)
+        got = grad_x_hamiltonian(problem, factor, t, x, u, y, z)
+        ref = grad_x_hamiltonian(generic, factor, t, x, u, y, z)
+        base = grad_x_hamiltonian(generic, factor, t, x, u, y, zero)
         gamma = ref - base
         assert np.max(np.abs(gamma)) > 0.1
         assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(gamma))
         # the explicit solver's probe point: Z = 0 leaves no Gamma at all
         assert np.array_equal(
-            grad_x_hamiltonian(problem, driver, t, x, u, y, zero), base)
+            grad_x_hamiltonian(problem, factor, t, x, u, y, zero), base)
 
 
 def test_explicit_probe_reads_the_closed_form_gamma():
@@ -286,7 +291,7 @@ def test_lsmc_matches_scalar_closed_form():
                          beta=(1.0,), steps=50, paths=8000, seed=4242)
     problem, driver, grid = build_example2_problem(cfg)
     bundle = sample_increments(driver, grid, cfg.paths, cfg.seed)
-    pol = OpenLoopPolicy.constant(np.zeros(1), grid.steps)
+    pol = OpenLoopPolicy(np.zeros(1))
     traj = integrate_forward(problem, pol, bundle, np.asarray(cfg.x0))
     adj = solve_adjoint_lsmc(problem, traj)
     times = grid.times
@@ -316,11 +321,12 @@ def test_lsmc_y_eval_reproduces_training_values():
     assert np.allclose(terminal, problem.h_x(traj.states[:, -1, :]))
 
 
-def test_lsmc_condition_limit_raises():
+def test_lsmc_condition_limit_raises(monkeypatch):
     _, problem, driver, grid, bundle, pol, traj = example2_setup(
         steps=20, paths=400)
+    monkeypatch.setattr(adjoint, "CONDITION_LIMIT", 2.0)
     with pytest.raises(RegressionRankError) as exc:
-        solve_adjoint_lsmc(problem, traj, cond_limit=2.0)
+        solve_adjoint_lsmc(problem, traj)
     assert exc.value.step >= 0
     assert exc.value.cond > 2.0
     assert "condition number" in str(exc.value)
@@ -333,12 +339,13 @@ def test_lsmc_enforces_feature_count_invariant():
         solve_adjoint_lsmc(problem, traj)
 
 
-def test_lsmc_residual_warning():
+def test_lsmc_residual_warning(monkeypatch):
     _, problem, driver, grid, bundle, pol, traj = example2_setup(
         steps=20, paths=400)
+    monkeypatch.setattr(adjoint, "N_RESIDUAL_WARN_RATIO", 1e-12)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        solve_adjoint_lsmc(problem, traj, warn_ratio=1e-12)
+        solve_adjoint_lsmc(problem, traj)
     assert any("unexplained martingale residual" in str(w.message)
                for w in caught)
 

@@ -16,7 +16,7 @@ from martctrl.dynamics import (BallSet, BlowUpError, BoxSet, ControlProblem,
                                finite_diff_check, integrate_forward,
                                integrate_variational, sample_controls,
                                spiked_cost, stream_spiked)
-from martctrl.hilbert import SpaceConfig, apply_operator
+from martctrl.hilbert import apply_operator
 from martctrl.martingale import (MartingaleDriver, PathGrid, ScalarIntensity,
                                  sample_increments)
 from martctrl.pmp import (Example1Config, Example2Config, build_example1_problem,
@@ -70,7 +70,6 @@ def constant_g_problem(dim=2, drift=None, g_scale=0.5, ell=None, h=None):
         return out
 
     return ControlProblem(
-        space=SpaceConfig(state_dim=dim, control_dim=dim),
         F=lambda t, x, u: drift + pad(u),
         G=lambda t, x, dm: dm @ g.T,
         ell=ell if ell is not None else (lambda t, x, u: np.zeros(x.shape[0])),
@@ -134,17 +133,18 @@ def test_sample_controls_stay_admissible():
 
 
 def test_open_loop_policy():
-    pol = OpenLoopPolicy.constant(np.array([0.5, -0.5]), steps=4)
+    u = np.array([0.5, -0.5])
+    pol = OpenLoopPolicy(u)
     states = np.zeros((3, 2))
-    u = pol.controls_at(2, 0.5, states)
-    assert u.shape == (3, 2)
-    assert np.allclose(u, [0.5, -0.5])
-    with pytest.raises(IndexError):
-        pol.controls_at(4, 1.0, states)
-    with pytest.raises(ValueError):
-        OpenLoopPolicy(schedule=np.zeros(4))
-    with pytest.raises(ValueError):
-        OpenLoopPolicy(schedule=np.full((4, 2), np.nan))
+    assert pol.controls_at(2, 0.5, states).shape == (3, 2)
+    # the policy keeps its own copy: the caller may reuse its array
+    u[:] = 9.0
+    assert np.array_equal(pol.controls_at(2, 0.5, states),
+                          np.tile([0.5, -0.5], (3, 1)))
+    with pytest.raises(ValueError, match="1-d"):
+        OpenLoopPolicy(np.zeros((4, 2)))
+    with pytest.raises(ValueError, match="non-finite"):
+        OpenLoopPolicy(np.array([0.0, np.nan]))
 
 
 def test_feedback_policy_shape_check():
@@ -172,7 +172,7 @@ def test_spike_spec_window():
 
 def test_spiked_policy_values():
     grid = PathGrid(horizon=1.0, steps=10)
-    base = OpenLoopPolicy.constant(np.array([0.0]), steps=10)
+    base = OpenLoopPolicy(np.array([0.0]))
     spec = SpikeSpec(t0=0.3, eps=0.2, v=np.array([2.0]))
     pol = apply_spike(base, spec, grid)
     states = np.zeros((2, 1))
@@ -190,7 +190,7 @@ def test_forward_euler_exact_for_affine_dynamics():
     grid = PathGrid(horizon=1.0, steps=64)
     bundle = sample_increments(driver, grid, paths=32, seed=8)
     u = np.array([0.25, 0.5])
-    pol = OpenLoopPolicy.constant(u, grid.steps)
+    pol = OpenLoopPolicy(u)
     x0 = np.array([1.0, -1.0])
     traj = integrate_forward(problem, pol, bundle, x0)
     m_total = bundle.increments.sum(axis=1)
@@ -218,10 +218,9 @@ def test_recorded_controls_equal_fresh_policy_evaluation():
     bundle = sample_increments(driver, grid, cfg.paths, cfg.seed)
     x0 = np.asarray(cfg.x0)
 
-    open_loop = integrate_forward(
-        problem, OpenLoopPolicy.constant(u_star, grid.steps), bundle, x0)
+    open_loop = integrate_forward(problem, OpenLoopPolicy(u_star), bundle, x0)
     assert_records_fresh_evaluation(open_loop)
-    # open-loop rows are broadcast views of the schedule: no memory per path
+    # open-loop rows are broadcast views of u: no memory per path
     assert all(row.strides[0] == 0 for row in open_loop.recorded)
 
     stationary = FeedbackPolicy(
@@ -241,7 +240,7 @@ def test_forward_x0_shapes():
     driver = make_driver()
     grid = PathGrid(horizon=1.0, steps=4)
     bundle = sample_increments(driver, grid, paths=3, seed=0)
-    pol = OpenLoopPolicy.constant(np.zeros(2), grid.steps)
+    pol = OpenLoopPolicy(np.zeros(2))
     per_path = np.arange(6.0).reshape(3, 2)
     traj = integrate_forward(problem, pol, bundle, per_path)
     assert np.allclose(traj.states[:, 0, :], per_path)
@@ -257,7 +256,7 @@ def noiseless_problem(drift, paths, steps=30):
     grid = PathGrid(horizon=1.0, steps=steps)
     bundle = sample_increments(make_driver(1), grid, paths=paths, seed=0)
     bundle.increments[:] = 0.0
-    return problem, OpenLoopPolicy.constant(np.zeros(1), steps), bundle
+    return problem, OpenLoopPolicy(np.zeros(1)), bundle
 
 
 def test_blow_up_error_names_path_and_step():
@@ -305,8 +304,7 @@ def test_per_step_blocks_are_contiguous():
     cfg, problem, driver, grid, u0 = packaged("example2", steps=8,
                                               paths=200)
     bundle = sample_increments(driver, grid, cfg.paths, cfg.seed)
-    traj = integrate_forward(problem,
-                             OpenLoopPolicy.constant(u0, grid.steps), bundle,
+    traj = integrate_forward(problem, OpenLoopPolicy(u0), bundle,
                              np.asarray(cfg.x0))
     y = solve_adjoint_lsmc(problem, traj).Y
     blocks = [bundle.increments[:, k, :] for k in range(grid.steps)]
@@ -327,7 +325,7 @@ def test_spiked_run_matches_full_reintegration():
     cfg = Example1Config(steps=80, paths=64, seed=21)
     problem, driver, grid, u_star = build_example1_problem(cfg)
     bundle = sample_increments(driver, grid, cfg.paths, cfg.seed)
-    pol = OpenLoopPolicy.constant(u_star, grid.steps)
+    pol = OpenLoopPolicy(u_star)
     base = integrate_forward(problem, pol, bundle, np.asarray(cfg.x0))
     spec = SpikeSpec(t0=0.25, eps=0.1, v=np.array([0.8, -0.6]))
     full = integrate_forward(problem, apply_spike(pol, spec, grid), bundle,
@@ -350,7 +348,7 @@ def test_streamed_spike_is_bit_identical_to_stored_spike(feedback,
     problem, driver, grid, u_star = build_example1_problem(cfg)
     bundle = sample_increments(driver, grid, cfg.paths, cfg.seed)
     policy = FeedbackPolicy(fn=lambda t, x: -0.1 * x[:, :2]) if feedback \
-        else OpenLoopPolicy.constant(u_star, grid.steps)
+        else OpenLoopPolicy(u_star)
     base = integrate_forward(problem, policy, bundle, np.asarray(cfg.x0))
     specs = [SpikeSpec(t0=0.0, eps=0.05, v=u_star + 1.0),
              SpikeSpec(t0=0.25, eps=0.1, v=np.array([0.5, -0.5])),
@@ -394,7 +392,7 @@ def test_more_paths_extend_fewer(name, small, extra):
     # matrix-vector kernel, whose last bits differ from the matrix-matrix
     # kernel of every larger batch (see README, Determinism)
     cfg, problem, driver, grid, u = packaged(name, steps=6)
-    policy = OpenLoopPolicy.constant(u, grid.steps)
+    policy = OpenLoopPolicy(u)
     runs = []
     for paths in (small, small + extra):
         bundle = sample_increments(driver, grid, paths, cfg.seed)
@@ -417,7 +415,7 @@ def test_spike_prefix_identity(name, feedback, data):
     cfg, problem, driver, grid, u = packaged(name, steps=steps, paths=24)
     bundle = sample_increments(driver, grid, cfg.paths, cfg.seed)
     policy = FeedbackPolicy(fn=lambda t, x: -0.1 * x[:, :2]) if feedback \
-        else OpenLoopPolicy.constant(u, grid.steps)
+        else OpenLoopPolicy(u)
     x0 = np.asarray(cfg.x0)
     base = integrate_forward(problem, policy, bundle, x0)
     k0 = data.draw(st.integers(0, steps - 1), label="k0")
@@ -452,7 +450,7 @@ def test_noop_spike_changes_nothing():
     cfg = Example1Config(steps=40, paths=16, seed=3)
     problem, driver, grid, u_star = build_example1_problem(cfg)
     bundle = sample_increments(driver, grid, cfg.paths, cfg.seed)
-    pol = OpenLoopPolicy.constant(u_star, grid.steps)
+    pol = OpenLoopPolicy(u_star)
     base = integrate_forward(problem, pol, bundle, np.asarray(cfg.x0))
     spec = SpikeSpec(t0=0.25, eps=0.1, v=u_star.copy())
     spiked = integrate_forward(problem, apply_spike(pol, spec, grid), bundle,
@@ -468,7 +466,7 @@ def test_variational_kick_and_constant_propagation():
     grid = PathGrid(horizon=1.0, steps=50)
     bundle = sample_increments(driver, grid, paths=20, seed=17)
     u = np.array([0.1, 0.2])
-    pol = OpenLoopPolicy.constant(u, grid.steps)
+    pol = OpenLoopPolicy(u)
     traj = integrate_forward(problem, pol, bundle, np.zeros(dim))
     v = np.array([0.9, -0.3])
     spec = SpikeSpec(t0=0.5, eps=0.1, v=v)
@@ -484,7 +482,7 @@ def test_zeta_for_control_only_running_cost():
     cfg = Example1Config(steps=40, paths=12, seed=5)
     problem, driver, grid, u_star = build_example1_problem(cfg)
     bundle = sample_increments(driver, grid, cfg.paths, cfg.seed)
-    pol = OpenLoopPolicy.constant(u_star, grid.steps)
+    pol = OpenLoopPolicy(u_star)
     traj = integrate_forward(problem, pol, bundle, np.asarray(cfg.x0))
     v = np.array([0.4, 0.9])
     spec = SpikeSpec(t0=0.25, eps=0.1, v=v)
@@ -527,7 +525,7 @@ def test_variation_keeps_the_recursion_at_t0_and_t(name, data):
     steps = 16
     cfg, problem, driver, grid, u = packaged(name, steps=steps, paths=24)
     bundle = sample_increments(driver, grid, cfg.paths, cfg.seed)
-    traj = integrate_forward(problem, OpenLoopPolicy.constant(u, steps),
+    traj = integrate_forward(problem, OpenLoopPolicy(u),
                              bundle, np.asarray(cfg.x0))
     k0 = data.draw(st.integers(0, steps - 1), label="k0")
     box = problem.control_set
@@ -571,7 +569,7 @@ def test_variation_allocates_no_per_step_record():
     cfg, problem, driver, grid, u = packaged("example1-tanh", steps=200,
                                              paths=2000)
     bundle = sample_increments(driver, grid, cfg.paths, cfg.seed)
-    traj = integrate_forward(problem, OpenLoopPolicy.constant(u, grid.steps),
+    traj = integrate_forward(problem, OpenLoopPolicy(u),
                              bundle, np.asarray(cfg.x0))
     spec = SpikeSpec(t0=0.25, eps=0.05, v=u + 0.1)
     record = 8 * cfg.paths * (grid.steps + 1) * bundle.dim
@@ -594,7 +592,7 @@ def test_evaluate_cost_left_riemann():
     driver = make_driver(dim)
     grid = PathGrid(horizon=1.0, steps=16)
     bundle = sample_increments(driver, grid, paths=40, seed=2)
-    pol = OpenLoopPolicy.constant(np.zeros(dim), grid.steps)
+    pol = OpenLoopPolicy(np.zeros(dim))
     traj = integrate_forward(problem, pol, bundle, np.zeros(dim))
     rep = evaluate_cost(problem, traj)
     expected = 1.0 + traj.states[:, -1, 0]
@@ -691,3 +689,13 @@ def test_finite_diff_check_flags_wrong_derivative():
         problem, ell_u=lambda t, x, u: 2.0 * u,
         G_x=lambda t, x, d, dm: 1.5 * problem.G_x(t, x, d, dm))
     assert finite_diff_check(doctored, probes).flagged == ("G_x",)
+
+
+def test_finite_diff_check_rejects_a_wrong_length_control():
+    # the state size comes from each probe state, the control size from
+    # the control set, which a probe control must match
+    cfg = Example1Config()
+    problem, _, _, u_star = build_example1_problem(cfg)
+    probes = [(0.5, np.asarray(cfg.x0), np.append(u_star, 0.0))]
+    with pytest.raises(ValueError, match="probe control must have length 2"):
+        finite_diff_check(problem, probes)

@@ -1,4 +1,4 @@
-"""Golden digests: small runs of four scenarios reproduce recorded bytes.
+"""Golden digests: small runs of every scenario reproduce recorded bytes.
 
 Each config runs through ``cli.run``; the SHA-256 of every CSV and of
 ``report.txt`` must equal the digest recorded when the numbers were last
@@ -68,10 +68,65 @@ CONFIGS = {
         [rates]
         inject_fault = true
         """,
+    # Hamiltonian margins over a probe grid at sampled times and paths
+    "pmp-check": """\
+        [run]
+        scenario = pmp-check
+        steps = 40
+        paths = 200
+
+        [pmp-check]
+        sample_times = 3
+        sample_paths = 10
+        points_per_dim = 5
+        """,
+    # the Hamiltonian convexity pairs
+    "sufficiency": """\
+        [run]
+        scenario = sufficiency
+        steps = 40
+        paths = 400
+
+        [sufficiency]
+        pairs = 200
+        """,
+    # the same pairs on a concave running cost, which they must catch
+    "sufficiency-fault": """\
+        [run]
+        scenario = sufficiency
+        steps = 40
+        paths = 400
+
+        [sufficiency]
+        pairs = 200
+        inject_fault = true
+        """,
+    # the quadrature of the martingale isometry
+    "isometry": """\
+        [run]
+        scenario = isometry
+        steps = 40
+        paths = 2000
+        """,
+    # finite differences of every packaged problem's derivatives
+    "derivative-check": """\
+        [run]
+        scenario = derivative-check
+        """,
+    # the same differences against a perturbed derivative
+    "derivative-check-fault": """\
+        [run]
+        scenario = derivative-check
+
+        [derivative-check]
+        inject_fault = true
+        """,
 }
 
 # Exit code of each config; the others exit EXIT_OK.
-EXIT_CODES = {"rates-fault": EXIT_ASSERTION}
+EXIT_CODES = {"rates-fault": EXIT_ASSERTION,
+              "sufficiency-fault": EXIT_ASSERTION,
+              "derivative-check-fault": EXIT_ASSERTION}
 
 DIGESTS = {
     "example1": {
@@ -97,6 +152,31 @@ DIGESTS = {
     "rates-fault": {
         "rates.csv": "5d88f227d39629f53d2e2ce207c85bd780c3c53cb25df7e591a5162ecd8fec2f",
         "report.txt": "c163ccc9da486b32a5a8d837cb17cce80c57050521dada7044dc45937cc2ef76",
+    },
+    "pmp-check": {
+        "margins.csv": "bae3b9e8266a703f6d974d2ed8468ad8275a8c733e0bfad1c5efb0a13ae2d3c9",
+        "probes.csv": "86327d5a7937a9d0fc496147a9bcb7bc657533fa829b551e61fe947b6ad102f4",
+        "report.txt": "8e5bc25432bbd0e017a34de2b80e29357f70857f00743b5e83dfacb361323a01",
+    },
+    "sufficiency": {
+        "sufficiency.csv": "cc1a2b5a6d94ec865c2da342982ce469f5fa5e72fa68bd4e5909ef5868308375",
+        "report.txt": "24e875f8a7ea1b027dfb6bee5223362d797e71144f21c3c1031d79818b3bbc47",
+    },
+    "sufficiency-fault": {
+        "sufficiency.csv": "e9a2e7a8b7711c1172039cbd911f5401f641a15de011acadca0488424e41c72e",
+        "report.txt": "7948a3600bbaf7a1bb1c94b6b28799f139cfbb78974300d30b5bb5e57e5a54f5",
+    },
+    "isometry": {
+        "isometry.csv": "90535c0084d7bfb435d5ad9fb7c8cd1bc2aed51f2b6846c5bfbe761f689e2b2c",
+        "report.txt": "7d52fb5fd5d0045f4ff82c8464544fd8b5ab45fffb1acda68961d6f020341ebc",
+    },
+    "derivative-check": {
+        "derivatives.csv": "5fb5b8192b3f8d34cda4d8a47c900d79461261a1cd86454e2a29953147393d05",
+        "report.txt": "302899b0eab1716cbb6546359490cb174174c68566a65cc7adb60cd033deb30a",
+    },
+    "derivative-check-fault": {
+        "derivatives.csv": "1fd86ed997a30d49df6c102a35c9116ff1e206c6d139411b02f0fc0f4d1ee128",
+        "report.txt": "984f4f06d3a11b0af73536be8671b8a7d614f85abce80635608cf5ee0292961c",
     },
 }
 

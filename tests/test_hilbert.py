@@ -1,18 +1,9 @@
-"""Space dimensions, vector coercion and batched operator application."""
+"""Vector coercion and batched operator application."""
 
 import numpy as np
 import pytest
 
-from martctrl.hilbert import SpaceConfig, apply_operator, as_vector
-
-
-def test_space_config_validation():
-    cfg = SpaceConfig(state_dim=4, control_dim=2)
-    assert cfg.state_dim == 4 and cfg.control_dim == 2
-    with pytest.raises(ValueError):
-        SpaceConfig(state_dim=0, control_dim=2)
-    with pytest.raises(ValueError):
-        SpaceConfig(state_dim=3, control_dim=0)
+from martctrl.hilbert import apply_operator, as_vector
 
 
 def test_as_vector_checks():

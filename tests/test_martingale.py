@@ -341,25 +341,16 @@ def test_isometry_identity_process_frozen_value():
     assert rep.within(3.0)
 
 
-def test_isometry_accepts_callable_and_stepwise_phi():
-    d = example_driver()
-    grid = PathGrid(horizon=1.0, steps=25)
-    bundle = sample_increments(d, grid, paths=500, seed=3)
-    proj = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]])
-    from_matrix = verify_isometry(proj, bundle)
-    from_callable = verify_isometry(lambda t: proj, bundle)
-    stack = np.broadcast_to(proj, (25, 2, 4))
-    from_array = verify_isometry(stack, bundle)
-    assert from_matrix.mc_estimate == pytest.approx(from_callable.mc_estimate)
-    assert from_matrix.quadrature_value == pytest.approx(
-        from_array.quadrature_value)
-
-
 def test_isometry_validates_shapes():
     d = example_driver()
     grid = PathGrid(horizon=1.0, steps=5)
     bundle = sample_increments(d, grid, paths=10, seed=0)
-    with pytest.raises(ValueError, match="columns"):
-        verify_isometry(np.eye(3), bundle)
-    with pytest.raises(ValueError, match="one matrix per step"):
-        verify_isometry(np.zeros((4, 2, 4)), bundle)
+    # a non-square Phi projects the integral onto its rows
+    rep = verify_isometry(np.eye(4)[:2], bundle)
+    totals = bundle.increments.sum(axis=1)[:, :2]
+    assert rep.mc_estimate == pytest.approx(
+        float(np.mean(np.sum(totals ** 2, axis=1))))
+    for bad in (np.eye(3), np.zeros((4, 2, 4)), np.zeros(4)):
+        with pytest.raises(ValueError,
+                           match=r"phi must be an \(n_out, 4\) matrix"):
+            verify_isometry(bad, bundle)
