@@ -17,6 +17,7 @@ import configparser
 import dataclasses
 import hashlib
 import json
+import numbers
 import re
 import sys
 import time
@@ -851,7 +852,12 @@ def run(config, output_dir=None, seed=None, threads=None, verbosity=1,
         threads = config.run.get("threads") or 1
     if threads < 1:
         raise ValueError(f"thread count must be >= 1, got {threads}")
-    seed = config.run["seed"] if seed is None else int(seed)
+    if seed is None:
+        seed = config.run["seed"]
+    elif isinstance(seed, bool) or not isinstance(seed, numbers.Integral) \
+            or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+    seed = int(seed)
     config = dataclasses.replace(
         config, run={**config.run, "seed": seed, "threads": threads})
     out_dir = Path(output_dir) if output_dir is not None \
@@ -912,6 +918,9 @@ def main(argv=None):
         return EXIT_CONFIG
     if args.threads is not None and args.threads < 1:
         print("error: --threads must be >= 1", file=sys.stderr)
+        return EXIT_CONFIG
+    if args.seed is not None and args.seed < 0:
+        print("error: --seed must be >= 0", file=sys.stderr)
         return EXIT_CONFIG
     return run(config, output_dir=args.output_dir, seed=args.seed,
                threads=args.threads, verbosity=args.verbosity)

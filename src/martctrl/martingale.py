@@ -323,13 +323,108 @@ class NoiseBundle:
                    driver=driver)
 
 
+# numpy's SeedSequence hash constants and pool size, and the multiplier of
+# PCG64's 128-bit LCG: _seed_words and _pcg64_state reproduce their seeding
+# of one substream per path
+_INIT_A = 0x43b0d7e5
+_MULT_A = 0x931e8875
+_INIT_B = 0x8b51f9dd
+_MULT_B = 0x58f38ded
+_MIX_MULT_L = 0xca01f9dd
+_MIX_MULT_R = 0x4973f715
+_POOL_SIZE = 4
+_MASK32 = 0xFFFFFFFF
+_PCG64_MULT = 0x2360ed051fc65da44385df649fccf645
+_MASK128 = (1 << 128) - 1
+_SEED_BLOCK = 512           # paths seeded at once: bounds the words held
+
+
+def _hashmix(value, hash_const):
+    """SeedSequence's hashmix of an int or a uint32 array; advances the
+    one-item list ``hash_const``."""
+    value = value ^ hash_const[0]
+    hash_const[0] = (hash_const[0] * _MULT_A) & _MASK32
+    value = (value * hash_const[0]) & _MASK32
+    return value ^ (value >> 16)
+
+
+def _mix(x, y):
+    """SeedSequence's mix of ints or uint32 arrays; each product is reduced
+    mod 2**32 before an int meets an array."""
+    result = ((_MIX_MULT_L * x & _MASK32) - (_MIX_MULT_R * y & _MASK32)) \
+        & _MASK32
+    return result ^ (result >> 16)
+
+
+def _seed_words(seed, start, stop):
+    """``SeedSequence(entropy=seed, spawn_key=(p,)).generate_state(8)`` for
+    each path p in [start, stop), as a (stop - start, 8) uint32 array.
+
+    The pool mixed from the seed alone is built once in ints; the spawn-key
+    word p, mixed in last, and the words drawn from the pool are uint32
+    arrays over p.
+    """
+    seed = int(seed)
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
+    if not 0 <= start <= stop <= 1 << 32:
+        raise ValueError(f"path indices [{start}, {stop}) must lie in "
+                         f"[0, 2**32]")
+    words = []                      # little-endian 32-bit words of the seed
+    while True:
+        words.append(seed & _MASK32)
+        seed >>= 32
+        if not seed:
+            break
+    words += [0] * (_POOL_SIZE - len(words))
+    hash_const = [_INIT_A]
+    pool = [_hashmix(w, hash_const) for w in words[:_POOL_SIZE]]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hashmix(pool[src], hash_const))
+    for w in words[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = _mix(pool[dst], _hashmix(w, hash_const))
+    key = np.arange(start, stop, dtype=np.uint32)
+    pool = [_mix(w, _hashmix(key, hash_const)) for w in pool]
+    out = np.empty((stop - start, 2 * _POOL_SIZE), dtype=np.uint32)
+    hash_const = _INIT_B
+    for i in range(2 * _POOL_SIZE):
+        value = pool[i % _POOL_SIZE] ^ hash_const
+        hash_const = (hash_const * _MULT_B) & _MASK32
+        value = value * hash_const
+        out[:, i] = value ^ (value >> 16)
+    return out
+
+
+def _pcg64_state(w):
+    """The state PCG64 seeds itself to from the eight words ``w`` (ints).
+
+    Its uint64 seed words are s_j = w[2j] | w[2j+1] << 32; it reads
+    initstate = (s0, s1) and initseq = (s2, s3) high word first and sets
+    inc = 2 initseq + 1 and state = (inc + initstate) M + inc mod 2**128.
+    """
+    initstate = w[1] << 96 | w[0] << 64 | w[3] << 32 | w[2]
+    initseq = w[5] << 96 | w[4] << 64 | w[7] << 32 | w[6]
+    inc = (initseq << 1 | 1) & _MASK128
+    state = ((inc + initstate) * _PCG64_MULT + inc) & _MASK128
+    return {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+            "has_uint32": 0, "uinteger": 0}
+
+
 def sample_increments(driver, grid, paths, seed):
     """Draw a NoiseBundle of exact Gaussian increments.
 
     Path p uses the dedicated substream SeedSequence(seed, spawn_key=(p,)),
     so the draw is reproducible and a larger ``paths`` extends a smaller one.
-    Each path's normals fill its own (n_components, steps) row of one buffer,
-    and the step-major increments are summed from it one step at a time.
+    The substreams are numpy's own; their PCG64 states are seeded in one
+    vectorized pass per block of paths that reproduces numpy's
+    SeedSequence/PCG64 seeding (``_seed_words``, ``_pcg64_state``), and
+    tests/test_martingale.py pins that to the installed numpy.  One reused
+    generator takes each path's state and draws its (n_components, steps)
+    normals into a step-major array, from which each step's increments are
+    summed.
     """
     if paths < 1:
         raise ValueError(f"paths must be >= 1, got {paths}")
@@ -337,18 +432,26 @@ def sample_increments(driver, grid, paths, seed):
     scales = np.sqrt(integrals)                       # (ncomp, steps)
     betas = driver.betas()                            # (ncomp, dim)
     seed = int(seed)
-    xi = np.empty((paths, driver.n_components, grid.steps))
-    for p in range(paths):
-        rng = np.random.default_rng(
-            np.random.SeedSequence(entropy=seed, spawn_key=(p,)))
-        rng.standard_normal(out=xi[p])
-    xi *= scales
+    ncomp, steps = driver.n_components, grid.steps
+    bit_generator = np.random.PCG64(0)
+    generator = np.random.Generator(bit_generator)
+    row = np.empty((ncomp, steps))
+    xi = np.empty((ncomp, steps, paths))          # normals, step-major
+    for start in range(0, paths, _SEED_BLOCK):
+        words = _seed_words(seed, start, min(start + _SEED_BLOCK, paths))
+        for p, w in enumerate(words, start):
+            bit_generator.state = _pcg64_state(w.tolist())
+            generator.standard_normal(out=row)
+            xi[:, :, p] = row
+    xi *= scales[:, :, None]
     # dM_k = 0 + sum_i xi_ik beta_i from elementwise products in component
     # order, so a path's bits do not depend on how many paths there are
-    increments = step_major_zeros(paths, grid.steps, driver.state_dim)
-    for k in range(grid.steps):
+    increments = step_major_zeros(paths, steps, driver.state_dim)
+    product = np.empty((paths, driver.state_dim))
+    for k in range(steps):
         for i, beta in enumerate(betas):
-            increments[:, k] += xi[:, i, k, None] * beta
+            np.multiply(xi[i, k, :, None], beta, out=product)
+            increments[:, k] += product
     return NoiseBundle(increments=increments, seed=seed, grid=grid,
                        driver=driver)
 

@@ -964,6 +964,31 @@ def test_main_rejects_bad_thread_count(tmp_path):
     assert main([str(path), "--threads", "0"]) == EXIT_CONFIG
 
 
+def test_main_rejects_negative_seed(tmp_path, capsys):
+    path = write_config(tmp_path, """\
+        [run]
+        scenario = isometry
+        """)
+    out = tmp_path / "out"
+    assert main([str(path), "--seed", "-1", "--output-dir", str(out)]) \
+        == EXIT_CONFIG
+    assert "--seed" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("seed", [-1, 3.7, 3.0, "5", True])
+def test_run_rejects_a_seed_that_is_not_a_nonnegative_integer(tmp_path,
+                                                              seed):
+    cfg = parse_config(write_config(tmp_path, """\
+        [run]
+        scenario = isometry
+        """))
+    out = tmp_path / "out"
+    with pytest.raises(ValueError, match="non-negative integer"):
+        run(cfg, output_dir=out, seed=seed, verbosity=0)
+    assert not out.exists()
+
+
 def test_main_runs_quick_scenario(tmp_path):
     path = write_config(tmp_path, """\
         [run]

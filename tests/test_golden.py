@@ -6,7 +6,11 @@ allowed to move.  A change that claims byte-identical output is checked by
 this test; a change that moves bits on purpose records the new digests here
 and names the moved artifacts in CHANGES.md.  The digests were recorded
 with numpy 2.4 on OpenBLAS 0.3.31; another BLAS build may move the last
-bits of the products and so the digests.
+bits of the products and so the digests.  numpy's seeding is pinned too:
+the sampler reproduces numpy's SeedSequence/PCG64 seeding of each path's
+substream itself, so after a numpy upgrade run
+tests/test_martingale.py::test_path_seeds_reproduce_numpy_seeding first;
+if it fails, the digests here fail with it.
 """
 
 import hashlib

@@ -1,11 +1,14 @@
 """Driver construction, exact increment sampling, and the integral isometry."""
 
+import warnings
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from martctrl.martingale import (IsometryReport, MartingaleDriver, NoiseBundle,
-                                 PathGrid, ScalarIntensity,
+                                 PathGrid, ScalarIntensity, _pcg64_state,
+                                 _seed_words,
                                  sample_increments, step_covariances,
                                  step_intensity_integrals, verify_isometry)
 
@@ -273,6 +276,73 @@ def test_more_paths_extend_fewer_from_one_path(driver, steps, few, extra,
     long = sample_increments(driver, grid, few + extra, seed).increments
     assert np.ascontiguousarray(long[:few]).tobytes() \
         == np.ascontiguousarray(short).tobytes()
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2 ** 160), first=st.integers(0, 2 ** 20 - 8),
+       count=st.integers(1, 8))
+@example(seed=0, first=0, count=8)
+@example(seed=2 ** 32 - 1, first=2 ** 20 - 8, count=8)
+@example(seed=2 ** 32, first=1023, count=3)
+@example(seed=2 ** 64 + 1, first=5, count=1)
+@example(seed=2 ** 128 + 3, first=2 ** 16, count=8)
+def test_path_seeds_reproduce_numpy_seeding(seed, first, count):
+    # the vectorized seeding must give each path the PCG64 state numpy
+    # derives from its SeedSequence; after a numpy upgrade run this first
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        words = _seed_words(seed, first, first + count)
+    assert words.shape == (count, 8)
+    for p, w in enumerate(words, first):
+        sequence = np.random.SeedSequence(entropy=seed, spawn_key=(p,))
+        assert np.array_equal(w, sequence.generate_state(8))
+        assert _pcg64_state(w.tolist()) == np.random.PCG64(sequence).state
+
+
+def per_path_reference(driver, grid, paths, seed):
+    """Reference increments: one default_rng per path, built from its own
+    SeedSequence, summed in component order as the sampler sums them."""
+    scales = np.sqrt(step_intensity_integrals(driver, grid))
+    xi = np.empty((paths, driver.n_components, grid.steps))
+    for p in range(paths):
+        rng = np.random.default_rng(
+            np.random.SeedSequence(entropy=seed, spawn_key=(p,)))
+        rng.standard_normal(out=xi[p])
+    xi *= scales
+    increments = np.zeros((paths, grid.steps, driver.state_dim))
+    for k in range(grid.steps):
+        for i, beta in enumerate(driver.betas()):
+            increments[:, k] += xi[:, i, k, None] * beta
+    return increments
+
+
+# zero entries give products of either sign of zero
+REFERENCE_BETAS = (np.array([1.0, -0.0, 0.0]), np.array([-0.0, 2.5, -1.0]),
+                   np.array([0.0, 0.0, -3.0]), np.array([0.5, 0.25, 0.0]))
+
+
+@pytest.mark.parametrize("components", [0, 1, 2, 4])
+# 1030 paths span three of the sampler's seeding blocks
+@pytest.mark.parametrize("paths", [1, 2, 7, 64, 1030])
+def test_sampling_reproduces_per_path_generators(components, paths):
+    driver = driver_from(3, REFERENCE_BETAS[:components],
+                         [0.5, 1.0, 2.0, 4.0][:components],
+                         [0.0, 1.5, 0.5, 3.0][:components])
+    grid = PathGrid(horizon=1.0, steps=9)
+    for seed in (0, 2 ** 64 + 1):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = sample_increments(driver, grid, paths, seed).increments
+        assert np.ascontiguousarray(got).tobytes() \
+            == per_path_reference(driver, grid, paths, seed).tobytes()
+
+
+def test_sampling_rejects_a_negative_seed():
+    grid = PathGrid(horizon=1.0, steps=3)
+    with pytest.raises(ValueError, match="non-negative"):
+        sample_increments(example_driver(), grid, 2, -1)
+    with pytest.raises(ValueError, match="non-negative"):
+        _seed_words(-5, 0, 1)
 
 
 def test_noise_bundle_load_rebuilds_grid_from_driver(tmp_path):
