@@ -21,7 +21,7 @@ from .dynamics import (AffineDiffusion, BallSet, BlowUpError, BoxSet,
                        FirstVariation, OpenLoopPolicy, SpikeSpec,
                        TrajectoryBundle, apply_spike, evaluate_cost,
                        finite_diff_check, integrate_forward,
-                       integrate_variational, spiked_cost, stream_spiked)
+                       integrate_variational, spiked_costs, stream_spiked)
 from .adjoint import (AdjointSolution, RegressionBasis, RegressionRankError,
                       duality_check, grad_x_hamiltonian, hamiltonian,
                       solve_adjoint_explicit, solve_adjoint_lsmc)
@@ -40,7 +40,7 @@ __all__ = [
     "FeedbackPolicy", "FiniteSet", "FirstVariation", "OpenLoopPolicy",
     "SpikeSpec", "TrajectoryBundle", "apply_spike", "evaluate_cost",
     "finite_diff_check", "integrate_forward", "integrate_variational",
-    "spiked_cost", "stream_spiked",
+    "spiked_costs", "stream_spiked",
     "AdjointSolution", "RegressionBasis", "RegressionRankError",
     "duality_check", "grad_x_hamiltonian", "hamiltonian",
     "solve_adjoint_explicit", "solve_adjoint_lsmc",

@@ -454,8 +454,9 @@ def solve_adjoint_lsmc(problem, trajectories, basis=None):
 class DualityReport:
     """Both sides of the adjoint/first-variation duality identity.
 
-    ``se_diff`` is the SE of the per-path lhs - rhs; ``within`` keeps the
-    unpaired 3 * (SE_L + SE_R) gate.
+    ``se_diff`` is the SE of the per-path lhs - rhs.  The report gives no
+    verdict: scenario 2 passes ``difference`` and the unpaired
+    SE_L + SE_R to ``pmp.within_3se``.
     """
 
     lhs: float
@@ -465,9 +466,6 @@ class DualityReport:
     se_rhs: float
     se_diff: float
     paths: int
-
-    def within(self, k=3.0):
-        return abs(self.difference) <= k * (self.se_lhs + self.se_rhs)
 
 
 def duality_check(adjoint, p):
@@ -480,8 +478,7 @@ def duality_check(adjoint, p):
     been taken along the adjoint's own trajectories.  The last term reads
     p(t0), which is that difference of drifts, and the integral is
     zeta(T) - zeta(t0), the running-cost variation p carries at t0 and T.
-    Reports both sides with standard errors; the caller decides the
-    acceptance multiple.
+    Reports both sides with standard errors and no verdict.
     """
     optimal = adjoint.trajectories
     if p.optimal is not optimal:

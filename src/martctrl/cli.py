@@ -554,7 +554,7 @@ def _run_gateaux(config):
         },
     }
     rows = [(e.eps, e.fd_quotient, e.se_fd, e.mean_diff, e.se_diff, e.tol,
-             int(e.agree)) for e in report.entries]
+             int(a.passed)) for e, a in zip(report.entries, assertions)]
     tables = {"gateaux": (["eps", "fd_quotient", "fd_se", "mean_diff",
                            "diff_se", "tol", "agree"], rows)}
     return ScenarioReport(scenario="gateaux", sections=sections,
@@ -607,7 +607,7 @@ def _run_sufficiency(config):
                               seed=config.run["seed"] + 3,
                               sample_times=opts["sample_times"])
     assertions = [
-        Assertion(name="control_set_convex", passed=report.set_convex,
+        Assertion(name="control_set_convex", passed=report.applicable,
                   detail="declared box set"),
         Assertion(name="terminal_cost_convex", passed=report.terminal_passed,
                   detail=f"max midpoint violation "
@@ -639,7 +639,7 @@ def _run_sufficiency(config):
             "x2": np.array2string(report.joint_witness["x2"], precision=6),
             "v2": np.array2string(report.joint_witness["v2"], precision=6),
         }
-    rows = [("control_set", int(report.set_convex)),
+    rows = [("control_set", int(report.applicable)),
             ("terminal", int(report.terminal_passed)),
             ("joint", int(report.joint_passed)),
             ("minimum", int(report.margin_report is not None

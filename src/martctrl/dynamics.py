@@ -513,72 +513,64 @@ def integrate_variational(problem, optimal, spec):
 
 @dataclass(frozen=True)
 class CostReport:
-    """Monte Carlo cost estimate with per-path values for paired comparisons.
-
-    ``running[k]`` is the per-path running cost over the steps before k,
-    for each step k the caller asked ``evaluate_cost`` to keep.
-    """
+    """Monte Carlo cost estimate with per-path values for paired comparisons."""
 
     mean: float
     stderr: float
     per_path: np.ndarray = field(repr=False)
-    running: dict = field(default_factory=dict, repr=False)
 
     @property
     def paths(self):
         return self.per_path.shape[0]
 
 
-def _cost_report(total, running):
+def _cost_report(total):
     mean, se = mean_se(total)
-    return CostReport(mean=mean, stderr=se, per_path=total, running=running)
+    return CostReport(mean=mean, stderr=se, per_path=total)
 
 
-def evaluate_cost(problem, trajectories, running_at=()):
-    """Left-Riemann running cost plus terminal cost, averaged over paths.
-
-    The running cost over the steps before each k in ``running_at`` is kept
-    in the report's ``running``, where ``spiked_cost`` starts from it.
-    """
-    grid = trajectories.grid
-    times = grid.times
-    dt = grid.dt
-    run = np.zeros(trajectories.paths)
-    running = {}
-    for k in range(grid.steps):
-        if k in running_at:
-            running[k] = run.copy()
-        xk = trajectories.states[:, k, :]
-        uk = trajectories.control_at(k)
-        run += problem.ell(times[k], xk, uk) * dt
-    return _cost_report(run + problem.h(trajectories.states[:, -1, :]),
-                        running)
+def evaluate_cost(problem, trajectories):
+    """Left-Riemann running cost plus terminal cost, averaged over paths."""
+    return spiked_costs(problem, trajectories, ())[0]
 
 
-def spiked_cost(problem, base, base_cost, spec):
-    """Cost of a base trajectory re-run under a spike, without its states.
+def spiked_costs(problem, base, specs):
+    """Cost of a base run and, lazily, of its re-runs under each spike.
 
-    Bit-identical to ``evaluate_cost`` of the full re-integration under
-    ``apply_spike(base.policy, spec, grid)``: the running cost starts from
-    ``base_cost.running[k0]``, the base run's cost over the shared prefix
-    before the window start k0 (keep k0 when evaluating ``base_cost``), and
-    adds the terms of the steps from k0 on in the same order while
+    Returns (base cost, costs): ``costs`` yields, for each spec in order and
+    when it is read, the cost of the base run re-run under
+    ``apply_spike(base.policy, spec, grid)``, without its states.  Each is
+    bit-identical to ``evaluate_cost`` of the full re-integration: its
+    running cost starts from the base run's cost over the shared prefix
+    before the window start k0, kept from the one walk along the base run,
+    and adds the terms of the steps from k0 on in the same order while
     ``stream_spiked`` steps.
     """
-    k0, _ = spec.window(base.grid)
-    if k0 not in base_cost.running:
-        raise ValueError(f"base cost keeps no running cost at the spike "
-                         f"start step {k0}; evaluate it with "
-                         f"running_at containing {k0}")
-    times = base.grid.times
-    dt = base.grid.dt
-    run = base_cost.running[k0].copy()
+    grid = base.grid
+    times = grid.times
+    dt = grid.dt
+    specs = tuple(specs)
+    starts = {spec.window(grid)[0] for spec in specs}
+    run = np.zeros(base.paths)
+    prefix = {}
+    for k in range(grid.steps):
+        if k in starts:
+            prefix[k] = run.copy()
+        run += problem.ell(times[k], base.states[:, k, :],
+                           base.control_at(k)) * dt
+    base_cost = _cost_report(run + problem.h(base.states[:, -1, :]))
 
-    def accumulate(k, x, u, x_next):
-        np.add(run, problem.ell(times[k], x, u) * dt, out=run)
+    def costs():
+        for spec in specs:
+            spiked = prefix[spec.window(grid)[0]].copy()
 
-    x_end = stream_spiked(problem, base, spec, accumulate)
-    return _cost_report(run + problem.h(x_end), {})
+            def accumulate(k, x, u, x_next):
+                np.add(spiked, problem.ell(times[k], x, u) * dt, out=spiked)
+
+            x_end = stream_spiked(problem, base, spec, accumulate)
+            yield _cost_report(spiked + problem.h(x_end))
+
+    return base_cost, costs()
 
 
 @dataclass(frozen=True)

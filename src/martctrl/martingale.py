@@ -291,9 +291,16 @@ class NoiseBundle:
         return (int(self.seed), self.paths, self.steps, self.dim)
 
     def save(self, path):
-        """Write the documented flat binary layout (header + float64 body)."""
-        header = _HEADER_STRUCT.pack(self.dim, self.steps, self.paths,
-                                     int(self.seed))
+        """Write the documented flat binary layout (header + float64 body).
+
+        The header stores the seed as a signed int64: a seed outside
+        [-2**63, 2**63 - 1] raises ValueError before ``path`` is opened.
+        """
+        seed = int(self.seed)
+        if not -2 ** 63 <= seed < 2 ** 63:
+            raise ValueError(f"seed {seed} does not fit the noise file "
+                             f"header's int64 range [-2**63, 2**63 - 1]")
+        header = _HEADER_STRUCT.pack(self.dim, self.steps, self.paths, seed)
         body = np.ascontiguousarray(self.increments, dtype="<f8")
         with open(path, "wb") as fh:
             fh.write(header)
@@ -477,9 +484,6 @@ class IsometryReport:
     difference: float
     mc_stderr: float
     paths: int
-
-    def within(self, k=3.0):
-        return abs(self.difference) <= k * self.mc_stderr
 
 
 def verify_isometry(phi, bundle):

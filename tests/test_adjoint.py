@@ -17,7 +17,7 @@ from martctrl.martingale import (MartingaleDriver, ScalarIntensity,
                                  sample_increments, verify_isometry)
 from martctrl.pmp import (EXAMPLE1_C, EXAMPLE1_F_TILDE, Example1Config,
                           Example2Config, build_example1_problem,
-                          build_example2_problem)
+                          build_example2_problem, within_3se)
 from test_dynamics import packaged, variation_on_every_step
 
 
@@ -364,7 +364,8 @@ def test_duality_identity_example1_frozen_value():
     assert analytic == pytest.approx(0.75, abs=1e-12)
     assert rep.rhs == pytest.approx(analytic, abs=1e-10)
     assert rep.se_rhs == pytest.approx(0.0, abs=1e-12)
-    assert rep.within(3.0)
+    assert within_3se("duality", rep.difference, rep.se_lhs + rep.se_rhs,
+                      rep.lhs, "lhs", "").passed
     assert abs(rep.lhs - analytic) < 4.0 * rep.se_lhs
 
 
@@ -409,17 +410,23 @@ def test_duality_reports_paired_difference_se():
 
 
 def test_one_path_checks_do_not_pass():
-    # one path has no standard error: a k-SE check must not pass against it
+    # one path has no standard error: a 3-SE verdict must not pass against it
     cfg, problem, driver, grid, u_star, bundle, pol, traj = example1_setup(
         steps=20, paths=1)
     adj = solve_adjoint_explicit(problem, traj)
     spec = SpikeSpec(t0=0.25, eps=0.1, v=np.array([0.6, 0.4]))
     duality = duality_check(adj, integrate_variational(problem, traj, spec))
     assert np.isfinite(duality.difference)
-    assert not duality.within(3.0)
     isometry = verify_isometry(np.eye(4), bundle)
     assert np.isfinite(isometry.difference)
-    assert not isometry.within(3.0)
+    for verdict in (
+            within_3se("duality", duality.difference,
+                       duality.se_lhs + duality.se_rhs, duality.lhs, "lhs",
+                       ""),
+            within_3se("isometry", isometry.difference, isometry.mc_stderr,
+                       isometry.quadrature_value, "quadrature", "")):
+        assert not verdict.passed
+        assert verdict.detail.startswith("inconclusive"), verdict.detail
 
 
 def test_duality_check_requires_shared_bundle():

@@ -15,7 +15,7 @@ from martctrl.dynamics import (BallSet, BlowUpError, BoxSet, ControlProblem,
                                evaluate_cost,
                                finite_diff_check, integrate_forward,
                                integrate_variational, sample_controls,
-                               spiked_cost, stream_spiked)
+                               spiked_costs, stream_spiked)
 from martctrl.hilbert import apply_operator
 from martctrl.martingale import (MartingaleDriver, PathGrid, ScalarIntensity,
                                  sample_increments)
@@ -353,14 +353,12 @@ def test_streamed_spike_is_bit_identical_to_stored_spike(feedback,
     specs = [SpikeSpec(t0=0.0, eps=0.05, v=u_star + 1.0),
              SpikeSpec(t0=0.25, eps=0.1, v=np.array([0.5, -0.5])),
              SpikeSpec(t0=0.9, eps=0.1, v=u_star - 1.0)]
-    base_cost = evaluate_cost(problem, base,
-                              running_at={s.window(grid)[0] for s in specs})
+    base_cost, costs = spiked_costs(problem, base, specs)
     assert np.array_equal(base_cost.per_path,
                           evaluate_cost(problem, base).per_path)
-    for spec in specs:
+    for spec, streamed in zip(specs, costs):
         stored = integrate_forward(problem, apply_spike(policy, spec, grid),
                                    bundle, np.asarray(cfg.x0))
-        streamed = spiked_cost(problem, base, base_cost, spec)
         expected = evaluate_cost(problem, stored)
         assert np.array_equal(streamed.per_path, expected.per_path)
         assert (streamed.mean, streamed.stderr) \
@@ -375,8 +373,39 @@ def test_streamed_spike_is_bit_identical_to_stored_spike(feedback,
         for k, x in seen.items():
             assert np.array_equal(x, stored.states[:, k, :]), k
         assert np.array_equal(x_end, stored.states[:, -1, :])
-    with pytest.raises(ValueError, match="running cost"):
-        spiked_cost(problem, base, evaluate_cost(problem, base), specs[1])
+
+
+def test_spiked_costs_walk_the_base_once_and_each_spike_when_read():
+    cfg = Example1Config(steps=40, paths=16, seed=5)
+    problem, driver, grid, u_star = build_example1_problem(cfg)
+    bundle = sample_increments(driver, grid, cfg.paths, cfg.seed)
+    base = integrate_forward(problem, OpenLoopPolicy(u_star), bundle,
+                             np.asarray(cfg.x0))
+    calls = []
+
+    def ell(t, x, u):
+        calls.append(t)
+        return problem.ell(t, x, u)
+
+    counted = dataclasses.replace(problem, ell=ell)
+    specs = [SpikeSpec(t0=0.5, eps=0.1, v=u_star + 0.5),
+             SpikeSpec(t0=0.25, eps=0.05, v=u_star - 0.5)]
+    base_cost, costs = spiked_costs(counted, base, specs)
+    assert len(calls) == grid.steps
+    first = next(costs)
+    assert len(calls) == grid.steps + 20      # steps 20..39 of the first
+    second = next(costs)
+    assert len(calls) == grid.steps + 20 + 30
+    with pytest.raises(StopIteration):
+        next(costs)
+    for spec, cost in zip(specs, (first, second)):
+        full = integrate_forward(problem,
+                                 apply_spike(base.policy, spec, grid),
+                                 bundle, np.asarray(cfg.x0))
+        assert np.array_equal(cost.per_path,
+                              evaluate_cost(problem, full).per_path)
+    assert np.array_equal(base_cost.per_path,
+                          evaluate_cost(problem, base).per_path)
 
 
 @pytest.mark.parametrize("name", ["example1-tanh", "example2"])
@@ -438,8 +467,8 @@ def test_spike_prefix_identity(name, feedback, data):
     for k, x in seen.items():
         assert np.array_equal(x, full.states[:, k, :]), k
     assert np.array_equal(x_end, full.states[:, -1, :])
-    base_cost = evaluate_cost(problem, base, running_at=(k0,))
-    streamed = spiked_cost(problem, base, base_cost, spec)
+    _, costs = spiked_costs(problem, base, [spec])
+    streamed = next(costs)
     expected = evaluate_cost(problem, full)
     assert np.array_equal(streamed.per_path, expected.per_path)
     assert (streamed.mean, streamed.stderr) \

@@ -55,6 +55,17 @@ CONFIGS = {
         [gateaux]
         drift_gain = 0.25
         """,
+    # the same quotients against a doubled p, which both rows must fail
+    "gateaux-fault": """\
+        [run]
+        scenario = gateaux
+        steps = 40
+        paths = 1000
+
+        [gateaux]
+        drift_gain = 0.25
+        inject_fault = true
+        """,
     # rate ladder, which reads p(T) only
     "rates": """\
         [run]
@@ -128,7 +139,8 @@ CONFIGS = {
 }
 
 # Exit code of each config; the others exit EXIT_OK.
-EXIT_CODES = {"rates-fault": EXIT_ASSERTION,
+EXIT_CODES = {"gateaux-fault": EXIT_ASSERTION,
+              "rates-fault": EXIT_ASSERTION,
               "sufficiency-fault": EXIT_ASSERTION,
               "derivative-check-fault": EXIT_ASSERTION}
 
@@ -148,6 +160,10 @@ DIGESTS = {
     "gateaux": {
         "gateaux.csv": "e3c1f582dd051842fff7ff39ca97f150562e888e50d029821e28188a56c1240d",
         "report.txt": "9deeb2269c347e85768824e1fd6610dffbb48edd50906593d598239a035f0cb5",
+    },
+    "gateaux-fault": {
+        "gateaux.csv": "53faaf835e965a3ab4bf4948f33647742b63b630817ac8edfd4163e72e423817",
+        "report.txt": "55cbff8dc59c21d0e6cf8e1396eb822769d7721e01845b14a9bc2c4c5bca5286",
     },
     "rates": {
         "rates.csv": "3e563dc59acd4418cdb22952dea001ce2d64776baf701090f8b47eb651fc0722",

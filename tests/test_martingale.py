@@ -11,6 +11,7 @@ from martctrl.martingale import (IsometryReport, MartingaleDriver, NoiseBundle,
                                  _seed_words,
                                  sample_increments, step_covariances,
                                  step_intensity_integrals, verify_isometry)
+from martctrl.pmp import within_3se
 
 BETA = np.array([1.0, -0.5, 0.25, 0.0])
 
@@ -377,6 +378,22 @@ def test_noise_bundle_load_rejects_bad_files(tmp_path):
         NoiseBundle.load(fn, d)
 
 
+def test_noise_bundle_save_refuses_a_seed_beyond_the_header(tmp_path):
+    # sample_increments takes any non-negative seed, but the header keeps
+    # the seed in a signed int64
+    d = example_driver()
+    grid = PathGrid(horizon=1.0, steps=3)
+    fn = tmp_path / "noise.bin"
+    for seed in (2 ** 63, 2 ** 64 + 1):
+        bundle = sample_increments(d, grid, paths=2, seed=seed)
+        with pytest.raises(ValueError,
+                           match=r"int64 range \[-2\*\*63, 2\*\*63 - 1\]"):
+            bundle.save(fn)
+        assert not fn.exists()
+    sample_increments(d, grid, paths=2, seed=2 ** 63 - 1).save(fn)
+    assert NoiseBundle.load(fn, d).seed == 2 ** 63 - 1
+
+
 def test_bundle_shape_validation():
     d = example_driver()
     grid = PathGrid(horizon=1.0, steps=3)
@@ -408,7 +425,8 @@ def test_isometry_identity_process_frozen_value():
     assert rep.quadrature_value == pytest.approx(1.640625, abs=1e-12)
     assert float(BETA @ BETA) * (1.0 + 0.25) == pytest.approx(1.640625)
     assert isinstance(rep, IsometryReport)
-    assert rep.within(3.0)
+    assert within_3se("isometry", rep.difference, rep.mc_stderr,
+                      rep.quadrature_value, "quadrature", "").passed
 
 
 def test_isometry_validates_shapes():

@@ -12,7 +12,7 @@ from martctrl.adjoint import (RegressionBasis, hamiltonian,
 from martctrl.dynamics import (BallSet, BoxSet, FeedbackPolicy, FiniteSet,
                                OpenLoopPolicy, SpikeSpec, apply_spike,
                                evaluate_cost, integrate_forward,
-                               integrate_variational, spiked_cost)
+                               integrate_variational, spiked_costs)
 from martctrl.martingale import PathGrid, sample_increments
 from martctrl.pmp import (EXAMPLE1_C, EXAMPLE1_F_TILDE, FAR_THRESHOLD,
                           Example1Config, Example2Config, build_example1_problem,
@@ -22,6 +22,14 @@ from martctrl.pmp import (EXAMPLE1_C, EXAMPLE1_F_TILDE, FAR_THRESHOLD,
                           run_example2, stationarity_residual,
                           sufficient_check)
 from test_adjoint import undeclared
+
+
+def gateaux_verdicts(rep):
+    """The ``within_3se`` verdict on each entry, as the gateaux scenario
+    asserts it."""
+    return [pmp.within_3se(f"eps_{e.eps:g}", e.mean_diff, e.se_diff,
+                           rep.adjoint_value, "adjoint", "", tol=e.tol)
+            for e in rep.entries]
 
 
 def candidate_for(cfg, policy=None):
@@ -87,6 +95,26 @@ def test_necessary_check_flags_suboptimal_candidate():
     assert rep.frac_negative > 0.0
 
 
+def test_necessary_check_reads_the_recorded_controls():
+    # the margins compare probes with the controls the candidate applied,
+    # read off its record, so a feedback candidate's policy is not called
+    calls = []
+
+    def fn(t, x):
+        calls.append(t)
+        return np.broadcast_to(np.array([-0.35, -0.05]), (x.shape[0], 2))
+
+    cfg = Example1Config(steps=50, paths=60, seed=11)
+    problem, driver, grid, u_star, bundle, adj = adjoint_for(
+        cfg, policy=FeedbackPolicy(fn=fn))
+    assert len(calls) == grid.steps
+    rep = necessary_check(problem, adj, sample_times=5, sample_paths=10,
+                          points_per_dim=5)
+    assert len(calls) == grid.steps
+    expected = np.sum((rep.probes - u_star) ** 2, axis=1)
+    assert np.allclose(rep.margins, expected[None, None, :], atol=1e-10)
+
+
 def test_necessary_check_margins_equal_full_hamiltonian_gaps():
     # on the regression adjoint Z != 0, yet the Z term of H does not see
     # the control, so the margins read without it equal the full
@@ -140,7 +168,7 @@ def test_sufficient_check_passes_on_convex_problem():
     cfg = Example1Config(steps=50, paths=60, seed=13)
     problem, driver, grid, u_star, bundle, adj = adjoint_for(cfg)
     rep = sufficient_check(problem, adj, pairs=300)
-    assert rep.applicable and rep.set_convex
+    assert rep.applicable
     assert rep.terminal_passed
     assert rep.terminal_violation <= 1e-10
     assert rep.joint_passed
@@ -223,15 +251,17 @@ def test_gateaux_check_agreement_and_fault_detection():
     spec = SpikeSpec(t0=0.3, eps=0.05, v=np.array([0.65, 0.45]))
     p = integrate_variational(problem, traj, spec)
     rep = gateaux_check(problem, p, eps_list=(0.05, 0.025))
-    assert rep.agree_all
     assert len(rep.entries) == 2
+    assert all(v.passed for v in gateaux_verdicts(rep))
     for entry in rep.entries:
-        assert entry.agree
         assert abs(entry.fd_quotient - rep.adjoint_value) <= entry.tol
-    # doubled first variation must be flagged
+    # doubled first variation must be flagged, by the difference itself
+    # and not by an SE too large to judge
     wrong = dataclasses.replace(p, states=2.0 * p.states)
     bad = gateaux_check(problem, wrong, eps_list=(0.05, 0.025))
-    assert not bad.agree_all
+    for verdict in gateaux_verdicts(bad):
+        assert not verdict.passed
+        assert not verdict.detail.startswith("inconclusive"), verdict.detail
 
 
 def test_gateaux_check_with_huge_se_is_inconclusive():
@@ -241,14 +271,15 @@ def test_gateaux_check_with_huge_se_is_inconclusive():
     problem, driver, grid, u_star, bundle, traj = candidate_for(cfg)
     spec = SpikeSpec(t0=0.3, eps=0.05, v=np.array([0.65, 0.45]))
     p = integrate_variational(problem, traj, spec)
-    assert gateaux_check(problem, p).agree_all
+    assert all(v.passed for v in gateaux_verdicts(gateaux_check(problem, p)))
     zeta = p.zeta.copy()
     zeta[:, -1] += 50.0 * (-1.0) ** np.arange(cfg.paths)
     noisy = gateaux_check(problem, dataclasses.replace(p, zeta=zeta))
-    for entry in noisy.entries:
+    for entry, verdict in zip(noisy.entries, gateaux_verdicts(noisy)):
         assert abs(entry.mean_diff) <= entry.tol
         assert 3.0 * entry.se_diff > 0.5 * max(1.0, abs(noisy.adjoint_value))
-        assert not entry.agree
+        assert not verdict.passed
+        assert verdict.detail.startswith("inconclusive"), verdict.detail
 
 
 def test_within_3se_with_tolerance_is_never_vacuous():
@@ -269,11 +300,9 @@ def test_gateaux_check_spikes_at_the_first_variations_own_start():
     p = integrate_variational(problem, traj, SpikeSpec(t0=0.5, eps=0.05, v=v))
     eps_list = (0.05, 0.025)
     rep = gateaux_check(problem, p, eps_list=eps_list)
-    # t0 = 0.5 is step 40 of 80
-    base_cost = evaluate_cost(problem, traj, running_at=(40,))
-    for entry, eps in zip(rep.entries, eps_list):
-        spiked = spiked_cost(problem, traj, base_cost,
-                             SpikeSpec(t0=0.5, eps=eps, v=v))
+    base_cost, costs = spiked_costs(
+        problem, traj, [SpikeSpec(t0=0.5, eps=eps, v=v) for eps in eps_list])
+    for entry, eps, spiked in zip(rep.entries, eps_list, costs):
         quotient = (spiked.per_path - base_cost.per_path) / eps
         assert entry.fd_quotient == float(np.mean(quotient))
 
@@ -431,7 +460,10 @@ def test_run_example2_small_scale_report():
     residuals = [s.residual for s in result.sweeps]
     assert residuals[-1] < residuals[0]
     assert result.duality is not None
-    assert result.duality.within(3.0)
+    duality = result.duality
+    assert pmp.within_3se("duality", duality.difference,
+                          duality.se_lhs + duality.se_rhs, duality.lhs,
+                          "lhs", "").passed
     assert report.sections["duality"]["se_diff"] == result.duality.se_diff
     assert result.duality.se_diff < (result.duality.se_lhs
                                      + result.duality.se_rhs)
@@ -444,7 +476,8 @@ def test_run_example2_duality_with_huge_se_is_inconclusive():
                                          alpha_slope=200.0))
     verdict = {a.name: a for a in result.report.assertions}[
         "duality_within_3se"]
-    assert result.duality.within(3.0)
+    duality = result.duality
+    assert abs(duality.difference) <= 3.0 * (duality.se_lhs + duality.se_rhs)
     assert not verdict.passed
     assert verdict.detail.startswith("inconclusive"), verdict.detail
 
