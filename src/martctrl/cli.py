@@ -16,6 +16,7 @@ import argparse
 import configparser
 import dataclasses
 import hashlib
+import itertools
 import json
 import numbers
 import re
@@ -424,18 +425,32 @@ def parse_config(path):
 # stem -> (header, rows).
 # ---------------------------------------------------------------------------
 
+# Rows converted to Python values at a time by _zip_columns.
+_ROWS_PER_CHUNK = 4096
+
+
+def _zip_columns(columns):
+    """Rows zipped from equal-length column arrays, a chunk at a time;
+    tolist() gives Python floats and ints, the fast cells of _write_csv."""
+    for start in range(0, columns[0].shape[0], _ROWS_PER_CHUNK):
+        stop = start + _ROWS_PER_CHUNK
+        yield from zip(*(column[start:stop].tolist() for column in columns))
+
+
 def _margins_tables(margin_report):
-    """Full per-path margins table plus the probe-index key."""
+    """Full per-path margins table plus the probe-index key.
+
+    The margins rows are a generator, read once when the table is written.
+    """
     margins = margin_report.margins
     n_times, n_paths, n_probes = margins.shape
-    # one row per (time, path, probe), in the C order of ``margins``;
-    # tolist() gives Python floats and ints, the fast cells of _write_csv
+    # one row per (time, path, probe), in the C order of ``margins``
     columns = (np.repeat(margin_report.times, n_paths * n_probes),
                np.tile(np.repeat(margin_report.path_indices, n_probes),
                        n_times),
                np.tile(np.arange(n_probes), n_times * n_paths),
                margins.ravel())
-    rows = list(zip(*(column.tolist() for column in columns)))
+    rows = _zip_columns(columns)
     probe_rows = [(int(k), *[float(x) for x in v])
                   for k, v in enumerate(margin_report.probes)]
     probe_header = ["v_index"] + [f"v{j}"
@@ -800,7 +815,7 @@ def _csv_cell(value):
 def _write_csv(path, header, rows):
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.writelines(",".join(map(_csv_cell, row)) + "\n"
-                      for row in (header, *rows))
+                      for row in itertools.chain((header,), rows))
 
 
 def _emit(config, report, out_dir, wall_seconds, status):

@@ -364,7 +364,8 @@ def rate_experiments(problem, p, eps_ladder=(0.2, 0.1, 0.05, 0.025)):
     for i, eps in enumerate(ladder):
         spec = SpikeSpec(t0=float(t0), eps=float(eps), v=v)
         msq = np.zeros(traj.paths)
-        x_end = stream_spiked(problem, traj, spec, partial(_sup_gap, traj, msq))
+        x_end = stream_spiked(problem, traj, [spec],
+                              partial(_sup_gap, traj, msq))
         xi = (x_end - traj.states[:, -1, :]) / eps - p_term
         xi_sq = np.einsum("pi,pi->p", xi, xi)
         esup[i], esup_se[i] = mean_se(msq)

@@ -1,12 +1,16 @@
 """Forward integration, spikes, variational processes, and cost evaluation."""
 
 import dataclasses
+import math
 import tracemalloc
+from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from martctrl import dynamics
 from martctrl._parallel import BLOCK_SIZE
 from martctrl.adjoint import solve_adjoint_lsmc
 from martctrl.dynamics import (BallSet, BlowUpError, BoxSet, ControlProblem,
@@ -336,7 +340,8 @@ def test_spiked_run_matches_full_reintegration():
                           base.states[:, :k0 + 1, :])
     assert not np.array_equal(full.states[:, -1, :], base.states[:, -1, :])
     # a stream from the window start ends where the full run ends
-    x_end = stream_spiked(problem, base, spec, lambda k, x, u, x_next: None)
+    x_end = stream_spiked(problem, base, [spec],
+                          lambda k, x, u, x_next: None)
     assert np.array_equal(x_end, full.states[:, -1, :])
 
 
@@ -367,7 +372,7 @@ def test_streamed_spike_is_bit_identical_to_stored_spike(feedback,
         k0, _ = spec.window(grid)
         seen = {}
         x_end = stream_spiked(
-            problem, base, spec,
+            problem, base, [spec],
             lambda k, x, u, x_next: seen.setdefault(k + 1, x_next))
         assert sorted(seen) == list(range(k0 + 1, grid.steps + 1))
         for k, x in seen.items():
@@ -460,7 +465,7 @@ def test_spike_prefix_identity(name, feedback, data):
     assert np.array_equal(full.states[:, :k0 + 1, :],
                           base.states[:, :k0 + 1, :])
     seen = {}
-    x_end = stream_spiked(problem, base, spec,
+    x_end = stream_spiked(problem, base, [spec],
                           lambda k, x, u, x_next: seen.setdefault(k + 1,
                                                                   x_next))
     assert sorted(seen) == list(range(k0 + 1, steps + 1))
@@ -473,6 +478,112 @@ def test_spike_prefix_identity(name, feedback, data):
     assert np.array_equal(streamed.per_path, expected.per_path)
     assert (streamed.mean, streamed.stderr) \
         == (expected.mean, expected.stderr)
+
+
+@pytest.mark.parametrize("paths", [1, 2, 3, 64])
+@pytest.mark.parametrize("feedback", [False, True],
+                         ids=["open-loop", "feedback"])
+@pytest.mark.parametrize("name", sorted(PACKAGED))
+@settings(max_examples=5, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_spike_blocks_match_spikes_run_alone(name, feedback, paths, data):
+    # spikes that share a start step run as one block: each cost is the
+    # cost of its spike integrated alone and in full, bit for bit, and a
+    # block makes one ell call per step from its start on
+    steps = 12
+    cfg, problem, driver, grid, u = packaged(name, steps=steps, paths=paths)
+    bundle = sample_increments(driver, grid, paths, cfg.seed)
+    policy = FeedbackPolicy(fn=lambda t, x: -0.1 * x[:, :2]) if feedback \
+        else OpenLoopPolicy(u)
+    x0 = np.asarray(cfg.x0)
+    base = integrate_forward(problem, policy, bundle, x0)
+
+    starts = data.draw(st.lists(st.integers(0, steps - 1), min_size=1,
+                                max_size=3, unique=True), label="starts")
+    box = problem.control_set
+    values = st.one_of(
+        st.just(u),
+        st.tuples(*(st.floats(lo, hi) for lo, hi in zip(box.lower,
+                                                         box.upper))))
+    specs = []
+    for _ in range(data.draw(st.integers(2, 12), label="count")):
+        k0 = data.draw(st.sampled_from(starts), label="k0")
+        width = data.draw(st.one_of(st.just(steps - k0),
+                                    st.integers(1, steps - k0)),
+                          label="width")
+        specs.append(SpikeSpec(t0=k0 * grid.dt, eps=width * grid.dt,
+                               v=np.array(data.draw(values, label="v"))))
+    # blocks of at most two spikes, or as many as BLOCK_ROWS allows
+    block_rows = data.draw(st.sampled_from([dynamics.BLOCK_ROWS, 2 * paths]),
+                           label="block_rows")
+    size = 1 if paths == 1 else block_rows // paths
+
+    calls = []
+
+    def ell(t, x, u):
+        calls.append(t)
+        return problem.ell(t, x, u)
+
+    counted = dataclasses.replace(problem, ell=ell)
+    with mock.patch.object(dynamics, "BLOCK_ROWS", block_rows):
+        base_cost, costs = spiked_costs(counted, base, specs)
+        assert len(calls) == steps
+        got = [next(costs)]
+        k0_first = specs[0].window(grid)[0]
+        assert len(calls) == 2 * steps - k0_first
+        got += list(costs)
+    group = Counter(spec.window(grid)[0] for spec in specs)
+    assert len(calls) == steps + sum(math.ceil(count / size) * (steps - k0)
+                                     for k0, count in group.items())
+    for spec, cost in zip(specs, got, strict=True):
+        full = integrate_forward(problem, apply_spike(policy, spec, grid),
+                                 bundle, x0)
+        expected = evaluate_cost(problem, full)
+        assert np.array_equal(cost.per_path, expected.per_path)
+        assert cost.mean == expected.mean
+
+
+def test_blown_up_block_reruns_each_spike_alone():
+    # the second spike of a block overflows: the first keeps the cost it
+    # has alone, and reading the second raises the error its spike raises
+    # alone, which names a path of its own copy of the bundle
+    def drift(t, x, u):
+        return x ** 3 + u
+
+    problem, pol, bundle = noiseless_problem(drift, paths=4, steps=10)
+    grid = bundle.grid
+    x0 = np.array([[0.1], [0.2], [0.3], [0.4]])
+    base = integrate_forward(problem, pol, bundle, x0)
+    calm = SpikeSpec(t0=0.3, eps=0.2, v=np.array([0.5]))
+    wild = SpikeSpec(t0=0.3, eps=0.2, v=np.array([1e200]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(BlowUpError) as alone:
+            stream_spiked(problem, base, [wild],
+                          lambda k, x, u, x_next: None)
+        _, costs = spiked_costs(problem, base, [calm, wild])
+        first = next(costs)
+        with pytest.raises(BlowUpError) as read:
+            next(costs)
+    full = integrate_forward(problem, apply_spike(pol, calm, grid), bundle,
+                             x0)
+    assert np.array_equal(first.per_path,
+                          evaluate_cost(problem, full).per_path)
+    assert (read.value.path, read.value.step, read.value.time) \
+        == (alone.value.path, alone.value.step, alone.value.time)
+    assert alone.value.step == 5
+
+
+def test_stream_spiked_refuses_a_block_without_one_start_step():
+    cfg = Example1Config(steps=20, paths=8, seed=4)
+    problem, driver, grid, u_star = build_example1_problem(cfg)
+    bundle = sample_increments(driver, grid, cfg.paths, cfg.seed)
+    base = integrate_forward(problem, OpenLoopPolicy(u_star), bundle,
+                             np.asarray(cfg.x0))
+    specs = [SpikeSpec(t0=0.25, eps=0.1, v=u_star),
+             SpikeSpec(t0=0.5, eps=0.1, v=u_star)]
+    for block in (specs, []):
+        with pytest.raises(ValueError, match="one start step"):
+            stream_spiked(problem, base, block, lambda k, x, u, x_next: None)
 
 
 def test_noop_spike_changes_nothing():

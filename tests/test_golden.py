@@ -34,6 +34,19 @@ CONFIGS = {
         probe_points_per_dim = 3
         convexity_pairs = 50
         """,
+    # thirty spikes over seven start steps: spikes that share a start step
+    # run as one block
+    "example1-blocks": """\
+        [run]
+        scenario = example1
+        steps = 40
+        paths = 400
+
+        [example1]
+        spike_count = 30
+        probe_points_per_dim = 3
+        convexity_pairs = 50
+        """,
     # LSMC adjoint, two policy-improvement sweeps and the duality check
     "example2": """\
         [run]
@@ -152,6 +165,13 @@ DIGESTS = {
         "spike_gaps.csv": "984870e7f5b9c60d7aa264412088a9953de0bd5ca9585e27b376876ff029a9ae",
         "trajectories.csv": "21b560d2a330d833822fb850639d1a04141649888acf71d9e260df250e975141",
         "report.txt": "9d8493c36d17389f3356ec8b6e475b5bce44c63a351e65c135bcd0a75a47e564",
+    },
+    "example1-blocks": {
+        "margins.csv": "eec72cb2a5570f6d6454ebeeb776eb1763143d8355b4d36710e0138877b5823a",
+        "margins_summary.csv": "2f277201120532455e5673e1e2a5441db46afbbaae08b5cd6012ac7f5cac80aa",
+        "probes.csv": "4cf23c40fa9e9a5cfefc8cbd21f668564b6f81820918b9e8f0f26e76e66beb33",
+        "spike_gaps.csv": "0975cb2733c9b94c481e3b77c0da59a59c94f38a879a3e2ccc5237ca68520ac2",
+        "report.txt": "0d1da0fc6cefa83a83eeec9e65ed35651ad18298d91258254526d36ef92829f6",
     },
     "example2": {
         "sweeps.csv": "284f068e53315d27f0ca5243ddf32597be37d01149fd745615247a7e712b4bbc",
