@@ -212,6 +212,7 @@ class AdjointSolution:
     _problem: object = field(default=None, repr=False)
     _fits: list = field(default=None, repr=False)
     _c_pinv: np.ndarray = field(default=None, repr=False)
+    _factors: list = field(default=None, repr=False)
 
     @property
     def grid(self):
@@ -253,7 +254,7 @@ class AdjointSolution:
         """
         fit = self._fits[k]
         t = self.grid.times[k]
-        factor = self.trajectories.bundle.driver.cov_rate_factor(t)
+        factor = self._factors[k]
         yhat0 = fit.y_mean + xc @ fit.y_coef
         z = self._z_fitted(k, xc)
         y = yhat0
@@ -380,6 +381,7 @@ def solve_adjoint_lsmc(problem, trajectories, basis=None):
 
     c_pinv = np.linalg.pinv(step_covariances(bundle.driver, grid),
                             rcond=1e-12, hermitian=True)
+    factors = [bundle.driver.cov_rate_factor(t) for t in grid.times[:-1]]
 
     y = step_major_zeros(paths, grid.steps + 1, n)
     y[:, grid.steps, :] = np.asarray(problem.h_x(x[:, grid.steps, :]),
@@ -390,7 +392,7 @@ def solve_adjoint_lsmc(problem, trajectories, basis=None):
     solution = AdjointSolution(
         trajectories=trajectories, Y=y, method="lsmc",
         n_residual_energy=n_energy, explained_energy=explained, basis=basis,
-        _problem=problem, _fits=fits, _c_pinv=c_pinv)
+        _problem=problem, _fits=fits, _c_pinv=c_pinv, _factors=factors)
 
     for k in range(grid.steps - 1, -1, -1):
         phi = basis.features(x[:, k, :])

@@ -16,7 +16,6 @@ import argparse
 import configparser
 import dataclasses
 import hashlib
-import itertools
 import json
 import numbers
 import re
@@ -24,7 +23,7 @@ import sys
 import time
 from functools import partial
 from pathlib import Path
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -425,32 +424,36 @@ def parse_config(path):
 # stem -> (header, rows).
 # ---------------------------------------------------------------------------
 
-# Rows converted to Python values at a time by _zip_columns.
-_ROWS_PER_CHUNK = 4096
+@dataclasses.dataclass(frozen=True)
+class _Rendered:
+    """CSV body text, in chunks, whose cells are already formatted as
+    _csv_cell formats them; _write_csv writes it as it is."""
+
+    chunks: Iterable[str]
 
 
-def _zip_columns(columns):
-    """Rows zipped from equal-length column arrays, a chunk at a time;
-    tolist() gives Python floats and ints, the fast cells of _write_csv."""
-    for start in range(0, columns[0].shape[0], _ROWS_PER_CHUNK):
-        stop = start + _ROWS_PER_CHUNK
-        yield from zip(*(column[start:stop].tolist() for column in columns))
+def _margin_lines(margin_report):
+    """The margins rows as text, one chunk per time, in the C order of the
+    margins.  Each distinct t, path and probe index is formatted once, and
+    each margin once, as repr of the Python value tolist() gives: the text
+    _csv_cell gives that float or int."""
+    paths = [f",{path}," for path in
+             map(repr, margin_report.path_indices.tolist())]
+    probes = [f"{q}," for q in range(margin_report.margins.shape[2])]
+    for t, block in zip(map(repr, margin_report.times.tolist()),
+                        margin_report.margins):
+        yield "".join([f"{t}{path}{q}{m}\n"
+                       for path, row in zip(paths, block.tolist())
+                       for q, m in zip(probes, map(repr, row))])
 
 
 def _margins_tables(margin_report):
     """Full per-path margins table plus the probe-index key.
 
-    The margins rows are a generator, read once when the table is written.
+    The margins rows are rendered text (``_Rendered``) produced by a
+    generator, read once when the table is written.
     """
-    margins = margin_report.margins
-    n_times, n_paths, n_probes = margins.shape
-    # one row per (time, path, probe), in the C order of ``margins``
-    columns = (np.repeat(margin_report.times, n_paths * n_probes),
-               np.tile(np.repeat(margin_report.path_indices, n_probes),
-                       n_times),
-               np.tile(np.arange(n_probes), n_times * n_paths),
-               margins.ravel())
-    rows = _zip_columns(columns)
+    rows = _Rendered(_margin_lines(margin_report))
     probe_rows = [(int(k), *[float(x) for x in v])
                   for k, v in enumerate(margin_report.probes)]
     probe_header = ["v_index"] + [f"v{j}"
@@ -813,9 +816,15 @@ def _csv_cell(value):
 
 
 def _write_csv(path, header, rows):
+    """Write the header and the rows: tuples of values, or ``_Rendered``
+    text."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.writelines(",".join(map(_csv_cell, row)) + "\n"
-                      for row in itertools.chain((header,), rows))
+        fh.write(",".join(map(_csv_cell, header)) + "\n")
+        if isinstance(rows, _Rendered):
+            fh.writelines(rows.chunks)
+        else:
+            fh.writelines(",".join(map(_csv_cell, row)) + "\n"
+                          for row in rows)
 
 
 def _emit(config, report, out_dir, wall_seconds, status):

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -109,9 +110,12 @@ class PathGrid:
     def dt(self):
         return self.horizon / self.steps
 
-    @property
+    @cached_property
     def times(self):
-        return np.linspace(0.0, self.horizon, self.steps + 1)
+        """The ``steps + 1`` grid times, built once per grid, read-only."""
+        times = np.linspace(0.0, self.horizon, self.steps + 1)
+        times.flags.writeable = False
+        return times
 
     def index_of(self, t, what="time"):
         """Grid index of an aligned time; rejects off-grid values."""

@@ -321,6 +321,27 @@ def test_lsmc_y_eval_reproduces_training_values():
     assert np.allclose(terminal, problem.h_x(traj.states[:, -1, :]))
 
 
+def test_lsmc_reads_each_step_factor_computed_once(monkeypatch):
+    # the solve computes the covariance-rate factor once per grid step,
+    # and y_eval reads those: no further driver calls, the same values
+    _, problem, driver, grid, bundle, pol, traj = example2_setup(
+        steps=12, paths=400)
+    times = []
+    factor = MartingaleDriver.cov_rate_factor
+
+    def counted(self, t):
+        times.append(t)
+        return factor(self, t)
+
+    monkeypatch.setattr(MartingaleDriver, "cov_rate_factor", counted)
+    adj = solve_adjoint_lsmc(problem, traj)
+    assert times == list(grid.times[:-1])
+    for k in (0, grid.steps // 2, grid.steps - 1):
+        assert np.array_equal(adj.y_eval(k, traj.states[:, k, :]),
+                              adj.Y[:, k, :])
+    assert len(times) == grid.steps
+
+
 def test_lsmc_condition_limit_raises(monkeypatch):
     _, problem, driver, grid, bundle, pol, traj = example2_setup(
         steps=20, paths=400)

@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import event, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 import martctrl
 from martctrl import cli
@@ -972,6 +973,40 @@ def test_margins_table_streams_its_rows(tmp_path):
     row = rows[(i * 100 + j) * 25 + q]
     assert row == [repr(float(report.times[i])), str(10 * j), str(q),
                    repr(float(margins[i, j, q]))]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(data=st.data(), shape=st.tuples(st.integers(1, 4), st.integers(1, 5),
+                                       st.integers(1, 6)))
+def test_margins_text_matches_the_generic_csv_cells(tmp_path_factory, data,
+                                                    shape):
+    # the margins rows rendered as text give the bytes of _write_csv's
+    # cell path over the (t, path, v_index, delta_h) values, specials too
+    values = st.one_of(st.sampled_from([-0.0, 0.0, np.inf, -np.inf, np.nan,
+                                        5e-324, 1e300]),
+                       st.floats(width=64))
+    n_times, n_paths, n_probes = shape
+    times = data.draw(arrays(np.float64, n_times, elements=values),
+                      label="times")
+    path_indices = data.draw(arrays(np.int64, n_paths,
+                                    elements=st.integers(0, 10 ** 12)),
+                             label="path_indices")
+    margins = data.draw(arrays(np.float64, shape, elements=values),
+                        label="margins")
+    report = MarginReport(times=times, path_indices=path_indices,
+                          probes=np.zeros((n_probes, 2)), margins=margins,
+                          min_margin=0.0, frac_negative=0.0, tol=1e-9,
+                          witness=(0.0, 0, np.zeros(2)))
+    cells = [(t, path, q, m)
+             for t, block in zip(times.tolist(), margins.tolist())
+             for path, row in zip(path_indices.tolist(), block)
+             for q, m in enumerate(row)]
+    out = tmp_path_factory.mktemp("margins")
+    header, rendered = cli._margins_tables(report)["margins"]
+    cli._write_csv(out / "rendered.csv", header, rendered)
+    cli._write_csv(out / "cells.csv", header, cells)
+    assert (out / "rendered.csv").read_bytes() \
+        == (out / "cells.csv").read_bytes()
 
 
 # ---------------------------------------------------------------------------

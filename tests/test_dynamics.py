@@ -9,12 +9,14 @@ from unittest import mock
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from martctrl import dynamics
 from martctrl._parallel import BLOCK_SIZE
 from martctrl.adjoint import solve_adjoint_lsmc
-from martctrl.dynamics import (BallSet, BlowUpError, BoxSet, ControlProblem,
-                               FeedbackPolicy, FiniteSet, OpenLoopPolicy,
+from martctrl.dynamics import (AffineDiffusion, BallSet, BlowUpError, BoxSet,
+                               ControlProblem, FeedbackPolicy, FiniteSet,
+                               OpenLoopPolicy,
                                SpikeSpec, TrajectoryBundle, apply_spike,
                                evaluate_cost,
                                finite_diff_check, integrate_forward,
@@ -489,7 +491,8 @@ def test_spike_prefix_identity(name, feedback, data):
 def test_spike_blocks_match_spikes_run_alone(name, feedback, paths, data):
     # spikes that share a start step run as one block: each cost is the
     # cost of its spike integrated alone and in full, bit for bit, and a
-    # block makes one ell call per step from its start on
+    # block makes one ell call per step from its start on.  A spike at an
+    # open-loop base's own control is not stepped and makes no call
     steps = 12
     cfg, problem, driver, grid, u = packaged(name, steps=steps, paths=paths)
     bundle = sample_increments(driver, grid, paths, cfg.seed)
@@ -525,14 +528,17 @@ def test_spike_blocks_match_spikes_run_alone(name, feedback, paths, data):
         return problem.ell(t, x, u)
 
     counted = dataclasses.replace(problem, ell=ell)
+    stepped = [spec for spec in specs
+               if feedback or spec.v.tobytes() != policy.u.tobytes()]
     with mock.patch.object(dynamics, "BLOCK_ROWS", block_rows):
         base_cost, costs = spiked_costs(counted, base, specs)
         assert len(calls) == steps
         got = [next(costs)]
         k0_first = specs[0].window(grid)[0]
-        assert len(calls) == 2 * steps - k0_first
+        first_steps = any(spec is specs[0] for spec in stepped)
+        assert len(calls) == steps + first_steps * (steps - k0_first)
         got += list(costs)
-    group = Counter(spec.window(grid)[0] for spec in specs)
+    group = Counter(spec.window(grid)[0] for spec in stepped)
     assert len(calls) == steps + sum(math.ceil(count / size) * (steps - k0)
                                      for k0, count in group.items())
     for spec, cost in zip(specs, got, strict=True):
@@ -541,6 +547,78 @@ def test_spike_blocks_match_spikes_run_alone(name, feedback, paths, data):
         expected = evaluate_cost(problem, full)
         assert np.array_equal(cost.per_path, expected.per_path)
         assert cost.mean == expected.mean
+
+
+@pytest.mark.parametrize("paths", [1, 16])
+def test_spike_at_the_open_loop_control_reads_the_base_cost(paths):
+    # a spike whose v has the bytes of the open-loop base's u re-runs
+    # nothing: its cost is the full re-integration's, with no ell call,
+    # while the spikes around it still step in their blocks
+    cfg = Example1Config(steps=40, paths=paths, seed=5)
+    problem, driver, grid, u_star = build_example1_problem(cfg)
+    bundle = sample_increments(driver, grid, cfg.paths, cfg.seed)
+    x0 = np.asarray(cfg.x0)
+    base = integrate_forward(problem, OpenLoopPolicy(u_star), bundle, x0)
+    calls = []
+
+    def ell(t, x, u):
+        calls.append(x.shape[0])
+        return problem.ell(t, x, u)
+
+    counted = dataclasses.replace(problem, ell=ell)
+    specs = [SpikeSpec(t0=0.25, eps=0.1, v=u_star.copy()),
+             SpikeSpec(t0=0.25, eps=0.5, v=u_star + 0.5),
+             SpikeSpec(t0=0.0, eps=1.0, v=u_star.tolist()),
+             SpikeSpec(t0=0.25, eps=0.2, v=u_star - 0.5)]
+    _, costs = spiked_costs(counted, base, specs)
+    del calls[:]
+    first = next(costs)
+    assert calls == []
+    got = [first, *costs]
+    # one block for the two displaced spikes, 30 steps from k0 = 10
+    assert calls == ([2 * paths] * 30 if paths > 1 else [1] * 60)
+    for spec, cost in zip(specs, got, strict=True):
+        full = integrate_forward(problem, apply_spike(base.policy, spec, grid),
+                                 bundle, x0)
+        expected = evaluate_cost(problem, full)
+        assert np.array_equal(cost.per_path, expected.per_path)
+        # one path has no SE: nan on both sides
+        assert np.array_equal((cost.mean, cost.stderr),
+                              (expected.mean, expected.stderr), equal_nan=True)
+
+
+@pytest.mark.parametrize("base_kind", ["feedback", "one-ulp"])
+def test_spike_off_the_open_loop_control_still_steps(base_kind):
+    # a feedback base, or a v one ulp away from the open-loop u, re-runs
+    # the spike from its window start
+    cfg = Example1Config(steps=40, paths=16, seed=5)
+    problem, driver, grid, u_star = build_example1_problem(cfg)
+    bundle = sample_increments(driver, grid, cfg.paths, cfg.seed)
+    x0 = np.asarray(cfg.x0)
+    if base_kind == "feedback":
+        policy = FeedbackPolicy(fn=lambda t, x: np.broadcast_to(
+            u_star, (x.shape[0], u_star.shape[0])))
+        v = u_star.copy()
+    else:
+        policy = OpenLoopPolicy(u_star)
+        v = np.nextafter(u_star, np.inf)
+    base = integrate_forward(problem, policy, bundle, x0)
+    calls = []
+
+    def ell(t, x, u):
+        calls.append(t)
+        return problem.ell(t, x, u)
+
+    spec = SpikeSpec(t0=0.25, eps=0.1, v=v)
+    _, costs = spiked_costs(dataclasses.replace(problem, ell=ell), base,
+                            [spec])
+    del calls[:]
+    cost = next(costs)
+    assert len(calls) == 30
+    full = integrate_forward(problem, apply_spike(policy, spec, grid), bundle,
+                             x0)
+    assert np.array_equal(cost.per_path, evaluate_cost(problem,
+                                                       full).per_path)
 
 
 def test_blown_up_block_reruns_each_spike_alone():
@@ -814,6 +892,39 @@ def test_diffusion_action_matches_dense_operator(name, fields):
                        dm))):
         assert action.shape == x.shape
         assert np.max(np.abs(action - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+finite = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(data=st.data(), n=st.integers(1, 6), rows=st.integers(1, 70),
+       offset=st.booleans(), buffered=st.booleans())
+def test_affine_diffusion_scales_columns_as_the_broadcast_did(
+        data, n, rows, offset, buffered):
+    # the column-by-column scaling gives the bits of the broadcast
+    # [:, None] forms it replaced, for the call with and without ``out``
+    # and for the derivative
+    def draw(shape, label):
+        return data.draw(arrays(np.float64, shape, elements=finite),
+                         label=label)
+
+    gamma, g_tilde = draw((n,), "gamma"), draw((n, n), "g_tilde")
+    d = draw((n, n), "d") if offset else None
+    x, dirs, dm = (draw((rows, n), label) for label in ("x", "dirs", "dm"))
+    diffusion = AffineDiffusion(gamma, g_tilde, d)
+
+    expected = dm @ g_tilde.T.copy()
+    expected *= (x @ gamma)[:, None]
+    if offset:
+        expected += dm @ d.T.copy()
+    out = np.empty((rows, n)) if buffered else None
+    got = diffusion(0.0, x, dm, out=out)
+    assert got.tobytes() == expected.tobytes()
+    if buffered:
+        assert got is out
+    assert diffusion.derivative(0.0, x, dirs, dm).tobytes() \
+        == ((dirs @ gamma)[:, None] * (dm @ g_tilde.T.copy())).tobytes()
 
 
 def test_finite_diff_check_flags_wrong_derivative():

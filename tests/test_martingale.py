@@ -128,6 +128,19 @@ def test_step_covariances_assemble_components():
     assert np.allclose(covs[2], expected)
 
 
+@pytest.mark.parametrize("horizon, steps", [(1.0, 400), (0.7, 3), (50.0, 1)])
+def test_grid_times_are_built_once_and_read_only(horizon, steps):
+    grid = PathGrid(horizon=horizon, steps=steps)
+    times = grid.times
+    assert grid.times is times
+    assert times.tobytes() \
+        == np.linspace(0.0, horizon, steps + 1).tobytes()
+    with pytest.raises(ValueError, match="read-only"):
+        times[0] = 1.0
+    # equal grids stay equal, and their times too
+    assert grid == PathGrid(horizon=horizon, steps=steps)
+
+
 def test_grid_horizon_must_match_driver():
     d = example_driver(horizon=1.0)
     with pytest.raises(ValueError, match="horizon"):

@@ -1,19 +1,22 @@
 """Optimality checks, spike experiments, and the two packaged scenarios."""
 
 import dataclasses
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import Phase, assume, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from martctrl import pmp
 from martctrl.adjoint import (RegressionBasis, hamiltonian,
                               solve_adjoint_explicit, solve_adjoint_lsmc)
-from martctrl.dynamics import (BallSet, BoxSet, FeedbackPolicy, FiniteSet,
-                               OpenLoopPolicy, SpikeSpec, apply_spike,
-                               evaluate_cost, integrate_forward,
-                               integrate_variational, spiked_costs)
-from martctrl.martingale import PathGrid, sample_increments
+from martctrl.dynamics import (BallSet, BlowUpError, BoxSet, FeedbackPolicy,
+                               FiniteSet, FirstVariation, OpenLoopPolicy,
+                               SpikeSpec, apply_spike, evaluate_cost,
+                               integrate_forward, integrate_variational,
+                               spiked_costs, stream_spiked)
+from martctrl.martingale import PathGrid, sample_increments, step_major
 from martctrl.pmp import (EXAMPLE1_C, EXAMPLE1_F_TILDE, FAR_THRESHOLD,
                           Example1Config, Example2Config, build_example1_problem,
                           build_example2_problem, default_spike_family,
@@ -22,6 +25,7 @@ from martctrl.pmp import (EXAMPLE1_C, EXAMPLE1_F_TILDE, FAR_THRESHOLD,
                           run_example2, stationarity_residual,
                           sufficient_check)
 from test_adjoint import undeclared
+from test_dynamics import noiseless_problem
 
 
 def gateaux_verdicts(rep):
@@ -352,6 +356,52 @@ def test_rate_experiments_match_stored_spiked_states():
         assert rep.exi[i] == float(np.mean(xi_sq))
         assert rep.exi_se[i] == float(np.std(xi_sq, ddof=1)
                                       / np.sqrt(traj.paths))
+
+
+def test_rate_ladder_block_that_blows_up_reruns_each_spike_alone():
+    # the ladder's two spikes run as one block, and the shorter one blows
+    # up first; the error is the one the first spike of the ladder raises
+    # alone, as when each spike ran on its own, not a row of the block
+    def drift(t, x, u):
+        # back on the base control u = 0 away from the base state 0
+        return np.where((u == 0.0) & (x > 0.0), np.inf, u)
+
+    problem, policy, bundle = noiseless_problem(drift, paths=2, steps=10)
+    base = integrate_forward(problem, policy, bundle, np.zeros(1))
+    spike = SpikeSpec(t0=0.2, eps=0.4, v=np.ones(1))
+    p = FirstVariation(states=np.zeros((2, 2, 1)), zeta=np.zeros((2, 2)),
+                       optimal=base, spike=spike)
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(BlowUpError) as alone:
+            stream_spiked(problem, base, [spike],
+                          lambda k, x, u, x_next: None)
+        with pytest.raises(BlowUpError) as ladder:
+            rate_experiments(problem, p, eps_ladder=(0.4, 0.2))
+    assert (alone.value.path, alone.value.step) == (0, 7)
+    assert (ladder.value.path, ladder.value.step, ladder.value.time) \
+        == (alone.value.path, alone.value.step, alone.value.time)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(data=st.data(), paths=st.integers(1, 6), points=st.integers(1, 6),
+       n=st.integers(1, 4), layout=st.sampled_from(["step-major",
+                                                    "path-major"]))
+def test_state_box_matches_the_reduction_over_paths_and_steps(
+        data, paths, points, n, layout):
+    # the row-wise reduction of the step-major memory gives the box of
+    # min/max over axes (0, 1), specials included
+    values = st.one_of(st.sampled_from([np.nan, np.inf, -np.inf, -0.0, 0.0]),
+                       st.floats(width=64))
+    states = data.draw(arrays(np.float64, (paths, points, n),
+                              elements=values), label="states")
+    if layout == "step-major":
+        states = step_major(states)
+    with np.errstate(invalid="ignore"):
+        lo, hi = pmp._state_box(SimpleNamespace(states=states))
+        low, high = states.min(axis=(0, 1)), states.max(axis=(0, 1))
+        pad = 0.5 * np.maximum(high - low, 1.0)
+    np.testing.assert_array_equal(lo, low - pad)
+    np.testing.assert_array_equal(hi, high + pad)
 
 
 def test_default_spike_family_layout():
