@@ -23,14 +23,15 @@ driver directions dM and never an operator per path.  An AffineDiffusion
 declares the form (X . gamma) G~ + D and serves as both G and G_x.
 
 The callables and policies must act row by row: a row's result may not
-depend on the other rows of the batch.  ``spiked_costs`` relies on it
-when it steps spikes that share a start step as one batch, the bundle's
+depend on the other rows of the batch.  ``stream_spiked`` relies on it
+when it steps spikes that share a start step in blocks, the bundle's
 paths stacked once per spike.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -338,8 +339,9 @@ class SpikedPolicy(ControlPolicy):
 
     The states stack one copy of the paths per member: member i owns the
     i-th run of rows and applies ``v[i]`` on its window [k0, k1[i]) and
-    the base control elsewhere.  ``apply_spike`` builds the one-member
-    case, whose rows inside the window are a broadcast view of v.
+    the base control elsewhere.  ``stream_spiked`` steps one per block of
+    its specs; ``apply_spike`` builds the one-member case, whose rows
+    inside the window are a broadcast view of v.
     """
 
     base: ControlPolicy
@@ -502,24 +504,51 @@ def integrate_forward(problem, policy, bundle, x0):
     return trajectories
 
 
+# Rows of one block of spikes stepped together.  On example1 at 2000 paths
+# x 200 steps with 100 spikes, 4096 rows ran 8% slower, and 16384 or 32768
+# rows ran within 2% but raised the peak RSS by 2.5 and 5.2 MB.
+BLOCK_ROWS = 8192
+
+
 def stream_spiked(problem, base, specs, visit):
     """Re-run a base trajectory under spikes that share their window start
     k0, keeping only the current state.
 
-    The specs run as one block: the state stacks the base run's paths once
-    per spec, in spec order, and starts at k0 from the base states there,
-    which each spiked run shares with the base.  So ``visit(k, x_k, u_k,
-    x_next)`` sees, for k >= k0 and in the rows of spec i, the states and
-    controls of the full re-integration ``integrate_forward(problem,
-    apply_spike(base.policy, specs[i], grid), base.bundle, x0)``, bit for
-    bit; for more than one spec that needs the problem and the policy to
-    act row by row and a bundle of two paths or more.  Returns the
-    terminal states, shape (len(specs) * paths, dim).
+    The stacked rows hold the base run's paths once per spec, in spec
+    order.  They step in consecutive blocks of at most BLOCK_ROWS rows,
+    one spec per block on a one-path bundle (numpy multiplies a one-row
+    batch with its matrix-vector kernel, a larger one would move the last
+    bits).  Each block starts at k0 from the base states there, which
+    each spiked run shares with the base, and ``visit(rows, k, x_k, u_k,
+    x_next)`` sees each of its steps k >= k0: ``rows`` is the slice of
+    the stacked rows the block holds, and in the rows of spec i the
+    states and controls are those of the full re-integration
+    ``integrate_forward(problem, apply_spike(base.policy, specs[i],
+    grid), base.bundle, x0)``, bit for bit, if the problem and the policy
+    act row by row.  X(T) is the ``x_next`` of the last step.
+
+    A block of several specs that blows up re-runs each of them alone, in
+    order, and raises the first BlowUpError of those runs, which names a
+    path of the spec's own copy of the paths.
     """
     policy = _spiked_policy(base.policy, specs, base.grid)
-    return _euler(problem, policy, base.bundle,
-                  np.tile(base.states[:, policy.k0, :], (len(specs), 1)),
-                  policy.k0, visit)
+    paths = base.paths
+    size = 1 if paths == 1 else max(1, BLOCK_ROWS // paths)
+    x_start = base.states[:, policy.k0, :]
+    for first in range(0, len(specs), size):
+        block = SpikedPolicy(base=base.policy, v=policy.v[first:first + size],
+                             k0=policy.k0, k1=policy.k1[first:first + size])
+        members = len(block.k1)
+        rows = slice(first * paths, (first + members) * paths)
+        try:
+            _euler(problem, block, base.bundle, np.tile(x_start, (members, 1)),
+                   policy.k0, partial(visit, rows))
+        except BlowUpError:
+            if members == 1:
+                raise
+            for spec in specs[first:first + members]:
+                stream_spiked(problem, base, [spec], lambda *step: None)
+            raise
 
 
 @dataclass(frozen=True)
@@ -599,31 +628,10 @@ def evaluate_cost(problem, trajectories):
     return spiked_costs(problem, trajectories, ())[0]
 
 
-# Rows of one block of spikes stepped together.  On example1 at 2000 paths
-# x 200 steps with 100 spikes, 4096 rows ran 8% slower, and 16384 or 32768
-# rows ran within 2% but raised the peak RSS by 2.5 and 5.2 MB.
-BLOCK_ROWS = 8192
-
-
-def _spike_blocks(starts, paths):
-    """Spec indices in blocks that share a start step, in spec order.
-
-    A block holds at most BLOCK_ROWS // paths spikes, and one spike on a
-    one-path bundle, whose batch numpy multiplies with its matrix-vector
-    kernel (a larger batch would move the last bits).
-    """
-    size = 1 if paths == 1 else max(1, BLOCK_ROWS // paths)
-    groups = {}
-    for i, k0 in enumerate(starts):
-        groups.setdefault(k0, []).append(i)
-    return [members[j:j + size] for members in groups.values()
-            for j in range(0, len(members), size)]
-
-
 def spiked_costs(problem, base, specs):
-    """Cost of a base run and, lazily, of its re-runs under each spike.
+    """Cost of a base run and of its re-runs under each spike.
 
-    Returns (base cost, costs): ``costs`` yields, for each spec in order,
+    Returns (base cost, costs): ``costs`` lists, for each spec in order,
     the cost of the base run re-run under
     ``apply_spike(base.policy, spec, grid)``, without its states.  Each is
     bit-identical to ``evaluate_cost`` of the full re-integration: its
@@ -633,15 +641,10 @@ def spiked_costs(problem, base, specs):
 
     A spec whose ``v`` has the bytes of an ``OpenLoopPolicy`` base's
     ``u`` changes no control, so its re-run would repeat the base run
-    operation for operation: it yields the base cost without stepping.
-    The other specs that share k0 step together as one block
-    (``_spike_blocks``), still in spec order, through ``stream_spiked``,
-    which relies on the problem and the policy acting row by row.
-    Reading a spec runs its block if it has not run yet; the costs of
-    the block's later specs wait until they are read.  A block that
-    blows up is re-run one spike at a time, each when its spec is read,
-    so a BlowUpError names the spike's own path, step and time and is
-    raised when that spec is read.
+    operation for operation: its cost is the base cost, without stepping.
+    The other specs re-run in one ``stream_spiked`` call per start step,
+    the start steps in the order of their first spec; the first
+    BlowUpError that call raises propagates.
     """
     grid = base.grid
     times = grid.times
@@ -657,37 +660,27 @@ def spiked_costs(problem, base, specs):
                            base.control_at(k)) * dt
     base_cost = _cost_report(run + problem.h(base.states[:, -1, :]))
 
-    def run_block(members):
-        spiked = np.tile(prefix[starts[members[0]]], len(members))
+    groups = {}
+    for i, (spec, k0) in enumerate(zip(specs, starts)):
+        if not (isinstance(base.policy, OpenLoopPolicy)
+                and spec.v.tobytes() == base.policy.u.tobytes()):
+            groups.setdefault(k0, []).append(i)
+    costs = [base_cost] * len(specs)
+    for k0, members in groups.items():
+        total = np.tile(prefix[k0], len(members))
 
-        def accumulate(k, x, u, x_next):
-            np.add(spiked, problem.ell(times[k], x, u) * dt, out=spiked)
+        def accumulate(rows, k, x, u, x_next):
+            # h per block: on one path a block is one row, which numpy
+            # multiplies with another kernel than a group of rows
+            block = total[rows]
+            block += problem.ell(times[k], x, u) * dt
+            if k == grid.steps - 1:
+                block += problem.h(x_next)
 
-        x_end = stream_spiked(problem, base, [specs[i] for i in members],
-                              accumulate)
-        total = spiked + problem.h(x_end)
-        return [_cost_report(row) for row in total.reshape(len(members), -1)]
-
-    def at_base(spec):
-        return (isinstance(base.policy, OpenLoopPolicy)
-                and spec.v.tobytes() == base.policy.u.tobytes())
-
-    def costs():
-        stepped = [i for i, spec in enumerate(specs) if not at_base(spec)]
-        blocks = [[stepped[j] for j in members] for members in
-                  _spike_blocks([starts[i] for i in stepped], base.paths)]
-        block_of = {i: block for block in blocks for i in block}
-        done = {i: base_cost for i in range(len(specs)) if i not in block_of}
-        for i in range(len(specs)):
-            if i not in done:
-                try:
-                    done.update(zip(block_of[i], run_block(block_of[i])))
-                except BlowUpError:
-                    done.update(dict.fromkeys(block_of[i]))
-            cost = done.pop(i)
-            yield cost if cost is not None else run_block([i])[0]
-
-    return base_cost, costs()
+        stream_spiked(problem, base, [specs[i] for i in members], accumulate)
+        for i, row in zip(members, total.reshape(len(members), -1)):
+            costs[i] = _cost_report(row)
+    return base_cost, costs
 
 
 @dataclass(frozen=True)

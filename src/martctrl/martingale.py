@@ -254,8 +254,7 @@ class NoiseBundle:
     memory is step-major (see :func:`step_major`): any other layout given
     here is copied into it, so ``increments[:, k, :]`` is contiguous in
     every bundle.  :meth:`save` still writes the path-major file format.
-    ``identity()`` is the (seed, paths, steps, dim) tuple; runs
-    that share noise hold the one bundle object.  Everything that pairs
+    Runs that share noise hold the one bundle object.  Everything that pairs
     the increments with the driver's covariances reads ``driver`` here.
     """
 
@@ -290,9 +289,6 @@ class NoiseBundle:
     @property
     def dim(self):
         return self.increments.shape[2]
-
-    def identity(self):
-        return (int(self.seed), self.paths, self.steps, self.dim)
 
     def save(self, path):
         """Write the documented flat binary layout (header + float64 body).

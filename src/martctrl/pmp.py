@@ -27,17 +27,15 @@ report).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
 from .adjoint import (AdjointSolution, RegressionBasis, _control_terms,
                       duality_check, hamiltonian, solve_adjoint_explicit,
                       solve_adjoint_lsmc)
-from .dynamics import (AffineDiffusion, BallSet, BlowUpError, BoxSet,
-                       ControlProblem, FeedbackPolicy, OpenLoopPolicy,
-                       SpikeSpec, _spike_blocks, evaluate_cost,
-                       integrate_forward, integrate_variational,
+from .dynamics import (AffineDiffusion, BallSet, BoxSet, ControlProblem,
+                       FeedbackPolicy, OpenLoopPolicy, SpikeSpec,
+                       evaluate_cost, integrate_forward, integrate_variational,
                        sample_controls, spiked_costs, stream_spiked)
 from .hilbert import apply_operator
 from .martingale import (MartingaleDriver, PathGrid, ScalarIntensity,
@@ -185,9 +183,9 @@ class SufficiencyReport:
                 and self.margin_report.passed)
 
 
-def _state_box(trajectories, widen=0.5):
-    """Box around every state of the run, widened by ``widen`` of its span
-    (at least 1) on each side.
+def _state_box(trajectories):
+    """Box around every state of the run, widened by half its span (at
+    least 1) on each side.
 
     The step-major memory is reduced as (steps + 1, paths * n) rows
     first, then over paths, instead of over axes (0, 1) of the strided
@@ -198,7 +196,7 @@ def _state_box(trajectories, widen=0.5):
     rows = trajectories.states.swapaxes(0, 1).reshape(-1, paths * n)
     lo = rows.min(axis=0).reshape(paths, n).min(axis=0)
     hi = rows.max(axis=0).reshape(paths, n).max(axis=0)
-    pad = widen * np.maximum(hi - lo, 1.0)
+    pad = 0.5 * np.maximum(hi - lo, 1.0)
     return lo - pad, hi + pad
 
 
@@ -348,59 +346,41 @@ class RateReport:
         return self.slope_ok and self.xi_decreasing and self.xi_final_ok
 
 
-def _sup_gap(base, msq, k, x, u, x_next):
-    """Raise msq to |X_eps - X|^2 at step k + 1 where that is larger.
-
-    ``x_next`` stacks the rows of a block of spikes, one copy of the base
-    paths per member, and each copy is read against the base states.
-    """
-    members = x_next.shape[0] // base.paths
-    diff = (x_next.reshape(members, base.paths, -1)
-            - base.states[:, k + 1, :]).reshape(x_next.shape)
-    np.maximum(msq, np.einsum("pi,pi->p", diff, diff), out=msq)
-
-
-def _ladder_block(problem, base, specs):
-    """(sup-gap msq, X_eps(T)) per spec, the specs re-run as one block."""
-    msq = np.zeros(len(specs) * base.paths)
-    x_end = stream_spiked(problem, base, specs, partial(_sup_gap, base, msq))
-    return list(zip(msq.reshape(len(specs), -1),
-                    x_end.reshape(len(specs), base.paths, -1)))
-
-
 def rate_experiments(problem, p, eps_ladder=(0.2, 0.1, 0.05, 0.025)):
     """Measure E sup_t |X_eps - X|^2 and E |(X_eps(T)-X(T))/eps - p(T)|^2.
 
     The spikes start at p's own t0 with p's own v, one per eps, and re-run
-    p's optimal trajectory on its noise bundle, as blocks of up to
-    ``BLOCK_ROWS // paths`` spikes (see ``spiked_costs``); a block that
-    blows up re-runs its spikes alone, so the error names the spike's own
-    path.  Passes when the log-log slope of the sup curve is >= 1.5 and
-    the remainder sequence is strictly decreasing with final value < 1/4
-    of the initial one.
+    p's optimal trajectory on its noise bundle in one ``stream_spiked``
+    call, which names a blown-up spike's own path.  Passes when the
+    log-log slope of the sup curve is >= 1.5 and the remainder sequence
+    is strictly decreasing with final value < 1/4 of the initial one.
     """
     traj = p.optimal
     t0, v = p.spike.t0, p.spike.v
     ladder = np.sort(np.asarray(eps_ladder, dtype=float))[::-1]
     p_term = p.states[:, -1, :]
     specs = [SpikeSpec(t0=float(t0), eps=float(eps), v=v) for eps in ladder]
-    k0, _ = specs[0].window(traj.grid)
+    paths = traj.paths
+    msq = np.zeros(ladder.size * paths)
+    xi_sq = np.empty(ladder.size * paths)
 
-    esup = np.empty(ladder.size)
-    esup_se = np.empty(ladder.size)
-    exi = np.empty(ladder.size)
-    exi_se = np.empty(ladder.size)
-    for block in _spike_blocks([k0] * ladder.size, traj.paths):
-        try:
-            runs = _ladder_block(problem, traj, [specs[i] for i in block])
-        except BlowUpError:
-            runs = [run for i in block
-                    for run in _ladder_block(problem, traj, [specs[i]])]
-        for i, (msq, x_end) in zip(block, runs):
-            xi = (x_end - traj.states[:, -1, :]) / ladder[i] - p_term
-            xi_sq = np.einsum("pi,pi->p", xi, xi)
-            esup[i], esup_se[i] = mean_se(msq)
-            exi[i], exi_se[i] = mean_se(xi_sq)
+    def visit(rows, k, x, u, x_next):
+        # each spike's copy of the paths is read against the base states
+        spiked = x_next.reshape(-1, paths, x_next.shape[1])
+        diff = (spiked - traj.states[:, k + 1, :]).reshape(x_next.shape)
+        np.maximum(msq[rows], np.einsum("pi,pi->p", diff, diff),
+                   out=msq[rows])
+        if k == traj.grid.steps - 1:
+            eps = ladder[rows.start // paths:rows.stop // paths, None, None]
+            xi = ((spiked - traj.states[:, -1, :]) / eps
+                  - p_term).reshape(x_next.shape)
+            xi_sq[rows] = np.einsum("pi,pi->p", xi, xi)
+
+    stream_spiked(problem, traj, specs, visit)
+    esup, esup_se = np.transpose(
+        [mean_se(row) for row in msq.reshape(ladder.size, -1)])
+    exi, exi_se = np.transpose(
+        [mean_se(row) for row in xi_sq.reshape(ladder.size, -1)])
 
     slope = float(np.polyfit(np.log(ladder), np.log(esup), 1)[0])
     decreasing = bool(np.all(np.diff(exi) < 0.0))

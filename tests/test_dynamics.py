@@ -12,7 +12,6 @@ from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from martctrl import dynamics
-from martctrl._parallel import BLOCK_SIZE
 from martctrl.adjoint import solve_adjoint_lsmc
 from martctrl.dynamics import (AffineDiffusion, BallSet, BlowUpError, BoxSet,
                                ControlProblem, FeedbackPolicy, FiniteSet,
@@ -23,8 +22,8 @@ from martctrl.dynamics import (AffineDiffusion, BallSet, BlowUpError, BoxSet,
                                integrate_variational, sample_controls,
                                spiked_costs, stream_spiked)
 from martctrl.hilbert import apply_operator
-from martctrl.martingale import (MartingaleDriver, PathGrid, ScalarIntensity,
-                                 sample_increments)
+from martctrl.martingale import (_SEED_BLOCK, MartingaleDriver, PathGrid,
+                                 ScalarIntensity, sample_increments)
 from martctrl.pmp import (Example1Config, Example2Config, build_example1_problem,
                           build_example2_problem)
 
@@ -342,9 +341,10 @@ def test_spiked_run_matches_full_reintegration():
                           base.states[:, :k0 + 1, :])
     assert not np.array_equal(full.states[:, -1, :], base.states[:, -1, :])
     # a stream from the window start ends where the full run ends
-    x_end = stream_spiked(problem, base, [spec],
-                          lambda k, x, u, x_next: None)
-    assert np.array_equal(x_end, full.states[:, -1, :])
+    seen = {}
+    stream_spiked(problem, base, [spec],
+                  lambda rows, k, x, u, x_next: seen.update(x_end=x_next))
+    assert np.array_equal(seen["x_end"], full.states[:, -1, :])
 
 
 @pytest.mark.parametrize("feedback, drift_gain",
@@ -373,13 +373,12 @@ def test_streamed_spike_is_bit_identical_to_stored_spike(feedback,
         # the stream visits the states the stored run keeps
         k0, _ = spec.window(grid)
         seen = {}
-        x_end = stream_spiked(
+        stream_spiked(
             problem, base, [spec],
-            lambda k, x, u, x_next: seen.setdefault(k + 1, x_next))
+            lambda rows, k, x, u, x_next: seen.setdefault(k + 1, x_next))
         assert sorted(seen) == list(range(k0 + 1, grid.steps + 1))
         for k, x in seen.items():
             assert np.array_equal(x, stored.states[:, k, :]), k
-        assert np.array_equal(x_end, stored.states[:, -1, :])
 
 
 def test_spiked_costs_walk_the_base_once_and_each_spike_when_read():
@@ -398,14 +397,9 @@ def test_spiked_costs_walk_the_base_once_and_each_spike_when_read():
     specs = [SpikeSpec(t0=0.5, eps=0.1, v=u_star + 0.5),
              SpikeSpec(t0=0.25, eps=0.05, v=u_star - 0.5)]
     base_cost, costs = spiked_costs(counted, base, specs)
-    assert len(calls) == grid.steps
-    first = next(costs)
-    assert len(calls) == grid.steps + 20      # steps 20..39 of the first
-    second = next(costs)
+    # the base walk, steps 20..39 of the first spike, 10..39 of the second
     assert len(calls) == grid.steps + 20 + 30
-    with pytest.raises(StopIteration):
-        next(costs)
-    for spec, cost in zip(specs, (first, second)):
+    for spec, cost in zip(specs, costs, strict=True):
         full = integrate_forward(problem,
                                  apply_spike(base.policy, spec, grid),
                                  bundle, np.asarray(cfg.x0))
@@ -417,13 +411,15 @@ def test_spiked_costs_walk_the_base_once_and_each_spike_when_read():
 
 @pytest.mark.parametrize("name", ["example1-tanh", "example2"])
 @settings(max_examples=6, deadline=None, derandomize=True, database=None)
-@given(small=st.integers(2, BLOCK_SIZE + 64), extra=st.integers(1, 256))
+@given(small=st.integers(2, 4096 + 64), extra=st.integers(1, 256))
 @example(small=7, extra=57)
 @example(small=100, extra=4900)
-@example(small=33, extra=BLOCK_SIZE + 1 - 33)
+@example(small=33, extra=4096 + 1 - 33)
+@example(small=_SEED_BLOCK - 1, extra=2)
 def test_more_paths_extend_fewer(name, small, extra):
     # per-path noise substreams: a run on more paths repeats the states and
-    # per-path costs of a run on fewer, bit for bit, across block edges too.
+    # per-path costs of a run on fewer, bit for bit, across the sampler's
+    # seeding blocks too.
     # From two paths up only: numpy multiplies a one-row batch with its
     # matrix-vector kernel, whose last bits differ from the matrix-matrix
     # kernel of every larger batch (see README, Determinism)
@@ -467,15 +463,13 @@ def test_spike_prefix_identity(name, feedback, data):
     assert np.array_equal(full.states[:, :k0 + 1, :],
                           base.states[:, :k0 + 1, :])
     seen = {}
-    x_end = stream_spiked(problem, base, [spec],
-                          lambda k, x, u, x_next: seen.setdefault(k + 1,
-                                                                  x_next))
+    stream_spiked(problem, base, [spec],
+                  lambda rows, k, x, u, x_next: seen.setdefault(k + 1,
+                                                                x_next))
     assert sorted(seen) == list(range(k0 + 1, steps + 1))
     for k, x in seen.items():
         assert np.array_equal(x, full.states[:, k, :]), k
-    assert np.array_equal(x_end, full.states[:, -1, :])
-    _, costs = spiked_costs(problem, base, [spec])
-    streamed = next(costs)
+    _, (streamed,) = spiked_costs(problem, base, [spec])
     expected = evaluate_cost(problem, full)
     assert np.array_equal(streamed.per_path, expected.per_path)
     assert (streamed.mean, streamed.stderr) \
@@ -531,13 +525,7 @@ def test_spike_blocks_match_spikes_run_alone(name, feedback, paths, data):
     stepped = [spec for spec in specs
                if feedback or spec.v.tobytes() != policy.u.tobytes()]
     with mock.patch.object(dynamics, "BLOCK_ROWS", block_rows):
-        base_cost, costs = spiked_costs(counted, base, specs)
-        assert len(calls) == steps
-        got = [next(costs)]
-        k0_first = specs[0].window(grid)[0]
-        first_steps = any(spec is specs[0] for spec in stepped)
-        assert len(calls) == steps + first_steps * (steps - k0_first)
-        got += list(costs)
+        base_cost, got = spiked_costs(counted, base, specs)
     group = Counter(spec.window(grid)[0] for spec in stepped)
     assert len(calls) == steps + sum(math.ceil(count / size) * (steps - k0)
                                      for k0, count in group.items())
@@ -570,13 +558,11 @@ def test_spike_at_the_open_loop_control_reads_the_base_cost(paths):
              SpikeSpec(t0=0.25, eps=0.5, v=u_star + 0.5),
              SpikeSpec(t0=0.0, eps=1.0, v=u_star.tolist()),
              SpikeSpec(t0=0.25, eps=0.2, v=u_star - 0.5)]
-    _, costs = spiked_costs(counted, base, specs)
-    del calls[:]
-    first = next(costs)
-    assert calls == []
-    got = [first, *costs]
-    # one block for the two displaced spikes, 30 steps from k0 = 10
-    assert calls == ([2 * paths] * 30 if paths > 1 else [1] * 60)
+    _, got = spiked_costs(counted, base, specs)
+    # after the base walk, one block for the two displaced spikes, 30
+    # steps from k0 = 10
+    assert calls == [paths] * grid.steps + (
+        [2 * paths] * 30 if paths > 1 else [1] * 60)
     for spec, cost in zip(specs, got, strict=True):
         full = integrate_forward(problem, apply_spike(base.policy, spec, grid),
                                  bundle, x0)
@@ -610,11 +596,9 @@ def test_spike_off_the_open_loop_control_still_steps(base_kind):
         return problem.ell(t, x, u)
 
     spec = SpikeSpec(t0=0.25, eps=0.1, v=v)
-    _, costs = spiked_costs(dataclasses.replace(problem, ell=ell), base,
-                            [spec])
-    del calls[:]
-    cost = next(costs)
-    assert len(calls) == 30
+    _, (cost,) = spiked_costs(dataclasses.replace(problem, ell=ell), base,
+                              [spec])
+    assert len(calls) == grid.steps + 30
     full = integrate_forward(problem, apply_spike(policy, spec, grid), bundle,
                              x0)
     assert np.array_equal(cost.per_path, evaluate_cost(problem,
@@ -622,14 +606,12 @@ def test_spike_off_the_open_loop_control_still_steps(base_kind):
 
 
 def test_blown_up_block_reruns_each_spike_alone():
-    # the second spike of a block overflows: the first keeps the cost it
-    # has alone, and reading the second raises the error its spike raises
-    # alone, which names a path of its own copy of the bundle
+    # the second spike of a block overflows: the costs raise the error its
+    # spike raises alone, which names a path of its own copy of the bundle
     def drift(t, x, u):
         return x ** 3 + u
 
     problem, pol, bundle = noiseless_problem(drift, paths=4, steps=10)
-    grid = bundle.grid
     x0 = np.array([[0.1], [0.2], [0.3], [0.4]])
     base = integrate_forward(problem, pol, bundle, x0)
     calm = SpikeSpec(t0=0.3, eps=0.2, v=np.array([0.5]))
@@ -637,18 +619,103 @@ def test_blown_up_block_reruns_each_spike_alone():
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(BlowUpError) as alone:
             stream_spiked(problem, base, [wild],
-                          lambda k, x, u, x_next: None)
-        _, costs = spiked_costs(problem, base, [calm, wild])
-        first = next(costs)
+                          lambda rows, k, x, u, x_next: None)
         with pytest.raises(BlowUpError) as read:
-            next(costs)
-    full = integrate_forward(problem, apply_spike(pol, calm, grid), bundle,
-                             x0)
-    assert np.array_equal(first.per_path,
-                          evaluate_cost(problem, full).per_path)
+            spiked_costs(problem, base, [calm, wild])
     assert (read.value.path, read.value.step, read.value.time) \
         == (alone.value.path, alone.value.step, alone.value.time)
     assert alone.value.step == 5
+
+
+def test_stream_spiked_names_the_last_member_that_blows_up_alone():
+    # only the last spike of a block overflows: the block re-runs its
+    # spikes alone, the last one included, and raises that spike's own
+    # error, whose path lies in its own copy of the paths
+    def drift(t, x, u):
+        return x ** 3 + u
+
+    problem, pol, bundle = noiseless_problem(drift, paths=4, steps=10)
+    base = integrate_forward(problem, pol, bundle,
+                             np.array([[0.1], [0.2], [0.3], [0.4]]))
+    calm = [SpikeSpec(t0=0.3, eps=0.2, v=np.array([v])) for v in (0.5, -0.5)]
+    wild = SpikeSpec(t0=0.3, eps=0.2, v=np.array([1e200]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(BlowUpError) as alone:
+            stream_spiked(problem, base, [wild],
+                          lambda rows, k, x, u, x_next: None)
+        with pytest.raises(BlowUpError) as block:
+            stream_spiked(problem, base, [*calm, wild],
+                          lambda rows, k, x, u, x_next: None)
+    assert 0 <= alone.value.path < 4
+    assert (block.value.path, block.value.step, block.value.time) \
+        == (alone.value.path, alone.value.step, alone.value.time)
+
+
+def test_spiked_costs_raise_the_error_of_the_first_failing_block():
+    # the start steps run in the order of their first spec: the block at
+    # t0 = 0.6 runs first, so its wild spike's error is raised although
+    # the spike at t0 = 0.2 comes before it in spec order and blows up
+    # earlier
+    def drift(t, x, u):
+        return x ** 3 + u
+
+    problem, pol, bundle = noiseless_problem(drift, paths=4, steps=10)
+    base = integrate_forward(problem, pol, bundle,
+                             np.array([[0.1], [0.2], [0.3], [0.4]]))
+    late = SpikeSpec(t0=0.6, eps=0.2, v=np.array([1e200]))
+    early = SpikeSpec(t0=0.2, eps=0.2, v=np.array([1e200]))
+    calm = SpikeSpec(t0=0.6, eps=0.2, v=np.array([0.5]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(BlowUpError) as alone:
+            stream_spiked(problem, base, [late],
+                          lambda rows, k, x, u, x_next: None)
+        with pytest.raises(BlowUpError) as raised:
+            spiked_costs(problem, base, [calm, early, late])
+    assert alone.value.step == 8
+    assert (raised.value.path, raised.value.step, raised.value.time) \
+        == (alone.value.path, alone.value.step, alone.value.time)
+
+
+@pytest.mark.parametrize("paths, block_rows",
+                         [(1, dynamics.BLOCK_ROWS), (3, 7), (4, 8), (5, 5)])
+def test_stream_spiked_steps_consecutive_blocks(paths, block_rows):
+    # the visitor's row slices cover the stacked rows in order, each block
+    # at most BLOCK_ROWS rows (one spike on a one-path bundle) and stepped
+    # from the window start to T; the last step's x_next is each spike's
+    # X(T) of the full re-integration
+    steps = 8
+    cfg, problem, driver, grid, u = packaged("example1", steps=steps,
+                                             paths=paths)
+    bundle = sample_increments(driver, grid, paths, cfg.seed)
+    x0 = np.asarray(cfg.x0)
+    base = integrate_forward(problem, OpenLoopPolicy(u), bundle, x0)
+    specs = [SpikeSpec(t0=2 * grid.dt, eps=width * grid.dt, v=u + 0.1 * i)
+             for i, width in enumerate((1, 6, 3, 2, 5))]
+    visits = []
+    ends = []
+
+    def visit(rows, k, x, u, x_next):
+        assert x.shape == x_next.shape == (rows.stop - rows.start, 4)
+        visits.append(((rows.start, rows.stop), k))
+        if k == steps - 1:
+            ends.append(x_next)
+
+    with mock.patch.object(dynamics, "BLOCK_ROWS", block_rows):
+        stream_spiked(problem, base, specs, visit)
+    blocks = list(dict.fromkeys(rows for rows, _ in visits))
+    assert visits == [(rows, k) for rows in blocks for k in range(2, steps)]
+    assert blocks[0][0] == 0 and blocks[-1][1] == len(specs) * paths
+    assert all(a[1] == b[0] for a, b in zip(blocks, blocks[1:]))
+    sizes = [stop - start for start, stop in blocks]
+    assert all(size <= block_rows for size in sizes)
+    if paths == 1:
+        assert sizes == [1] * len(specs)
+    x_end = np.concatenate(ends)
+    for i, spec in enumerate(specs):
+        full = integrate_forward(problem, apply_spike(base.policy, spec, grid),
+                                 bundle, x0)
+        assert np.array_equal(x_end[i * paths:(i + 1) * paths],
+                              full.states[:, -1, :])
 
 
 def test_stream_spiked_refuses_a_block_without_one_start_step():
@@ -661,7 +728,8 @@ def test_stream_spiked_refuses_a_block_without_one_start_step():
              SpikeSpec(t0=0.5, eps=0.1, v=u_star)]
     for block in (specs, []):
         with pytest.raises(ValueError, match="one start step"):
-            stream_spiked(problem, base, block, lambda k, x, u, x_next: None)
+            stream_spiked(problem, base, block,
+                          lambda rows, k, x, u, x_next: None)
 
 
 def test_noop_spike_changes_nothing():

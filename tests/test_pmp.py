@@ -374,7 +374,7 @@ def test_rate_ladder_block_that_blows_up_reruns_each_spike_alone():
     with np.errstate(invalid="ignore"):
         with pytest.raises(BlowUpError) as alone:
             stream_spiked(problem, base, [spike],
-                          lambda k, x, u, x_next: None)
+                          lambda rows, k, x, u, x_next: None)
         with pytest.raises(BlowUpError) as ladder:
             rate_experiments(problem, p, eps_ladder=(0.4, 0.2))
     assert (alone.value.path, alone.value.step) == (0, 7)
