@@ -537,6 +537,24 @@ def test_spike_blocks_match_spikes_run_alone(name, feedback, paths, data):
         assert cost.mean == expected.mean
 
 
+def test_spike_blocks_tile_the_increments_for_a_generic_diffusion():
+    # a G that is not an AffineDiffusion gets each step's increments tiled
+    # to the block's stacked copies: its spike costs are those of the
+    # affine declaration, which takes the increments untiled, bit for bit
+    cfg, problem, driver, grid, u = packaged("example2", steps=12, paths=16)
+    generic = dataclasses.replace(problem,
+                                  G=lambda t, x, dm: problem.G(t, x, dm))
+    bundle = sample_increments(driver, grid, cfg.paths, cfg.seed)
+    base = integrate_forward(problem, OpenLoopPolicy(u), bundle,
+                             np.asarray(cfg.x0))
+    specs = [SpikeSpec(t0=4 * grid.dt, eps=width * grid.dt, v=u + shift)
+             for width, shift in ((2, 0.5), (5, -0.3), (8, 1.0))]
+    _, affine = spiked_costs(problem, base, specs)
+    _, tiled = spiked_costs(generic, base, specs)
+    for a, b in zip(affine, tiled, strict=True):
+        assert np.array_equal(a.per_path, b.per_path)
+
+
 @pytest.mark.parametrize("paths", [1, 16])
 def test_spike_at_the_open_loop_control_reads_the_base_cost(paths):
     # a spike whose v has the bytes of the open-loop base's u re-runs
@@ -993,6 +1011,114 @@ def test_affine_diffusion_scales_columns_as_the_broadcast_did(
         assert got is out
     assert diffusion.derivative(0.0, x, dirs, dm).tobytes() \
         == ((dirs @ gamma)[:, None] * (dm @ g_tilde.T.copy())).tobytes()
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(data=st.data(), n=st.integers(1, 6), paths=st.integers(2, 70),
+       copies=st.integers(1, 5), offset=st.booleans(), buffered=st.booleans())
+def test_affine_diffusion_shares_increments_across_stacked_copies(
+        data, n, paths, copies, offset, buffered):
+    # states that stack whole copies of dM's rows (a block of spikes) take
+    # dM as it is: the bits of the call on dM tiled to match, for the call
+    # with and without ``out`` and for the derivative.  From two paths up,
+    # as stream_spiked stacks them (a one-row dM takes another kernel)
+    def draw(shape, label):
+        return data.draw(arrays(np.float64, shape, elements=finite),
+                         label=label)
+
+    gamma, g_tilde = draw((n,), "gamma"), draw((n, n), "g_tilde")
+    d = draw((n, n), "d") if offset else None
+    dm = draw((paths, n), "dm")
+    x, dirs = (draw((copies * paths, n), label) for label in ("x", "dirs"))
+    diffusion = AffineDiffusion(gamma, g_tilde, d)
+    tiled = np.tile(dm, (copies, 1))
+
+    out = np.empty(x.shape) if buffered else None
+    got = diffusion(0.0, x, dm, out=out)
+    assert got.tobytes() == diffusion(0.0, x, tiled).tobytes()
+    if buffered:
+        assert got is out
+    assert diffusion.derivative(0.0, x, dirs, dm).tobytes() \
+        == diffusion.derivative(0.0, x, dirs, tiled).tobytes()
+    ragged = np.vstack([x, x[:1]])
+    with pytest.raises(ValueError, match="whole copies"):
+        diffusion(0.0, ragged, dm, out=None if out is None
+                  else np.empty(ragged.shape))
+    with pytest.raises(ValueError, match="whole copies"):
+        diffusion.derivative(0.0, ragged, ragged, dm)
+
+
+def test_spiked_policy_rows_inside_and_across_the_windows():
+    # several members all inside their windows: one C-contiguous copy with
+    # the bytes of the broadcast form; one member: a zero-stride view of v;
+    # partial windows: v over the base control in the members inside only
+    base = OpenLoopPolicy(np.array([0.5, -1.0]))
+    v = np.array([[1.0, 2.0], [3.0, -0.0], [5e-324, -4.0]])
+    rows = 7
+    states = np.zeros((len(v) * rows, 4))
+    block = dynamics.SpikedPolicy(base=base, v=v, k0=2, k1=np.array([4, 6, 5]))
+
+    inside = block.controls_at(3, 0.3, states)
+    expected = np.broadcast_to(v[:, None, :], (len(v), rows, 2)).reshape(-1, 2)
+    assert np.array_equal(inside, expected)
+    assert inside.tobytes() == expected.tobytes()
+    assert inside.flags.c_contiguous
+
+    alone = dynamics.SpikedPolicy(base=base, v=v[1:2], k0=2, k1=np.array([6]))
+    view = alone.controls_at(3, 0.3, states[:rows])
+    assert view.strides[0] == 0
+    assert view.tobytes() == np.tile(v[1], (rows, 1)).tobytes()
+
+    def member_rows(*controls):
+        return np.concatenate([np.tile(c, (rows, 1)) for c in controls])
+
+    assert np.array_equal(block.controls_at(1, 0.1, states),
+                          member_rows(base.u, base.u, base.u))
+    assert np.array_equal(block.controls_at(4, 0.4, states),
+                          member_rows(base.u, v[1], v[2]))
+    assert np.array_equal(block.controls_at(5, 0.5, states),
+                          member_rows(base.u, v[1], base.u))
+
+
+special = st.sampled_from([np.inf, -np.inf, np.nan, 0.0, -0.0, 5e-324,
+                           -5e-324])
+
+
+@pytest.mark.parametrize("name", ["example1", "example1-tanh"])
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(data=st.data(), rows=st.integers(1, 70),
+       layout=st.sampled_from(["contiguous", "zero-stride", "repeat"]))
+def test_example1_drift_and_cost_keep_the_reference_bits(name, data, rows,
+                                                        layout):
+    # the drift gives the bits of u @ F~^T with F~^T a transposed view and
+    # the column-by-column |u|^2 those of the einsum, on every row layout
+    # a run hands them, for the packaged two control columns.  A
+    # contiguous copy of F~^T would be 3x faster on contiguous rows, but
+    # OpenBLAS's kernel for it returns -0.0 for some exact zeros where
+    # this one returns +0.0, where a product underflows (u rows of
+    # -5e-324, say)
+    cfg, problem, _, _, _ = packaged(name)
+    f_tilde = np.reshape(cfg.f_tilde, (cfg.state_dim, cfg.control_dim))
+    m = cfg.control_dim
+    elements = st.one_of(st.floats(-1e150, 1e150), special)
+    if layout == "contiguous":
+        u = data.draw(arrays(np.float64, (rows, m), elements=elements),
+                      label="u")
+    else:
+        members = data.draw(arrays(np.float64, (3 if layout == "repeat"
+                                                else 1, m),
+                                   elements=elements), label="v")
+        u = (np.repeat(members, rows, axis=0) if layout == "repeat"
+             else np.broadcast_to(members[0], (rows, m)))
+    x = data.draw(arrays(np.float64, (len(u), cfg.state_dim),
+                         elements=finite), label="x")
+
+    expected = u @ f_tilde.T
+    if cfg.drift_gain != 0.0:
+        expected = expected + cfg.drift_gain * np.tanh(x)
+    assert problem.F(0.3, x, u).tobytes() == expected.tobytes()
+    assert problem.ell(0.3, x, u).tobytes() \
+        == np.einsum("pi,pi->p", u, u).tobytes()
 
 
 def test_finite_diff_check_flags_wrong_derivative():
