@@ -12,7 +12,8 @@ sum_j <G(t, x) l_j, z l_j>, one diffusion action per driver component.
 Its state gradient Gamma, <Gamma, e_d> = sum_j <(G_x[e_d]) l_j, z l_j>,
 costs n actions of G_x per component in general.  An AffineDiffusion
 (x . gamma) G~ + D has G_x[e_d] = gamma_d G~, so there
-Gamma = gamma * sum_j <G~ l_j, z l_j>, one einsum.
+Gamma = gamma * sum_j <G~ l_j, z l_j>, one einsum.  Gamma does not read y,
+so a backward step forms it once for its whole Picard pass.
 The adjoint backward equation
 
     -dY = grad_x H(t, X, u, Y, Z) dt - Z dM - dN,   Y(T) = h_x(X(T))
@@ -30,7 +31,8 @@ Monte Carlo backward induction over a basis of state polynomials:
         estimator; the off-range part of Z_k is set to zero through the
         covariance pseudo-inverse
     Y_k = E-hat[Y_{k+1} | X_k] + grad_x H(t_k, X_k, u_k, Y-hat_k, Z_k) dt
-        with a two-iteration Picard pass for the implicit Y-hat_k.
+        with a two-iteration Picard pass for the implicit Y-hat_k, each
+        iteration y <- E-hat[Y_{k+1} | X_k] + ((ell_x + F_x^T y) + Gamma) dt.
 
 Each per-step projection E-hat[. | X_k] fits an intercept plus centered,
 unit-variance features, keeping only singular directions above a relative
@@ -52,6 +54,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from itertools import combinations_with_replacement, product
 
 import numpy as np
 
@@ -75,6 +78,38 @@ EXPLICIT_TOL = 1e-9
 # Warn when the unexplained martingale energy exceeds this multiple of the
 # energy explained by Z dM.
 N_RESIDUAL_WARN_RATIO = 0.5
+
+
+def _columnwise(op, a, b, out):
+    """The broadcast op(a, b) into ``out`` one column (1-D: entry) at a time,
+    bit for bit, without numpy's inner loops as short as a row."""
+    for a_j, b_j, out_j in zip(a.T, b.T, out.T):
+        op(a_j, b_j, out=out_j)
+    return out
+
+
+def _fitted(mean, xc, coef):
+    """mean + xc @ coef, column by column."""
+    prod = xc @ coef
+    return _columnwise(np.add, mean, prod, prod)
+
+
+def _standardized(xfeat):
+    """mu, scale (1 where the spread vanished) and (xfeat - mu) / scale, on
+    one deviation array in np.std's own sequence: the bits of np.std."""
+    mu = xfeat.mean(axis=0)
+    xc = _columnwise(np.subtract, xfeat, mu, np.empty(xfeat.shape))
+    sd = np.sqrt(np.add.reduce(np.square(xc), axis=0) / len(xc))
+    scale = np.where(sd > 0.0, sd, 1.0)
+    return mu, scale, _columnwise(np.divide, xc, scale, xc)
+
+
+def _outer_rows(a, b):
+    """Row-wise outer products: column i n_b + j holds a_i b_j."""
+    out = np.empty((len(a), a.shape[1] * b.shape[1]))
+    for out_col, (a_i, b_j) in zip(out.T, product(a.T, b.T)):
+        np.multiply(a_i, b_j, out=out_col)
+    return out
 
 
 class RegressionRankError(RuntimeError):
@@ -113,28 +148,29 @@ def hamiltonian(problem, factor, t, x, u, y, z):
         + _paired(lambda dm: problem.G(t, x, dm), factor, z @ factor)
 
 
-def grad_x_hamiltonian(problem, factor, t, x, u, y, z):
-    """State gradient of H.
-
-    grad_x H = ell_x + F_x^T y + Gamma where Gamma is assembled against the
-    basis directions: <Gamma, e_d> = sum_j <(G_x(x)[e_d]) l_j, z l_j> over
-    the columns l_j of ``factor``.  An :class:`AffineDiffusion`
-    ``problem.G`` gives Gamma in closed form instead.  Takes the arguments
-    :func:`hamiltonian` takes; returns shape (P, n).
-    """
-    fx = np.asarray(problem.F_x(t, x, u), dtype=float)
-    fxty = apply_operator(np.swapaxes(fx, -1, -2), y)
-    grad = np.asarray(problem.ell_x(t, x, u), dtype=float) + fxty
+def _grad_x_of_y(problem, factor, t, x, u, z):
+    """y -> grad_x H = (ell_x + F_x^T y) + Gamma, with the terms that do
+    not read y formed once.  <Gamma, e_d> = sum_j <(G_x[e_d]) l_j, z l_j>
+    over the columns l_j of ``factor``, n actions of G_x per column; an
+    :class:`AffineDiffusion` ``problem.G`` gives Gamma in closed form."""
+    fxt = np.swapaxes(np.asarray(problem.F_x(t, x, u), dtype=float), -1, -2)
+    ell_x = np.asarray(problem.ell_x(t, x, u), dtype=float)
     if isinstance(problem.G, AffineDiffusion):
-        return grad + problem.G.state_gradient(factor, z)
-    n = x.shape[1]
-    zl = z @ factor
-    gamma = np.empty((x.shape[0], n))
-    for d, direction in enumerate(np.eye(n)):
-        direction = np.broadcast_to(direction, x.shape)
-        gamma[:, d] = _paired(lambda dm: problem.G_x(t, x, direction, dm),
-                              factor, zl)
-    return grad + gamma
+        gamma = problem.G.state_gradient(factor, z)
+    else:
+        zl = z @ factor
+        gamma = np.empty(x.shape)
+        for d, direction in enumerate(np.eye(x.shape[1])):
+            direction = np.broadcast_to(direction, x.shape)
+            gamma[:, d] = _paired(
+                lambda dm: problem.G_x(t, x, direction, dm), factor, zl)
+    return lambda y: (ell_x + apply_operator(fxt, y)) + gamma
+
+
+def grad_x_hamiltonian(problem, factor, t, x, u, y, z):
+    """State gradient of H (see :func:`_grad_x_of_y`).  Takes the arguments
+    :func:`hamiltonian` takes; returns shape (P, n)."""
+    return _grad_x_of_y(problem, factor, t, x, u, z)(y)
 
 
 @dataclass(frozen=True)
@@ -164,13 +200,16 @@ class RegressionBasis:
         x = np.asarray(states, dtype=float)
         if x.ndim != 2:
             raise ValueError(f"states must be (paths, dim), got {x.shape}")
-        cols = [np.ones((x.shape[0], 1))]
+        n = x.shape[1]
+        phi = np.ones((x.shape[0], self.feature_count(n)))
         if self.degree >= 1:
-            cols.append(x)
+            phi[:, 1:n + 1] = x
         if self.degree >= 2:
-            ii, jj = np.triu_indices(x.shape[1])
-            cols.append(x[:, ii] * x[:, jj])
-        return np.concatenate(cols, axis=1)
+            # x_i x_j for i <= j, in the order of np.triu_indices(n)
+            for out, (xi, xj) in zip(
+                    phi.T[n + 1:], combinations_with_replacement(x.T, 2)):
+                np.multiply(xi, xj, out=out)
+        return phi
 
 
 @dataclass(frozen=True)
@@ -232,36 +271,37 @@ class AdjointSolution:
 
     def _centered_features(self, k, states):
         fit = self._fits[k]
-        phi = self.basis.features(np.asarray(states, dtype=float))
-        return (phi[:, 1:] - fit.mu) / fit.scale
+        xfeat = self.basis.features(np.asarray(states, dtype=float))[:, 1:]
+        xc = _columnwise(np.subtract, xfeat, fit.mu, np.empty(xfeat.shape))
+        return _columnwise(np.divide, xc, fit.scale, xc)
 
     def _z_fitted(self, k, xc):
         # one (paths * n, n) @ (n, n) product: a batched (paths, n, n) @
         # (n, n) matmul runs one small product per path
         fit = self._fits[k]
         n = self.state_dim
-        w = (fit.w_mean + xc @ fit.w_coef).reshape(-1, n)
+        w = _fitted(fit.w_mean, xc, fit.w_coef).reshape(-1, n)
         return (w @ self._c_pinv[k]).reshape(xc.shape[0], n, n)
 
-    def _step(self, k, states, xc, u):
+    def _step(self, k, states, xc, u, yhat0=None):
         """Backward-induction (Y_k, Z_k) at ``states`` from fit k.
 
-        Y_k is the projection E-hat[Y_{k+1} | X_k] plus the
+        Y_k is the projection ``yhat0`` = E-hat[Y_{k+1} | X_k] plus the
         Hamiltonian-gradient correction, with a Picard pass for the implicit
-        Y-hat_k.  The solver and :meth:`y_eval` both use this, so they agree
-        bit for bit.  ``xc`` holds the centered features of ``states`` and
-        ``u`` the policy's controls there.
+        Y-hat_k: y <- yhat0 + grad_x H(y) dt, twice, on one Gamma.  The
+        solver (which passes its ``yhat0``) and :meth:`y_eval` both use
+        this, so they agree bit for bit.  ``xc`` holds the centered features
+        of ``states`` and ``u`` the policy's controls there.
         """
         fit = self._fits[k]
-        t = self.grid.times[k]
-        factor = self._factors[k]
-        yhat0 = fit.y_mean + xc @ fit.y_coef
+        if yhat0 is None:
+            yhat0 = _fitted(fit.y_mean, xc, fit.y_coef)
         z = self._z_fitted(k, xc)
+        grad = _grad_x_of_y(self._problem, self._factors[k],
+                            self.grid.times[k], states, u, z)
         y = yhat0
         for _ in range(PICARD_ITERS):
-            grad = grad_x_hamiltonian(self._problem, factor, t, states,
-                                      u, y, z)
-            y = yhat0 + grad * self.grid.dt
+            y = yhat0 + grad(y) * self.grid.dt
         return y, z
 
     def z_at(self, k, states=None):
@@ -395,12 +435,7 @@ def solve_adjoint_lsmc(problem, trajectories, basis=None):
         _problem=problem, _fits=fits, _c_pinv=c_pinv, _factors=factors)
 
     for k in range(grid.steps - 1, -1, -1):
-        phi = basis.features(x[:, k, :])
-        xfeat = phi[:, 1:]
-        mu = xfeat.mean(axis=0) if xfeat.shape[1] else np.zeros(0)
-        sd = xfeat.std(axis=0) if xfeat.shape[1] else np.zeros(0)
-        scale = np.where(sd > 0.0, sd, 1.0)
-        xc = (xfeat - mu) / scale
+        mu, scale, xc = _standardized(basis.features(x[:, k, :])[:, 1:])
 
         u_k = s_k = vt_k = None
         if xc.shape[1]:
@@ -424,19 +459,19 @@ def solve_adjoint_lsmc(problem, trajectories, basis=None):
             t_mean = target.mean(axis=0)
             if u_k is None:
                 return t_mean, np.zeros((xc.shape[1], target.shape[1]))
-            coef = vt_k.T @ ((u_k.T @ (target - t_mean)) / s_k[:, None])
-            return t_mean, coef
+            dev = _columnwise(np.subtract, target, t_mean,
+                              np.empty(target.shape))
+            return t_mean, vt_k.T @ ((u_k.T @ dev) / s_k[:, None])
 
         y_mean, y_coef = fit(y[:, k + 1, :])
-        yhat0 = y_mean + xc @ y_coef
+        yhat0 = _fitted(y_mean, xc, y_coef)
         centered = y[:, k + 1, :] - yhat0
         dm = bundle.increments[:, k, :]
-        target = (centered[:, :, None] * dm[:, None, :]).reshape(paths, n * n)
-        w_mean, w_coef = fit(target)
+        w_mean, w_coef = fit(_outer_rows(centered, dm))
         fits[k] = _StepFit(mu=mu, scale=scale, y_mean=y_mean, y_coef=y_coef,
                            w_mean=w_mean, w_coef=w_coef)
         y[:, k, :], z = solution._step(k, x[:, k, :], xc,
-                                       trajectories.control_at(k))
+                                       trajectories.control_at(k), yhat0)
 
         zdm = apply_operator(z, dm)
         resid = centered - zdm

@@ -1,10 +1,13 @@
 """Hamiltonian algebra, explicit and regression adjoint solvers, duality."""
 
 import dataclasses
+import functools
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from martctrl import adjoint
 from martctrl.adjoint import (RegressionBasis, RegressionRankError,
@@ -467,3 +470,163 @@ def test_duality_check_requires_shared_bundle():
         duality_check(adj, integrate_variational(problem, twin, spec))
     assert duality_check(adj,
                          integrate_variational(problem, traj, spec)).paths == 16
+
+
+# Reference forms for the per-step LSMC work: the broadcast expressions the
+# solver computes column by column must keep their bits.
+ANY_FLOAT = st.floats(width=64) | st.sampled_from(
+    [0.0, -0.0, 1e150, -1e150, 1e200])
+
+
+def same_bits(a, b):
+    """Equal shapes and bit patterns, zero signs and NaN payloads too."""
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return a.shape == b.shape \
+        and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def broadcast_features(degree, x):
+    cols = [np.ones((x.shape[0], 1))]
+    if degree >= 1:
+        cols.append(x)
+    if degree >= 2:
+        ii, jj = np.triu_indices(x.shape[1])
+        cols.append(x[:, ii] * x[:, jj])
+    return np.concatenate(cols, axis=1)
+
+
+# inf, NaN and overflowing entries on purpose
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(data=st.data(), degree=st.integers(0, 2), n=st.integers(1, 5))
+def test_features_keep_the_bits_of_the_triu_form(data, degree, n):
+    x = data.draw(arrays(np.float64, (data.draw(st.integers(1, 9)), n),
+                         elements=ANY_FLOAT))
+    phi = RegressionBasis(degree).features(x)
+    assert same_bits(phi, broadcast_features(degree, x))
+    # the layout the column means reduce over
+    assert phi.flags.c_contiguous
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(data=st.data(), paths=st.integers(2, 40), cols=st.integers(0, 6))
+def test_standardized_keeps_the_bits_of_std(data, paths, cols):
+    finite = st.floats(-1e3, 1e3) | st.sampled_from(
+        [0.0, -0.0, 1e150, -1e150])
+    phi = data.draw(arrays(np.float64, (paths, cols + 1), elements=finite))
+    constant = data.draw(st.lists(st.booleans(), min_size=cols,
+                                  max_size=cols))
+    for j in np.flatnonzero(constant) + 1:
+        phi[:, j] = phi[0, j]       # constant columns keep scale 1
+    xfeat = phi[:, 1:]              # the solver's view of the features
+    mu, scale, xc = adjoint._standardized(xfeat)
+    sd = xfeat.std(axis=0)
+    ref_scale = np.where(sd > 0.0, sd, 1.0)
+    assert same_bits(mu, xfeat.mean(axis=0))
+    assert same_bits(scale, ref_scale)
+    assert same_bits(xc, (xfeat - xfeat.mean(axis=0)) / ref_scale)
+
+
+# inf, NaN and overflowing entries on purpose
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(data=st.data(), paths=st.integers(1, 30), cols=st.integers(0, 6))
+def test_columnwise_ops_keep_the_bits_of_the_broadcasts(data, paths, cols):
+    a = data.draw(arrays(np.float64, (paths, cols), elements=ANY_FLOAT))
+    b = data.draw(arrays(np.float64, (cols,), elements=ANY_FLOAT))
+    for op in (np.add, np.subtract, np.divide):
+        got = adjoint._columnwise(op, a, b, np.empty(a.shape))
+        assert same_bits(got, op(a, b))
+        got = adjoint._columnwise(op, b, a, np.empty(a.shape))
+        assert same_bits(got, op(b, a))
+    coef = data.draw(arrays(np.float64, (cols, 3),
+                            elements=st.floats(-1e3, 1e3)))
+    mean = data.draw(arrays(np.float64, (3,), elements=ANY_FLOAT))
+    xc = np.nan_to_num(a)
+    assert same_bits(adjoint._fitted(mean, xc, coef), mean + xc @ coef)
+
+
+# inf, NaN and overflowing entries on purpose
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(data=st.data(), paths=st.integers(1, 30), n_a=st.integers(1, 4),
+       n_b=st.integers(1, 4))
+def test_z_target_keeps_the_bits_of_the_broadcast_product(data, paths, n_a,
+                                                           n_b):
+    a = data.draw(arrays(np.float64, (paths, n_a), elements=ANY_FLOAT))
+    b = data.draw(arrays(np.float64, (paths, n_b), elements=ANY_FLOAT))
+    ref = (a[:, :, None] * b[:, None, :]).reshape(paths, n_a * n_b)
+    assert same_bits(adjoint._outer_rows(a, b), ref)
+
+
+@functools.lru_cache(maxsize=None)
+def example2_solution(declared):
+    _, problem, _, _, _, _, traj = example2_setup(steps=12, paths=400)
+    return solve_adjoint_lsmc(problem if declared else undeclared(problem),
+                              traj)
+
+
+@settings(max_examples=24, deadline=None, derandomize=True, database=None)
+@given(declared=st.booleans(), k=st.integers(0, 11),
+       spread=st.sampled_from([0.0, 0.5, 10.0]), seed=st.integers(0, 999))
+def test_step_keeps_the_bits_of_the_two_call_picard_form(declared, k, spread,
+                                                         seed):
+    adj = example2_solution(declared)
+    fit = adj._fits[k]
+    t, n = adj.grid.times[k], adj.state_dim
+    states = adj.trajectories.states[:, k, :] \
+        + spread * np.random.default_rng(seed).standard_normal((400, n))
+    u = adj.trajectories.policy.controls_at(k, t, states)
+    xc = (broadcast_features(adj.basis.degree, states)[:, 1:] - fit.mu) \
+        / fit.scale
+    yhat0 = fit.y_mean + xc @ fit.y_coef
+    z = ((fit.w_mean + xc @ fit.w_coef).reshape(-1, n)
+         @ adj._c_pinv[k]).reshape(400, n, n)
+    y = yhat0
+    for _ in range(adjoint.PICARD_ITERS):
+        y = yhat0 + grad_x_hamiltonian(adj._problem, adj._factors[k], t,
+                                       states, u, y, z) * adj.grid.dt
+    got_xc = adj._centered_features(k, states)
+    assert same_bits(got_xc, xc)
+    got_y, got_z = adj._step(k, states, got_xc, u)
+    assert same_bits(got_y, y)
+    assert same_bits(got_z, z)
+    assert same_bits(adj.y_eval(k, states), y)
+    if spread == 0.0:
+        assert same_bits(adj.Y[:, k, :], y)
+
+
+def test_one_gamma_per_backward_step(monkeypatch):
+    # Gamma does not read y: each backward step (and each y_eval) forms it
+    # once for both Picard iterations
+    _, problem, driver, grid, _, _, traj = example2_setup(steps=12,
+                                                          paths=400)
+    closed_form = []
+    state_gradient = AffineDiffusion.state_gradient
+
+    def counted(self, factor, z):
+        closed_form.append(len(z))
+        return state_gradient(self, factor, z)
+
+    monkeypatch.setattr(AffineDiffusion, "state_gradient", counted)
+    adj = solve_adjoint_lsmc(problem, traj)
+    assert closed_form == [400] * grid.steps
+    for k in (0, 5, grid.steps - 1):
+        adj.y_eval(k, traj.states[:17, k, :])
+    assert len(closed_form) == grid.steps + 3
+
+    # the generic loop: n directions times r factor columns per step
+    generic = undeclared(problem)
+    actions = []
+
+    def g_x(t, x, dirs, dm):
+        actions.append(len(x))
+        return generic.G_x(t, x, dirs, dm)
+
+    counting = dataclasses.replace(generic, G_x=g_x)
+    adj = solve_adjoint_lsmc(counting, traj)
+    n, r = driver.cov_rate_factor(0.5).shape
+    assert actions == [400] * (grid.steps * n * r)
+    del actions[:]
+    adj.y_eval(3, traj.states[:17, 3, :])
+    assert actions == [17] * (n * r)

@@ -58,6 +58,29 @@ CONFIGS = {
         sweeps = 2
         run_duality = true
         """,
+    # the same run on the linear and on the constant-only basis
+    "example2-degree1": """\
+        [run]
+        scenario = example2
+        steps = 20
+        paths = 600
+
+        [example2]
+        basis_degree = 1
+        sweeps = 2
+        run_duality = true
+        """,
+    "example2-degree0": """\
+        [run]
+        scenario = example2
+        steps = 20
+        paths = 600
+
+        [example2]
+        basis_degree = 0
+        sweeps = 2
+        run_duality = true
+        """,
     # first variation and zeta under the non-affine tanh drift
     "gateaux": """\
         [run]
@@ -176,6 +199,14 @@ DIGESTS = {
     "example2": {
         "sweeps.csv": "284f068e53315d27f0ca5243ddf32597be37d01149fd745615247a7e712b4bbc",
         "report.txt": "25fc047263258b96bf13ddcb6e6b5148d117a48b30abc39915d7de1901a81718",
+    },
+    "example2-degree1": {
+        "sweeps.csv": "b36cbe84eb95de457f25157e305b3a997111fb95695985a694e960e252ae21f0",
+        "report.txt": "73d46071e56266315911d75fa6579ff0f348ab32b20e590c45c000772d4abdb4",
+    },
+    "example2-degree0": {
+        "sweeps.csv": "f4fbf20f66387ee754076d4b8e59c55b24b018dfbd965c9da0924e2862a3cf97",
+        "report.txt": "18c7c7883a013c5106dbaa075a27fe8dc83b1d8abea176d13320838f1c2c4c7e",
     },
     "gateaux": {
         "gateaux.csv": "e3c1f582dd051842fff7ff39ca97f150562e888e50d029821e28188a56c1240d",
