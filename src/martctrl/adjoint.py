@@ -427,6 +427,7 @@ def solve_adjoint_lsmc(problem, trajectories, basis=None):
     y[:, grid.steps, :] = np.asarray(problem.h_x(x[:, grid.steps, :]),
                                      dtype=float)
     fits = [None] * grid.steps
+    dm_buffer = np.empty((paths, n))
     n_energy = np.zeros(grid.steps)
     explained = np.zeros(grid.steps)
     solution = AdjointSolution(
@@ -466,7 +467,7 @@ def solve_adjoint_lsmc(problem, trajectories, basis=None):
         y_mean, y_coef = fit(y[:, k + 1, :])
         yhat0 = _fitted(y_mean, xc, y_coef)
         centered = y[:, k + 1, :] - yhat0
-        dm = bundle.increments[:, k, :]
+        dm = bundle.step(k, out=dm_buffer)
         w_mean, w_coef = fit(_outer_rows(centered, dm))
         fits[k] = _StepFit(mu=mu, scale=scale, y_mean=y_mean, y_coef=y_coef,
                            w_mean=w_mean, w_coef=w_coef)

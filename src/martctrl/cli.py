@@ -27,6 +27,11 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
+try:
+    import resource
+except ImportError:             # not on every platform
+    resource = None
+
 from . import __version__
 from .adjoint import (RegressionBasis, RegressionRankError,
                       solve_adjoint_explicit)
@@ -854,6 +859,10 @@ def _emit(config, report, out_dir, wall_seconds, status):
         f"wall_seconds = {wall_seconds:.3f}",
         f"outputs = {', '.join(outputs)}",
     ]
+    if resource is not None:    # the process's peak: KiB, bytes on macOS
+        peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        unit = 1 if sys.platform == "darwin" else 1024
+        manifest.append(f"peak_rss_mb = {peak * unit / 1e6:.1f}")
     (out_dir / "manifest.txt").write_text("\n".join(manifest) + "\n",
                                           encoding="utf-8")
     return outputs

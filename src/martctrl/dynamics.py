@@ -455,8 +455,8 @@ def _euler(problem, policy, bundle, x, start, visit):
 
     ``x`` holds the bundle's paths, or whole copies of them stacked along
     the path axis (a block of spikes).  An AffineDiffusion takes each
-    step's increments as they are; for any other G they are tiled to
-    match, into one buffer reused across steps.  ``visit(k, x_k, u_k,
+    step's ``bundle.step`` as it is; for any other G it is tiled to
+    match.  Both go into buffers reused across steps.  ``visit(k, x_k, u_k,
     x_next)`` sees every step: the state at step k, the control applied
     there and the state at step k + 1, a fresh array the visitor may
     keep.  Raises BlowUpError at the first non-finite state.
@@ -473,10 +473,11 @@ def _euler(problem, policy, bundle, x, start, visit):
     affine = isinstance(problem.G, AffineDiffusion)
     tiled = np.empty(x.shape) if copies > 1 and not affine else None
     action = {"out": np.empty(x.shape)} if affine else {}
+    step_dm = np.empty((bundle.paths, bundle.dim))
     for k in range(start, grid.steps):
         t = times[k]
         u = policy.controls_at(k, t, x)
-        dm = bundle.increments[:, k, :]
+        dm = bundle.step(k, out=step_dm)
         if tiled is not None:
             tiled.reshape(copies, bundle.paths, -1)[:] = dm
             dm = tiled
@@ -520,10 +521,11 @@ def integrate_forward(problem, policy, bundle, x0):
     return trajectories
 
 
-# Rows of one block of spikes stepped together.  On example1 at 2000 paths
-# x 200 steps with 100 spikes, 4096 rows ran 8% slower, and 16384 or 32768
-# rows ran within 2% but raised the peak RSS by 2.5 and 5.2 MB.
-BLOCK_ROWS = 8192
+# Rows of one block of spikes stepped together, each block forming its
+# steps' increments anew.  On example1 at 2000 paths x 200 steps with 100
+# spikes, 8192 rows ran 7% slower and 16384 2% faster, with 0.6 MB more
+# peak RSS and 4% more page faults, than these 12288.
+BLOCK_ROWS = 12288
 
 
 def stream_spiked(problem, base, specs, visit):
@@ -608,6 +610,7 @@ def integrate_variational(problem, optimal, spec):
     v = np.broadcast_to(spec.v, u0.shape)
     p_start = p = problem.F(t0, x0, v) - problem.F(t0, x0, u0)
     z_start = z = problem.ell(t0, x0, v) - problem.ell(t0, x0, u0)
+    dm = np.empty((bundle.paths, bundle.dim))
     for k in range(k0, grid.steps):
         t = times[k]
         xk = x_at[:, k, :]
@@ -615,7 +618,7 @@ def integrate_variational(problem, optimal, spec):
         z = z + np.einsum("pi,pi->p", problem.ell_x(t, xk, uk), p) * dt
         fx = problem.F_x(t, xk, uk)
         p = p + apply_operator(fx, p) * dt \
-            + problem.G_x(t, xk, p, bundle.increments[:, k, :])
+            + problem.G_x(t, xk, p, bundle.step(k, out=dm))
     return FirstVariation(states=np.stack((p_start, p), axis=1),
                           zeta=np.stack((z_start, z), axis=1),
                           optimal=optimal, spike=spec)

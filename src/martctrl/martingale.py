@@ -13,17 +13,18 @@ increments are exact Gaussian draws: each component contributes
 ``beta_i * sqrt(int_{t_k}^{t_{k+1}} alpha_i(s) ds) * xi`` with iid standard
 normal ``xi`` and the per-step integral computed by the trapezoid rule.
 
-Increments are indexed (path, step, coordinate) but stored step-major: the
-memory runs (step, path, coordinate), so the block ``increments[:, k, :]``
-that every Euler, first-variation and adjoint step reads is one contiguous
-array.  Noise bundles serialize to a flat binary file, unchanged by that
-layout: a header of four little-endian int64 fields (state_dim, steps,
-paths, seed) followed by the increments as row-major (path, step,
-coordinate) little-endian float64.  A bundle carries
-the driver it was sampled from, so verify_isometry(phi, bundle) takes no
-driver; the file stores neither that driver nor the horizon, so
-NoiseBundle.load(path, driver) takes the driver again and rebuilds the grid
-from its horizon and the stored step count.
+A sampled NoiseBundle holds only those scaled normals, laid out (component,
+step, path); ``bundle.step(k, out)`` forms step k's contiguous (path,
+coordinate) increments 0 + sum_i xi_ik beta_i when they are read, so a
+product of -0.0 gives +0.0 as in a sum from zeros.  A bundle built from an
+increments array keeps it, step-major, and ``step(k)`` is a view of it.
+Noise bundles serialize to a flat binary file: a header of four
+little-endian int64 fields (state_dim, steps, paths, seed) followed by the
+increments as row-major (path, step, coordinate) little-endian float64.
+A bundle carries the driver it was sampled from, so verify_isometry(phi,
+bundle) takes no driver; the file stores neither that driver nor the
+horizon, so NoiseBundle.load(path, driver) takes the driver again and
+rebuilds the grid from its horizon and the stored step count.
 """
 
 from __future__ import annotations
@@ -245,50 +246,69 @@ def step_covariances(driver, grid):
     return np.einsum("ik,ia,ib->kab", integrals, betas, betas)
 
 
-@dataclass
 class NoiseBundle:
     """Increments of ``driver`` on a grid, for a block of Monte Carlo paths.
 
     ``increments[p, k]`` is the driver increment over [t_k, t_{k+1}] for
-    path p.  The array keeps that (paths, steps, dim) indexing but its
-    memory is step-major (see :func:`step_major`): any other layout given
-    here is copied into it, so ``increments[:, k, :]`` is contiguous in
-    every bundle.  :meth:`save` still writes the path-major file format.
-    Runs that share noise hold the one bundle object.  Everything that pairs
-    the increments with the driver's covariances reads ``driver`` here.
+    path p, and ``step(k)`` its C-contiguous (paths, dim) block.  A bundle
+    built from an increments array keeps it step-major (:func:`step_major`
+    copies any other layout), and ``step(k)`` is a view of it.  A sampled
+    bundle holds the scaled normals only: ``step(k, out)`` forms the block
+    and ``increments`` is built anew on each read.  :meth:`save` writes the
+    path-major file format.  Runs that share noise hold the one bundle
+    object.  Everything that pairs the increments with the driver's
+    covariances reads ``driver`` here.
     """
 
-    increments: np.ndarray
-    seed: int
-    grid: PathGrid
-    driver: MartingaleDriver
-
-    def __post_init__(self):
-        inc = np.asarray(self.increments, dtype=float)
+    def __init__(self, increments, seed, grid, driver):
+        inc = np.asarray(increments, dtype=float)
         if inc.ndim != 3:
             raise ValueError(f"increments must be 3-d (paths, steps, dim), "
                              f"got shape {inc.shape}")
-        if inc.shape[1] != self.grid.steps:
+        if inc.shape[1] != grid.steps:
             raise ValueError(
                 f"increments have {inc.shape[1]} steps but grid has "
-                f"{self.grid.steps}")
-        if inc.shape[2] != self.driver.state_dim:
+                f"{grid.steps}")
+        if inc.shape[2] != driver.state_dim:
             raise ValueError(
                 f"increments have dimension {inc.shape[2]} but the driver "
-                f"has state_dim {self.driver.state_dim}")
-        self.increments = step_major(inc)
+                f"has state_dim {driver.state_dim}")
+        self._held, self._normals = step_major(inc), None
+        self.seed, self.grid, self.driver = seed, grid, driver
+        self.paths, self.steps, self.dim = inc.shape
+
+    @classmethod
+    def _of_normals(cls, xi, seed, grid, driver):
+        """A bundle of the (n_components >= 1, steps, paths) normals xi."""
+        b = cls.__new__(cls)
+        b._held, b._normals, b._betas = None, xi, driver.betas()
+        b.seed, b.grid, b.driver = seed, grid, driver
+        b.paths, b.steps, b.dim = xi.shape[2], grid.steps, driver.state_dim
+        return b
+
+    def step(self, k, out=None):
+        """Step k's (paths, dim) increments, as returned; a sampled bundle
+        forms into ``out`` the first component's products column by column,
+        ``+= 0.0`` (-0.0 sums to +0.0, as from zeros), then the others'."""
+        if self._normals is None:
+            return self._held[:, k, :]
+        out = np.empty((self.paths, self.dim)) if out is None else out
+        first = self._normals[0, k]
+        for column, b in zip(out.T, self._betas[0]):
+            np.multiply(first, b, out=column)
+        out += 0.0
+        if len(self._betas) > 1:
+            for x, beta in zip(self._normals[1:, k], self._betas[1:]):
+                out += x[:, None] * beta
+        return out
 
     @property
-    def paths(self):
-        return self.increments.shape[0]
-
-    @property
-    def steps(self):
-        return self.increments.shape[1]
-
-    @property
-    def dim(self):
-        return self.increments.shape[2]
+    def increments(self):
+        """The (paths, steps, dim) increments, step-major."""
+        if self._normals is None:
+            return self._held
+        steps = [self.step(k) for k in range(self.steps)]
+        return np.stack(steps).swapaxes(0, 1)
 
     def save(self, path):
         """Write the documented flat binary layout (header + float64 body).
@@ -430,37 +450,32 @@ def sample_increments(driver, grid, paths, seed):
     SeedSequence/PCG64 seeding (``_seed_words``, ``_pcg64_state``), and
     tests/test_martingale.py pins that to the installed numpy.  One reused
     generator takes each path's state and draws its (n_components, steps)
-    normals into a step-major array, from which each step's increments are
-    summed.
+    normals into a step-major array; the bundle holds them scaled, and
+    forms each step's increments when it is read (:meth:`NoiseBundle.step`).
     """
     if paths < 1:
         raise ValueError(f"paths must be >= 1, got {paths}")
-    integrals = step_intensity_integrals(driver, grid)
-    scales = np.sqrt(integrals)                       # (ncomp, steps)
-    betas = driver.betas()                            # (ncomp, dim)
+    scales = np.sqrt(step_intensity_integrals(driver, grid))  # (ncomp, steps)
     seed = int(seed)
     ncomp, steps = driver.n_components, grid.steps
     bit_generator = np.random.PCG64(0)
     generator = np.random.Generator(bit_generator)
     row = np.empty((ncomp, steps))
-    xi = np.empty((ncomp, steps, paths))          # normals, step-major
+    raw = np.empty((ncomp, steps, paths))          # normals, step-major
     for start in range(0, paths, _SEED_BLOCK):
         words = _seed_words(seed, start, min(start + _SEED_BLOCK, paths))
         for p, w in enumerate(words, start):
             bit_generator.state = _pcg64_state(w.tolist())
             generator.standard_normal(out=row)
-            xi[:, :, p] = row
-    xi *= scales[:, :, None]
-    # dM_k = 0 + sum_i xi_ik beta_i from elementwise products in component
-    # order, so a path's bits do not depend on how many paths there are
-    increments = step_major_zeros(paths, steps, driver.state_dim)
-    product = np.empty((paths, driver.state_dim))
-    for k in range(steps):
-        for i, beta in enumerate(betas):
-            np.multiply(xi[i, k, :, None], beta, out=product)
-            increments[:, k] += product
-    return NoiseBundle(increments=increments, seed=seed, grid=grid,
-                       driver=driver)
+            raw[:, :, p] = row
+    if not ncomp:
+        return NoiseBundle(step_major_zeros(paths, steps, driver.state_dim),
+                           seed, grid, driver)
+    # scaled into a new array, so that returning frees ``raw``: glibc then
+    # raises its mmap threshold past the per-step temporaries of 128 KB or
+    # more, which would otherwise be mmapped and page-faulted at each step
+    return NoiseBundle._of_normals(raw * scales[:, :, None], seed, grid,
+                                   driver)
 
 
 def mean_se(values):
@@ -504,8 +519,9 @@ def verify_isometry(phi, bundle):
     mats = np.broadcast_to(phi, (grid.steps,) + phi.shape)
 
     totals = np.zeros((bundle.paths, phi.shape[0]))
+    dm = np.empty((bundle.paths, bundle.dim))
     for k in range(grid.steps):
-        totals += bundle.increments[:, k, :] @ phi.T
+        totals += bundle.step(k, out=dm) @ phi.T
     sq = np.einsum("pi,pi->p", totals, totals)
     mc, se = mean_se(sq)
 

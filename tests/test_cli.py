@@ -620,6 +620,22 @@ def test_run_isometry_small_exit_zero(tmp_path):
     assert "passed = true" in (out / "report.txt").read_text()
 
 
+def test_manifest_records_the_peak_rss(tmp_path):
+    # a process-wide figure, so it goes to the manifest and never into
+    # report.txt, whose bytes depend on the config and seed alone
+    pytest.importorskip("resource")
+    cfg = parse_config(write_config(tmp_path, """\
+        [run]
+        scenario = isometry
+        steps = 10
+        paths = 50
+        """))
+    out = tmp_path / "out"
+    run(cfg, output_dir=out, verbosity=0)
+    assert float(read_manifest(out)["peak_rss_mb"]) > 0.0
+    assert "peak_rss" not in (out / "report.txt").read_text()
+
+
 def test_isometry_with_huge_se_is_inconclusive(tmp_path):
     # 3*SE = 3.48 against a quadrature value of 1.64: agreement within
     # 3 SE would say nothing

@@ -1,5 +1,6 @@
 """Driver construction, exact increment sampling, and the integral isometry."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -11,7 +12,8 @@ from martctrl.martingale import (IsometryReport, MartingaleDriver, NoiseBundle,
                                  _seed_words,
                                  sample_increments, step_covariances,
                                  step_intensity_integrals, verify_isometry)
-from martctrl.pmp import within_3se
+from martctrl.dynamics import OpenLoopPolicy, integrate_forward
+from martctrl.pmp import Example1Config, build_example1_problem, within_3se
 
 BETA = np.array([1.0, -0.5, 0.25, 0.0])
 
@@ -224,9 +226,81 @@ def test_bundles_are_step_major(tmp_path):
     assert per_step_blocks_contiguous(built.increments)
     assert np.array_equal(built.increments, path_major)
     # ... and a step-major one is kept without a copy
-    again = NoiseBundle(increments=sampled.increments, seed=8, grid=grid,
-                        driver=d)
-    assert np.shares_memory(again.increments, sampled.increments)
+    held = sampled.increments
+    again = NoiseBundle(increments=held, seed=8, grid=grid, driver=d)
+    assert np.shares_memory(again.increments, held)
+
+
+# signed zeros and subnormals give products of either sign of zero, and
+# products that underflow to one
+EDGE = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2e-308]),
+                 st.floats(-1e3, 1e3, allow_nan=False))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(data=st.data(), dim=st.integers(1, 5), count=st.integers(1, 3),
+       steps=st.integers(1, 4), paths=st.integers(1, 5))
+def test_formed_steps_keep_the_bits_of_the_summed_increments(
+        tmp_path_factory, data, dim, count, steps, paths):
+    betas = [data.draw(st.lists(st.one_of(st.sampled_from([0.0, -0.0]),
+                                          st.floats(-2.0, 2.0)),
+                                min_size=dim, max_size=dim)
+                       .filter(lambda b: np.linalg.norm(b) > 0.0))
+             for _ in range(count)]
+    driver = driver_from(dim, betas, [1.0] * count, [0.0] * count)
+    grid = PathGrid(horizon=1.0, steps=steps)
+    xi = np.array(data.draw(st.lists(EDGE, min_size=count * steps * paths,
+                                     max_size=count * steps * paths)))
+    xi = xi.reshape(count, steps, paths)
+    # reference: 0 + sum_i xi_ik beta_i, summed in component order
+    reference = np.zeros((paths, steps, dim))
+    for i, beta in enumerate(driver.betas()):
+        for k in range(steps):
+            reference[:, k] += xi[i, k][:, None] * beta
+    bundle = NoiseBundle._of_normals(xi, 3, grid, driver)
+    buf = np.empty((paths, dim))
+    for k in range(steps):
+        got = bundle.step(k, out=buf)
+        assert got is buf
+        assert got.tobytes() == reference[:, k].tobytes()
+    assert np.ascontiguousarray(bundle.increments).tobytes() \
+        == reference.tobytes()
+    folder = tmp_path_factory.mktemp("noise")
+    bundle.save(folder / "formed.bin")
+    NoiseBundle(increments=reference, seed=3, grid=grid,
+                driver=driver).save(folder / "summed.bin")
+    assert (folder / "formed.bin").read_bytes() \
+        == (folder / "summed.bin").read_bytes()
+
+
+def test_a_driver_without_components_samples_zero_noise():
+    driver = MartingaleDriver(state_dim=2, horizon=1.0)
+    bundle = sample_increments(driver, PathGrid(horizon=1.0, steps=3),
+                               paths=4, seed=1)
+    assert bundle.increments.tobytes() == np.zeros((4, 3, 2)).tobytes()
+    assert bundle.step(2).tobytes() == np.zeros((4, 2)).tobytes()
+
+
+def test_sampled_noise_holds_less_than_its_increments():
+    # the bundle keeps one scaled normal per step and path, a quarter of
+    # example1's (paths, steps, 4) increments, and a forward run forms
+    # each step's increments in one reused buffer
+    paths, steps = 2000, 50
+    cfg = Example1Config(paths=paths, steps=steps)
+    problem, driver, grid, u_star = build_example1_problem(cfg)
+    array = paths * steps * driver.state_dim * 8
+    tracemalloc.start()
+    try:
+        bundle = sample_increments(driver, grid, paths, cfg.seed)
+        sample_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        traj = integrate_forward(problem, OpenLoopPolicy(u_star), bundle,
+                                 np.asarray(cfg.x0))
+        run_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sample_peak < array
+    assert max(sample_peak, run_peak) < traj.states.nbytes + array
 
 
 def driver_from(dim, betas, rates, slopes):

@@ -545,6 +545,21 @@ def test_run_example2_cost_nonincreasing_with_huge_se_is_inconclusive():
     assert "at sweep 1, 2, 3;" in verdict.detail
 
 
+@pytest.mark.xfail(strict=True, reason=(
+    "the policy-improvement step is fitted in sample and near its fixed "
+    "point can raise the cost; the one-sided 2-SE gate counts path noise "
+    "only, not the noise of fitting the policy (sweep 3 reads dJ = +5.5e-4 "
+    "against SE 1.2e-4)"))
+def test_example2_sweeps_at_seed_30348_do_not_raise_the_cost():
+    # the lsmc-sweeps benchmark workload at its seed 45: 5 of the benchmark
+    # seeds 0-399 fail this gate, and an oracle gate should pass them all
+    cfg = Example2Config(steps=40, paths=4000, seed=30348, basis_degree=2,
+                         sweeps=3, run_duality=True)
+    verdict = {a.name: a for a in run_example2(cfg).report.assertions}[
+        "cost_nonincreasing"]
+    assert verdict.passed, verdict.detail
+
+
 def test_example2_sweep_records_fresh_policy_controls():
     cfg = Example2Config(steps=20, paths=300, seed=8, sweeps=1,
                          run_duality=False)
