@@ -17,10 +17,10 @@ from .martingale import (IsometryReport, MartingaleDriver, NoiseBundle,
                          PathGrid, ScalarIntensity, sample_increments,
                          verify_isometry)
 from .dynamics import (AffineDiffusion, BallSet, BlowUpError, BoxSet,
-                       ControlProblem, CostReport, FeedbackPolicy, FiniteSet,
-                       FirstVariation, OpenLoopPolicy, SpikeSpec,
-                       TrajectoryBundle, apply_spike, evaluate_cost,
-                       finite_diff_check, integrate_forward,
+                       ControlProblem, CostReport, CostWalk, FeedbackPolicy,
+                       FiniteSet, FirstVariation, OpenLoopPolicy, SpikeSpec,
+                       TrajectoryBundle, VariationWalk, apply_spike,
+                       evaluate_cost, finite_diff_check, integrate_forward,
                        integrate_variational, spiked_costs, stream_spiked)
 from .adjoint import (AdjointSolution, RegressionBasis, RegressionRankError,
                       duality_check, grad_x_hamiltonian, hamiltonian,
@@ -36,11 +36,11 @@ __all__ = [
     "IsometryReport", "MartingaleDriver", "NoiseBundle", "PathGrid",
     "ScalarIntensity", "sample_increments", "verify_isometry",
     "AffineDiffusion", "BallSet", "BlowUpError", "BoxSet", "ControlProblem",
-    "CostReport",
+    "CostReport", "CostWalk",
     "FeedbackPolicy", "FiniteSet", "FirstVariation", "OpenLoopPolicy",
-    "SpikeSpec", "TrajectoryBundle", "apply_spike", "evaluate_cost",
-    "finite_diff_check", "integrate_forward", "integrate_variational",
-    "spiked_costs", "stream_spiked",
+    "SpikeSpec", "TrajectoryBundle", "VariationWalk", "apply_spike",
+    "evaluate_cost", "finite_diff_check", "integrate_forward",
+    "integrate_variational", "spiked_costs", "stream_spiked",
     "AdjointSolution", "RegressionBasis", "RegressionRankError",
     "duality_check", "grad_x_hamiltonian", "hamiltonian",
     "solve_adjoint_explicit", "solve_adjoint_lsmc",

@@ -315,7 +315,7 @@ class AdjointSolution:
                 else np.asarray(states).shape[0]
             return np.zeros((count, self.state_dim, self.state_dim))
         if states is None:
-            states = self.trajectories.states[:, k, :]
+            states = self.trajectories.state_at(k)
         return self._z_fitted(k, self._centered_features(k, states))
 
     def y_eval(self, k, states):
@@ -365,7 +365,7 @@ def solve_adjoint_explicit(problem, trajectories):
     the backward equation exactly.
     """
     grid = trajectories.grid
-    x0_scale = max(1.0, float(np.max(np.abs(trajectories.states[:, 0, :]))))
+    x0_scale = max(1.0, float(np.max(np.abs(trajectories.state_at(0)))))
     n = trajectories.states.shape[2]
     driver = trajectories.bundle.driver
     rng = np.random.default_rng(np.random.SeedSequence(EXPLICIT_PROBE_SEED))
@@ -411,8 +411,7 @@ def solve_adjoint_lsmc(problem, trajectories, basis=None):
     basis = basis if basis is not None else RegressionBasis(2)
     grid = trajectories.grid
     bundle = trajectories.bundle
-    x = trajectories.states
-    paths, _, n = x.shape
+    paths, _, n = trajectories.states.shape
     if paths < basis.min_paths(n):
         raise ValueError(
             f"basis has {basis.feature_count(n)} features for {paths} paths; "
@@ -424,8 +423,8 @@ def solve_adjoint_lsmc(problem, trajectories, basis=None):
     factors = [bundle.driver.cov_rate_factor(t) for t in grid.times[:-1]]
 
     y = step_major_zeros(paths, grid.steps + 1, n)
-    y[:, grid.steps, :] = np.asarray(problem.h_x(x[:, grid.steps, :]),
-                                     dtype=float)
+    y[:, grid.steps, :] = np.asarray(
+        problem.h_x(trajectories.state_at(grid.steps)), dtype=float)
     fits = [None] * grid.steps
     dm_buffer = np.empty((paths, n))
     n_energy = np.zeros(grid.steps)
@@ -436,7 +435,8 @@ def solve_adjoint_lsmc(problem, trajectories, basis=None):
         _problem=problem, _fits=fits, _c_pinv=c_pinv, _factors=factors)
 
     for k in range(grid.steps - 1, -1, -1):
-        mu, scale, xc = _standardized(basis.features(x[:, k, :])[:, 1:])
+        x_k = trajectories.state_at(k)
+        mu, scale, xc = _standardized(basis.features(x_k)[:, 1:])
 
         u_k = s_k = vt_k = None
         if xc.shape[1]:
@@ -471,7 +471,7 @@ def solve_adjoint_lsmc(problem, trajectories, basis=None):
         w_mean, w_coef = fit(_outer_rows(centered, dm))
         fits[k] = _StepFit(mu=mu, scale=scale, y_mean=y_mean, y_coef=y_coef,
                            w_mean=w_mean, w_coef=w_coef)
-        y[:, k, :], z = solution._step(k, x[:, k, :], xc,
+        y[:, k, :], z = solution._step(k, x_k, xc,
                                        trajectories.control_at(k), yhat0)
 
         zdm = apply_operator(z, dm)

@@ -35,8 +35,8 @@ except ImportError:             # not on every platform
 from . import __version__
 from .adjoint import (RegressionBasis, RegressionRankError,
                       solve_adjoint_explicit)
-from .dynamics import (BlowUpError, SpikeSpec, finite_diff_check,
-                       integrate_variational, sample_controls)
+from .dynamics import (BlowUpError, CostWalk, SpikeSpec, VariationWalk,
+                       finite_diff_check, sample_controls)
 from .martingale import PathGrid, sample_increments, verify_isometry
 from .pmp import (Assertion, Example1Config, Example2Config, ScenarioReport,
                   build_example1_problem, build_example2_problem,
@@ -475,7 +475,7 @@ def _trajectory_table(trajectories, count):
     for p in range(count):
         for k in range(grid.steps + 1):
             rows.append((p, k, float(grid.times[k]),
-                         *[float(x) for x in trajectories.states[p, k, :]]))
+                         *[float(x) for x in trajectories.state_at(k)[p]]))
     header = ["path", "step", "t"] + [f"x{i}" for i in range(n)]
     return header, rows
 
@@ -486,10 +486,10 @@ def _run_fields(config):
 
 def _run_example1(config):
     cfg = Example1Config(**_run_fields(config), **config.options)
-    result = run_example1(cfg)
+    dump = config.run["dump_trajectories"]
+    result = run_example1(cfg, keep_all=dump > 0)
     tables = result.report.tables
     tables.update(_margins_tables(result.margin_report))
-    dump = config.run["dump_trajectories"]
     if dump > 0:
         tables["trajectories"] = _trajectory_table(
             result.adjoint.trajectories, dump)
@@ -506,18 +506,28 @@ def _run_example2(config):
     return result.report
 
 
-def _first_variation(config, eps):
+def _first_variation(config, eps, gateaux):
     """Problem and first variation of a rates or gateaux run.
 
     p follows the spike (t0, eps, v) of the options along the stationary
-    scenario-1 candidate; ``inject_fault`` doubles its states p, not zeta.
+    scenario-1 candidate, riding its forward run; ``inject_fault`` doubles
+    its states p, not zeta.  A gateaux run keeps X at t0 and T only and
+    carries its cost walk; the rate experiments read every step.
     """
     opts = config.options
     cfg = Example1Config(**_run_fields(config), drift_gain=opts["drift_gain"])
-    problem, _, _, trajectories = example1_candidate(cfg)
     spec = SpikeSpec(t0=opts["t0"], eps=eps,
                      v=np.asarray(opts["v"], dtype=float))
-    p = integrate_variational(problem, trajectories, spec)
+
+    def plan(problem, grid, u_star, bundle):
+        variation = VariationWalk(problem, bundle, spec)
+        if not gateaux:
+            return None, (variation,)
+        return ({variation.k0, grid.steps},
+                (variation, CostWalk(problem, grid, [variation.k0])))
+
+    problem, _, _, trajectories = example1_candidate(cfg, plan)
+    p = trajectories.riders[0].first_variation(trajectories)
     if opts["inject_fault"]:
         p = dataclasses.replace(p, states=2.0 * p.states)
     return problem, p
@@ -525,7 +535,7 @@ def _first_variation(config, eps):
 
 def _run_rates(config):
     opts = config.options
-    problem, p = _first_variation(config, max(opts["eps_ladder"]))
+    problem, p = _first_variation(config, max(opts["eps_ladder"]), False)
     report = rate_experiments(problem, p, eps_ladder=opts["eps_ladder"])
     assertions = [
         Assertion(name="sup_gap_slope", passed=report.slope_ok,
@@ -556,7 +566,7 @@ def _run_rates(config):
 def _run_gateaux(config):
     opts = config.options
     eps_list = tuple(sorted(opts["eps_list"], reverse=True))
-    problem, p = _first_variation(config, eps_list[0])
+    problem, p = _first_variation(config, eps_list[0], True)
     report = gateaux_check(problem, p, eps_list=eps_list,
                            bias_fraction=opts["bias_fraction"])
     assertions = [within_3se(

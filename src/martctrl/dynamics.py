@@ -6,7 +6,10 @@ evaluation.  A spike perturbation replaces the control by a fixed value v on
 a grid-aligned window [t0, t0 + eps).  The first variation p of the state
 with respect to the spike and the running-cost variation zeta follow linear
 equations driven by the frozen optimal trajectory and the same noise;
-integrate_variational steps both in one walk along that trajectory.
+one walk steps both along that trajectory.  A walk over every step is a
+rider (:class:`CostWalk`, :class:`VariationWalk`): its ``visit(k, x_k,
+u_k, x_next)`` rides the forward run, which then keeps only the steps its
+readers ask for, or is replayed over a stored run, with the same bits.
 
 Problem callables are vectorized over paths:
 
@@ -397,8 +400,8 @@ def apply_spike(policy, spec, grid):
 
 @dataclass
 class TrajectoryBundle:
-    """One run of one policy: states on the full grid for every path of one
-    noise bundle.
+    """One run of one policy: its states at the kept grid steps for every
+    path of one noise bundle, and the ``riders`` that rode the run.
 
     ``recorded[k]`` is the (paths, control_dim) control the integrator
     applied at step k, kept so that costs, adjoints and residuals read it
@@ -408,20 +411,25 @@ class TrajectoryBundle:
     ``recorded`` of None) reads evaluate the policy at the stored states,
     which gives the same values.
 
-    ``states`` is indexed (paths, steps + 1, dim) but stored step-major, as
-    the noise is: ``states[:, k, :]`` is one contiguous block, and states
-    given in any other layout are copied into it.
+    ``states[:, j]`` holds step ``kept[j]`` (every step if ``kept`` is
+    None), read through :meth:`state_at`.  It is indexed (paths, kept
+    steps, dim) but stored step-major, as the noise is: ``states[:, j, :]``
+    is one contiguous block, and states given in any other layout are
+    copied into it.
     """
 
     states: np.ndarray
     policy: ControlPolicy
     bundle: NoiseBundle = field(repr=False)
+    kept: tuple | None = None
+    riders: tuple = ()
     recorded: list | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         s = np.asarray(self.states, dtype=float)
-        if s.ndim != 3:
-            raise ValueError(f"states must be (paths, steps+1, dim), got "
+        if s.ndim != 3 or (self.kept is not None
+                           and s.shape[1] != len(self.kept)):
+            raise ValueError(f"states must be (paths, kept steps, dim), got "
                              f"shape {s.shape}")
         self.states = step_major(s)
 
@@ -433,12 +441,29 @@ class TrajectoryBundle:
     def grid(self):
         return self.bundle.grid
 
+    def state_at(self, k):
+        """States at grid step k, shape (paths, dim)."""
+        if self.kept is None:
+            return self.states[:, k, :]
+        if k not in self.kept:
+            raise ValueError(f"step {k} was not kept; the run kept steps "
+                             f"{list(self.kept)}")
+        return self.states[:, self.kept.index(k), :]
+
+    def replay(self, rider, start=0):
+        """Walk ``rider`` over the steps from ``start`` on as if it rode the
+        forward run (a step not kept raises); returns the rider."""
+        for k in range(start, self.grid.steps):
+            rider.visit(k, self.state_at(k), self.control_at(k),
+                        self.state_at(k + 1))
+        return rider
+
     def control_at(self, k):
         """Control applied at step k, shape (paths, control_dim)."""
         if self.recorded is not None:
             return self.recorded[k]
         return self.policy.controls_at(k, self.grid.times[k],
-                                       self.states[:, k, :])
+                                       self.state_at(k))
 
     def controls(self):
         """Realized controls per step, shape (paths, steps, control_dim)."""
@@ -492,12 +517,15 @@ def _euler(problem, policy, bundle, x, start, visit):
     return x
 
 
-def integrate_forward(problem, policy, bundle, x0):
+def integrate_forward(problem, policy, bundle, x0, keep=None, riders=()):
     """Euler-Maruyama forward run with left-point coefficients.
 
     X_{k+1} = X_k + F(t_k, X_k, u_k) dt + G(t_k, X_k) dM_k.  Raises
     BlowUpError naming the first offending path and step if the state
     leaves the finite range.
+
+    The result keeps the states of the steps in ``keep`` (None: all), and
+    each of ``riders`` visits every step as the run makes it.
     """
     n = bundle.dim
     x0 = np.asarray(x0, dtype=float)
@@ -506,17 +534,27 @@ def integrate_forward(problem, policy, bundle, x0):
                              (bundle.paths, n))
     elif x0.shape != (bundle.paths, n):
         raise ValueError(f"x0 must have shape ({n},) or ({bundle.paths}, {n})")
-    states = step_major_zeros(bundle.paths, bundle.steps + 1, n)
-    states[:, 0, :] = x0
+    steps, riders = range(bundle.steps + 1), tuple(riders)
+    kept = steps if keep is None else sorted({int(k) for k in keep})
+    if kept and not 0 <= kept[0] <= kept[-1] <= bundle.steps:
+        raise ValueError(f"keep {kept} names steps outside 0..{bundle.steps}")
+    slot = {k: j for j, k in enumerate(kept)}
+    states = step_major_zeros(bundle.paths, len(slot), n)
+    if 0 in slot:
+        states[:, 0, :] = x0
     recorded = [None] * bundle.steps
 
     def store(k, x, u, x_next):
         recorded[k] = u
-        states[:, k + 1, :] = x_next
+        if k + 1 in slot:
+            states[:, slot[k + 1], :] = x_next
+        for rider in riders:
+            rider.visit(k, x, u, x_next)
 
-    _euler(problem, policy, bundle, states[:, 0, :].copy(), 0, store)
-    trajectories = TrajectoryBundle(states=states, policy=policy,
-                                    bundle=bundle)
+    _euler(problem, policy, bundle, np.array(x0, order="C"), 0, store)
+    trajectories = TrajectoryBundle(
+        states=states, policy=policy, bundle=bundle, riders=riders,
+        kept=None if len(kept) == len(steps) else tuple(kept))
     trajectories.recorded = recorded
     return trajectories
 
@@ -552,7 +590,7 @@ def stream_spiked(problem, base, specs, visit):
     policy = _spiked_policy(base.policy, specs, base.grid)
     paths = base.paths
     size = 1 if paths == 1 else max(1, BLOCK_ROWS // paths)
-    x_start = base.states[:, policy.k0, :]
+    x_start = base.state_at(policy.k0)
     for first in range(0, len(specs), size):
         block = SpikedPolicy(base=base.policy, v=policy.v[first:first + size],
                              k0=policy.k0, k1=policy.k1[first:first + size])
@@ -587,41 +625,48 @@ class FirstVariation:
     spike: SpikeSpec
 
 
-def integrate_variational(problem, optimal, spec):
-    """First variations p and zeta along a spike, on the frozen trajectory.
+class VariationWalk:
+    """Rider that steps the first variations p and zeta along ``spec``.
 
     p(t0) = F(t0, X(t0), v) - F(t0, X(t0), u(t0)) and
     zeta(t0) = ell(t0, X(t0), v) - ell(t0, X(t0), u(t0)), then
     zeta_{k+1} = zeta_k + <ell_x(t_k, X_k, u_k), p_k> dt and
     p_{k+1} = p_k + F_x(t_k, X_k, u_k) p_k dt + (G_x(t_k, X_k)[p_k]) dM_k,
-    driven by the optimal trajectory's own noise bundle and controls.
-    Keeps only the running p and zeta, as ``stream_spiked`` keeps only
-    the running state, and returns them at t0 and T.
+    driven by the run's own noise ``bundle`` and controls.  Keeps only the
+    running p and zeta, as ``stream_spiked`` keeps only the running state;
+    :meth:`first_variation` gives them at t0 and T.
     """
-    bundle = optimal.bundle
-    grid = bundle.grid
-    times = grid.times
-    dt = grid.dt
-    k0, _ = spec.window(grid)
-    x_at = optimal.states
-    t0 = times[k0]
-    x0 = x_at[:, k0, :]
-    u0 = optimal.control_at(k0)
-    v = np.broadcast_to(spec.v, u0.shape)
-    p_start = p = problem.F(t0, x0, v) - problem.F(t0, x0, u0)
-    z_start = z = problem.ell(t0, x0, v) - problem.ell(t0, x0, u0)
-    dm = np.empty((bundle.paths, bundle.dim))
-    for k in range(k0, grid.steps):
-        t = times[k]
-        xk = x_at[:, k, :]
-        uk = optimal.control_at(k)
-        z = z + np.einsum("pi,pi->p", problem.ell_x(t, xk, uk), p) * dt
-        fx = problem.F_x(t, xk, uk)
-        p = p + apply_operator(fx, p) * dt \
-            + problem.G_x(t, xk, p, bundle.step(k, out=dm))
-    return FirstVariation(states=np.stack((p_start, p), axis=1),
-                          zeta=np.stack((z_start, z), axis=1),
-                          optimal=optimal, spike=spec)
+
+    def __init__(self, problem, bundle, spec):
+        self.problem, self.bundle, self.spec = problem, bundle, spec
+        self.k0, _ = spec.window(bundle.grid)
+        self._dm = np.empty((bundle.paths, bundle.dim))
+
+    def visit(self, k, x, u, x_next):
+        if k < self.k0:
+            return
+        f, t, dt = self.problem, self.bundle.grid.times[k], self.bundle.grid.dt
+        if k == self.k0:
+            v = np.broadcast_to(self.spec.v, u.shape)
+            self.start = self.p, self.z = (f.F(t, x, v) - f.F(t, x, u),
+                                           f.ell(t, x, v) - f.ell(t, x, u))
+        p = self.p
+        self.z = self.z + np.einsum("pi,pi->p", f.ell_x(t, x, u), p) * dt
+        self.p = p + apply_operator(f.F_x(t, x, u), p) * dt \
+            + f.G_x(t, x, p, self.bundle.step(k, out=self._dm))
+
+    def first_variation(self, optimal):
+        """The walk's p and zeta, taken along the run ``optimal``."""
+        return FirstVariation(states=np.stack((self.start[0], self.p), axis=1),
+                              zeta=np.stack((self.start[1], self.z), axis=1),
+                              optimal=optimal, spike=self.spec)
+
+
+def integrate_variational(problem, optimal, spec):
+    """First variations p and zeta along a spike, on the frozen trajectory:
+    a :class:`VariationWalk` replayed over ``optimal``."""
+    walk = VariationWalk(problem, optimal.bundle, spec)
+    return optimal.replay(walk, walk.k0).first_variation(optimal)
 
 
 @dataclass(frozen=True)
@@ -647,6 +692,26 @@ def evaluate_cost(problem, trajectories):
     return spiked_costs(problem, trajectories, ())[0]
 
 
+class CostWalk:
+    """Rider that adds a run's left-Riemann running cost and its terminal
+    cost per path into ``total`` (zeros unless given; a spike's walk
+    starts from the base's sum), and keeps in ``prefix[k]`` the sum before
+    step k for each k of ``starts``: a spike starting at k shares it."""
+
+    def __init__(self, problem, grid, starts=(), total=None):
+        self.problem, self.grid, self.total = problem, grid, total
+        self.prefix = dict.fromkeys(starts)
+
+    def visit(self, k, x, u, x_next):
+        if self.total is None:
+            self.total = np.zeros(x.shape[0])
+        if k in self.prefix:
+            self.prefix[k] = self.total.copy()
+        self.total += self.problem.ell(self.grid.times[k], x, u) * self.grid.dt
+        if k == self.grid.steps - 1:
+            self.total += self.problem.h(x_next)
+
+
 def spiked_costs(problem, base, specs):
     """Cost of a base run and of its re-runs under each spike.
 
@@ -655,8 +720,10 @@ def spiked_costs(problem, base, specs):
     ``apply_spike(base.policy, spec, grid)``, without its states.  Each is
     bit-identical to ``evaluate_cost`` of the full re-integration: its
     running cost starts from the base run's cost over the shared prefix
-    before the window start k0, kept from the one walk along the base run,
-    and adds the terms of the steps from k0 on in the same order.
+    before the window start k0, kept from the one :class:`CostWalk` along
+    the base run (one for ``problem`` that rode it, else one replayed over
+    its stored steps), and adds the terms of the steps from k0 on in the
+    same order.
 
     A spec whose ``v`` has the bytes of an ``OpenLoopPolicy`` base's
     ``u`` changes no control, so its re-run would repeat the base run
@@ -666,18 +733,12 @@ def spiked_costs(problem, base, specs):
     BlowUpError that call raises propagates.
     """
     grid = base.grid
-    times = grid.times
-    dt = grid.dt
     specs = tuple(specs)
     starts = [spec.window(grid)[0] for spec in specs]
-    run = np.zeros(base.paths)
-    prefix = dict.fromkeys(starts)
-    for k in range(grid.steps):
-        if k in prefix:
-            prefix[k] = run.copy()
-        run += problem.ell(times[k], base.states[:, k, :],
-                           base.control_at(k)) * dt
-    base_cost = _cost_report(run + problem.h(base.states[:, -1, :]))
+    walk = next((r for r in base.riders if isinstance(r, CostWalk)
+                 and r.problem is problem and set(starts) <= r.prefix.keys()),
+                None) or base.replay(CostWalk(problem, grid, starts))
+    base_cost = _cost_report(walk.total)
 
     groups = {}
     for i, (spec, k0) in enumerate(zip(specs, starts)):
@@ -686,15 +747,15 @@ def spiked_costs(problem, base, specs):
             groups.setdefault(k0, []).append(i)
     costs = [base_cost] * len(specs)
     for k0, members in groups.items():
-        total = np.tile(prefix[k0], len(members))
+        total = np.tile(walk.prefix[k0], len(members))
+        # one walk per block, so h too is added per block: on one path a
+        # block is one row, which numpy multiplies with another kernel
+        walks = {}
 
         def accumulate(rows, k, x, u, x_next):
-            # h per block: on one path a block is one row, which numpy
-            # multiplies with another kernel than a group of rows
-            block = total[rows]
-            block += problem.ell(times[k], x, u) * dt
-            if k == grid.steps - 1:
-                block += problem.h(x_next)
+            if rows.start not in walks:
+                walks[rows.start] = CostWalk(problem, grid, total=total[rows])
+            walks[rows.start].visit(k, x, u, x_next)
 
         stream_spiked(problem, base, [specs[i] for i in members], accumulate)
         for i, row in zip(members, total.reshape(len(members), -1)):

@@ -34,7 +34,7 @@ from .adjoint import (AdjointSolution, RegressionBasis, _control_terms,
                       duality_check, hamiltonian, solve_adjoint_explicit,
                       solve_adjoint_lsmc)
 from .dynamics import (AffineDiffusion, BallSet, BoxSet, ControlProblem,
-                       FeedbackPolicy, OpenLoopPolicy, SpikeSpec,
+                       CostWalk, FeedbackPolicy, OpenLoopPolicy, SpikeSpec,
                        evaluate_cost, integrate_forward, integrate_variational,
                        sample_controls, spiked_costs, stream_spiked)
 from .hilbert import apply_operator
@@ -49,6 +49,8 @@ MARGIN_TOL = 1e-8
 # Smallest |v - u*| at which a spike of the default family counts as
 # displaced from the stationary control.
 FAR_THRESHOLD = 0.25
+# Times at which sufficient_check probes joint convexity by default.
+JOINT_SAMPLE_TIMES = 8
 
 
 @dataclass(frozen=True)
@@ -139,7 +141,7 @@ def necessary_check(problem, adjoint, sample_times=20, sample_paths=100,
     margins = np.empty((t_idx.size, p_idx.size, n_v))
     for i, k in enumerate(t_idx):
         t = times[k]
-        xs = traj.states[p_idx, k, :]
+        xs = traj.state_at(k)[p_idx]
         ys = adjoint.y_at(k)[p_idx]
         u_star = traj.control_at(k)[p_idx]
         h_star = _control_terms(problem, t, xs, u_star, ys)
@@ -183,25 +185,26 @@ class SufficiencyReport:
                 and self.margin_report.passed)
 
 
-def _state_box(trajectories):
-    """Box around every state of the run, widened by half its span (at
-    least 1) on each side.
+class StateBox:
+    """Rider that bounds every state of a run; :meth:`bounds` widens the
+    box by half its span (at least 1) on each side.  Each step's (paths,
+    n) states fold into elementwise min and max, reduced over paths last:
+    min and max are exact, so this is the box of all the states."""
 
-    The step-major memory is reduced as (steps + 1, paths * n) rows
-    first, then over paths, instead of over axes (0, 1) of the strided
-    (paths, steps + 1, n) view, which walks the memory far more slowly.
-    Min and max are exact, so the box is the same.
-    """
-    paths, _, n = trajectories.states.shape
-    rows = trajectories.states.swapaxes(0, 1).reshape(-1, paths * n)
-    lo = rows.min(axis=0).reshape(paths, n).min(axis=0)
-    hi = rows.max(axis=0).reshape(paths, n).max(axis=0)
-    pad = 0.5 * np.maximum(hi - lo, 1.0)
-    return lo - pad, hi + pad
+    def visit(self, k, x, u, x_next):
+        if k == 0:
+            self.lo, self.hi = x.copy(), x.copy()
+        np.minimum(self.lo, x_next, out=self.lo)
+        np.maximum(self.hi, x_next, out=self.hi)
+
+    def bounds(self):
+        lo, hi = self.lo.min(axis=0), self.hi.max(axis=0)
+        pad = 0.5 * np.maximum(hi - lo, 1.0)
+        return lo - pad, hi + pad
 
 
 def sufficient_check(problem, adjoint, pairs=1000, seed=77,
-                     sample_times=8, margin_report=None):
+                     sample_times=JOINT_SAMPLE_TIMES, margin_report=None):
     """Midpoint-convexity and minimum-condition package.
 
     Aborts as inapplicable when the declared control set is not convex.
@@ -222,7 +225,8 @@ def sufficient_check(problem, adjoint, pairs=1000, seed=77,
     traj = adjoint.trajectories
     grid = traj.grid
     driver = traj.bundle.driver
-    lo, hi = _state_box(traj)
+    lo, hi = (next((r for r in traj.riders if isinstance(r, StateBox)), None)
+              or traj.replay(StateBox())).bounds()
     n = lo.shape[0]
 
     def draw_states(count):
@@ -243,7 +247,7 @@ def sufficient_check(problem, adjoint, pairs=1000, seed=77,
     for k in t_idx:
         t = grid.times[k]
         p_sel = rng.integers(0, traj.paths, size=per_time)
-        xs = traj.states[p_sel, k, :]
+        xs = traj.state_at(k)[p_sel]
         ys = adjoint.y_at(k)[p_sel]
         zs = adjoint.z_at(k, states=xs)
         x1 = draw_states(per_time)
@@ -307,7 +311,7 @@ def gateaux_check(problem, p, eps_list=(0.05, 0.025), bias_fraction=0.1):
     """
     traj = p.optimal
     spec = p.spike
-    hx = np.asarray(problem.h_x(traj.states[:, -1, :]), dtype=float)
+    hx = np.asarray(problem.h_x(traj.state_at(traj.grid.steps)), dtype=float)
     adj_pp = np.einsum("pi,pi->p", hx, p.states[:, -1, :]) + p.zeta[:, -1]
     adj, se_adj = mean_se(adj_pp)
 
@@ -367,12 +371,12 @@ def rate_experiments(problem, p, eps_ladder=(0.2, 0.1, 0.05, 0.025)):
     def visit(rows, k, x, u, x_next):
         # each spike's copy of the paths is read against the base states
         spiked = x_next.reshape(-1, paths, x_next.shape[1])
-        diff = (spiked - traj.states[:, k + 1, :]).reshape(x_next.shape)
+        diff = (spiked - traj.state_at(k + 1)).reshape(x_next.shape)
         np.maximum(msq[rows], np.einsum("pi,pi->p", diff, diff),
                    out=msq[rows])
         if k == traj.grid.steps - 1:
             eps = ladder[rows.start // paths:rows.stop // paths, None, None]
-            xi = ((spiked - traj.states[:, -1, :]) / eps
+            xi = ((spiked - traj.state_at(k + 1)) / eps
                   - p_term).reshape(x_next.shape)
             xi_sq[rows] = np.einsum("pi,pi->p", xi, xi)
 
@@ -514,18 +518,21 @@ def initial_policy(cfg, u_default):
                           else cfg.schedule)
 
 
-def example1_candidate(cfg):
+def example1_candidate(cfg, plan=None):
     """Scenario-1 problem and the candidate trajectories ``cfg`` selects.
 
     The candidate follows ``initial_policy(cfg, u_star)``.  Returns
     (problem, grid, u_star, trajectories), whose noise bundle carries the
     driver; where an adjoint applies (linear drift),
-    ``solve_adjoint_explicit`` solves it along them.
+    ``solve_adjoint_explicit`` solves it along them.  ``plan(problem,
+    grid, u_star, bundle)`` gives the forward run's ``keep`` and ``riders``.
     """
     problem, driver, grid, u_star = build_example1_problem(cfg)
     bundle = sample_increments(driver, grid, cfg.paths, cfg.seed)
+    keep, riders = plan(problem, grid, u_star, bundle) if plan else (None, ())
     trajectories = integrate_forward(problem, initial_policy(cfg, u_star),
-                                     bundle, np.asarray(cfg.x0, dtype=float))
+                                     bundle, np.asarray(cfg.x0, dtype=float),
+                                     keep=keep, riders=riders)
     return problem, grid, u_star, trajectories
 
 
@@ -598,8 +605,10 @@ class Example1Result:
     sufficiency: SufficiencyReport
 
 
-def run_example1(cfg=None):
-    """Run packaged scenario 1 end to end and assemble its report."""
+def run_example1(cfg=None, keep_all=False):
+    """Run packaged scenario 1 end to end and assemble its report.  Its
+    forward run carries the cost walk and the state box and keeps only the
+    steps the checks read, or every step with ``keep_all``."""
     cfg = cfg if cfg is not None else Example1Config()
     if cfg.drift_gain != 0.0:
         raise ValueError(
@@ -607,11 +616,21 @@ def run_example1(cfg=None):
             "candidate and requires drift_gain = 0; exercise the nonlinear "
             "drift variant through the difference-quotient or rate "
             "experiments instead")
-    problem, grid, u_star, trajectories = example1_candidate(cfg)
+    specs = []
+
+    def plan(problem, grid, u_star, bundle):
+        specs.extend(default_spike_family(
+            grid, u_star, problem.control_set, count=cfg.spike_count,
+            seed=cfg.seed))
+        starts = [spec.window(grid)[0] for spec in specs]
+        keep = None if keep_all else {
+            0, grid.steps, *starts,
+            *_spread_indices(grid.steps, cfg.sample_times),
+            *_spread_indices(grid.steps, JOINT_SAMPLE_TIMES)}
+        return keep, (CostWalk(problem, grid, starts), StateBox())
+
+    problem, grid, u_star, trajectories = example1_candidate(cfg, plan)
     adjoint = solve_adjoint_explicit(problem, trajectories)
-    specs = default_spike_family(
-        grid, u_star, problem.control_set, count=cfg.spike_count,
-        seed=cfg.seed)
     cost, spiked = spiked_costs(problem, trajectories, specs)
 
     analytic = example1_analytic_cost(cfg)
@@ -818,7 +837,7 @@ def stationarity_residual(problem, adjoint):
     total = 0.0
     count = 0
     for k in range(grid.steps):
-        xk = trajectories.states[:, k, :]
+        xk = trajectories.state_at(k)
         uk = trajectories.control_at(k)
         yk = adjoint.y_at(k)
         fu = np.asarray(problem.F_u(times[k], xk, uk), dtype=float)

@@ -32,8 +32,9 @@ from test_pmp import gateaux_verdicts
 
 @pytest.fixture(scope="module")
 def example1_full():
+    # every step kept: criterion 8 replays a first variation along them
     tic = time.perf_counter()
-    result = run_example1(Example1Config())
+    result = run_example1(Example1Config(), keep_all=True)
     wall = time.perf_counter() - tic
     return result, wall
 

@@ -959,6 +959,33 @@ def test_rates_csv_layout(tmp_path):
     assert np.all(np.diff(exi) < 0.0)
 
 
+def test_gateaux_run_keeps_only_the_states_it_reads(tmp_path):
+    # the forward run keeps X at t0 and T and carries the first variation
+    # and the base cost walk: the whole run peaks below the sampled noise
+    # plus a (paths, steps + 1, 4) states array, which a run that keeps
+    # every step holds at once
+    paths, steps = 2000, 50
+    path = write_config(tmp_path, f"""\
+        [run]
+        scenario = gateaux
+        steps = {steps}
+        paths = {paths}
+
+        [gateaux]
+        drift_gain = 0.25
+        eps_list = 0.04, 0.02
+        """)
+    config = parse_config(path)
+    tracemalloc.start()
+    try:
+        code = run(config, output_dir=tmp_path / "out", verbosity=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == EXIT_OK
+    assert peak < 8 * paths * steps + 8 * paths * (steps + 1) * 4
+
+
 def test_margins_table_streams_its_rows(tmp_path):
     # 20 times x 100 paths x 25 probes are 50,000 rows.  Built as one list
     # of tuples, emitting them peaked at 10.4 MB of traced memory; rendered

@@ -14,18 +14,18 @@ from hypothesis.extra.numpy import arrays
 from martctrl import dynamics
 from martctrl.adjoint import solve_adjoint_lsmc
 from martctrl.dynamics import (AffineDiffusion, BallSet, BlowUpError, BoxSet,
-                               ControlProblem, FeedbackPolicy, FiniteSet,
-                               OpenLoopPolicy,
-                               SpikeSpec, TrajectoryBundle, apply_spike,
-                               evaluate_cost,
+                               ControlProblem, CostWalk, FeedbackPolicy,
+                               FiniteSet, OpenLoopPolicy,
+                               SpikeSpec, TrajectoryBundle, VariationWalk,
+                               apply_spike, evaluate_cost,
                                finite_diff_check, integrate_forward,
                                integrate_variational, sample_controls,
                                spiked_costs, stream_spiked)
 from martctrl.hilbert import apply_operator
 from martctrl.martingale import (_SEED_BLOCK, MartingaleDriver, NoiseBundle,
                                  PathGrid, ScalarIntensity, sample_increments)
-from martctrl.pmp import (Example1Config, Example2Config, build_example1_problem,
-                          build_example2_problem)
+from martctrl.pmp import (Example1Config, Example2Config, StateBox,
+                          build_example1_problem, build_example2_problem)
 
 PACKAGED = {"example1": Example1Config(),
             "example1-tanh": Example1Config(drift_gain=0.25),
@@ -885,6 +885,147 @@ def test_variation_allocates_no_per_step_record():
         tracemalloc.stop()
     assert p.states.shape == (cfg.paths, 2, bundle.dim)
     assert peak < record
+
+
+def tanh_diffusion(problem, cfg):
+    """``problem`` with the non-affine G(t, X) dM = tanh(X . gamma) dM G~^T
+    of an example2 config, which spike blocks tile the increments for."""
+    n = cfg.state_dim
+    gamma = np.asarray(cfg.gamma, dtype=float)
+    g_tilde_t = np.reshape(cfg.g_tilde, (n, n)).T
+
+    def g(t, x, dm):
+        return (dm @ g_tilde_t) * np.tanh(x @ gamma)[:, None]
+
+    def g_x(t, x, d, dm):
+        slope = (1.0 - np.tanh(x @ gamma) ** 2) * (d @ gamma)
+        return (dm @ g_tilde_t) * slope[:, None]
+
+    return dataclasses.replace(problem, G=g, G_x=g_x)
+
+
+def separate_walks(problem, full, starts):
+    """Base cost per path, its running sums before each start step, and
+    the state box, each by its own loop over a run that kept every step."""
+    grid = full.grid
+    run = np.zeros(full.paths)
+    prefix = {}
+    for k in range(grid.steps):
+        if k in starts:
+            prefix[k] = run.copy()
+        run += problem.ell(grid.times[k], full.states[:, k, :],
+                           full.control_at(k)) * grid.dt
+    total = run + problem.h(full.states[:, -1, :])
+    low, high = full.states.min(axis=(0, 1)), full.states.max(axis=(0, 1))
+    pad = 0.5 * np.maximum(high - low, 1.0)
+    return total, prefix, (low - pad, high + pad)
+
+
+@pytest.mark.parametrize("diffusion", ["affine", "tanh"])
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(data=st.data(), steps=st.integers(1, 12),
+       paths=st.sampled_from([1, 2, 7]), feedback=st.booleans())
+def test_partial_run_with_riders_keeps_the_bits_of_the_full_run(
+        diffusion, data, steps, paths, feedback):
+    # a run that keeps a few steps and carries its walks as riders gives
+    # the kept states, controls, costs, p, zeta and state box of a run
+    # that keeps every step followed by separate walks, bit for bit
+    cfg, problem, driver, grid, u = packaged("example2", steps=steps,
+                                             paths=paths)
+    if diffusion == "tanh":
+        problem = tanh_diffusion(problem, cfg)
+    bundle = sample_increments(driver, grid, paths, cfg.seed)
+    policy = FeedbackPolicy(fn=lambda t, x: -0.5 * x) if feedback \
+        else OpenLoopPolicy(u + 0.3)
+    box = problem.control_set
+    specs = []
+    for k0 in (0, steps - 1, data.draw(st.integers(0, steps - 1),
+                                       label="k0")):
+        width = data.draw(st.integers(1, steps - k0), label="width")
+        v = np.array([data.draw(st.floats(lo, hi), label="v")
+                      for lo, hi in zip(box.lower, box.upper)])
+        specs.append(SpikeSpec(t0=k0 * grid.dt, eps=width * grid.dt, v=v))
+    starts = {spec.window(grid)[0] for spec in specs}
+    keep = data.draw(st.sets(st.integers(0, steps)), label="keep") | starts
+
+    full = integrate_forward(problem, policy, bundle, np.asarray(cfg.x0))
+    variation = VariationWalk(problem, bundle, specs[-1])
+    riders = (CostWalk(problem, grid, starts), variation, StateBox())
+    part = integrate_forward(problem, policy, bundle, np.asarray(cfg.x0),
+                             keep=keep, riders=riders)
+
+    assert part.riders == riders
+    assert part.states.shape == (paths, len(keep), bundle.dim)
+    for k in keep:
+        assert np.array_equal(part.state_at(k), full.states[:, k, :]), k
+    for k in range(steps):
+        assert np.array_equal(part.control_at(k), full.control_at(k)), k
+    total, prefix, (lo, hi) = separate_walks(problem, full, starts)
+    assert np.array_equal(riders[0].total, total)
+    assert all(np.array_equal(riders[0].prefix[k], prefix[k])
+               for k in starts)
+    base, spiked = spiked_costs(problem, part, specs)
+    full_base, full_spiked = spiked_costs(problem, full, specs)
+    assert np.array_equal(base.per_path, total)
+    assert np.array_equal(full_base.per_path, total)
+    for got, expected in zip(spiked, full_spiked, strict=True):
+        assert np.array_equal(got.per_path, expected.per_path)
+    p = variation.first_variation(part)
+    ps, zeta = variation_on_every_step(problem, full, specs[-1])
+    k0 = variation.k0
+    assert np.array_equal(p.states, ps[:, [k0, steps]])
+    assert np.array_equal(p.zeta, zeta[:, [k0, steps]])
+    assert np.array_equal(p.states,
+                          integrate_variational(problem, full,
+                                                specs[-1]).states)
+    got_lo, got_hi = riders[2].bounds()
+    assert np.array_equal(got_lo, lo) and np.array_equal(got_hi, hi)
+
+    dropped = sorted(set(range(steps + 1)) - keep)
+    if dropped:
+        k = dropped[0]
+        kept = sorted(keep)
+        with pytest.raises(ValueError, match=rf"step {k} was not kept; the "
+                           rf"run kept steps \[{', '.join(map(str, kept))}\]"):
+            part.state_at(k)
+
+
+def test_a_partial_base_needs_the_cost_walk_that_rode_it():
+    # on a run that kept three steps, spiked_costs reads the cost walk that
+    # rode it for the same problem; another problem (a counted ell), or
+    # spikes at a start step the walk did not keep, raise instead of
+    # reading the wrong numbers, and a full run replays the walk
+    cfg, problem, driver, grid, u = packaged("example1-tanh", steps=10,
+                                             paths=5)
+    bundle = sample_increments(driver, grid, cfg.paths, cfg.seed)
+    x0 = np.asarray(cfg.x0)
+    spec = SpikeSpec(t0=4 * grid.dt, eps=2 * grid.dt, v=u + 0.5)
+    walk = CostWalk(problem, grid, [4])
+    part = integrate_forward(problem, OpenLoopPolicy(u), bundle, x0,
+                             keep={0, 4, 10}, riders=(walk,))
+    full = integrate_forward(problem, OpenLoopPolicy(u), bundle, x0)
+    calls = []
+
+    def ell(t, x, v):
+        calls.append(t)
+        return problem.ell(t, x, v)
+
+    counted = dataclasses.replace(problem, ell=ell)
+    base, (spiked,) = spiked_costs(problem, part, [spec])
+    full_base, (full_spiked,) = spiked_costs(counted, full, [spec])
+    assert len(calls) == grid.steps + (grid.steps - 4)
+    assert np.array_equal(base.per_path, full_base.per_path)
+    assert np.array_equal(spiked.per_path, full_spiked.per_path)
+    missing = r"step 1 was not kept; the run kept steps \[0, 4, 10\]"
+    with pytest.raises(ValueError, match=missing):
+        spiked_costs(counted, part, [spec])
+    with pytest.raises(ValueError, match=missing):
+        spiked_costs(problem, part, [SpikeSpec(t0=0.0, eps=grid.dt, v=u)])
+    with pytest.raises(ValueError, match=missing):
+        evaluate_cost(counted, part)
+    with pytest.raises(ValueError, match=r"steps outside 0\.\.10"):
+        integrate_forward(problem, OpenLoopPolicy(u), bundle, x0,
+                          keep={-1, 4})
 
 
 def test_evaluate_cost_left_riemann():

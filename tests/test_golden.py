@@ -13,6 +13,7 @@ tests/test_martingale.py::test_path_seeds_reproduce_numpy_seeding first;
 if it fails, the digests here fail with it.
 """
 
+import contextlib
 import hashlib
 import textwrap
 
@@ -265,6 +266,12 @@ def test_artifacts_match_recorded_digests(tmp_path, scenario):
     config_path.write_text(textwrap.dedent(CONFIGS[scenario]),
                            encoding="utf-8")
     out_dir = tmp_path / "out"
-    code = run(parse_config(config_path), output_dir=out_dir, verbosity=0)
+    # degree 0 leaves most of the martingale part unexplained, and the
+    # LSMC solve says so on each of its three adjoint solves
+    warns = pytest.warns(RuntimeWarning,
+                         match="unexplained martingale residual") \
+        if scenario == "example2-degree0" else contextlib.nullcontext()
+    with warns:
+        code = run(parse_config(config_path), output_dir=out_dir, verbosity=0)
     assert code == EXIT_CODES.get(scenario, EXIT_OK)
     assert artifact_digests(out_dir) == DIGESTS[scenario]

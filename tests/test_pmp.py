@@ -1,7 +1,6 @@
 """Optimality checks, spike experiments, and the two packaged scenarios."""
 
 import dataclasses
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -388,8 +387,9 @@ def test_rate_ladder_block_that_blows_up_reruns_each_spike_alone():
                                                     "path-major"]))
 def test_state_box_matches_the_reduction_over_paths_and_steps(
         data, paths, points, n, layout):
-    # the row-wise reduction of the step-major memory gives the box of
-    # min/max over axes (0, 1), specials included
+    # folding each step's states in as a rider's x_next, after the first
+    # step's x, then reducing over paths, gives the box of min/max over
+    # axes (0, 1), specials included
     values = st.one_of(st.sampled_from([np.nan, np.inf, -np.inf, -0.0, 0.0]),
                        st.floats(width=64))
     states = data.draw(arrays(np.float64, (paths, points, n),
@@ -397,7 +397,10 @@ def test_state_box_matches_the_reduction_over_paths_and_steps(
     if layout == "step-major":
         states = step_major(states)
     with np.errstate(invalid="ignore"):
-        lo, hi = pmp._state_box(SimpleNamespace(states=states))
+        box = pmp.StateBox()
+        for k in range(points):
+            box.visit(k, states[:, 0, :], None, states[:, k, :])
+        lo, hi = box.bounds()
         low, high = states.min(axis=(0, 1)), states.max(axis=(0, 1))
         pad = 0.5 * np.maximum(high - low, 1.0)
     np.testing.assert_array_equal(lo, low - pad)
