@@ -8,12 +8,13 @@ with respect to the spike and the running-cost variation zeta follow linear
 equations driven by the frozen optimal trajectory and the same noise;
 one walk steps both along that trajectory.  A walk over every step is a
 rider (:class:`CostWalk`, :class:`VariationWalk`): its ``visit(k, x_k,
-u_k, x_next)`` rides the forward run, which then keeps only the steps its
-readers ask for, or is replayed over a stored run, with the same bits.
+u_k, x_next, dM_k)`` rides the forward run, which then keeps only the
+steps its readers ask for, or is replayed over a stored run, with the
+same bits; either way dM_k is formed once per step.
 
 Problem callables are vectorized over paths:
 
-    F(t, X, U) -> (P, n)          F_x(t, X, U) -> (n, n) or (P, n, n)
+    F(t, X, U) -> (P, n)          F_x -> (n, n), (P, n, n), DiagonalBatch
     G(t, X, dM) -> (P, n)         the increment G(t, X) dM
     G_x(t, X, D, dM) -> (P, n)    (G_x(t, X)[D]) dM, derivative along D
     ell(t, X, U) -> (P,)          ell_x -> (P, n), ell_u -> (P, m)
@@ -257,8 +258,9 @@ class ControlProblem:
     G(t, X) dM and ``G_x(t, X, D, dM)`` returns (G_x(t, X)[D]) dM, the
     directional derivative of G at X along the state directions D applied
     to dM, one row per path.  ``F_x`` stays an operator because grad_x H
-    needs its transpose.  ``grad_x_ignores_u`` declares that ``ell_x`` and
-    ``F_x`` do not read the control (:func:`finite_diff_check` audits it).
+    needs its transpose; a ``DiagonalBatch`` is its own.
+    ``grad_x_ignores_u`` declares that ``ell_x`` and ``F_x`` do not read
+    the control (:func:`finite_diff_check` audits it).
     The state size is read off the states, the control size off
     ``control_set.dim``.
     """
@@ -453,9 +455,10 @@ class TrajectoryBundle:
     def replay(self, rider, start=0):
         """Walk ``rider`` over the steps from ``start`` on as if it rode the
         forward run (a step not kept raises); returns the rider."""
+        dm = np.empty((self.bundle.paths, self.bundle.dim))
         for k in range(start, self.grid.steps):
             rider.visit(k, self.state_at(k), self.control_at(k),
-                        self.state_at(k + 1))
+                        self.state_at(k + 1), self.bundle.step(k, out=dm))
         return rider
 
     def control_at(self, k):
@@ -482,9 +485,10 @@ def _euler(problem, policy, bundle, x, start, visit):
     the path axis (a block of spikes).  An AffineDiffusion takes each
     step's ``bundle.step`` as it is; for any other G it is tiled to
     match.  Both go into buffers reused across steps.  ``visit(k, x_k, u_k,
-    x_next)`` sees every step: the state at step k, the control applied
-    there and the state at step k + 1, a fresh array the visitor may
-    keep.  Raises BlowUpError at the first non-finite state.
+    x_next, dm)`` sees every step: the state at step k, the control
+    applied there, the state at step k + 1 (a fresh array the visitor may
+    keep) and step k's untiled increments (a buffer reused across steps).
+    Raises BlowUpError at the first non-finite state.
 
     X_{k+1} = X_k + F dt + G dM is built in place as F dt, then + X_k,
     then + G dM: the same operations on the same operands, so the same
@@ -505,14 +509,13 @@ def _euler(problem, policy, bundle, x, start, visit):
         dm = bundle.step(k, out=step_dm)
         if tiled is not None:
             tiled.reshape(copies, bundle.paths, -1)[:] = dm
-            dm = tiled
         x_next = problem.F(t, x, u) * dt
         x_next += x
-        x_next += problem.G(t, x, dm, **action)
+        x_next += problem.G(t, x, dm if tiled is None else tiled, **action)
         if not np.all(np.isfinite(x_next)):
             bad = np.argwhere(~np.isfinite(x_next).all(axis=1))[0, 0]
             raise BlowUpError(path=bad, step=k + 1, time=times[k + 1])
-        visit(k, x, u, x_next)
+        visit(k, x, u, x_next, dm)
         x = x_next
     return x
 
@@ -544,12 +547,12 @@ def integrate_forward(problem, policy, bundle, x0, keep=None, riders=()):
         states[:, 0, :] = x0
     recorded = [None] * bundle.steps
 
-    def store(k, x, u, x_next):
+    def store(k, x, u, x_next, dm):
         recorded[k] = u
         if k + 1 in slot:
             states[:, slot[k + 1], :] = x_next
         for rider in riders:
-            rider.visit(k, x, u, x_next)
+            rider.visit(k, x, u, x_next, dm)
 
     _euler(problem, policy, bundle, np.array(x0, order="C"), 0, store)
     trajectories = TrajectoryBundle(
@@ -576,7 +579,7 @@ def stream_spiked(problem, base, specs, visit):
     batch with its matrix-vector kernel, a larger one would move the last
     bits).  Each block starts at k0 from the base states there, which
     each spiked run shares with the base, and ``visit(rows, k, x_k, u_k,
-    x_next)`` sees each of its steps k >= k0: ``rows`` is the slice of
+    x_next, dm)`` sees each of its steps k >= k0: ``rows`` is the slice of
     the stacked rows the block holds, and in the rows of spec i the
     states and controls are those of the full re-integration
     ``integrate_forward(problem, apply_spike(base.policy, specs[i],
@@ -632,17 +635,17 @@ class VariationWalk:
     zeta(t0) = ell(t0, X(t0), v) - ell(t0, X(t0), u(t0)), then
     zeta_{k+1} = zeta_k + <ell_x(t_k, X_k, u_k), p_k> dt and
     p_{k+1} = p_k + F_x(t_k, X_k, u_k) p_k dt + (G_x(t_k, X_k)[p_k]) dM_k,
-    driven by the run's own noise ``bundle`` and controls.  Keeps only the
-    running p and zeta, as ``stream_spiked`` keeps only the running state;
-    :meth:`first_variation` gives them at t0 and T.
+    driven by the run's increments dM_k and controls (a ``DiagonalBatch``
+    F_x steps p by its diagonals).  Keeps only the running p and zeta, as
+    ``stream_spiked`` keeps only the running state; :meth:`first_variation`
+    gives them at t0 and T.
     """
 
     def __init__(self, problem, bundle, spec):
         self.problem, self.bundle, self.spec = problem, bundle, spec
         self.k0, _ = spec.window(bundle.grid)
-        self._dm = np.empty((bundle.paths, bundle.dim))
 
-    def visit(self, k, x, u, x_next):
+    def visit(self, k, x, u, x_next, dm):
         if k < self.k0:
             return
         f, t, dt = self.problem, self.bundle.grid.times[k], self.bundle.grid.dt
@@ -653,7 +656,7 @@ class VariationWalk:
         p = self.p
         self.z = self.z + np.einsum("pi,pi->p", f.ell_x(t, x, u), p) * dt
         self.p = p + apply_operator(f.F_x(t, x, u), p) * dt \
-            + f.G_x(t, x, p, self.bundle.step(k, out=self._dm))
+            + f.G_x(t, x, p, dm)
 
     def first_variation(self, optimal):
         """The walk's p and zeta, taken along the run ``optimal``."""
@@ -702,7 +705,7 @@ class CostWalk:
         self.problem, self.grid, self.total = problem, grid, total
         self.prefix = dict.fromkeys(starts)
 
-    def visit(self, k, x, u, x_next):
+    def visit(self, k, x, u, x_next, dm):
         if self.total is None:
             self.total = np.zeros(x.shape[0])
         if k in self.prefix:
@@ -752,10 +755,10 @@ def spiked_costs(problem, base, specs):
         # block is one row, which numpy multiplies with another kernel
         walks = {}
 
-        def accumulate(rows, k, x, u, x_next):
+        def accumulate(rows, k, x, u, x_next, dm):
             if rows.start not in walks:
                 walks[rows.start] = CostWalk(problem, grid, total=total[rows])
-            walks[rows.start].visit(k, x, u, x_next)
+            walks[rows.start].visit(k, x, u, x_next, dm)
 
         stream_spiked(problem, base, [specs[i] for i in members], accumulate)
         for i, row in zip(members, total.reshape(len(members), -1)):

@@ -37,7 +37,7 @@ from .dynamics import (AffineDiffusion, BallSet, BoxSet, ControlProblem,
                        CostWalk, FeedbackPolicy, OpenLoopPolicy, SpikeSpec,
                        evaluate_cost, integrate_forward, integrate_variational,
                        sample_controls, spiked_costs, stream_spiked)
-from .hilbert import apply_operator
+from .hilbert import DiagonalBatch, apply_operator
 from .martingale import (MartingaleDriver, PathGrid, ScalarIntensity,
                          mean_se, sample_increments)
 
@@ -191,7 +191,7 @@ class StateBox:
     n) states fold into elementwise min and max, reduced over paths last:
     min and max are exact, so this is the box of all the states."""
 
-    def visit(self, k, x, u, x_next):
+    def visit(self, k, x, u, x_next, dm):
         if k == 0:
             self.lo, self.hi = x.copy(), x.copy()
         np.minimum(self.lo, x_next, out=self.lo)
@@ -368,7 +368,7 @@ def rate_experiments(problem, p, eps_ladder=(0.2, 0.1, 0.05, 0.025)):
     msq = np.zeros(ladder.size * paths)
     xi_sq = np.empty(ladder.size * paths)
 
-    def visit(rows, k, x, u, x_next):
+    def visit(rows, k, x, u, x_next, dm):
         # each spike's copy of the paths is read against the base states
         spiked = x_next.reshape(-1, paths, x_next.shape[1])
         diff = (spiked - traj.state_at(k + 1)).reshape(x_next.shape)
@@ -468,10 +468,7 @@ def build_example1_problem(cfg):
     def drift_x(t, x, u):
         if gain == 0.0:
             return np.zeros((n, n))
-        out = np.zeros((x.shape[0], n, n))
-        idx = np.arange(n)
-        out[:, idx, idx] = gain * (1.0 - np.tanh(x) ** 2)
-        return out
+        return DiagonalBatch(gain * (1.0 - np.tanh(x) ** 2))
 
     def running_cost(t, x, u):
         # |u|^2 column by column: the einsum's bits for m <= 2 at a third
@@ -901,7 +898,8 @@ def run_example2(cfg=None):
 
     sweeps = []
     for s in range(cfg.sweeps + 1):
-        trajectories = integrate_forward(problem, policy, bundle, x0)
+        trajectories = integrate_forward(problem, policy, bundle, x0,
+                                         riders=(CostWalk(problem, grid),))
         adjoint = solve_adjoint_lsmc(problem, trajectories, basis=basis)
         cost = evaluate_cost(problem, trajectories)
         residual = stationarity_residual(problem, adjoint)

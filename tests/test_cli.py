@@ -986,6 +986,35 @@ def test_gateaux_run_keeps_only_the_states_it_reads(tmp_path):
     assert peak < 8 * paths * steps + 8 * paths * (steps + 1) * 4
 
 
+def test_gateaux_run_forms_each_step_once_per_walk(tmp_path, monkeypatch):
+    # the first variation reads the increments the forward run formed, so
+    # the noise forms one step per forward step and per spike-block step:
+    # 20 forward steps, then two blocks of one spike each (BLOCK_ROWS held
+    # at the path count) over the 14 steps from t0 = 0.3
+    paths, steps, k0 = 50, 20, 6
+    calls = []
+    step = martctrl.NoiseBundle.step
+
+    def counted(self, k, out=None):
+        calls.append(k)
+        return step(self, k, out=out)
+
+    monkeypatch.setattr(martctrl.NoiseBundle, "step", counted)
+    monkeypatch.setattr(martctrl.dynamics, "BLOCK_ROWS", paths)
+    config = parse_config(write_config(tmp_path, f"""\
+        [run]
+        scenario = gateaux
+        steps = {steps}
+        paths = {paths}
+
+        [gateaux]
+        drift_gain = 0.25
+        eps_list = 0.1, 0.05
+        """))
+    assert run(config, output_dir=tmp_path / "out", verbosity=0) == EXIT_OK
+    assert calls == list(range(steps)) + 2 * list(range(k0, steps))
+
+
 def test_margins_table_streams_its_rows(tmp_path):
     # 20 times x 100 paths x 25 probes are 50,000 rows.  Built as one list
     # of tuples, emitting them peaked at 10.4 MB of traced memory; rendered

@@ -21,7 +21,7 @@ from martctrl.dynamics import (AffineDiffusion, BallSet, BlowUpError, BoxSet,
                                finite_diff_check, integrate_forward,
                                integrate_variational, sample_controls,
                                spiked_costs, stream_spiked)
-from martctrl.hilbert import apply_operator
+from martctrl.hilbert import DiagonalBatch
 from martctrl.martingale import (_SEED_BLOCK, MartingaleDriver, NoiseBundle,
                                  PathGrid, ScalarIntensity, sample_increments)
 from martctrl.pmp import (Example1Config, Example2Config, StateBox,
@@ -343,7 +343,7 @@ def test_spiked_run_matches_full_reintegration():
     # a stream from the window start ends where the full run ends
     seen = {}
     stream_spiked(problem, base, [spec],
-                  lambda rows, k, x, u, x_next: seen.update(x_end=x_next))
+                  lambda rows, k, x, u, x_next, dm: seen.update(x_end=x_next))
     assert np.array_equal(seen["x_end"], full.states[:, -1, :])
 
 
@@ -375,7 +375,7 @@ def test_streamed_spike_is_bit_identical_to_stored_spike(feedback,
         seen = {}
         stream_spiked(
             problem, base, [spec],
-            lambda rows, k, x, u, x_next: seen.setdefault(k + 1, x_next))
+            lambda rows, k, x, u, x_next, dm: seen.setdefault(k + 1, x_next))
         assert sorted(seen) == list(range(k0 + 1, grid.steps + 1))
         for k, x in seen.items():
             assert np.array_equal(x, stored.states[:, k, :]), k
@@ -464,8 +464,8 @@ def test_spike_prefix_identity(name, feedback, data):
                           base.states[:, :k0 + 1, :])
     seen = {}
     stream_spiked(problem, base, [spec],
-                  lambda rows, k, x, u, x_next: seen.setdefault(k + 1,
-                                                                x_next))
+                  lambda rows, k, x, u, x_next, dm:
+                  seen.setdefault(k + 1, x_next))
     assert sorted(seen) == list(range(k0 + 1, steps + 1))
     for k, x in seen.items():
         assert np.array_equal(x, full.states[:, k, :]), k
@@ -637,7 +637,7 @@ def test_blown_up_block_reruns_each_spike_alone():
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(BlowUpError) as alone:
             stream_spiked(problem, base, [wild],
-                          lambda rows, k, x, u, x_next: None)
+                          lambda rows, k, x, u, x_next, dm: None)
         with pytest.raises(BlowUpError) as read:
             spiked_costs(problem, base, [calm, wild])
     assert (read.value.path, read.value.step, read.value.time) \
@@ -660,10 +660,10 @@ def test_stream_spiked_names_the_last_member_that_blows_up_alone():
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(BlowUpError) as alone:
             stream_spiked(problem, base, [wild],
-                          lambda rows, k, x, u, x_next: None)
+                          lambda rows, k, x, u, x_next, dm: None)
         with pytest.raises(BlowUpError) as block:
             stream_spiked(problem, base, [*calm, wild],
-                          lambda rows, k, x, u, x_next: None)
+                          lambda rows, k, x, u, x_next, dm: None)
     assert 0 <= alone.value.path < 4
     assert (block.value.path, block.value.step, block.value.time) \
         == (alone.value.path, alone.value.step, alone.value.time)
@@ -686,7 +686,7 @@ def test_spiked_costs_raise_the_error_of_the_first_failing_block():
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(BlowUpError) as alone:
             stream_spiked(problem, base, [late],
-                          lambda rows, k, x, u, x_next: None)
+                          lambda rows, k, x, u, x_next, dm: None)
         with pytest.raises(BlowUpError) as raised:
             spiked_costs(problem, base, [calm, early, late])
     assert alone.value.step == 8
@@ -700,7 +700,8 @@ def test_stream_spiked_steps_consecutive_blocks(paths, block_rows):
     # the visitor's row slices cover the stacked rows in order, each block
     # at most BLOCK_ROWS rows (one spike on a one-path bundle) and stepped
     # from the window start to T; the last step's x_next is each spike's
-    # X(T) of the full re-integration
+    # X(T) of the full re-integration; dm is the step's increments on the
+    # bundle's paths, once for all the block's copies
     steps = 8
     cfg, problem, driver, grid, u = packaged("example1", steps=steps,
                                              paths=paths)
@@ -712,8 +713,9 @@ def test_stream_spiked_steps_consecutive_blocks(paths, block_rows):
     visits = []
     ends = []
 
-    def visit(rows, k, x, u, x_next):
+    def visit(rows, k, x, u, x_next, dm):
         assert x.shape == x_next.shape == (rows.stop - rows.start, 4)
+        assert np.array_equal(dm, bundle.step(k))
         visits.append(((rows.start, rows.stop), k))
         if k == steps - 1:
             ends.append(x_next)
@@ -747,7 +749,7 @@ def test_stream_spiked_refuses_a_block_without_one_start_step():
     for block in (specs, []):
         with pytest.raises(ValueError, match="one start step"):
             stream_spiked(problem, base, block,
-                          lambda rows, k, x, u, x_next: None)
+                          lambda rows, k, x, u, x_next, dm: None)
 
 
 def test_noop_spike_changes_nothing():
@@ -814,8 +816,10 @@ def variation_on_every_step(problem, optimal, spec):
     for k in range(k0, grid.steps):
         t, xk, uk = times[k], optimal.states[:, k, :], optimal.control_at(k)
         z = z + np.einsum("pi,pi->p", problem.ell_x(t, xk, uk), p) * dt
-        p = p + apply_operator(problem.F_x(t, xk, uk), p) * dt \
-            + problem.G_x(t, xk, p, bundle.increments[:, k, :])
+        # the dense arithmetic: a batch F_x densified and contracted
+        a = np.asarray(problem.F_x(t, xk, uk), dtype=float)
+        fp = p @ a.T if a.ndim == 2 else np.einsum("pij,pj->pi", a, p)
+        p = p + fp * dt + problem.G_x(t, xk, p, bundle.increments[:, k, :])
         ps[:, k + 1], zeta[:, k + 1] = p, z
     return ps, zeta
 
@@ -1097,6 +1101,23 @@ def test_finite_diff_check_flags_a_false_grad_x_ignores_u():
             == ("grad_x_ignores_u",), reader
         honest = dataclasses.replace(doctored, grad_x_ignores_u=False)
         assert finite_diff_check(honest, probes).passed, reader
+
+
+def test_finite_diff_check_audits_a_diagonal_f_x():
+    # the tanh drift's F_x is a batch of diagonals: the audit reads its
+    # dense form, passes it, and flags it when the diagonals are off by 1.5
+    cfg, problem, _, _, u = packaged("example1-tanh")
+    rng = np.random.default_rng(19)
+    probes = [(float(t), np.asarray(cfg.x0) + rng.standard_normal(4),
+               u + 0.3 * rng.standard_normal(2))
+              for t in np.linspace(0.0, 1.0, 5)]
+    assert isinstance(problem.F_x(0.0, np.zeros((1, 4)), u[None, :]),
+                      DiagonalBatch)
+    assert finite_diff_check(problem, probes).passed
+    scaled = dataclasses.replace(
+        problem, F_x=lambda t, x, v: DiagonalBatch(
+            1.5 * problem.F_x(t, x, v).diagonals))
+    assert finite_diff_check(scaled, probes).flagged == ("F_x",)
 
 
 @pytest.mark.parametrize("name, fields", [

@@ -373,7 +373,7 @@ def test_rate_ladder_block_that_blows_up_reruns_each_spike_alone():
     with np.errstate(invalid="ignore"):
         with pytest.raises(BlowUpError) as alone:
             stream_spiked(problem, base, [spike],
-                          lambda rows, k, x, u, x_next: None)
+                          lambda rows, k, x, u, x_next, dm: None)
         with pytest.raises(BlowUpError) as ladder:
             rate_experiments(problem, p, eps_ladder=(0.4, 0.2))
     assert (alone.value.path, alone.value.step) == (0, 7)
@@ -399,7 +399,7 @@ def test_state_box_matches_the_reduction_over_paths_and_steps(
     with np.errstate(invalid="ignore"):
         box = pmp.StateBox()
         for k in range(points):
-            box.visit(k, states[:, 0, :], None, states[:, k, :])
+            box.visit(k, states[:, 0, :], None, states[:, k, :], None)
         lo, hi = box.bounds()
         low, high = states.min(axis=(0, 1)), states.max(axis=(0, 1))
         pad = 0.5 * np.maximum(high - low, 1.0)
