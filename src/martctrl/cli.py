@@ -38,11 +38,11 @@ from .adjoint import (RegressionBasis, RegressionRankError,
 from .dynamics import (BlowUpError, CostWalk, SpikeSpec, VariationWalk,
                        finite_diff_check, sample_controls)
 from .martingale import PathGrid, sample_increments, verify_isometry
-from .pmp import (Assertion, Example1Config, Example2Config, ScenarioReport,
-                  build_example1_problem, build_example2_problem,
-                  example1_candidate, gateaux_check, necessary_check,
-                  rate_experiments, run_example1, run_example2,
-                  sufficient_check, within_3se)
+from .pmp import (JOINT_SAMPLE_TIMES, Assertion, Example1Config,
+                  Example2Config, ScenarioReport, build_example1_problem,
+                  build_example2_problem, example1_candidate, gateaux_check,
+                  necessary_check, rate_experiments, run_example1,
+                  run_example2, sufficient_check, within_3se)
 
 EXIT_OK = 0
 EXIT_ASSERTION = 1
@@ -147,7 +147,7 @@ def _parse_enum(text, choices):
 # ---------------------------------------------------------------------------
 # Option schema.  Every section is a tuple of (key, parser, default) entries.
 # example1 and example2 take their defaults from the fields of
-# Example1Config and Example2Config; the other scenarios state theirs here.
+# Example1Config and Example2Config; the other scenarios' are in SCHEMAS.
 # No config sets the operator sizes: each scenario takes them from the
 # packaged problems it runs.  A key whose text does not parse is reported
 # and keeps its default, so the cross-field checks always see a complete
@@ -166,8 +166,9 @@ _RUN_FIELDS = ("seed", "steps", "paths", "horizon")
 
 
 class Schema(NamedTuple):
-    """What one scenario accepts in [run] and its own section."""
+    """What a scenario accepts in [run] and its own section, and its runner."""
 
+    runner: object
     run: tuple
     space: object      # operator sizes, or a function of the options to them
     options: tuple
@@ -184,16 +185,15 @@ def _space(cfg):
     return {"state_dim": cfg.state_dim, "control_dim": cfg.control_dim}
 
 
-def _packaged(cfg, options, checks=()):
+def _packaged(runner, cfg, options, checks=()):
     """Schema of a packaged scenario whose defaults are the fields of the
     default config ``cfg``; only these scenarios dump trajectories."""
     return Schema(
+        runner=runner, space=_space(cfg), checks=checks,
         run=_run_entries(*(getattr(cfg, key) for key in _RUN_FIELDS))
         + (("dump_trajectories", _INT0, 0),),
-        space=_space(cfg),
         options=tuple((key, parse, getattr(cfg, key))
-                      for key, parse in options),
-        checks=checks)
+                      for key, parse in options))
 
 
 _EX1 = PACKAGED_PROBLEMS["example1"]
@@ -292,75 +292,6 @@ def _parse_ladder(text):
     return tuple(sorted(values, reverse=True))
 
 
-SCHEMAS = {
-    "example1": _packaged(_EX1, (
-        ("spike_count", _INT1),
-        ("control_box_radius", _POSITIVE),
-        ("probe_points_per_dim", _INT2),
-        ("sample_times", _INT1),
-        ("sample_paths", _INT1),
-        ("convexity_pairs", _INT1),
-        ("alpha0", _POSITIVE),
-        ("alpha_slope", _NONNEGATIVE),
-        ("schedule", _CONTROL1),
-    ), checks=(_in_control_box(
-        lambda opts: Example1Config(
-            control_box_radius=opts["control_box_radius"]), "schedule"),)),
-    "example2": _packaged(_EX2, (
-        ("basis_degree", partial(_parse_int, choices={0, 1, 2})),
-        # sweep 0 alone leaves stationarity_residual_decreases unpassable
-        ("sweeps", _INT1),
-        ("run_duality", _parse_bool),
-        ("duality_t0", _NONNEGATIVE),
-        ("duality_eps", _POSITIVE),
-        ("duality_v", _CONTROL2),
-        ("gamma", _STATE2),
-        ("schedule", _CONTROL2),
-    ), checks=(_duality_window, _regression_paths,
-               _in_control_box(lambda opts: Example2Config(), "schedule",
-                               "duality_v"))),
-    "rates": Schema(_run_entries(2718, 400, 4000), _SPACE1, (
-        ("t0", _NONNEGATIVE, 0.25),
-        ("v", _CONTROL1, (0.65, 0.45)),
-        ("eps_ladder", _parse_ladder, (0.2, 0.1, 0.05, 0.025)),
-        ("drift_gain", _NONNEGATIVE, 0.0),
-        ("inject_fault", _parse_bool, False),
-    ), checks=(_distinct_spikes("eps_ladder"),
-               _in_control_box(lambda opts: Example1Config(), "v"))),
-    "gateaux": Schema(_run_entries(31415, 400, 20000), _SPACE1, (
-        ("t0", _NONNEGATIVE, 0.3),
-        ("v", _CONTROL1, (0.65, 0.45)),
-        ("eps_list", partial(_parse_floats, positive=True), (0.05, 0.025)),
-        ("bias_fraction", _POSITIVE, 0.1),
-        ("drift_gain", _NONNEGATIVE, 0.0),
-        ("inject_fault", _parse_bool, False),
-    ), checks=(_distinct_spikes("eps_list"),
-               _in_control_box(lambda opts: Example1Config(), "v"))),
-    "pmp-check": Schema(_run_entries(12022, 400, 2000), _SPACE1, (
-        ("sample_times", _INT1, 20),
-        ("sample_paths", _INT1, 100),
-        ("points_per_dim", _INT2, 11),
-        ("schedule", _CONTROL1, None),
-    ), checks=(_in_control_box(lambda opts: Example1Config(), "schedule"),)),
-    "sufficiency": Schema(_run_entries(12022, 200, 2000), _SPACE1, (
-        ("pairs", _INT1, 1000),
-        ("sample_times", _INT1, 8),
-        ("inject_fault", _parse_bool, False),
-    )),
-    "isometry": Schema(_run_entries(7071, 400, 20000), _SPACE1, ()),
-    "derivative-check": Schema(_run_entries(99, 100, 2), _checked_space, (
-        ("problem", partial(_parse_enum, choices=(*PACKAGED_PROBLEMS, "all")),
-         "all"),
-        ("probes", _INT1, 25),
-        ("rel_step", _POSITIVE, 1e-5),
-        ("tol", _POSITIVE, 1e-4),
-        ("inject_fault", _parse_bool, False),
-    )),
-}
-
-SCENARIOS = tuple(SCHEMAS)
-
-
 def _parse_section(raw, where, entries, errors):
     """Pop and convert the schema's keys from ``raw``, collecting errors."""
     values = {}
@@ -390,6 +321,9 @@ def parse_config(path):
             cp.read_file(fh)
     except OSError as exc:
         raise ConfigError([f"cannot read config file: {exc}"]) from None
+    except UnicodeDecodeError:
+        raise ConfigError([f"cannot read config file: {path} is not UTF-8 "
+                           "text"]) from None
     except configparser.Error as exc:
         raise ConfigError([f"malformed config file: {exc}"]) from None
 
@@ -426,7 +360,7 @@ def parse_config(path):
 
 # ---------------------------------------------------------------------------
 # Scenario runners.  Each returns its ScenarioReport, whose tables map file
-# stem -> (header, rows).
+# stem -> (header, rows); SCHEMAS, after them, names each scenario's runner.
 # ---------------------------------------------------------------------------
 
 @dataclasses.dataclass(frozen=True)
@@ -603,20 +537,12 @@ def _run_pmp_check(config):
         problem, adjoint, sample_times=opts["sample_times"],
         sample_paths=opts["sample_paths"],
         points_per_dim=opts["points_per_dim"])
-    assertions = [Assertion(
-        name="hamiltonian_minimum", passed=margin_report.passed,
-        detail=f"min margin {margin_report.min_margin:.3e} vs tol "
-               f"{margin_report.tol:.1e}; witness t={margin_report.witness[0]:g}"
-               f" v={np.array2string(margin_report.witness[2], precision=4)}")]
-    sections = {
-        "margins": {
-            "min_margin": margin_report.min_margin,
-            "frac_negative": margin_report.frac_negative,
-            "tol": margin_report.tol,
-        },
-    }
-    return ScenarioReport(scenario="pmp-check", sections=sections,
-                          assertions=assertions,
+    t, _, v = margin_report.witness
+    margins, verdict = margin_report.verdict(
+        "hamiltonian_minimum",
+        f"; witness t={t:g} v={np.array2string(v, precision=4)}")
+    return ScenarioReport(scenario="pmp-check", sections={"margins": margins},
+                          assertions=[verdict],
                           tables=_margins_tables(margin_report))
 
 
@@ -649,9 +575,7 @@ def _run_sufficiency(config):
                   passed=report.joint_passed,
                   detail=f"max midpoint violation "
                          f"{report.joint_violation:.2e}"),
-        Assertion(name="minimum_condition",
-                  passed=report.margin_report is not None
-                  and report.margin_report.passed,
+        Assertion(name="minimum_condition", passed=report.minimum_passed,
                   detail="margins over the probe grid"),
     ]
     sections = {
@@ -672,11 +596,8 @@ def _run_sufficiency(config):
             "x2": np.array2string(report.joint_witness["x2"], precision=6),
             "v2": np.array2string(report.joint_witness["v2"], precision=6),
         }
-    rows = [("control_set", int(report.applicable)),
-            ("terminal", int(report.terminal_passed)),
-            ("joint", int(report.joint_passed)),
-            ("minimum", int(report.margin_report is not None
-                            and report.margin_report.passed))]
+    rows = [(check, int(a.passed)) for check, a in zip(
+        ("control_set", "terminal", "joint", "minimum"), assertions)]
     tables = {"sufficiency": (["check", "passed"], rows)}
     return ScenarioReport(scenario="sufficiency", sections=sections,
                           assertions=assertions, tables=tables)
@@ -715,11 +636,6 @@ def _run_isometry(config):
                           assertions=assertions, tables=tables)
 
 
-def _packaged_problem(name, horizon):
-    cfg = dataclasses.replace(PACKAGED_PROBLEMS[name], horizon=horizon)
-    return _build(cfg), np.asarray(cfg.x0, dtype=float)
-
-
 def _run_derivative_check(config):
     opts = config.options
     names = _checked_problems(opts)
@@ -730,7 +646,8 @@ def _run_derivative_check(config):
     rows = []
     sections = {}
     for idx, name in enumerate(names):
-        problem, x0 = _packaged_problem(name, horizon)
+        cfg = dataclasses.replace(PACKAGED_PROBLEMS[name], horizon=horizon)
+        problem, x0 = _build(cfg), np.asarray(cfg.x0, dtype=float)
         if opts["inject_fault"] and idx == 0:
             original = problem.ell_x
             problem = dataclasses.replace(
@@ -766,16 +683,77 @@ def _run_derivative_check(config):
                           assertions=assertions, tables=tables)
 
 
-_RUNNERS = {
-    "example1": _run_example1,
-    "example2": _run_example2,
-    "rates": _run_rates,
-    "gateaux": _run_gateaux,
-    "pmp-check": _run_pmp_check,
-    "sufficiency": _run_sufficiency,
-    "isometry": _run_isometry,
-    "derivative-check": _run_derivative_check,
+SCHEMAS = {
+    "example1": _packaged(_run_example1, _EX1, (
+        ("spike_count", _INT1),
+        ("control_box_radius", _POSITIVE),
+        ("probe_points_per_dim", _INT2),
+        ("sample_times", _INT1),
+        ("sample_paths", _INT1),
+        ("convexity_pairs", _INT1),
+        ("alpha0", _POSITIVE),
+        ("alpha_slope", _NONNEGATIVE),
+        ("schedule", _CONTROL1),
+    ), checks=(_in_control_box(
+        lambda opts: Example1Config(
+            control_box_radius=opts["control_box_radius"]), "schedule"),)),
+    "example2": _packaged(_run_example2, _EX2, (
+        ("basis_degree", partial(_parse_int, choices={0, 1, 2})),
+        # sweep 0 alone leaves stationarity_residual_decreases unpassable
+        ("sweeps", _INT1),
+        ("run_duality", _parse_bool),
+        ("duality_t0", _NONNEGATIVE),
+        ("duality_eps", _POSITIVE),
+        ("duality_v", _CONTROL2),
+        ("gamma", _STATE2),
+        ("schedule", _CONTROL2),
+    ), checks=(_duality_window, _regression_paths,
+               _in_control_box(lambda opts: Example2Config(), "schedule",
+                               "duality_v"))),
+    "rates": Schema(_run_rates, _run_entries(2718, 400, 4000), _SPACE1, (
+        ("t0", _NONNEGATIVE, 0.25),
+        ("v", _CONTROL1, (0.65, 0.45)),
+        ("eps_ladder", _parse_ladder, (0.2, 0.1, 0.05, 0.025)),
+        ("drift_gain", _NONNEGATIVE, 0.0),
+        ("inject_fault", _parse_bool, False),
+    ), checks=(_distinct_spikes("eps_ladder"),
+               _in_control_box(lambda opts: Example1Config(), "v"))),
+    "gateaux": Schema(_run_gateaux, _run_entries(31415, 400, 20000), _SPACE1, (
+        ("t0", _NONNEGATIVE, 0.3),
+        ("v", _CONTROL1, (0.65, 0.45)),
+        ("eps_list", partial(_parse_floats, positive=True), (0.05, 0.025)),
+        ("bias_fraction", _POSITIVE, 0.1),
+        ("drift_gain", _NONNEGATIVE, 0.0),
+        ("inject_fault", _parse_bool, False),
+    ), checks=(_distinct_spikes("eps_list"),
+               _in_control_box(lambda opts: Example1Config(), "v"))),
+    "pmp-check": Schema(_run_pmp_check, _run_entries(12022, 400, 2000),
+                        _SPACE1, (
+        ("sample_times", _INT1, _EX1.sample_times),
+        ("sample_paths", _INT1, _EX1.sample_paths),
+        ("points_per_dim", _INT2, _EX1.probe_points_per_dim),
+        ("schedule", _CONTROL1, None),
+    ), checks=(_in_control_box(lambda opts: Example1Config(), "schedule"),)),
+    "sufficiency": Schema(_run_sufficiency, _run_entries(12022, 200, 2000),
+                          _SPACE1, (
+        ("pairs", _INT1, _EX1.convexity_pairs),
+        ("sample_times", _INT1, JOINT_SAMPLE_TIMES),
+        ("inject_fault", _parse_bool, False),
+    )),
+    "isometry": Schema(_run_isometry, _run_entries(7071, 400, 20000), _SPACE1,
+                       ()),
+    "derivative-check": Schema(_run_derivative_check,
+                               _run_entries(99, 100, 2), _checked_space, (
+        ("problem", partial(_parse_enum, choices=(*PACKAGED_PROBLEMS, "all")),
+         "all"),
+        ("probes", _INT1, 25),
+        ("rel_step", _POSITIVE, 1e-5),
+        ("tol", _POSITIVE, 1e-4),
+        ("inject_fault", _parse_bool, False),
+    )),
 }
+
+SCENARIOS = tuple(SCHEMAS)
 
 
 # ---------------------------------------------------------------------------
@@ -908,7 +886,7 @@ def run(config, output_dir=None, seed=None, threads=None, verbosity=1,
 
     status = "ok"
     try:
-        report = _RUNNERS[config.scenario](config)
+        report = SCHEMAS[config.scenario].runner(config)
         if not report.passed:
             status = "assertion-failure"
     except (BlowUpError, RegressionRankError) as exc:

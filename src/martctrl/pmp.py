@@ -114,6 +114,15 @@ class MarginReport:
     def passed(self):
         return self.min_margin >= -self.tol
 
+    def verdict(self, name, suffix=""):
+        """The ``[margins]`` report section and the minimum-condition
+        assertion ``name``, whose detail ends with ``suffix``."""
+        return ({"min_margin": self.min_margin,
+                 "frac_negative": self.frac_negative, "tol": self.tol},
+                Assertion(name, self.passed,
+                          f"min margin {self.min_margin:.3e} vs tol "
+                          f"{self.tol:.1e}{suffix}"))
+
 
 def _spread_indices(total, count):
     count = max(1, min(int(count), total))
@@ -177,12 +186,13 @@ class SufficiencyReport:
     note: str = ""
 
     @property
+    def minimum_passed(self):
+        return self.margin_report is not None and self.margin_report.passed
+
+    @property
     def overall(self):
-        if not self.applicable:
-            return False
-        return (self.terminal_passed and self.joint_passed
-                and self.margin_report is not None
-                and self.margin_report.passed)
+        return (self.applicable and self.terminal_passed
+                and self.joint_passed and self.minimum_passed)
 
 
 class StateBox:
@@ -447,6 +457,15 @@ class Example1Config:
         return np.size(self.f_tilde) // self.state_dim
 
 
+def _driver_and_grid(cfg, beta):
+    """A packaged scenario's driver (``beta``, linear intensity) and grid."""
+    driver = MartingaleDriver(
+        state_dim=cfg.state_dim, horizon=cfg.horizon,
+        components=((beta, ScalarIntensity.linear(cfg.alpha0, cfg.alpha_slope,
+                                                  cfg.horizon)),))
+    return driver, PathGrid(horizon=cfg.horizon, steps=cfg.steps)
+
+
 def build_example1_problem(cfg):
     """Problem, driver, grid, and the stationary control of scenario 1."""
     n, m = cfg.state_dim, cfg.control_dim
@@ -492,12 +511,7 @@ def build_example1_problem(cfg):
         control_set=control_set,
         name="example1" if gain == 0.0 else "example1-tanh",
         grad_x_ignores_u=True)
-    driver = MartingaleDriver(
-        state_dim=n, horizon=cfg.horizon,
-        components=((beta, ScalarIntensity.linear(cfg.alpha0, cfg.alpha_slope,
-                                                  cfg.horizon)),))
-    grid = PathGrid(horizon=cfg.horizon, steps=cfg.steps)
-    return problem, driver, grid, u_star
+    return problem, *_driver_and_grid(cfg, beta), u_star
 
 
 def example1_analytic_cost(cfg):
@@ -665,11 +679,8 @@ def run_example1(cfg=None, keep_all=False):
         detail = f"no displaced spikes among {len(spikes)} spikes"
     assertions.append(Assertion(name="spike_gaps_positive", passed=frac >= 0.9,
                                 detail=detail))
-    assertions.append(Assertion(
-        name="necessary_margins",
-        passed=margin_report.passed,
-        detail=f"min margin {margin_report.min_margin:.3e} vs "
-               f"tol {margin_report.tol:.1e}"))
+    margins, verdict = margin_report.verdict("necessary_margins")
+    assertions.append(verdict)
     assertions.append(Assertion(
         name="sufficiency",
         passed=sufficiency.overall,
@@ -686,11 +697,7 @@ def run_example1(cfg=None, keep_all=False):
         "stationary_control": {
             "u_star": np.array2string(u_star, precision=10),
         },
-        "margins": {
-            "min_margin": margin_report.min_margin,
-            "frac_negative": margin_report.frac_negative,
-            "tol": margin_report.tol,
-        },
+        "margins": margins,
         "sufficiency": {
             "applicable": sufficiency.applicable,
             "terminal_violation": sufficiency.terminal_violation,
@@ -818,12 +825,7 @@ def build_example2_problem(cfg):
                            cfg.control_box_radius * np.ones(m)),
         name="example2",
         grad_x_ignores_u=True)
-    driver = MartingaleDriver(
-        state_dim=n, horizon=cfg.horizon,
-        components=((beta, ScalarIntensity.linear(cfg.alpha0, cfg.alpha_slope,
-                                                  cfg.horizon)),))
-    grid = PathGrid(horizon=cfg.horizon, steps=cfg.steps)
-    return problem, driver, grid
+    return problem, *_driver_and_grid(cfg, beta)
 
 
 def stationarity_residual(problem, adjoint):

@@ -125,6 +125,17 @@ def test_unreadable_config_file(tmp_path):
         parse_config(tmp_path / "nope.ini")
 
 
+def test_config_that_is_not_utf8_is_a_config_error(tmp_path, capsys):
+    # a Latin-1 byte in a comment ends the command with exit 2 and a
+    # message, not a decode traceback
+    path = tmp_path / "latin1.ini"
+    path.write_bytes("[run]\nscenario = isometry  # café\n".encode("latin-1"))
+    assert main([str(path)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "cannot read config file" in err
+    assert "not UTF-8 text" in err
+
+
 def test_all_errors_collected_in_one_report(tmp_path):
     path = write_config(tmp_path, """\
         [run]
@@ -772,6 +783,36 @@ def test_run_example1_small_end_to_end(tmp_path):
     assert len(g_rows) == 6
 
 
+def _section(report, name):
+    """The lines of one ``[name]`` section of a report.txt."""
+    return report.split(f"\n[{name}]\n", 1)[1].split("\n\n", 1)[0]
+
+
+def test_example1_and_pmp_check_print_the_same_margins(tmp_path):
+    # both scenarios check the minimum condition along the same candidate
+    # with the same sampling, so they report the same [margins] section
+    extra = {"example1": ("probe_points_per_dim = 5", "spike_count = 2",
+                          "convexity_pairs = 50"),
+             "pmp-check": ("points_per_dim = 5",)}
+    reports = {}
+    for name, lines in extra.items():
+        text = "\n".join(
+            ("[run]", f"scenario = {name}", "steps = 40", "paths = 300",
+             f"[{name}]", "schedule = 0.1, -0.2", "sample_times = 3",
+             "sample_paths = 10", *lines))
+        out = tmp_path / name
+        run(parse_config(write_config(tmp_path, text, f"{name}.ini")),
+            output_dir=out, verbosity=0)
+        reports[name] = (out / "report.txt").read_text(encoding="utf-8")
+    margins = _section(reports["example1"], "margins")
+    assert margins == _section(reports["pmp-check"], "margins")
+    assert "frac_negative = 0.0\n" not in margins
+    # the pmp-check verdict is example1's with the witness added
+    necessary = _section(reports["example1"], "assert:necessary_margins")
+    minimum = _section(reports["pmp-check"], "assert:hamiltonian_minimum")
+    assert minimum.startswith(necessary + "; witness t=")
+
+
 RERUN_CONFIGS = {
     "pmp-check": ("""\
         [run]
@@ -907,7 +948,8 @@ def test_unexpected_error_leaves_manifest_and_propagates(tmp_path,
     def broken(config):
         raise RuntimeError("defect under test")
 
-    monkeypatch.setitem(cli._RUNNERS, "isometry", broken)
+    monkeypatch.setitem(cli.SCHEMAS, "isometry",
+                        SCHEMAS["isometry"]._replace(runner=broken))
     cfg = parse_config(write_config(tmp_path, """\
         [run]
         scenario = isometry

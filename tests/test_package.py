@@ -2,7 +2,10 @@
 
 import ast
 import sys
+import warnings
 from pathlib import Path
+
+import pytest
 
 import martctrl
 
@@ -37,3 +40,12 @@ def test_every_public_name_resolves():
     missing = [name for name in martctrl.__all__
                if not hasattr(martctrl, name)]
     assert not missing
+
+
+def test_pyproject_reads_the_package_version():
+    pyprojecttoml = pytest.importorskip("setuptools.config.pyprojecttoml")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")   # setuptools calls the table beta
+        project = pyprojecttoml.read_configuration(
+            SRC.parents[1] / "pyproject.toml", expand=True)["project"]
+    assert project["version"] == martctrl.__version__

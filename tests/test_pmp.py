@@ -15,7 +15,8 @@ from martctrl.dynamics import (BallSet, BlowUpError, BoxSet, FeedbackPolicy,
                                SpikeSpec, apply_spike, evaluate_cost,
                                integrate_forward, integrate_variational,
                                spiked_costs, stream_spiked)
-from martctrl.martingale import PathGrid, sample_increments, step_major
+from martctrl.martingale import (PathGrid, mean_se, sample_increments,
+                                 step_major)
 from martctrl.pmp import (EXAMPLE1_C, EXAMPLE1_F_TILDE, FAR_THRESHOLD,
                           Example1Config, Example2Config, build_example1_problem,
                           build_example2_problem, default_spike_family,
@@ -245,6 +246,41 @@ def test_finite_control_set_meets_its_exact_oracle(data):
         cost = evaluate_cost(finite, traj)
         exact = float(c @ x0) + cfg.horizon * g[i]
         assert abs(cost.mean - exact) <= 3.0 * cost.stderr
+
+
+# no shrink phase, as above
+@settings(max_examples=8, deadline=None, derandomize=True, database=None,
+          phases=(Phase.explicit, Phase.reuse, Phase.generate))
+@given(data=st.data())
+def test_finite_control_set_spikes_meet_their_oracle(data):
+    # the spike half of the oracle above: with Y = c and Z = 0 a spike to
+    # v on the constant base w moves the expected cost by eps (g(v) - g(w)),
+    # and g(v) - g(u*) = |v - u*|^2.  So no spike from u* to another point
+    # of U pays, and from any other point the spike back to u* does
+    cfg = Example1Config(steps=50, paths=2000, seed=8)
+    problem, driver, grid, u_star = build_example1_problem(cfg)
+    coord = st.floats(-1.5, 1.5, allow_nan=False)
+    others = data.draw(st.lists(st.tuples(coord, coord), min_size=2,
+                                max_size=4, unique=True), label="others")
+    points = np.array([u_star, *others])
+    # the gap eps |v - u*|^2 outgrows its SE, which grows like |v - u*|,
+    # only away from u*
+    assume(np.min(np.linalg.norm(points[1:] - u_star, axis=1)) > 0.1)
+    finite = dataclasses.replace(problem, control_set=FiniteSet(points))
+    bundle = sample_increments(driver, grid, cfg.paths, cfg.seed)
+    x0 = np.asarray(cfg.x0)
+
+    def gaps(w, targets):
+        traj = integrate_forward(finite, OpenLoopPolicy(w), bundle, x0)
+        cost, spiked = spiked_costs(
+            finite, traj, [SpikeSpec(t0=0.3, eps=0.1, v=v) for v in targets])
+        return [mean_se(c.per_path - cost.per_path) for c in spiked]
+
+    for gap, se in gaps(u_star, points[1:]):
+        assert gap >= -3.0 * se
+    for w in points[1:]:
+        [(gap, se)] = gaps(w, [u_star])
+        assert gap < -3.0 * se
 
 
 def test_gateaux_check_agreement_and_fault_detection():
