@@ -36,13 +36,14 @@ from . import __version__
 from .adjoint import (RegressionBasis, RegressionRankError,
                       solve_adjoint_explicit)
 from .dynamics import (BlowUpError, CostWalk, SpikeSpec, VariationWalk,
-                       finite_diff_check, sample_controls)
+                       finite_diff_check, integrate_forward, sample_controls)
 from .martingale import PathGrid, sample_increments, verify_isometry
 from .pmp import (JOINT_SAMPLE_TIMES, Assertion, Example1Config,
-                  Example2Config, ScenarioReport, build_example1_problem,
-                  build_example2_problem, example1_candidate, gateaux_check,
-                  necessary_check, rate_experiments, run_example1,
-                  run_example2, sufficient_check, within_3se)
+                  Example2Config, ScenarioReport, StateBox,
+                  build_example1_problem, build_example2_problem,
+                  example1_candidate, gateaux_check, necessary_check,
+                  rate_experiments, run_example1, run_example2,
+                  sufficient_check, within_3se)
 
 EXIT_OK = 0
 EXIT_ASSERTION = 1
@@ -446,22 +447,19 @@ def _first_variation(config, eps, gateaux):
     p follows the spike (t0, eps, v) of the options along the stationary
     scenario-1 candidate, riding its forward run; ``inject_fault`` doubles
     its states p, not zeta.  A gateaux run keeps X at t0 and T only and
-    carries its cost walk; the rate experiments read every step.
+    carries its cost walk; a rates run keeps the steps from t0 on.
     """
     opts = config.options
     cfg = Example1Config(**_run_fields(config), drift_gain=opts["drift_gain"])
     spec = SpikeSpec(t0=opts["t0"], eps=eps,
                      v=np.asarray(opts["v"], dtype=float))
-
-    def plan(problem, grid, u_star, bundle):
-        variation = VariationWalk(problem, bundle, spec)
-        if not gateaux:
-            return None, (variation,)
-        return ({variation.k0, grid.steps},
-                (variation, CostWalk(problem, grid, [variation.k0])))
-
-    problem, _, _, trajectories = example1_candidate(cfg, plan)
-    p = trajectories.riders[0].first_variation(trajectories)
+    problem, _, bundle, policy = example1_candidate(cfg)
+    variation = VariationWalk(problem, bundle.grid, spec)
+    k0, steps = variation.k0, bundle.steps
+    walks = (CostWalk(problem, bundle.grid, [k0]),) if gateaux else ()
+    p = variation.first_variation(integrate_forward(
+        problem, policy, bundle, cfg.x0, riders=(variation, *walks),
+        keep={k0, steps} if gateaux else range(k0, steps + 1)))
     if opts["inject_fault"]:
         p = dataclasses.replace(p, states=2.0 * p.states)
     return problem, p
@@ -531,8 +529,9 @@ def _run_gateaux(config):
 def _run_pmp_check(config):
     opts = config.options
     cfg = Example1Config(**_run_fields(config), schedule=opts["schedule"])
-    problem, _, _, trajectories = example1_candidate(cfg)
-    adjoint = solve_adjoint_explicit(problem, trajectories)
+    problem, _, bundle, policy = example1_candidate(cfg)
+    adjoint = solve_adjoint_explicit(
+        problem, integrate_forward(problem, policy, bundle, cfg.x0))
     margin_report = necessary_check(
         problem, adjoint, sample_times=opts["sample_times"],
         sample_paths=opts["sample_paths"],
@@ -557,9 +556,10 @@ def _concave_running_cost_fault(problem):
 
 def _run_sufficiency(config):
     opts = config.options
-    problem, _, _, trajectories = example1_candidate(
-        Example1Config(**_run_fields(config)))
-    adjoint = solve_adjoint_explicit(problem, trajectories)
+    cfg = Example1Config(**_run_fields(config))
+    problem, _, bundle, policy = example1_candidate(cfg)
+    adjoint = solve_adjoint_explicit(problem, integrate_forward(
+        problem, policy, bundle, cfg.x0, riders=(StateBox(),)))
     if opts["inject_fault"]:
         problem = _concave_running_cost_fault(problem)
     report = sufficient_check(problem, adjoint, pairs=opts["pairs"],

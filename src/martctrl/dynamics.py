@@ -34,6 +34,7 @@ paths stacked once per spike.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable
@@ -414,10 +415,10 @@ class TrajectoryBundle:
     which gives the same values.
 
     ``states[:, j]`` holds step ``kept[j]`` (every step if ``kept`` is
-    None), read through :meth:`state_at`.  It is indexed (paths, kept
-    steps, dim) but stored step-major, as the noise is: ``states[:, j, :]``
-    is one contiguous block, and states given in any other layout are
-    copied into it.
+    None), read through :meth:`state_at` and one step-to-slot map.
+    It is indexed (paths, kept steps, dim) but stored step-major, as the
+    noise is: ``states[:, j, :]`` is one contiguous block, and states
+    given in any other layout are copied into it.
     """
 
     states: np.ndarray
@@ -434,6 +435,8 @@ class TrajectoryBundle:
             raise ValueError(f"states must be (paths, kept steps, dim), got "
                              f"shape {s.shape}")
         self.states = step_major(s)
+        self._slot = {k: j for j, k in enumerate(
+            range(s.shape[1]) if self.kept is None else self.kept)}
 
     @property
     def paths(self):
@@ -444,13 +447,11 @@ class TrajectoryBundle:
         return self.bundle.grid
 
     def state_at(self, k):
-        """States at grid step k, shape (paths, dim)."""
-        if self.kept is None:
-            return self.states[:, k, :]
-        if k not in self.kept:
+        """States at grid step k, (paths, dim); ValueError if not kept."""
+        if k not in self._slot:
             raise ValueError(f"step {k} was not kept; the run kept steps "
-                             f"{list(self.kept)}")
-        return self.states[:, self.kept.index(k), :]
+                             f"{list(self._slot)}")
+        return self.states[:, self._slot[k], :]
 
     def replay(self, rider, start=0):
         """Walk ``rider`` over the steps from ``start`` on as if it rode the
@@ -520,6 +521,14 @@ def _euler(problem, policy, bundle, x, start, visit):
     return x
 
 
+def _step_index(k):
+    """A ``keep`` entry as an integer step; numpy integers pass."""
+    try:
+        return operator.index(k)
+    except TypeError:
+        raise ValueError(f"keep names {k!r}, not an integer step") from None
+
+
 def integrate_forward(problem, policy, bundle, x0, keep=None, riders=()):
     """Euler-Maruyama forward run with left-point coefficients.
 
@@ -527,8 +536,8 @@ def integrate_forward(problem, policy, bundle, x0, keep=None, riders=()):
     BlowUpError naming the first offending path and step if the state
     leaves the finite range.
 
-    The result keeps the states of the steps in ``keep`` (None: all), and
-    each of ``riders`` visits every step as the run makes it.
+    The result keeps the states of the integer steps in ``keep`` (None:
+    all), and each of ``riders`` visits every step as the run makes it.
     """
     n = bundle.dim
     x0 = np.asarray(x0, dtype=float)
@@ -538,28 +547,26 @@ def integrate_forward(problem, policy, bundle, x0, keep=None, riders=()):
     elif x0.shape != (bundle.paths, n):
         raise ValueError(f"x0 must have shape ({n},) or ({bundle.paths}, {n})")
     steps, riders = range(bundle.steps + 1), tuple(riders)
-    kept = steps if keep is None else sorted({int(k) for k in keep})
+    kept = steps if keep is None else sorted({_step_index(k) for k in keep})
     if kept and not 0 <= kept[0] <= kept[-1] <= bundle.steps:
         raise ValueError(f"keep {kept} names steps outside 0..{bundle.steps}")
-    slot = {k: j for j, k in enumerate(kept)}
-    states = step_major_zeros(bundle.paths, len(slot), n)
+    run = TrajectoryBundle(
+        states=step_major_zeros(bundle.paths, len(kept), n), policy=policy,
+        bundle=bundle, riders=riders,
+        kept=None if len(kept) == len(steps) else tuple(kept))
+    run.recorded, slot = [None] * bundle.steps, run._slot
     if 0 in slot:
-        states[:, 0, :] = x0
-    recorded = [None] * bundle.steps
+        run.states[:, 0, :] = x0
 
     def store(k, x, u, x_next, dm):
-        recorded[k] = u
+        run.recorded[k] = u
         if k + 1 in slot:
-            states[:, slot[k + 1], :] = x_next
+            run.states[:, slot[k + 1], :] = x_next
         for rider in riders:
             rider.visit(k, x, u, x_next, dm)
 
     _euler(problem, policy, bundle, np.array(x0, order="C"), 0, store)
-    trajectories = TrajectoryBundle(
-        states=states, policy=policy, bundle=bundle, riders=riders,
-        kept=None if len(kept) == len(steps) else tuple(kept))
-    trajectories.recorded = recorded
-    return trajectories
+    return run
 
 
 # Rows of one block of spikes stepped together, each block forming its
@@ -636,19 +643,19 @@ class VariationWalk:
     zeta_{k+1} = zeta_k + <ell_x(t_k, X_k, u_k), p_k> dt and
     p_{k+1} = p_k + F_x(t_k, X_k, u_k) p_k dt + (G_x(t_k, X_k)[p_k]) dM_k,
     driven by the run's increments dM_k and controls (a ``DiagonalBatch``
-    F_x steps p by its diagonals).  Keeps only the running p and zeta, as
-    ``stream_spiked`` keeps only the running state; :meth:`first_variation`
-    gives them at t0 and T.
+    F_x steps p by its diagonals) on the run's ``grid``.  Keeps only the
+    running p and zeta, as ``stream_spiked`` keeps only the running state;
+    :meth:`first_variation` gives them at t0 and T.
     """
 
-    def __init__(self, problem, bundle, spec):
-        self.problem, self.bundle, self.spec = problem, bundle, spec
-        self.k0, _ = spec.window(bundle.grid)
+    def __init__(self, problem, grid, spec):
+        self.problem, self.grid, self.spec = problem, grid, spec
+        self.k0, _ = spec.window(grid)
 
     def visit(self, k, x, u, x_next, dm):
         if k < self.k0:
             return
-        f, t, dt = self.problem, self.bundle.grid.times[k], self.bundle.grid.dt
+        f, t, dt = self.problem, self.grid.times[k], self.grid.dt
         if k == self.k0:
             v = np.broadcast_to(self.spec.v, u.shape)
             self.start = self.p, self.z = (f.F(t, x, v) - f.F(t, x, u),
@@ -668,7 +675,7 @@ class VariationWalk:
 def integrate_variational(problem, optimal, spec):
     """First variations p and zeta along a spike, on the frozen trajectory:
     a :class:`VariationWalk` replayed over ``optimal``."""
-    walk = VariationWalk(problem, optimal.bundle, spec)
+    walk = VariationWalk(problem, optimal.grid, spec)
     return optimal.replay(walk, walk.k0).first_variation(optimal)
 
 

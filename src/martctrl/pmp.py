@@ -408,14 +408,6 @@ def rate_experiments(problem, p, eps_ladder=(0.2, 0.1, 0.05, 0.025)):
 # Packaged scenario 1: linear drift, bilinear noise, terminal linear cost.
 # ---------------------------------------------------------------------------
 
-EXAMPLE1_BETA = (1.0, -0.5, 0.25, 0.0)
-EXAMPLE1_C = (0.8, -0.3, 0.5, 0.2)
-EXAMPLE1_F_TILDE = ((1.0, 0.2), (0.0, 0.7), (-0.4, 0.3), (0.5, 0.0))
-EXAMPLE1_G_TILDE = ((0.3, 0.06, 0.0, 0.03), (0.0, 0.3, 0.09, 0.0),
-                    (0.06, 0.0, 0.3, 0.0), (0.0, 0.03, 0.0, 0.3))
-EXAMPLE1_X0 = (1.0, 0.5, -0.25, 0.75)
-
-
 @dataclass
 class Example1Config:
     """Scenario with closed-form optimal control -0.5 * F~^T c.
@@ -426,11 +418,12 @@ class Example1Config:
     experiments rather than the full scenario pipeline.
     """
 
-    beta: tuple = EXAMPLE1_BETA
-    c: tuple = EXAMPLE1_C
-    f_tilde: tuple = EXAMPLE1_F_TILDE
-    g_tilde: tuple = EXAMPLE1_G_TILDE
-    x0: tuple = EXAMPLE1_X0
+    beta: tuple = (1.0, -0.5, 0.25, 0.0)
+    c: tuple = (0.8, -0.3, 0.5, 0.2)
+    f_tilde: tuple = ((1.0, 0.2), (0.0, 0.7), (-0.4, 0.3), (0.5, 0.0))
+    g_tilde: tuple = ((0.3, 0.06, 0.0, 0.03), (0.0, 0.3, 0.09, 0.0),
+                      (0.06, 0.0, 0.3, 0.0), (0.0, 0.03, 0.0, 0.3))
+    x0: tuple = (1.0, 0.5, -0.25, 0.75)
     alpha0: float = 1.0
     alpha_slope: float = 0.5
     horizon: float = 1.0
@@ -529,22 +522,18 @@ def initial_policy(cfg, u_default):
                           else cfg.schedule)
 
 
-def example1_candidate(cfg, plan=None):
-    """Scenario-1 problem and the candidate trajectories ``cfg`` selects.
+def example1_candidate(cfg):
+    """Scenario-1 problem and the candidate run ``cfg`` selects, unrun.
 
-    The candidate follows ``initial_policy(cfg, u_star)``.  Returns
-    (problem, grid, u_star, trajectories), whose noise bundle carries the
-    driver; where an adjoint applies (linear drift),
-    ``solve_adjoint_explicit`` solves it along them.  ``plan(problem,
-    grid, u_star, bundle)`` gives the forward run's ``keep`` and ``riders``.
+    Returns (problem, u_star, bundle, policy): the noise bundle carries the
+    driver and the grid, and the candidate follows ``policy =
+    initial_policy(cfg, u_star)`` from ``cfg.x0``.  Each caller runs it
+    with ``integrate_forward``, keeping the steps and carrying the riders
+    its readers need.
     """
     problem, driver, grid, u_star = build_example1_problem(cfg)
     bundle = sample_increments(driver, grid, cfg.paths, cfg.seed)
-    keep, riders = plan(problem, grid, u_star, bundle) if plan else (None, ())
-    trajectories = integrate_forward(problem, initial_policy(cfg, u_star),
-                                     bundle, np.asarray(cfg.x0, dtype=float),
-                                     keep=keep, riders=riders)
-    return problem, grid, u_star, trajectories
+    return problem, u_star, bundle, initial_policy(cfg, u_star)
 
 
 @dataclass(frozen=True)
@@ -627,20 +616,17 @@ def run_example1(cfg=None, keep_all=False):
             "candidate and requires drift_gain = 0; exercise the nonlinear "
             "drift variant through the difference-quotient or rate "
             "experiments instead")
-    specs = []
-
-    def plan(problem, grid, u_star, bundle):
-        specs.extend(default_spike_family(
-            grid, u_star, problem.control_set, count=cfg.spike_count,
-            seed=cfg.seed))
-        starts = [spec.window(grid)[0] for spec in specs]
-        keep = None if keep_all else {
-            0, grid.steps, *starts,
-            *_spread_indices(grid.steps, cfg.sample_times),
-            *_spread_indices(grid.steps, JOINT_SAMPLE_TIMES)}
-        return keep, (CostWalk(problem, grid, starts), StateBox())
-
-    problem, grid, u_star, trajectories = example1_candidate(cfg, plan)
+    problem, u_star, bundle, policy = example1_candidate(cfg)
+    grid = bundle.grid
+    specs = default_spike_family(grid, u_star, problem.control_set,
+                                 count=cfg.spike_count, seed=cfg.seed)
+    starts = [spec.window(grid)[0] for spec in specs]
+    keep = None if keep_all else {
+        0, grid.steps, *starts, *_spread_indices(grid.steps, cfg.sample_times),
+        *_spread_indices(grid.steps, JOINT_SAMPLE_TIMES)}
+    trajectories = integrate_forward(
+        problem, policy, bundle, cfg.x0, keep=keep,
+        riders=(CostWalk(problem, grid, starts), StateBox()))
     adjoint = solve_adjoint_explicit(problem, trajectories)
     cost, spiked = spiked_costs(problem, trajectories, specs)
 
@@ -736,34 +722,21 @@ def run_example1(cfg=None, keep_all=False):
 # Packaged scenario 2: linear-quadratic problem with regression adjoint.
 # ---------------------------------------------------------------------------
 
-EXAMPLE2_A = ((-0.5, 0.2), (0.0, -0.3))
-EXAMPLE2_C = ((1.0, 0.0), (0.0, 1.0))
-EXAMPLE2_F = (0.1, 0.0)
-EXAMPLE2_GAMMA = (0.2, 0.0)
-EXAMPLE2_G_TILDE = ((0.3, 0.0), (0.0, 0.2))
-EXAMPLE2_D = ((0.2, 0.0), (0.0, 0.15))
-EXAMPLE2_P = ((0.5, 0.0), (0.0, 0.5))
-EXAMPLE2_R = ((1.0, 0.0), (0.0, 1.0))
-EXAMPLE2_P1 = ((0.6, 0.0), (0.0, 0.4))
-EXAMPLE2_X0 = (1.0, 0.5)
-EXAMPLE2_BETA = (1.0, 0.4)
-
-
 @dataclass
 class Example2Config:
     """Linear-quadratic scenario solved with the regression adjoint."""
 
-    a: tuple = EXAMPLE2_A
-    c_op: tuple = EXAMPLE2_C
-    f: tuple = EXAMPLE2_F
-    gamma: tuple = EXAMPLE2_GAMMA
-    g_tilde: tuple = EXAMPLE2_G_TILDE
-    d: tuple = EXAMPLE2_D
-    p_weight: tuple = EXAMPLE2_P
-    r_weight: tuple = EXAMPLE2_R
-    p1: tuple = EXAMPLE2_P1
-    x0: tuple = EXAMPLE2_X0
-    beta: tuple = EXAMPLE2_BETA
+    a: tuple = ((-0.5, 0.2), (0.0, -0.3))
+    c_op: tuple = ((1.0, 0.0), (0.0, 1.0))
+    f: tuple = (0.1, 0.0)
+    gamma: tuple = (0.2, 0.0)
+    g_tilde: tuple = ((0.3, 0.0), (0.0, 0.2))
+    d: tuple = ((0.2, 0.0), (0.0, 0.15))
+    p_weight: tuple = ((0.5, 0.0), (0.0, 0.5))
+    r_weight: tuple = ((1.0, 0.0), (0.0, 1.0))
+    p1: tuple = ((0.6, 0.0), (0.0, 0.4))
+    x0: tuple = (1.0, 0.5)
+    beta: tuple = (1.0, 0.4)
     alpha0: float = 1.0
     alpha_slope: float = 0.5
     horizon: float = 1.0

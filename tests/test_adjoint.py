@@ -18,9 +18,9 @@ from martctrl.dynamics import (AffineDiffusion, OpenLoopPolicy, SpikeSpec,
                                sample_controls)
 from martctrl.martingale import (MartingaleDriver, ScalarIntensity,
                                  sample_increments, verify_isometry)
-from martctrl.pmp import (EXAMPLE1_C, EXAMPLE1_F_TILDE, Example1Config,
-                          Example2Config, build_example1_problem,
-                          build_example2_problem, within_3se)
+from martctrl.pmp import (Example1Config, Example2Config,
+                          build_example1_problem, build_example2_problem,
+                          within_3se)
 from test_dynamics import packaged, variation_on_every_step
 
 
@@ -235,7 +235,7 @@ def test_explicit_adjoint_on_constant_gradient_problem():
     cfg, problem, driver, grid, _, _, _, traj = example1_setup(steps=20,
                                                                paths=4)
     adj = solve_adjoint_explicit(problem, traj)
-    c = np.asarray(EXAMPLE1_C)
+    c = np.asarray(Example1Config().c)
     assert adj.method == "explicit"
     assert adj.n_residual_ratio == 0.0
     assert adj.trajectories is traj
@@ -271,7 +271,7 @@ def test_lsmc_reproduces_constant_adjoint_exactly():
     cfg, problem, driver, grid, _, bundle, pol, traj = example1_setup(
         steps=25, paths=300)
     adj = solve_adjoint_lsmc(problem, traj)
-    c = np.asarray(EXAMPLE1_C)
+    c = np.asarray(Example1Config().c)
     assert adj.method == "lsmc"
     assert np.max(np.abs(adj.Y - c)) < 1e-10
     for k in (0, 10, 24):
@@ -382,8 +382,8 @@ def test_duality_identity_example1_frozen_value():
     spec = SpikeSpec(t0=0.3, eps=0.1, v=np.array([0.65, 0.45]))
     p = integrate_variational(problem, traj, spec)
     rep = duality_check(adj, p)
-    c = np.asarray(EXAMPLE1_C)
-    f_tilde = np.asarray(EXAMPLE1_F_TILDE)
+    c = np.asarray(Example1Config().c)
+    f_tilde = np.asarray(Example1Config().f_tilde)
     analytic = float(c @ f_tilde @ (spec.v - u_star))
     assert analytic == pytest.approx(0.75, abs=1e-12)
     assert rep.rhs == pytest.approx(analytic, abs=1e-10)

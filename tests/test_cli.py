@@ -1028,6 +1028,58 @@ def test_gateaux_run_keeps_only_the_states_it_reads(tmp_path):
     assert peak < 8 * paths * steps + 8 * paths * (steps + 1) * 4
 
 
+@pytest.mark.parametrize("scenario", ["rates", "gateaux"])
+def test_first_variation_run_keeps_the_steps_its_readers_read(tmp_path,
+                                                              scenario):
+    # a rates run keeps the steps from t0 on: its spikes start from step
+    # k0 and are compared against every later step; a gateaux run keeps
+    # only k0 and T
+    steps = 40
+    config = parse_config(write_config(tmp_path, f"""\
+        [run]
+        scenario = {scenario}
+        steps = {steps}
+        paths = 50
+        """))
+    _, p = cli._first_variation(config, 0.1, scenario == "gateaux")
+    k0, _ = p.spike.window(p.optimal.grid)
+    assert 0 < k0 < steps
+    expected = range(k0, steps + 1) if scenario == "rates" else (k0, steps)
+    assert p.optimal.kept == tuple(expected)
+
+
+def test_example1_writes_the_same_bytes_with_and_without_a_dump(tmp_path):
+    # the dump keeps every step of the candidate, the plain run only the
+    # steps its checks read; both give the same artifacts, byte for byte
+    outputs, codes = {}, set()
+    for dump in (0, 2):
+        config = parse_config(write_config(tmp_path, f"""\
+            [run]
+            scenario = example1
+            steps = 30
+            paths = 400
+            dump_trajectories = {dump}
+
+            [example1]
+            spike_count = 5
+            sample_times = 4
+            sample_paths = 20
+            convexity_pairs = 60
+            """, name=f"dump{dump}.ini"))
+        out = tmp_path / f"out{dump}"
+        codes.add(run(config, output_dir=out, verbosity=0))
+        outputs[dump] = {f.name: f.read_bytes() for f in out.iterdir()
+                         if f.name != "manifest.txt"}
+    assert len(codes) == 1
+    assert "trajectories.csv" not in outputs[0]
+    assert "trajectories.csv" in outputs[2]
+    names = ("report.txt", "spike_gaps.csv", "margins.csv",
+             "margins_summary.csv", "probes.csv")
+    assert set(outputs[0]) == set(names)
+    for name in names:
+        assert outputs[0][name] == outputs[2][name], name
+
+
 def test_gateaux_run_forms_each_step_once_per_walk(tmp_path, monkeypatch):
     # the first variation reads the increments the forward run formed, so
     # the noise forms one step per forward step and per spike-block step:

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 import tracemalloc
 from collections import Counter
 from unittest import mock
@@ -953,7 +954,7 @@ def test_partial_run_with_riders_keeps_the_bits_of_the_full_run(
     keep = data.draw(st.sets(st.integers(0, steps)), label="keep") | starts
 
     full = integrate_forward(problem, policy, bundle, np.asarray(cfg.x0))
-    variation = VariationWalk(problem, bundle, specs[-1])
+    variation = VariationWalk(problem, grid, specs[-1])
     riders = (CostWalk(problem, grid, starts), variation, StateBox())
     part = integrate_forward(problem, policy, bundle, np.asarray(cfg.x0),
                              keep=keep, riders=riders)
@@ -1030,6 +1031,43 @@ def test_a_partial_base_needs_the_cost_walk_that_rode_it():
     with pytest.raises(ValueError, match=r"steps outside 0\.\.10"):
         integrate_forward(problem, OpenLoopPolicy(u), bundle, x0,
                           keep={-1, 4})
+
+
+@pytest.mark.parametrize("bad", [2.5, "3", 3.0, np.float64(4.0)])
+def test_keep_takes_integer_steps_only(bad):
+    # a float or string entry is named in the error, not truncated to a
+    # step; numpy integers are steps like ints
+    cfg, problem, driver, grid, u = packaged("example1", steps=6, paths=3)
+    bundle = sample_increments(driver, grid, cfg.paths, cfg.seed)
+    x0 = np.asarray(cfg.x0)
+    with pytest.raises(ValueError, match=rf"keep names {re.escape(repr(bad))}, "
+                       r"not an integer step"):
+        integrate_forward(problem, OpenLoopPolicy(u), bundle, x0,
+                          keep={1, bad})
+    part = integrate_forward(problem, OpenLoopPolicy(u), bundle, x0,
+                             keep={np.int64(2), np.int32(6), 1})
+    assert part.kept == (1, 2, 6)
+    assert all(type(k) is int for k in part.kept)
+
+
+def test_state_at_reads_kept_steps_and_rejects_the_rest():
+    # full and partial runs read one way: a kept step gives its states,
+    # any other step (below 0 or past T too) raises the same ValueError
+    cfg, problem, driver, grid, u = packaged("example1", steps=5, paths=4)
+    bundle = sample_increments(driver, grid, cfg.paths, cfg.seed)
+    x0 = np.asarray(cfg.x0)
+    full = integrate_forward(problem, OpenLoopPolicy(u), bundle, x0)
+    part = integrate_forward(problem, OpenLoopPolicy(u), bundle, x0,
+                             keep={0, 3, 5})
+    assert full.kept is None
+    for run, kept in ((full, range(6)), (part, (0, 3, 5))):
+        for k in kept:
+            assert np.array_equal(run.state_at(k), full.states[:, k, :]), k
+        listed = re.escape(str(list(kept)))
+        for k in (-1, grid.steps + 1, *sorted(set(range(6)) - set(kept))):
+            with pytest.raises(ValueError, match=rf"step {k} was not kept; "
+                               rf"the run kept steps {listed}$"):
+                run.state_at(k)
 
 
 def test_evaluate_cost_left_riemann():

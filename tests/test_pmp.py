@@ -17,12 +17,11 @@ from martctrl.dynamics import (BallSet, BlowUpError, BoxSet, FeedbackPolicy,
                                spiked_costs, stream_spiked)
 from martctrl.martingale import (PathGrid, mean_se, sample_increments,
                                  step_major)
-from martctrl.pmp import (EXAMPLE1_C, EXAMPLE1_F_TILDE, FAR_THRESHOLD,
-                          Example1Config, Example2Config, build_example1_problem,
-                          build_example2_problem, default_spike_family,
-                          example1_analytic_cost, gateaux_check,
-                          necessary_check, rate_experiments, run_example1,
-                          run_example2, stationarity_residual,
+from martctrl.pmp import (FAR_THRESHOLD, Example1Config, Example2Config,
+                          build_example1_problem, build_example2_problem,
+                          default_spike_family, example1_analytic_cost,
+                          gateaux_check, necessary_check, rate_experiments,
+                          run_example1, run_example2, stationarity_residual,
                           sufficient_check)
 from test_adjoint import undeclared
 from test_dynamics import noiseless_problem
@@ -56,8 +55,8 @@ def adjoint_for(cfg, policy=None):
 def test_example1_closed_form_constants():
     cfg = Example1Config()
     problem, driver, grid, u_star = build_example1_problem(cfg)
-    c = np.asarray(EXAMPLE1_C)
-    f_tilde = np.asarray(EXAMPLE1_F_TILDE)
+    c = np.asarray(Example1Config().c)
+    f_tilde = np.asarray(Example1Config().f_tilde)
     # the stationary control is -(1/2) F_tilde^T c and the optimal value is
     # <c, x0> - (T/4) |F_tilde^T c|^2
     assert np.allclose(u_star, -0.5 * f_tilde.T @ c)
@@ -225,8 +224,8 @@ def test_finite_control_set_meets_its_exact_oracle(data):
     if data.draw(st.booleans(), label="with u*"):
         points[0] = tuple(u_star)
     points = np.array(points)
-    c = np.asarray(EXAMPLE1_C)
-    ftc = np.asarray(EXAMPLE1_F_TILDE).T @ c
+    c = np.asarray(Example1Config().c)
+    ftc = np.asarray(Example1Config().f_tilde).T @ c
     g = np.sum(points ** 2, axis=1) + points @ ftc
     # distinct values of g: a unique v* and no two points to confuse
     assume(np.min(np.diff(np.sort(g))) > 1e-6)
