@@ -864,10 +864,8 @@ def _error_report(config, exc):
                               detail=str(exc))])
 
 
-def run(config, output_dir=None, seed=None, threads=None, verbosity=1,
-        stream=None):
+def run(config, output_dir=None, seed=None, threads=None, verbosity=1):
     """Execute a validated config; emit artifacts; return the exit code."""
-    stream = stream if stream is not None else sys.stdout
     t_start = time.perf_counter()
     if threads is None:
         threads = config.run.get("threads") or 1
@@ -902,11 +900,11 @@ def run(config, output_dir=None, seed=None, threads=None, verbosity=1,
     outputs = _emit(config, report, out_dir, wall, status)
     if verbosity >= 1:
         print(f"{config.scenario}: {status} "
-              f"({wall:.1f}s, outputs in {out_dir})", file=stream)
+              f"({wall:.1f}s, outputs in {out_dir})")
     if verbosity >= 2:
         for a in report.assertions:
             mark = "pass" if a.passed else "FAIL"
-            print(f"  {a.name}: {mark} -- {a.detail}", file=stream)
+            print(f"  {a.name}: {mark} -- {a.detail}")
     if status == "numerical-failure":
         return EXIT_NUMERICAL
     return EXIT_OK if status == "ok" else EXIT_ASSERTION

@@ -357,7 +357,7 @@ class SpikedPolicy(ControlPolicy):
 
     The states stack one copy of the paths per member: member i owns the
     i-th run of rows and applies ``v[i]`` on its window [k0, k1[i]) and
-    the base control elsewhere.  ``stream_spiked`` steps one per block of
+    the base control elsewhere.  ``stream_spiked`` builds one per block of
     its specs; ``apply_spike`` builds the one-member case, whose rows
     inside the window are a broadcast view of v.  Several members all
     inside their windows get one C-contiguous ``np.repeat`` of v, the
@@ -384,21 +384,11 @@ class SpikedPolicy(ControlPolicy):
         return u
 
 
-def _spiked_policy(policy, specs, grid):
-    """``policy`` under a block of specs that share their window start."""
-    windows = [spec.window(grid) for spec in specs]
-    starts = sorted({start for start, _ in windows})
-    if len(starts) != 1:
-        raise ValueError(f"a block of spikes needs one start step, got "
-                         f"{starts}")
-    return SpikedPolicy(base=policy, v=np.stack([spec.v for spec in specs]),
-                        k0=starts[0],
-                        k1=np.array([end for _, end in windows]))
-
-
 def apply_spike(policy, spec, grid):
     """Policy equal to spec.v on the spike window and to ``policy`` elsewhere."""
-    return _spiked_policy(policy, [spec], grid)
+    k0, k1 = spec.window(grid)
+    return SpikedPolicy(base=policy, v=np.stack([spec.v]), k0=k0,
+                        k1=np.array([k1]))
 
 
 @dataclass
@@ -578,7 +568,7 @@ BLOCK_ROWS = 12288
 
 def stream_spiked(problem, base, specs, visit):
     """Re-run a base trajectory under spikes that share their window start
-    k0, keeping only the current state.
+    k0 (a ValueError otherwise), keeping only the current state.
 
     The stacked rows hold the base run's paths once per spec, in spec
     order.  They step in consecutive blocks of at most BLOCK_ROWS rows,
@@ -597,22 +587,29 @@ def stream_spiked(problem, base, specs, visit):
     order, and raises the first BlowUpError of those runs, which names a
     path of the spec's own copy of the paths.
     """
-    policy = _spiked_policy(base.policy, specs, base.grid)
+    windows = [spec.window(base.grid) for spec in specs]
+    starts = sorted({start for start, _ in windows})
+    if len(starts) != 1:
+        raise ValueError(f"a block of spikes needs one start step, got "
+                         f"{starts}")
+    k0 = starts[0]
     paths = base.paths
     size = 1 if paths == 1 else max(1, BLOCK_ROWS // paths)
-    x_start = base.state_at(policy.k0)
+    x_start = base.state_at(k0)
     for first in range(0, len(specs), size):
-        block = SpikedPolicy(base=base.policy, v=policy.v[first:first + size],
-                             k0=policy.k0, k1=policy.k1[first:first + size])
+        chunk = slice(first, first + size)
+        block = SpikedPolicy(
+            base=base.policy, v=np.stack([spec.v for spec in specs[chunk]]),
+            k0=k0, k1=np.array([end for _, end in windows[chunk]]))
         members = len(block.k1)
         rows = slice(first * paths, (first + members) * paths)
         try:
             _euler(problem, block, base.bundle, np.tile(x_start, (members, 1)),
-                   policy.k0, partial(visit, rows))
+                   k0, partial(visit, rows))
         except BlowUpError:
             if members == 1:
                 raise
-            for spec in specs[first:first + members]:
+            for spec in specs[chunk]:
                 stream_spiked(problem, base, [spec], lambda *step: None)
             raise
 

@@ -569,11 +569,9 @@ def default_spike_family(grid, u_star, control_set, count=20, seed=0):
         radius = 1.0
     specs = []
     for i in range(count):
-        # a one-step grid has no step 1 to start at
+        # a one-step grid has no step 1 to start at; k0 + span <= steps
         k0 = min(t0_opts[int(rng.integers(0, len(t0_opts)))], steps - 1)
         span = eps_opts[int(rng.integers(0, len(eps_opts)))]
-        while k0 + span > steps:
-            span = max(1, span // 2)
         t0 = grid.times[k0]
         eps = span * grid.dt
         if i < 2:

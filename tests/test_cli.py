@@ -2,6 +2,7 @@
 
 import contextlib
 import csv
+import json
 import os
 import re
 import signal
@@ -374,19 +375,76 @@ def test_benchmark_workloads_pass_validation():
         assert parse_config(path).scenario in SCENARIOS, path.name
 
 
-def test_benchmark_tracer_binds_to_the_package():
+TRACED_CONFIGS = {
+    "example1": """\
+        [run]
+        scenario = example1
+        steps = 40
+        paths = 400
+
+        [example1]
+        spike_count = 5
+        probe_points_per_dim = 3
+        convexity_pairs = 50
+        """,
+    "example2": """\
+        [run]
+        scenario = example2
+        steps = 20
+        paths = 600
+
+        [example2]
+        sweeps = 2
+        run_duality = true
+        """,
+    # the benchmark's second traced variation-tanh pass runs two threads
+    "gateaux": """\
+        [run]
+        scenario = gateaux
+        steps = 40
+        paths = 1000
+        threads = 2
+
+        [gateaux]
+        drift_gain = 0.25
+        """,
+}
+
+
+def test_benchmark_tracer_binds_to_the_package(tmp_path):
     # the traced benchmark runs rebind martctrl's functions and methods by
-    # name; a deletion under src/ must leave it something to bind and no
-    # name it fails on
+    # name and read the shapes they return; a deletion under src/ must leave
+    # it every module, method and attribute it reads, and the runs must pass
+    # under it
     root = Path(__file__).resolve().parents[1]
-    code = ("import sys; sys.path[:0] = sys.argv[1:]; "
-            "from spans import Tracer; print(Tracer().install())")
+    code = textwrap.dedent("""\
+        import json, sys
+        sys.path[:0] = sys.argv[1:3]
+        from martctrl import cli
+        from spans import Tracer
+        tracer = Tracer()
+        rebound = tracer.install()
+        codes = [cli.run(cli.parse_config(path), output_dir=path + "-out",
+                         verbosity=0) for path in sys.argv[3:]]
+        print(json.dumps({"rebound": rebound, "codes": codes,
+                          **tracer.export()}))
+        """)
+    paths = [str(write_config(tmp_path, text, name=f"{name}.ini"))
+             for name, text in TRACED_CONFIGS.items()]
     proc = subprocess.run(
         [sys.executable, "-B", "-c", code, str(root / "perfbench"),
-         str(root / "src")],
-        capture_output=True, text=True, timeout=120)
+         str(root / "src"), *paths],
+        capture_output=True, text=True, timeout=300, cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
-    assert int(proc.stdout.strip()) > 0
+    traced = json.loads(proc.stdout)
+    assert traced["rebound"] > 0
+    assert traced["codes"] == [EXIT_OK] * len(paths)
+    for name in ("cli.run", "martingale.sample_increments",
+                 "dynamics.integrate_forward", "dynamics.controls_at",
+                 "adjoint.y_eval", "pmp.gateaux_check"):
+        assert traced["stats"].get(name, {}).get("calls", 0) > 0, name
+    assert traced["counters"]["dynamics.grid_steps"] > 0
+    assert traced["counters"]["martingale.noise_bytes"] > 0
 
 
 def test_readme_lists_every_run_key():
@@ -1221,6 +1279,38 @@ def test_run_rejects_a_seed_that_is_not_a_nonnegative_integer(tmp_path,
     with pytest.raises(ValueError, match="non-negative integer"):
         run(cfg, output_dir=out, seed=seed, verbosity=0)
     assert not out.exists()
+
+
+def test_run_rejects_a_thread_count_below_one(tmp_path):
+    cfg = parse_config(write_config(tmp_path, """\
+        [run]
+        scenario = isometry
+        """))
+    out = tmp_path / "out"
+    with pytest.raises(ValueError, match="thread count must be >= 1"):
+        run(cfg, output_dir=out, threads=0, verbosity=0)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("verbosity", [1, 2])
+def test_run_prints_its_status_and_assertions(tmp_path, capsys, verbosity):
+    cfg = parse_config(write_config(tmp_path, """\
+        [run]
+        scenario = isometry
+        steps = 40
+        paths = 2000
+        """))
+    out = tmp_path / "out"
+    assert run(cfg, output_dir=out, verbosity=verbosity) == EXIT_OK
+    status, *lines = capsys.readouterr().out.splitlines()
+    assert re.fullmatch(
+        rf"isometry: ok \(\d+\.\ds, outputs in {re.escape(str(out))}\)",
+        status)
+    verdicts = re.findall(r"^\[assert:(\w+)\]\npassed = true\ndetail = (.*)$",
+                          (out / "report.txt").read_text(), re.MULTILINE)
+    assert verdicts
+    assert lines == ([f"  {name}: pass -- {detail}"
+                      for name, detail in verdicts] if verbosity == 2 else [])
 
 
 def test_main_runs_quick_scenario(tmp_path):

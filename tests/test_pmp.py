@@ -442,8 +442,10 @@ def test_state_box_matches_the_reduction_over_paths_and_steps(
     np.testing.assert_array_equal(hi, high + pad)
 
 
-def test_default_spike_family_layout():
-    cfg = Example1Config(steps=100, paths=10, seed=1)
+@pytest.mark.parametrize("steps", [1, 2, 3, 5, 7, 13, 100, 401])
+def test_default_spike_family_layout(steps):
+    # every start step and width fits the grid, the smallest ones included
+    cfg = Example1Config(steps=steps, paths=10, seed=1)
     problem, driver, grid, u_star = build_example1_problem(cfg)
     specs = default_spike_family(grid, u_star, problem.control_set, count=20)
     assert len(specs) == 20
