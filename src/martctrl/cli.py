@@ -611,7 +611,8 @@ def _run_isometry(config):
     report = verify_isometry(phi, bundle)
     beta_sq = float(np.sum(np.asarray(cfg.beta) ** 2))
     t_end = cfg.horizon
-    analytic = beta_sq * (t_end + t_end ** 2 / 4.0)
+    analytic = beta_sq * (cfg.alpha0 * t_end
+                          + cfg.alpha_slope * t_end ** 2 / 2.0)
     assertions = [within_3se(
         "isometry_within_3se", report.difference, report.mc_stderr,
         report.quadrature_value, "quadrature",

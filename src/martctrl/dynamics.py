@@ -6,11 +6,12 @@ evaluation.  A spike perturbation replaces the control by a fixed value v on
 a grid-aligned window [t0, t0 + eps).  The first variation p of the state
 with respect to the spike and the running-cost variation zeta follow linear
 equations driven by the frozen optimal trajectory and the same noise;
-one walk steps both along that trajectory.  A walk over every step is a
-rider (:class:`CostWalk`, :class:`VariationWalk`): its ``visit(k, x_k,
-u_k, x_next, dM_k)`` rides the forward run, which then keeps only the
-steps its readers ask for, or is replayed over a stored run, with the
-same bits; either way dM_k is formed once per step.
+one walk steps both along that trajectory.  One kernel makes the Euler
+steps of every run, forward or spike block, and hands each to the run's
+riders (:class:`CostWalk`, :class:`VariationWalk`): their ``visit(k, x_k,
+u_k, x_next, dM_k)``, with dM_k formed once per step.  The run keeps
+states and controls at only the steps its readers ask for; a walk may
+instead be replayed over a stored run, with the same bits.
 
 Problem callables are vectorized over paths:
 
@@ -36,7 +37,6 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -393,16 +393,16 @@ def apply_spike(policy, spec, grid):
 
 @dataclass
 class TrajectoryBundle:
-    """One run of one policy: its states at the kept grid steps for every
-    path of one noise bundle, and the ``riders`` that rode the run.
+    """One run of one policy: its states and controls at the kept grid
+    steps for every path of one noise bundle, and its ``riders``.
 
     ``recorded[k]`` is the (paths, control_dim) control the integrator
-    applied at step k, kept so that costs, adjoints and residuals read it
-    instead of evaluating the policy again.  Open-loop and spike rows are
-    the broadcast views the policy returns and cost no memory; feedback
-    rows cost paths * control_dim doubles per step.  Without a record (a
-    ``recorded`` of None) reads evaluate the policy at the stored states,
-    which gives the same values.
+    applied at kept step k, kept so that costs, adjoints and residuals
+    read it instead of evaluating the policy again.  Open-loop and spike
+    rows are the broadcast views the policy returns and cost no memory;
+    feedback rows cost paths * control_dim doubles per kept step.
+    Without a record (a ``recorded`` of None) reads evaluate the policy
+    at the stored states, which gives the same values.
 
     ``states[:, j]`` holds step ``kept[j]`` (every step if ``kept`` is
     None), read through :meth:`state_at` and one step-to-slot map.
@@ -416,7 +416,7 @@ class TrajectoryBundle:
     bundle: NoiseBundle = field(repr=False)
     kept: tuple | None = None
     riders: tuple = ()
-    recorded: list | None = field(default=None, init=False, repr=False)
+    recorded: dict | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         s = np.asarray(self.states, dtype=float)
@@ -453,33 +453,30 @@ class TrajectoryBundle:
         return rider
 
     def control_at(self, k):
-        """Control applied at step k, shape (paths, control_dim)."""
+        """Control applied at kept step k, shape (paths, control_dim)."""
+        states = self.state_at(k)
         if self.recorded is not None:
             return self.recorded[k]
-        return self.policy.controls_at(k, self.grid.times[k],
-                                       self.state_at(k))
-
-    def controls(self):
-        """Realized controls per step, shape (paths, steps, control_dim)."""
-        return np.stack([self.control_at(k) for k in range(self.grid.steps)],
-                        axis=1)
+        return self.policy.controls_at(k, self.grid.times[k], states)
 
     def drop_controls(self):
         """Release the recorded controls; later reads evaluate the policy."""
         self.recorded = None
 
 
-def _euler(problem, policy, bundle, x, start, visit):
-    """Euler steps from grid step ``start`` at state ``x``; returns X_T.
+def _run(problem, policy, bundle, x, start, kept, riders):
+    """The run of Euler steps from grid step ``start`` at the states ``x``.
 
     ``x`` holds the bundle's paths, or whole copies of them stacked along
-    the path axis (a block of spikes).  An AffineDiffusion takes each
-    step's ``bundle.step`` as it is; for any other G it is tiled to
-    match.  Both go into buffers reused across steps.  ``visit(k, x_k, u_k,
-    x_next, dm)`` sees every step: the state at step k, the control
-    applied there, the state at step k + 1 (a fresh array the visitor may
-    keep) and step k's untiled increments (a buffer reused across steps).
-    Raises BlowUpError at the first non-finite state.
+    the path axis (a block of spikes), and is stepped as it is, never
+    copied.  The run keeps the states and controls of the steps in
+    ``kept``, and each rider's ``visit(k, x_k, u_k, x_next, dm)`` sees
+    every step: the state at step k, the control applied there, the state
+    at step k + 1 (a fresh array the rider may keep) and step k's untiled
+    increments (a buffer the next step overwrites).  An AffineDiffusion
+    takes each step's ``bundle.step`` as it is; for any other G it is
+    tiled to match.  Both go into buffers reused across steps.  Raises
+    BlowUpError at the first non-finite state.
 
     X_{k+1} = X_k + F dt + G dM is built in place as F dt, then + X_k,
     then + G dM: the same operations on the same operands, so the same
@@ -487,8 +484,14 @@ def _euler(problem, policy, bundle, x, start, visit):
     steps.
     """
     grid = bundle.grid
-    times = grid.times
-    dt = grid.dt
+    times, dt = grid.times, grid.dt
+    run = TrajectoryBundle(
+        states=step_major_zeros(x.shape[0], len(kept), x.shape[1]),
+        policy=policy, bundle=bundle, riders=riders,
+        kept=None if len(kept) == grid.steps + 1 else tuple(kept))
+    run.recorded, slot = {}, run._slot
+    if start in slot:
+        run.states[:, slot[start], :] = x
     copies = x.shape[0] // bundle.paths
     affine = isinstance(problem.G, AffineDiffusion)
     tiled = np.empty(x.shape) if copies > 1 and not affine else None
@@ -506,9 +509,14 @@ def _euler(problem, policy, bundle, x, start, visit):
         if not np.all(np.isfinite(x_next)):
             bad = np.argwhere(~np.isfinite(x_next).all(axis=1))[0, 0]
             raise BlowUpError(path=bad, step=k + 1, time=times[k + 1])
-        visit(k, x, u, x_next, dm)
+        if k in slot:
+            run.recorded[k] = u
+        if k + 1 in slot:
+            run.states[:, slot[k + 1], :] = x_next
+        for rider in riders:
+            rider.visit(k, x, u, x_next, dm)
         x = x_next
-    return x
+    return run
 
 
 def _step_index(k):
@@ -527,7 +535,8 @@ def integrate_forward(problem, policy, bundle, x0, keep=None, riders=()):
     leaves the finite range.
 
     The result keeps the states of the integer steps in ``keep`` (None:
-    all), and each of ``riders`` visits every step as the run makes it.
+    all) and the controls applied at them, and each of ``riders`` visits
+    every step as the run makes it.
     """
     n = bundle.dim
     x0 = np.asarray(x0, dtype=float)
@@ -536,27 +545,12 @@ def integrate_forward(problem, policy, bundle, x0, keep=None, riders=()):
                              (bundle.paths, n))
     elif x0.shape != (bundle.paths, n):
         raise ValueError(f"x0 must have shape ({n},) or ({bundle.paths}, {n})")
-    steps, riders = range(bundle.steps + 1), tuple(riders)
-    kept = steps if keep is None else sorted({_step_index(k) for k in keep})
+    kept = range(bundle.steps + 1) if keep is None \
+        else sorted({_step_index(k) for k in keep})
     if kept and not 0 <= kept[0] <= kept[-1] <= bundle.steps:
         raise ValueError(f"keep {kept} names steps outside 0..{bundle.steps}")
-    run = TrajectoryBundle(
-        states=step_major_zeros(bundle.paths, len(kept), n), policy=policy,
-        bundle=bundle, riders=riders,
-        kept=None if len(kept) == len(steps) else tuple(kept))
-    run.recorded, slot = [None] * bundle.steps, run._slot
-    if 0 in slot:
-        run.states[:, 0, :] = x0
-
-    def store(k, x, u, x_next, dm):
-        run.recorded[k] = u
-        if k + 1 in slot:
-            run.states[:, slot[k + 1], :] = x_next
-        for rider in riders:
-            rider.visit(k, x, u, x_next, dm)
-
-    _euler(problem, policy, bundle, np.array(x0, order="C"), 0, store)
-    return run
+    return _run(problem, policy, bundle, np.array(x0, order="C"), 0, kept,
+                tuple(riders))
 
 
 # Rows of one block of spikes stepped together, each block forming its
@@ -566,7 +560,7 @@ def integrate_forward(problem, policy, bundle, x0, keep=None, riders=()):
 BLOCK_ROWS = 12288
 
 
-def stream_spiked(problem, base, specs, visit):
+def stream_spiked(problem, base, specs, riders):
     """Re-run a base trajectory under spikes that share their window start
     k0 (a ValueError otherwise), keeping only the current state.
 
@@ -574,11 +568,11 @@ def stream_spiked(problem, base, specs, visit):
     order.  They step in consecutive blocks of at most BLOCK_ROWS rows,
     one spec per block on a one-path bundle (numpy multiplies a one-row
     batch with its matrix-vector kernel, a larger one would move the last
-    bits).  Each block starts at k0 from the base states there, which
-    each spiked run shares with the base, and ``visit(rows, k, x_k, u_k,
-    x_next, dm)`` sees each of its steps k >= k0: ``rows`` is the slice of
-    the stacked rows the block holds, and in the rows of spec i the
-    states and controls are those of the full re-integration
+    bits).  Each block is a run from the base states at k0, which each
+    spiked run shares with the base, and carries the riders that
+    ``riders(rows)`` gives, called once per block in order with the slice
+    of the stacked rows it holds.  In the rows of spec i the states and
+    controls are those of the full re-integration
     ``integrate_forward(problem, apply_spike(base.policy, specs[i],
     grid), base.bundle, x0)``, bit for bit, if the problem and the policy
     act row by row.  X(T) is the ``x_next`` of the last step.
@@ -604,13 +598,13 @@ def stream_spiked(problem, base, specs, visit):
         members = len(block.k1)
         rows = slice(first * paths, (first + members) * paths)
         try:
-            _euler(problem, block, base.bundle, np.tile(x_start, (members, 1)),
-                   k0, partial(visit, rows))
+            _run(problem, block, base.bundle, np.tile(x_start, (members, 1)),
+                 k0, (), tuple(riders(rows)))
         except BlowUpError:
             if members == 1:
                 raise
             for spec in specs[chunk]:
-                stream_spiked(problem, base, [spec], lambda *step: None)
+                stream_spiked(problem, base, [spec], lambda rows: ())
             raise
 
 
@@ -736,8 +730,9 @@ def spiked_costs(problem, base, specs):
     ``u`` changes no control, so its re-run would repeat the base run
     operation for operation: its cost is the base cost, without stepping.
     The other specs re-run in one ``stream_spiked`` call per start step,
-    the start steps in the order of their first spec; the first
-    BlowUpError that call raises propagates.
+    the start steps in the order of their first spec, each block carrying
+    a :class:`CostWalk` of its rows; the first BlowUpError that call
+    raises propagates.
     """
     grid = base.grid
     specs = tuple(specs)
@@ -757,14 +752,9 @@ def spiked_costs(problem, base, specs):
         total = np.tile(walk.prefix[k0], len(members))
         # one walk per block, so h too is added per block: on one path a
         # block is one row, which numpy multiplies with another kernel
-        walks = {}
-
-        def accumulate(rows, k, x, u, x_next, dm):
-            if rows.start not in walks:
-                walks[rows.start] = CostWalk(problem, grid, total=total[rows])
-            walks[rows.start].visit(k, x, u, x_next, dm)
-
-        stream_spiked(problem, base, [specs[i] for i in members], accumulate)
+        stream_spiked(problem, base, [specs[i] for i in members],
+                      lambda rows: (CostWalk(problem, grid,
+                                             total=total[rows]),))
         for i, row in zip(members, total.reshape(len(members), -1)):
             costs[i] = _cost_report(row)
     return base_cost, costs

@@ -387,9 +387,10 @@ def _seed_words(seed, start, stop):
     """``SeedSequence(entropy=seed, spawn_key=(p,)).generate_state(8)`` for
     each path p in [start, stop), as a (stop - start, 8) uint32 array.
 
-    The pool mixed from the seed alone is built once in ints; the spawn-key
-    word p, mixed in last, and the words drawn from the pool are uint32
-    arrays over p.
+    The pool mixed from the seed alone is numpy's ``SeedSequence(seed).pool``
+    in ints, its mixing having advanced the hash constant 4 times per seed
+    word (at least 4 words); the spawn-key word p, mixed in last, and the
+    words drawn from the pool are uint32 arrays over p.
     """
     seed = int(seed)
     if seed < 0:
@@ -397,22 +398,9 @@ def _seed_words(seed, start, stop):
     if not 0 <= start <= stop <= 1 << 32:
         raise ValueError(f"path indices [{start}, {stop}) must lie in "
                          f"[0, 2**32]")
-    words = []                      # little-endian 32-bit words of the seed
-    while True:
-        words.append(seed & _MASK32)
-        seed >>= 32
-        if not seed:
-            break
-    words += [0] * (_POOL_SIZE - len(words))
-    hash_const = [_INIT_A]
-    pool = [_hashmix(w, hash_const) for w in words[:_POOL_SIZE]]
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], _hashmix(pool[src], hash_const))
-    for w in words[_POOL_SIZE:]:
-        for dst in range(_POOL_SIZE):
-            pool[dst] = _mix(pool[dst], _hashmix(w, hash_const))
+    pool = np.random.SeedSequence(seed).pool.tolist()
+    words = max(_POOL_SIZE, -(-seed.bit_length() // 32))
+    hash_const = [_INIT_A * pow(_MULT_A, 4 * words, 1 << 32) & _MASK32]
     key = np.arange(start, stop, dtype=np.uint32)
     pool = [_mix(w, _hashmix(key, hash_const)) for w in pool]
     out = np.empty((stop - start, 2 * _POOL_SIZE), dtype=np.uint32)

@@ -27,6 +27,7 @@ report).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -365,7 +366,8 @@ def rate_experiments(problem, p, eps_ladder=(0.2, 0.1, 0.05, 0.025)):
 
     The spikes start at p's own t0 with p's own v, one per eps, and re-run
     p's optimal trajectory on its noise bundle in one ``stream_spiked``
-    call, which names a blown-up spike's own path.  Passes when the
+    call, which names a blown-up spike's own path; each block carries one
+    rider that compares its rows with the base states.  Passes when the
     log-log slope of the sup curve is >= 1.5 and the remainder sequence
     is strictly decreasing with final value < 1/4 of the initial one.
     """
@@ -378,19 +380,23 @@ def rate_experiments(problem, p, eps_ladder=(0.2, 0.1, 0.05, 0.025)):
     msq = np.zeros(ladder.size * paths)
     xi_sq = np.empty(ladder.size * paths)
 
-    def visit(rows, k, x, u, x_next, dm):
+    def riders(rows):
         # each spike's copy of the paths is read against the base states
-        spiked = x_next.reshape(-1, paths, x_next.shape[1])
-        diff = (spiked - traj.state_at(k + 1)).reshape(x_next.shape)
-        np.maximum(msq[rows], np.einsum("pi,pi->p", diff, diff),
-                   out=msq[rows])
-        if k == traj.grid.steps - 1:
-            eps = ladder[rows.start // paths:rows.stop // paths, None, None]
-            xi = ((spiked - traj.state_at(k + 1)) / eps
-                  - p_term).reshape(x_next.shape)
-            xi_sq[rows] = np.einsum("pi,pi->p", xi, xi)
+        eps = ladder[rows.start // paths:rows.stop // paths, None, None]
 
-    stream_spiked(problem, traj, specs, visit)
+        def visit(k, x, u, x_next, dm):
+            spiked = x_next.reshape(-1, paths, x_next.shape[1])
+            diff = (spiked - traj.state_at(k + 1)).reshape(x_next.shape)
+            np.maximum(msq[rows], np.einsum("pi,pi->p", diff, diff),
+                       out=msq[rows])
+            if k == traj.grid.steps - 1:
+                xi = ((spiked - traj.state_at(k + 1)) / eps
+                      - p_term).reshape(x_next.shape)
+                xi_sq[rows] = np.einsum("pi,pi->p", xi, xi)
+
+        return (SimpleNamespace(visit=visit),)
+
+    stream_spiked(problem, traj, specs, riders)
     esup, esup_se = np.transpose(
         [mean_se(row) for row in msq.reshape(ladder.size, -1)])
     exi, exi_se = np.transpose(

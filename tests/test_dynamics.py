@@ -5,6 +5,7 @@ import math
 import re
 import tracemalloc
 from collections import Counter
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -42,6 +43,11 @@ def packaged(name, **fields):
         return cfg, problem, driver, grid, np.zeros(cfg.control_dim)
     problem, driver, grid, u_star = build_example1_problem(cfg)
     return cfg, problem, driver, grid, u_star
+
+
+def rider(visit):
+    """A rider whose ``visit(k, x_k, u_k, x_next, dm)`` is ``visit``."""
+    return SimpleNamespace(visit=visit)
 
 
 def dense_diffusion(cfg, x, offset=True):
@@ -203,19 +209,18 @@ def test_forward_euler_exact_for_affine_dynamics():
     expected = x0 + (np.array([0.3, -0.1]) + u) + m_total @ (0.5 * np.eye(dim)).T
     assert np.allclose(traj.states[:, -1, :], expected, atol=1e-12)
     # realized controls reproduce the schedule
-    assert np.allclose(traj.controls(), u, atol=0.0)
+    assert all(np.all(traj.control_at(k) == u) for k in range(grid.steps))
 
 
 def assert_records_fresh_evaluation(traj):
     """Every recorded control equals the policy evaluated at the stored state."""
     times = traj.grid.times
-    assert len(traj.recorded) == traj.grid.steps
+    assert sorted(traj.recorded) == list(range(traj.grid.steps))
     for k in range(traj.grid.steps):
         assert traj.recorded[k] is not None, k
         fresh = traj.policy.controls_at(k, times[k], traj.states[:, k, :])
         assert np.array_equal(traj.control_at(k), fresh), k
-    assert np.array_equal(traj.controls(),
-                          np.stack(traj.recorded, axis=1))
+        assert traj.control_at(k) is traj.recorded[k], k
 
 
 def test_recorded_controls_equal_fresh_policy_evaluation():
@@ -227,7 +232,7 @@ def test_recorded_controls_equal_fresh_policy_evaluation():
     open_loop = integrate_forward(problem, OpenLoopPolicy(u_star), bundle, x0)
     assert_records_fresh_evaluation(open_loop)
     # open-loop rows are broadcast views of u: no memory per path
-    assert all(row.strides[0] == 0 for row in open_loop.recorded)
+    assert all(row.strides[0] == 0 for row in open_loop.recorded.values())
 
     stationary = FeedbackPolicy(
         fn=lambda t, x: np.broadcast_to(u_star, (x.shape[0], 2)).copy())
@@ -235,10 +240,11 @@ def test_recorded_controls_equal_fresh_policy_evaluation():
     assert_records_fresh_evaluation(feedback)
 
     # without a record the same values come from the policy again
-    expected = feedback.controls()
+    expected = [feedback.control_at(k) for k in range(grid.steps)]
     feedback.drop_controls()
     assert feedback.recorded is None
-    assert np.array_equal(feedback.controls(), expected)
+    for k, u in enumerate(expected):
+        assert np.array_equal(feedback.control_at(k), u), k
 
 
 def test_forward_x0_shapes():
@@ -343,8 +349,8 @@ def test_spiked_run_matches_full_reintegration():
     assert not np.array_equal(full.states[:, -1, :], base.states[:, -1, :])
     # a stream from the window start ends where the full run ends
     seen = {}
-    stream_spiked(problem, base, [spec],
-                  lambda rows, k, x, u, x_next, dm: seen.update(x_end=x_next))
+    stream_spiked(problem, base, [spec], lambda rows: (rider(
+        lambda k, x, u, x_next, dm: seen.update(x_end=x_next)),))
     assert np.array_equal(seen["x_end"], full.states[:, -1, :])
 
 
@@ -374,9 +380,8 @@ def test_streamed_spike_is_bit_identical_to_stored_spike(feedback,
         # the stream visits the states the stored run keeps
         k0, _ = spec.window(grid)
         seen = {}
-        stream_spiked(
-            problem, base, [spec],
-            lambda rows, k, x, u, x_next, dm: seen.setdefault(k + 1, x_next))
+        stream_spiked(problem, base, [spec], lambda rows: (rider(
+            lambda k, x, u, x_next, dm: seen.setdefault(k + 1, x_next)),))
         assert sorted(seen) == list(range(k0 + 1, grid.steps + 1))
         for k, x in seen.items():
             assert np.array_equal(x, stored.states[:, k, :]), k
@@ -464,9 +469,8 @@ def test_spike_prefix_identity(name, feedback, data):
     assert np.array_equal(full.states[:, :k0 + 1, :],
                           base.states[:, :k0 + 1, :])
     seen = {}
-    stream_spiked(problem, base, [spec],
-                  lambda rows, k, x, u, x_next, dm:
-                  seen.setdefault(k + 1, x_next))
+    stream_spiked(problem, base, [spec], lambda rows: (rider(
+        lambda k, x, u, x_next, dm: seen.setdefault(k + 1, x_next)),))
     assert sorted(seen) == list(range(k0 + 1, steps + 1))
     for k, x in seen.items():
         assert np.array_equal(x, full.states[:, k, :]), k
@@ -637,8 +641,7 @@ def test_blown_up_block_reruns_each_spike_alone():
     wild = SpikeSpec(t0=0.3, eps=0.2, v=np.array([1e200]))
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(BlowUpError) as alone:
-            stream_spiked(problem, base, [wild],
-                          lambda rows, k, x, u, x_next, dm: None)
+            stream_spiked(problem, base, [wild], lambda rows: ())
         with pytest.raises(BlowUpError) as read:
             spiked_costs(problem, base, [calm, wild])
     assert (read.value.path, read.value.step, read.value.time) \
@@ -660,11 +663,9 @@ def test_stream_spiked_names_the_last_member_that_blows_up_alone():
     wild = SpikeSpec(t0=0.3, eps=0.2, v=np.array([1e200]))
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(BlowUpError) as alone:
-            stream_spiked(problem, base, [wild],
-                          lambda rows, k, x, u, x_next, dm: None)
+            stream_spiked(problem, base, [wild], lambda rows: ())
         with pytest.raises(BlowUpError) as block:
-            stream_spiked(problem, base, [*calm, wild],
-                          lambda rows, k, x, u, x_next, dm: None)
+            stream_spiked(problem, base, [*calm, wild], lambda rows: ())
     assert 0 <= alone.value.path < 4
     assert (block.value.path, block.value.step, block.value.time) \
         == (alone.value.path, alone.value.step, alone.value.time)
@@ -686,8 +687,7 @@ def test_spiked_costs_raise_the_error_of_the_first_failing_block():
     calm = SpikeSpec(t0=0.6, eps=0.2, v=np.array([0.5]))
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(BlowUpError) as alone:
-            stream_spiked(problem, base, [late],
-                          lambda rows, k, x, u, x_next, dm: None)
+            stream_spiked(problem, base, [late], lambda rows: ())
         with pytest.raises(BlowUpError) as raised:
             spiked_costs(problem, base, [calm, early, late])
     assert alone.value.step == 8
@@ -698,11 +698,13 @@ def test_spiked_costs_raise_the_error_of_the_first_failing_block():
 @pytest.mark.parametrize("paths, block_rows",
                          [(1, dynamics.BLOCK_ROWS), (3, 7), (4, 8), (5, 5)])
 def test_stream_spiked_steps_consecutive_blocks(paths, block_rows):
-    # the visitor's row slices cover the stacked rows in order, each block
-    # at most BLOCK_ROWS rows (one spike on a one-path bundle) and stepped
-    # from the window start to T; the last step's x_next is each spike's
-    # X(T) of the full re-integration; dm is the step's increments on the
-    # bundle's paths, once for all the block's copies
+    # ``riders`` is called once per block, in order, with the block's
+    # rows, before its steps; the row slices cover the stacked rows in
+    # order, each block at most BLOCK_ROWS rows (one spike on a one-path
+    # bundle) and stepped from the window start to T; the last step's
+    # x_next is each spike's X(T) of the full re-integration; dm is the
+    # step's increments on the bundle's paths, once for all the block's
+    # copies
     steps = 8
     cfg, problem, driver, grid, u = packaged("example1", steps=steps,
                                              paths=paths)
@@ -711,20 +713,26 @@ def test_stream_spiked_steps_consecutive_blocks(paths, block_rows):
     base = integrate_forward(problem, OpenLoopPolicy(u), bundle, x0)
     specs = [SpikeSpec(t0=2 * grid.dt, eps=width * grid.dt, v=u + 0.1 * i)
              for i, width in enumerate((1, 6, 3, 2, 5))]
-    visits = []
+    log = []
     ends = []
 
-    def visit(rows, k, x, u, x_next, dm):
-        assert x.shape == x_next.shape == (rows.stop - rows.start, 4)
-        assert np.array_equal(dm, bundle.step(k))
-        visits.append(((rows.start, rows.stop), k))
-        if k == steps - 1:
-            ends.append(x_next)
+    def riders(rows):
+        log.append(((rows.start, rows.stop), "riders"))
+
+        def visit(k, x, u, x_next, dm):
+            assert x.shape == x_next.shape == (rows.stop - rows.start, 4)
+            assert np.array_equal(dm, bundle.step(k))
+            log.append(((rows.start, rows.stop), k))
+            if k == steps - 1:
+                ends.append(x_next)
+
+        return (rider(visit),)
 
     with mock.patch.object(dynamics, "BLOCK_ROWS", block_rows):
-        stream_spiked(problem, base, specs, visit)
-    blocks = list(dict.fromkeys(rows for rows, _ in visits))
-    assert visits == [(rows, k) for rows in blocks for k in range(2, steps)]
+        stream_spiked(problem, base, specs, riders)
+    blocks = list(dict.fromkeys(rows for rows, _ in log))
+    assert log == [(rows, step) for rows in blocks
+                   for step in ("riders", *range(2, steps))]
     assert blocks[0][0] == 0 and blocks[-1][1] == len(specs) * paths
     assert all(a[1] == b[0] for a, b in zip(blocks, blocks[1:]))
     sizes = [stop - start for start, stop in blocks]
@@ -749,8 +757,7 @@ def test_stream_spiked_refuses_a_block_without_one_start_step():
              SpikeSpec(t0=0.5, eps=0.1, v=u_star)]
     for block in (specs, []):
         with pytest.raises(ValueError, match="one start step"):
-            stream_spiked(problem, base, block,
-                          lambda rows, k, x, u, x_next, dm: None)
+            stream_spiked(problem, base, block, lambda rows: ())
 
 
 def test_noop_spike_changes_nothing():
@@ -892,6 +899,26 @@ def test_variation_allocates_no_per_step_record():
     assert peak < record
 
 
+def test_partial_feedback_run_holds_controls_at_its_kept_steps_only():
+    # a feedback control costs paths * control_dim doubles per recorded
+    # step: a run that keeps steps 0 and T holds one step's controls, not
+    # one per grid step (6.4 MB here)
+    cfg, problem, driver, grid, _ = packaged("example2", steps=200,
+                                             paths=2000)
+    bundle = sample_increments(driver, grid, cfg.paths, cfg.seed)
+    policy = FeedbackPolicy(fn=lambda t, x: -0.5 * x)
+    per_step = 8 * cfg.paths * cfg.control_dim
+    tracemalloc.start()
+    try:
+        run = integrate_forward(problem, policy, bundle, np.asarray(cfg.x0),
+                                keep={0, grid.steps})
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sorted(run.recorded) == [0]
+    assert held < 10 * per_step < grid.steps * per_step
+
+
 def tanh_diffusion(problem, cfg):
     """``problem`` with the non-affine G(t, X) dM = tanh(X . gamma) dM G~^T
     of an example2 config, which spike blocks tile the increments for."""
@@ -934,7 +961,8 @@ def test_partial_run_with_riders_keeps_the_bits_of_the_full_run(
         diffusion, data, steps, paths, feedback):
     # a run that keeps a few steps and carries its walks as riders gives
     # the kept states, controls, costs, p, zeta and state box of a run
-    # that keeps every step followed by separate walks, bit for bit
+    # that keeps every step followed by separate walks, bit for bit; it
+    # records the controls of its kept steps only
     cfg, problem, driver, grid, u = packaged("example2", steps=steps,
                                              paths=paths)
     if diffusion == "tanh":
@@ -963,8 +991,13 @@ def test_partial_run_with_riders_keeps_the_bits_of_the_full_run(
     assert part.states.shape == (paths, len(keep), bundle.dim)
     for k in keep:
         assert np.array_equal(part.state_at(k), full.states[:, k, :]), k
+    assert sorted(part.recorded) == sorted(keep - {steps})
     for k in range(steps):
-        assert np.array_equal(part.control_at(k), full.control_at(k)), k
+        if k in keep:
+            assert np.array_equal(part.control_at(k), full.control_at(k)), k
+        else:
+            with pytest.raises(ValueError, match=f"step {k} was not kept"):
+                part.control_at(k)
     total, prefix, (lo, hi) = separate_walks(problem, full, starts)
     assert np.array_equal(riders[0].total, total)
     assert all(np.array_equal(riders[0].prefix[k], prefix[k])
