@@ -453,7 +453,10 @@ class TrajectoryBundle:
         return rider
 
     def control_at(self, k):
-        """Control applied at kept step k, shape (paths, control_dim)."""
+        """Control applied at kept step k, shape (paths, control_dim); no
+        control is applied at the last grid step, so k = T raises."""
+        if k == self.grid.steps:
+            raise ValueError(f"no control is applied at the last step {k}")
         states = self.state_at(k)
         if self.recorded is not None:
             return self.recorded[k]

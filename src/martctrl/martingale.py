@@ -289,7 +289,10 @@ class NoiseBundle:
     def step(self, k, out=None):
         """Step k's (paths, dim) increments, as returned; a sampled bundle
         forms into ``out`` the first component's products column by column,
-        ``+= 0.0`` (-0.0 sums to +0.0, as from zeros), then the others'."""
+        ``+= 0.0`` (-0.0 sums to +0.0, as from zeros), then the others'.
+        A k outside 0..steps-1 raises ValueError."""
+        if not 0 <= k < self.steps:
+            raise ValueError(f"step {k} is not in 0..{self.steps - 1}")
         if self._normals is None:
             return self._held[:, k, :]
         out = np.empty((self.paths, self.dim)) if out is None else out
@@ -363,7 +366,7 @@ _POOL_SIZE = 4
 _MASK32 = 0xFFFFFFFF
 _PCG64_MULT = 0x2360ed051fc65da44385df649fccf645
 _MASK128 = (1 << 128) - 1
-_SEED_BLOCK = 512           # paths seeded at once: bounds the words held
+_SEED_BLOCK = 512  # paths seeded at once: bounds the words and normals drawn
 
 
 def _hashmix(value, hash_const):
@@ -438,32 +441,34 @@ def sample_increments(driver, grid, paths, seed):
     SeedSequence/PCG64 seeding (``_seed_words``, ``_pcg64_state``), and
     tests/test_martingale.py pins that to the installed numpy.  One reused
     generator takes each path's state and draws its (n_components, steps)
-    normals into a step-major array; the bundle holds them scaled, and
-    forms each step's increments when it is read (:meth:`NoiseBundle.step`).
+    normals into its row of one reused block of paths, which is scaled
+    straight into the step-major normals the bundle holds; the bundle forms
+    each step's increments when it is read (:meth:`NoiseBundle.step`).
     """
     if paths < 1:
         raise ValueError(f"paths must be >= 1, got {paths}")
     scales = np.sqrt(step_intensity_integrals(driver, grid))  # (ncomp, steps)
     seed = int(seed)
+    if seed < 0:        # checked here too: no components seed no path
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
     ncomp, steps = driver.n_components, grid.steps
-    bit_generator = np.random.PCG64(0)
-    generator = np.random.Generator(bit_generator)
-    row = np.empty((ncomp, steps))
-    raw = np.empty((ncomp, steps, paths))          # normals, step-major
-    for start in range(0, paths, _SEED_BLOCK):
-        words = _seed_words(seed, start, min(start + _SEED_BLOCK, paths))
-        for p, w in enumerate(words, start):
-            bit_generator.state = _pcg64_state(w.tolist())
-            generator.standard_normal(out=row)
-            raw[:, :, p] = row
     if not ncomp:
         return NoiseBundle(step_major_zeros(paths, steps, driver.state_dim),
                            seed, grid, driver)
-    # scaled into a new array, so that returning frees ``raw``: glibc then
-    # raises its mmap threshold past the per-step temporaries of 128 KB or
-    # more, which would otherwise be mmapped and page-faulted at each step
-    return NoiseBundle._of_normals(raw * scales[:, :, None], seed, grid,
-                                   driver)
+    bit_generator = np.random.PCG64(0)
+    generator = np.random.Generator(bit_generator)
+    xi = np.empty((ncomp, steps, paths))           # scaled normals
+    # freed on return, which raises glibc's mmap threshold to its size
+    block = np.empty((min(_SEED_BLOCK, paths), ncomp, steps))
+    for start in range(0, paths, _SEED_BLOCK):
+        words = _seed_words(seed, start, min(start + _SEED_BLOCK, paths))
+        for row, w in zip(block, words):
+            bit_generator.state = _pcg64_state(w.tolist())
+            generator.standard_normal(out=row)
+        n = len(words)
+        np.multiply(block[:n].transpose(1, 2, 0), scales[:, :, None],
+                    out=xi[:, :, start:start + n])
+    return NoiseBundle._of_normals(xi, seed, grid, driver)
 
 
 def mean_se(values):

@@ -247,6 +247,24 @@ def test_recorded_controls_equal_fresh_policy_evaluation():
         assert np.array_equal(feedback.control_at(k), u), k
 
 
+def test_no_control_is_read_at_the_last_step():
+    # a run that keeps T holds its states there, but no control is applied
+    # at T, with the record or without it
+    cfg = Example1Config(steps=10, paths=4, seed=5)
+    problem, driver, grid, u_star = build_example1_problem(cfg)
+    bundle = sample_increments(driver, grid, cfg.paths, cfg.seed)
+    traj = integrate_forward(problem, OpenLoopPolicy(u_star), bundle,
+                             np.asarray(cfg.x0))
+    assert traj.state_at(grid.steps).shape == (cfg.paths, 4)
+    for drop in (False, True):
+        if drop:
+            traj.drop_controls()
+        with pytest.raises(ValueError, match="no control is applied at the "
+                                             "last step 10"):
+            traj.control_at(grid.steps)
+        assert traj.control_at(grid.steps - 1).shape == (cfg.paths, 2)
+
+
 def test_forward_x0_shapes():
     problem = constant_g_problem()
     driver = make_driver()

@@ -281,6 +281,33 @@ def test_a_driver_without_components_samples_zero_noise():
     assert bundle.step(2).tobytes() == np.zeros((4, 2)).tobytes()
 
 
+@pytest.mark.parametrize("sampled", [True, False])
+def test_a_step_outside_the_grid_is_refused(sampled):
+    grid = PathGrid(horizon=1.0, steps=5)
+    bundle = sample_increments(example_driver(), grid, 3, 1)
+    if not sampled:
+        bundle = NoiseBundle(bundle.increments, 1, grid, bundle.driver)
+    for k in (-1, 5, 6):
+        with pytest.raises(ValueError, match=rf"step {k} is not in 0\.\.4"):
+            bundle.step(k)
+    assert bundle.step(4).shape == (3, 4)
+
+
+def test_sampling_peak_is_the_normals_and_one_seed_block():
+    # each seed block is drawn into one reused buffer and scaled straight
+    # into the held normals, so no second full-size array is ever alive;
+    # here a block is 512 of 10000 paths, about 1/20 of the normals
+    paths, steps = 10000, 200
+    grid = PathGrid(horizon=1.0, steps=steps)
+    tracemalloc.start()
+    try:
+        sample_increments(example_driver(), grid, paths, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * paths * steps * 8   # one component's normals
+
+
 def test_sampled_noise_holds_less_than_its_increments():
     # the bundle keeps one scaled normal per step and path, a quarter of
     # example1's (paths, steps, 4) increments, and a forward run forms
@@ -430,6 +457,9 @@ def test_sampling_rejects_a_negative_seed():
     grid = PathGrid(horizon=1.0, steps=3)
     with pytest.raises(ValueError, match="non-negative"):
         sample_increments(example_driver(), grid, 2, -1)
+    with pytest.raises(ValueError, match="non-negative"):
+        sample_increments(MartingaleDriver(state_dim=2, horizon=1.0), grid,
+                          2, -1)
     with pytest.raises(ValueError, match="non-negative"):
         _seed_words(-5, 0, 1)
 
