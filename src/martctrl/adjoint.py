@@ -53,14 +53,14 @@ diagnostic and flagged when they dominate the explained martingale energy.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import combinations_with_replacement, product
 
 import numpy as np
 
 from .dynamics import AffineDiffusion, sample_controls
 from .hilbert import apply_operator
-from .martingale import mean_se, step_covariances, step_major_zeros
+from .martingale import mean_se, step_major_zeros
 
 # Largest condition number of a retained regression design.
 CONDITION_LIMIT = 1e12
@@ -240,6 +240,10 @@ class AdjointSolution:
     desk-scale memory stays bounded; ``n_residual_energy[k]`` records the
     mean squared unexplained martingale increment at step k (zero for the
     explicit method, whose orthogonal part vanishes by construction).
+
+    A regression solution also holds what :meth:`y_eval` and :meth:`z_at`
+    read at given states, its fitted regression: ``basis``, ``grid``, the
+    problem, the policy it was solved under and the per-step fits.
     """
 
     trajectories: object = field(repr=False)
@@ -247,23 +251,28 @@ class AdjointSolution:
     method: str
     n_residual_energy: np.ndarray
     explained_energy: np.ndarray
+    grid: object = field(repr=False)
     basis: RegressionBasis | None = None
     _problem: object = field(default=None, repr=False)
+    _policy: object = field(default=None, repr=False)
     _fits: list = field(default=None, repr=False)
     _c_pinv: np.ndarray = field(default=None, repr=False)
     _factors: list = field(default=None, repr=False)
 
     @property
-    def grid(self):
-        return self.trajectories.grid
-
-    @property
     def steps(self):
-        return self.Y.shape[1] - 1
+        return self.grid.steps
 
     @property
     def state_dim(self):
         return self.Y.shape[2]
+
+    def regression(self):
+        """This solution with ``trajectories``, ``Y`` and the energies
+        dropped: all that :meth:`y_eval` and :meth:`z_at` read at given
+        states, and all that a policy built on them needs to hold."""
+        return replace(self, trajectories=None, Y=None,
+                       n_residual_energy=None, explained_energy=None)
 
     def y_at(self, k):
         """Y at grid index k, shape (paths, n), along the trajectories."""
@@ -279,7 +288,7 @@ class AdjointSolution:
         # one (paths * n, n) @ (n, n) product: a batched (paths, n, n) @
         # (n, n) matmul runs one small product per path
         fit = self._fits[k]
-        n = self.state_dim
+        n = self._c_pinv.shape[-1]
         w = _fitted(fit.w_mean, xc, fit.w_coef).reshape(-1, n)
         return (w @ self._c_pinv[k]).reshape(xc.shape[0], n, n)
 
@@ -322,9 +331,10 @@ class AdjointSolution:
         """Evaluate the fitted Y_k at arbitrary states (regression method).
 
         On the solution's own states at step k this returns ``Y[:, k]``.
-        The controls at ``states`` come from the trajectories' policy, the
-        one place where a solution evaluates it, unless the problem
-        declares ``grad_x_ignores_u`` and grad_x H needs no control.
+        The controls at ``states`` come from the policy the solution was
+        solved under, the one place where a solution evaluates it, unless
+        the problem declares ``grad_x_ignores_u`` and grad_x H needs no
+        control.
         """
         states = np.asarray(states, dtype=float)
         if self.method == "explicit":
@@ -333,8 +343,7 @@ class AdjointSolution:
         if k >= self.steps:
             return np.asarray(self._problem.h_x(states), dtype=float)
         u = None if self._problem.grad_x_ignores_u \
-            else self.trajectories.policy.controls_at(k, self.grid.times[k],
-                                                      states)
+            else self._policy.controls_at(k, self.grid.times[k], states)
         return self._step(k, states, self._centered_features(k, states),
                           u)[0]
 
@@ -393,7 +402,8 @@ def solve_adjoint_explicit(problem, trajectories):
     zeros = np.zeros(grid.steps)
     return AdjointSolution(trajectories=trajectories, Y=y_path,
                            method="explicit", n_residual_energy=zeros.copy(),
-                           explained_energy=zeros.copy(), _problem=problem)
+                           explained_energy=zeros.copy(), grid=grid,
+                           _problem=problem)
 
 
 def solve_adjoint_lsmc(problem, trajectories, basis=None):
@@ -417,10 +427,7 @@ def solve_adjoint_lsmc(problem, trajectories, basis=None):
             f"basis has {basis.feature_count(n)} features for {paths} paths; "
             f"need feature count < paths / 10 for a stable regression")
     eps = np.finfo(float).eps
-
-    c_pinv = np.linalg.pinv(step_covariances(bundle.driver, grid),
-                            rcond=1e-12, hermitian=True)
-    factors = [bundle.driver.cov_rate_factor(t) for t in grid.times[:-1]]
+    factors, c_pinv = bundle.step_covariance_terms
 
     y = step_major_zeros(paths, grid.steps + 1, n)
     y[:, grid.steps, :] = np.asarray(
@@ -431,8 +438,9 @@ def solve_adjoint_lsmc(problem, trajectories, basis=None):
     explained = np.zeros(grid.steps)
     solution = AdjointSolution(
         trajectories=trajectories, Y=y, method="lsmc",
-        n_residual_energy=n_energy, explained_energy=explained, basis=basis,
-        _problem=problem, _fits=fits, _c_pinv=c_pinv, _factors=factors)
+        n_residual_energy=n_energy, explained_energy=explained, grid=grid,
+        basis=basis, _problem=problem, _policy=trajectories.policy,
+        _fits=fits, _c_pinv=c_pinv, _factors=factors)
 
     for k in range(grid.steps - 1, -1, -1):
         x_k = trajectories.state_at(k)

@@ -305,6 +305,15 @@ class NoiseBundle:
                 out += x[:, None] * beta
         return out
 
+    @cached_property
+    def step_covariance_terms(self):
+        """``driver.cov_rate_factor`` at each step's start and the
+        pseudo-inverses of the :func:`step_covariances` (directions below
+        1e-12 of the largest dropped), formed once for every adjoint."""
+        return ([self.driver.cov_rate_factor(t) for t in self.grid.times[:-1]],
+                np.linalg.pinv(step_covariances(self.driver, self.grid),
+                               rcond=1e-12, hermitian=True))
+
     @property
     def increments(self):
         """The (paths, steps, dim) increments, step-major."""

@@ -827,17 +827,21 @@ def stationarity_residual(problem, adjoint):
 
 @dataclass
 class SweepRecord:
-    """One policy-improvement sweep, run and solved along
-    ``adjoint.trajectories`` (whose ``policy`` is the sweep's)."""
+    """One policy-improvement sweep: its cost, its stationarity residual
+    and, for the first and the last sweep, its ``adjoint`` along its own
+    trajectories (whose ``policy`` is the sweep's); the sweeps between
+    keep ``adjoint = None``."""
 
-    adjoint: AdjointSolution
+    adjoint: AdjointSolution | None
     cost: object
     residual: float
 
 
 @dataclass
 class Example2Result:
-    """Scenario-2 outcome; every sweep ran on the noise bundle of sweep 0."""
+    """Scenario-2 outcome; every sweep ran on the noise bundle of sweep 0.
+    The duality check reads ``sweeps[0].adjoint``, the report
+    ``sweeps[-1].adjoint``; no other sweep keeps its adjoint."""
 
     report: ScenarioReport
     problem: ControlProblem
@@ -846,11 +850,12 @@ class Example2Result:
     duality: object | None
 
 
-def _improvement_policy(adjoint, c_op, r_inv, grid):
-    """Feedback u = -R^{-1} C^T E-hat[Y | X], from the fitted adjoint."""
+def _improvement_policy(regression, c_op, r_inv, grid):
+    """Feedback u = -R^{-1} C^T E-hat[Y | X] from a fitted regression
+    (:meth:`AdjointSolution.regression`), which holds no path array."""
 
     def fn(t, states):
-        y = adjoint.y_eval(grid.index_of(t, what="policy time"), states)
+        y = regression.y_eval(grid.index_of(t, what="policy time"), states)
         return -(y @ c_op) @ r_inv
 
     return FeedbackPolicy(fn=fn)
@@ -862,6 +867,8 @@ def run_example2(cfg=None):
     The policy-improvement sweeps (u <- -R^{-1} C^T E-hat[Y|X]) are a tooling
     addition layered on the stationarity condition C^T Y + R u = 0; they are
     reported as such and are not part of the underlying optimality theory.
+    Each sweep's policy keeps only the previous sweep's fitted regression,
+    so at most two sweeps' paths (the first's and the running one's) live.
     """
     cfg = cfg if cfg is not None else Example2Config()
     problem, driver, grid = build_example2_problem(cfg)
@@ -885,10 +892,14 @@ def run_example2(cfg=None):
         # nothing reads this record again: later sweeps call the policy
         # at their own states
         trajectories.drop_controls()
-        sweeps.append(SweepRecord(adjoint=adjoint, cost=cost,
-                                  residual=residual))
+        sweeps.append(SweepRecord(
+            adjoint=adjoint if s in (0, cfg.sweeps) else None, cost=cost,
+            residual=residual))
         if s < cfg.sweeps:
-            policy = _improvement_policy(adjoint, c_op, r_inv, grid)
+            policy = _improvement_policy(adjoint.regression(), c_op, r_inv,
+                                         grid)
+        # unless recorded above, this sweep's paths go before the next run
+        del trajectories, adjoint
 
     duality = None
     if cfg.run_duality:

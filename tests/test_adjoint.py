@@ -325,24 +325,37 @@ def test_lsmc_y_eval_reproduces_training_values():
 
 
 def test_lsmc_reads_each_step_factor_computed_once(monkeypatch):
-    # the solve computes the covariance-rate factor once per grid step,
-    # and y_eval reads those: no further driver calls, the same values
-    _, problem, driver, grid, bundle, pol, traj = example2_setup(
+    # the first solve along a noise bundle computes the covariance-rate
+    # factor once per grid step and the covariance pseudo-inverses once;
+    # y_eval and every later solve along the bundle (another policy's run,
+    # as a policy-improvement sweep is) read those: no further driver or
+    # pinv calls, the same values
+    cfg, problem, driver, grid, bundle, pol, traj = example2_setup(
         steps=12, paths=400)
-    times = []
-    factor = MartingaleDriver.cov_rate_factor
+    times, pinvs = [], []
+    factor, pinv = MartingaleDriver.cov_rate_factor, np.linalg.pinv
 
     def counted(self, t):
         times.append(t)
         return factor(self, t)
 
+    def counted_pinv(a, *args, **kwargs):
+        pinvs.append(a.shape)
+        return pinv(a, *args, **kwargs)
+
     monkeypatch.setattr(MartingaleDriver, "cov_rate_factor", counted)
+    monkeypatch.setattr(np.linalg, "pinv", counted_pinv)
     adj = solve_adjoint_lsmc(problem, traj)
     assert times == list(grid.times[:-1])
+    assert pinvs == [(grid.steps, 2, 2)]
     for k in (0, grid.steps // 2, grid.steps - 1):
         assert np.array_equal(adj.y_eval(k, traj.states[:, k, :]),
                               adj.Y[:, k, :])
+    other = integrate_forward(problem, OpenLoopPolicy(np.full(2, 0.5)),
+                              bundle, np.asarray(cfg.x0))
+    solve_adjoint_lsmc(problem, other)
     assert len(times) == grid.steps
+    assert len(pinvs) == 1
 
 
 def test_lsmc_condition_limit_raises(monkeypatch):

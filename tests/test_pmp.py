@@ -1,6 +1,9 @@
 """Optimality checks, spike experiments, and the two packaged scenarios."""
 
 import dataclasses
+import gc
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -670,6 +673,55 @@ def test_undeclared_example2_walks_the_chain_bit_for_bit(monkeypatch):
     assert (result.duality.lhs, result.duality.rhs) == (
         0.11663667766292204, 0.1151740273767514)
     assert result.sweeps[-1].adjoint.n_residual_ratio == 0.03253733190322413
+
+
+def test_example2_frees_the_sweeps_between_the_first_and_the_last(
+        monkeypatch):
+    # the duality check reads sweep 0's paths and the report the last
+    # sweep's; each improved policy keeps only the fitted regression of the
+    # sweep before it, so the sweeps between leave no states and no Y
+    states, ys = [], []
+    forward, solve = pmp.integrate_forward, pmp.solve_adjoint_lsmc
+
+    def tracked_forward(*args, **kwargs):
+        trajectories = forward(*args, **kwargs)
+        states.append(weakref.ref(trajectories.states))
+        return trajectories
+
+    def tracked_solve(*args, **kwargs):
+        adjoint = solve(*args, **kwargs)
+        ys.append(weakref.ref(adjoint.Y))
+        return adjoint
+
+    monkeypatch.setattr(pmp, "integrate_forward", tracked_forward)
+    monkeypatch.setattr(pmp, "solve_adjoint_lsmc", tracked_solve)
+    result = run_example2(Example2Config(steps=20, paths=300, sweeps=3))
+    gc.collect()
+    for refs in (states, ys):
+        assert [ref() is not None for ref in refs] == [True, False, False,
+                                                       True]
+    assert [s.adjoint is not None for s in result.sweeps] == [
+        True, False, False, True]
+    assert result.sweeps[0].adjoint.Y is ys[0]()
+    assert result.sweeps[-1].adjoint.trajectories.states is states[-1]()
+
+
+def test_example2_peak_memory_does_not_grow_with_the_sweeps():
+    # one sweep's paths are its states and its Y; with the sweeps between
+    # the first and the last freed, two more sweeps add less than half of
+    # that to the traced peak, where two more sweeps that kept their paths
+    # would add about two of it
+    def traced_peak(sweeps):
+        tracemalloc.start()
+        try:
+            run_example2(Example2Config(steps=40, paths=2000, sweeps=sweeps))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    cfg = Example2Config(steps=40, paths=2000)
+    one_sweep = 2 * cfg.paths * (cfg.steps + 1) * cfg.state_dim * 8
+    assert traced_peak(3) < traced_peak(1) + 0.5 * one_sweep
 
 
 def test_stationarity_residual_near_zero_at_fitted_optimum():
