@@ -437,7 +437,7 @@ def _run_example2(config):
     dump = config.run["dump_trajectories"]
     if dump > 0:
         result.report.tables["trajectories"] = _trajectory_table(
-            result.sweeps[-1].adjoint.trajectories, dump)
+            result.adjoint.trajectories, dump)
     return result.report
 
 

@@ -827,12 +827,9 @@ def stationarity_residual(problem, adjoint):
 
 @dataclass
 class SweepRecord:
-    """One policy-improvement sweep: its cost, its stationarity residual
-    and, for the first and the last sweep, its ``adjoint`` along its own
-    trajectories (whose ``policy`` is the sweep's); the sweeps between
-    keep ``adjoint = None``."""
+    """One policy-improvement sweep: its cost and its stationarity
+    residual, with no states and no adjoint."""
 
-    adjoint: AdjointSolution | None
     cost: object
     residual: float
 
@@ -840,12 +837,13 @@ class SweepRecord:
 @dataclass
 class Example2Result:
     """Scenario-2 outcome; every sweep ran on the noise bundle of sweep 0.
-    The duality check reads ``sweeps[0].adjoint``, the report
-    ``sweeps[-1].adjoint``; no other sweep keeps its adjoint."""
+    ``adjoint`` is the last sweep's, along its own trajectories (whose
+    ``policy`` is that sweep's); ``duality`` was checked on sweep 0."""
 
     report: ScenarioReport
     problem: ControlProblem
     grid: PathGrid
+    adjoint: AdjointSolution
     sweeps: list
     duality: object | None
 
@@ -867,8 +865,9 @@ def run_example2(cfg=None):
     The policy-improvement sweeps (u <- -R^{-1} C^T E-hat[Y|X]) are a tooling
     addition layered on the stationarity condition C^T Y + R u = 0; they are
     reported as such and are not part of the underlying optimality theory.
-    Each sweep's policy keeps only the previous sweep's fitted regression,
-    so at most two sweeps' paths (the first's and the running one's) live.
+    Each sweep's policy keeps only the previous sweep's fitted regression
+    and the duality check runs on sweep 0 as it finishes, so one sweep's
+    paths live at a time.
     """
     cfg = cfg if cfg is not None else Example2Config()
     problem, driver, grid = build_example2_problem(cfg)
@@ -878,36 +877,34 @@ def run_example2(cfg=None):
     r_inv = np.linalg.inv(r_w)
     x0 = np.asarray(cfg.x0, dtype=float)
     basis = RegressionBasis(degree=cfg.basis_degree)
+    spec = None
+    if cfg.run_duality:
+        spec = SpikeSpec(t0=cfg.duality_t0, eps=cfg.duality_eps,
+                         v=np.asarray(cfg.duality_v, dtype=float))
+        spec.window(grid)     # a bad window raises before any sweep runs
 
     bundle = sample_increments(driver, grid, cfg.paths, cfg.seed)
     policy = initial_policy(cfg, np.zeros(m))
 
-    sweeps = []
+    sweeps, duality = [], None
     for s in range(cfg.sweeps + 1):
         trajectories = integrate_forward(problem, policy, bundle, x0,
                                          riders=(CostWalk(problem, grid),))
         adjoint = solve_adjoint_lsmc(problem, trajectories, basis=basis)
         cost = evaluate_cost(problem, trajectories)
         residual = stationarity_residual(problem, adjoint)
+        if s == 0 and spec is not None:
+            duality = duality_check(
+                adjoint, integrate_variational(problem, trajectories, spec))
         # nothing reads this record again: later sweeps call the policy
         # at their own states
         trajectories.drop_controls()
-        sweeps.append(SweepRecord(
-            adjoint=adjoint if s in (0, cfg.sweeps) else None, cost=cost,
-            residual=residual))
+        sweeps.append(SweepRecord(cost=cost, residual=residual))
         if s < cfg.sweeps:
             policy = _improvement_policy(adjoint.regression(), c_op, r_inv,
                                          grid)
-        # unless recorded above, this sweep's paths go before the next run
-        del trajectories, adjoint
-
-    duality = None
-    if cfg.run_duality:
-        spec = SpikeSpec(t0=cfg.duality_t0, eps=cfg.duality_eps,
-                         v=np.asarray(cfg.duality_v, dtype=float))
-        first = sweeps[0].adjoint
-        duality = duality_check(
-            first, integrate_variational(problem, first.trajectories, spec))
+            # this sweep's paths go before the next run
+            del trajectories, adjoint
 
     assertions = []
     cost_ok = True
@@ -954,7 +951,7 @@ def run_example2(cfg=None):
         "adjoint": {
             "method": "lsmc",
             "basis_degree": cfg.basis_degree,
-            "n_residual_ratio": sweeps[-1].adjoint.n_residual_ratio,
+            "n_residual_ratio": adjoint.n_residual_ratio,
         },
     }
     if duality is not None:
@@ -971,4 +968,4 @@ def run_example2(cfg=None):
         tables={"sweeps": (["sweep", "cost", "cost_stderr",
                             "stationarity_residual"], sweep_rows)})
     return Example2Result(report=report, problem=problem, grid=grid,
-                          sweeps=sweeps, duality=duality)
+                          adjoint=adjoint, sweeps=sweeps, duality=duality)

@@ -15,15 +15,15 @@ import pytest
 
 from martctrl.adjoint import duality_check
 from martctrl.cli import EXIT_OK, parse_config, run
-from martctrl.dynamics import (OpenLoopPolicy, SpikeSpec, finite_diff_check,
-                               integrate_forward, integrate_variational,
-                               sample_controls)
+from martctrl.dynamics import (OpenLoopPolicy, SpikeSpec, evaluate_cost,
+                               finite_diff_check, integrate_forward,
+                               integrate_variational, sample_controls)
 from martctrl.martingale import sample_increments, verify_isometry
 from martctrl.pmp import (Example1Config, Example2Config,
                           build_example1_problem, build_example2_problem,
                           gateaux_check, rate_experiments, run_example1,
                           run_example2, sufficient_check, within_3se)
-from test_pmp import gateaux_verdicts
+from test_pmp import example2_first_sweep, gateaux_verdicts
 
 
 # ---------------------------------------------------------------------------
@@ -218,7 +218,10 @@ def test_criterion_09_lsmc_scalar_oracle_and_sweeps():
                          beta=(1.0,), steps=50, paths=20000, seed=4242,
                          sweeps=3, run_duality=False)
     result = run_example2(cfg)
-    first = result.sweeps[0]
+    # no sweep record keeps paths: sweep 0, recomputed, must be the run's
+    problem, first = example2_first_sweep(cfg)
+    assert np.array_equal(evaluate_cost(problem, first.trajectories).per_path,
+                          result.sweeps[0].cost.per_path)
     grid = result.grid
     horizon = cfg.horizon
 
@@ -228,14 +231,14 @@ def test_criterion_09_lsmc_scalar_oracle_and_sweeps():
     y_num = y_den = z_num = z_den = 0.0
     for k in range(grid.steps + 1):
         tau = horizon - grid.times[k]
-        xk = first.adjoint.trajectories.states[:, k, 0]
+        xk = first.trajectories.states[:, k, 0]
         g_t = f / a * (np.exp(a * tau) - 1.0)
         y_true = p1 * np.exp(a * tau) * (np.exp(a * tau) * xk + g_t)
-        y_num += np.mean((first.adjoint.Y[:, k, 0] - y_true) ** 2)
+        y_num += np.mean((first.Y[:, k, 0] - y_true) ** 2)
         y_den += np.mean(y_true ** 2)
         if k < grid.steps:
             z_true = p1 * np.exp(2.0 * a * tau) * d
-            z_num += np.mean((first.adjoint.z_at(k)[:, 0, 0] - z_true) ** 2)
+            z_num += np.mean((first.z_at(k)[:, 0, 0] - z_true) ** 2)
             z_den += z_true ** 2
     y_rms = float(np.sqrt(y_num / y_den))
     z_rms = float(np.sqrt(z_num / z_den))

@@ -11,7 +11,7 @@ from hypothesis import Phase, assume, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from martctrl import pmp
-from martctrl.adjoint import (RegressionBasis, hamiltonian,
+from martctrl.adjoint import (RegressionBasis, duality_check, hamiltonian,
                               solve_adjoint_explicit, solve_adjoint_lsmc)
 from martctrl.dynamics import (BallSet, BlowUpError, BoxSet, FeedbackPolicy,
                                FiniteSet, FirstVariation, OpenLoopPolicy,
@@ -606,8 +606,7 @@ def test_example2_sweep_records_fresh_policy_controls():
     cfg = Example2Config(steps=20, paths=300, seed=8, sweeps=1,
                          run_duality=False)
     result = run_example2(cfg)
-    sweep = result.sweeps[1]
-    trajectories = sweep.adjoint.trajectories
+    trajectories = result.adjoint.trajectories
     policy = trajectories.policy
     assert isinstance(policy, FeedbackPolicy)
     # finished sweeps release their record
@@ -672,14 +671,26 @@ def test_undeclared_example2_walks_the_chain_bit_for_bit(monkeypatch):
         0.028916562497931893]
     assert (result.duality.lhs, result.duality.rhs) == (
         0.11663667766292204, 0.1151740273767514)
-    assert result.sweeps[-1].adjoint.n_residual_ratio == 0.03253733190322413
+    assert result.adjoint.n_residual_ratio == 0.03253733190322413
 
 
-def test_example2_frees_the_sweeps_between_the_first_and_the_last(
-        monkeypatch):
-    # the duality check reads sweep 0's paths and the report the last
-    # sweep's; each improved policy keeps only the fitted regression of the
-    # sweep before it, so the sweeps between leave no states and no Y
+def example2_first_sweep(cfg):
+    """Sweep 0 of ``run_example2(cfg)`` recomputed through the public API:
+    the problem and the LSMC adjoint along the run under the zero control."""
+    problem, driver, grid = build_example2_problem(cfg)
+    bundle = sample_increments(driver, grid, cfg.paths, cfg.seed)
+    trajectories = integrate_forward(
+        problem, OpenLoopPolicy(np.zeros(cfg.control_dim)), bundle,
+        np.asarray(cfg.x0, dtype=float))
+    return problem, solve_adjoint_lsmc(
+        problem, trajectories, basis=RegressionBasis(degree=cfg.basis_degree))
+
+
+def test_example2_frees_every_sweep_but_the_last(monkeypatch):
+    # the duality check runs on sweep 0 as it finishes and each improved
+    # policy keeps only the fitted regression of the sweep before it, so
+    # only the last sweep's states and Y, which the result reports, outlive
+    # their sweep
     states, ys = [], []
     forward, solve = pmp.integrate_forward, pmp.solve_adjoint_lsmc
 
@@ -698,30 +709,72 @@ def test_example2_frees_the_sweeps_between_the_first_and_the_last(
     result = run_example2(Example2Config(steps=20, paths=300, sweeps=3))
     gc.collect()
     for refs in (states, ys):
-        assert [ref() is not None for ref in refs] == [True, False, False,
+        assert [ref() is not None for ref in refs] == [False, False, False,
                                                        True]
-    assert [s.adjoint is not None for s in result.sweeps] == [
-        True, False, False, True]
-    assert result.sweeps[0].adjoint.Y is ys[0]()
-    assert result.sweeps[-1].adjoint.trajectories.states is states[-1]()
+    assert result.adjoint.Y is ys[-1]()
+    assert result.adjoint.trajectories.states is states[-1]()
+    assert not any(hasattr(s, "adjoint") for s in result.sweeps)
+
+
+PEAK_CFG = Example2Config(steps=40, paths=2000)
+# one sweep's paths there: its states and its Y
+ONE_SWEEP = 2 * PEAK_CFG.paths * (PEAK_CFG.steps + 1) * PEAK_CFG.state_dim * 8
+# the controls a feedback sweep records there (open-loop ones are views)
+FEEDBACK_CONTROLS = PEAK_CFG.paths * PEAK_CFG.steps * PEAK_CFG.control_dim * 8
+
+
+def example2_traced_peak(sweeps):
+    """tracemalloc peak of ``run_example2`` on ``PEAK_CFG`` with ``sweeps``."""
+    tracemalloc.start()
+    try:
+        run_example2(dataclasses.replace(PEAK_CFG, sweeps=sweeps))
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def test_example2_peak_memory_does_not_grow_with_the_sweeps():
-    # one sweep's paths are its states and its Y; with the sweeps between
-    # the first and the last freed, two more sweeps add less than half of
-    # that to the traced peak, where two more sweeps that kept their paths
-    # would add about two of it
-    def traced_peak(sweeps):
-        tracemalloc.start()
-        try:
-            run_example2(Example2Config(steps=40, paths=2000, sweeps=sweeps))
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+    # with the sweeps between the first and the last freed, two more
+    # sweeps add less than half of one sweep's paths to the traced peak,
+    # where two more sweeps that kept their paths would add about two
+    assert example2_traced_peak(3) < example2_traced_peak(1) + 0.5 * ONE_SWEEP
 
-    cfg = Example2Config(steps=40, paths=2000)
-    one_sweep = 2 * cfg.paths * (cfg.steps + 1) * cfg.state_dim * 8
-    assert traced_peak(3) < traced_peak(1) + 0.5 * one_sweep
+
+def test_example2_first_sweep_dies_before_the_second_runs():
+    # sweep 0's duality check runs as it finishes, so sweep 1 runs beside
+    # sweep 0's fitted regression only: it adds its own recorded controls
+    # and less than half of one sweep's paths, where sweep 0's paths kept
+    # to the end add one more sweep.  The 1-sweep run goes first, so the
+    # 0-sweep run does not carry the one-time allocations of a first run
+    assert example2_traced_peak(1) < (example2_traced_peak(0)
+                                      + FEEDBACK_CONTROLS + 0.5 * ONE_SWEEP)
+
+
+def test_example2_duality_is_sweep_0s():
+    cfg = Example2Config(steps=20, paths=300, seed=11, sweeps=2)
+    result = run_example2(cfg)
+    problem, first = example2_first_sweep(cfg)
+    spec = SpikeSpec(t0=cfg.duality_t0, eps=cfg.duality_eps,
+                     v=np.asarray(cfg.duality_v, dtype=float))
+    assert result.duality == duality_check(
+        first, integrate_variational(problem, first.trajectories, spec))
+
+
+def test_example2_bad_duality_window_raises_before_sampling(monkeypatch):
+    # a library call skips the CLI's parse-time window check: the window
+    # past the horizon raises before any noise is drawn or sweep runs
+    calls = []
+    sample = pmp.sample_increments
+
+    def counted_sample(*args, **kwargs):
+        calls.append(args)
+        return sample(*args, **kwargs)
+
+    monkeypatch.setattr(pmp, "sample_increments", counted_sample)
+    with pytest.raises(ValueError, match="past the horizon"):
+        run_example2(Example2Config(steps=20, paths=300, duality_t0=0.95,
+                                    duality_eps=0.1))
+    assert calls == []
 
 
 def test_stationarity_residual_near_zero_at_fitted_optimum():
